@@ -318,8 +318,9 @@ func runSBEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) i
 		fmt.Fprintf(errw, "fuzzdiff: %v\n", err)
 		return 2
 	}
-	fmt.Fprintf(out, "superblock-equivalence: %d cases, %d interp steps, %d sb-retired, %d divergence(s) across %d profile(s) in %.1fs\n",
-		st.Cases, st.Steps, st.SBRetired, len(st.Mismatches), len(profiles), time.Since(t0).Seconds())
+	fmt.Fprintf(out, "superblock-equivalence: %d cases, %d interp steps, %d sb-retired, %d code invalidations, %d code-page data writes, %d divergence(s) across %d profile(s) in %.1fs\n",
+		st.Cases, st.Steps, st.SBRetired, st.CodeInvalidations, st.CodePageDataWrites,
+		len(st.Mismatches), len(profiles), time.Since(t0).Seconds())
 	for _, m := range st.Mismatches {
 		fmt.Fprintf(out, "  DIVERGENCE %s\n", m)
 	}

@@ -14,39 +14,83 @@ import (
 )
 
 // decPage caches the predecoded form of one 4KiB physical page of
-// instruction memory (1024 potential 32-bit slots, filled on first fetch).
-// A slot is valid iff its generation tag equals the page's current
-// generation, so invalidation is an O(1) counter bump that keeps the 40KiB
-// allocation alive — essential when code and data share a page (e.g. a
-// firmware whose stack sits next to its text), where every store would
-// otherwise free and reallocate the page.
+// instruction memory (1024 potential 32-bit slots, filled on first fetch)
+// and the superblocks translated from it. Write invalidation is exact to
+// the written bytes (write): a store drops only the decodes and blocks
+// that read one of its slots, so data sharing a page with code — a
+// firmware stack next to its text, a hypervisor's trap frames next to its
+// handler — costs a bitmap test instead of a re-decode of the page. The
+// page lives until flushDecode, with its bus watch armed throughout
+// (InvalidatePhysPage keeps it).
 type decPage struct {
-	gen   uint32 // current generation; starts at 1 so zeroed tags are invalid
-	armed bool   // bus write-watch currently armed for this page
-	tags  [1024]uint32
-	ins   [1024]rv.Decoded
+	// dec marks the slots whose ins entry holds a valid decode. code marks
+	// every slot some live state read: a decode, or a superblock that read
+	// the slot raw. code is a superset — a dropped block leaves the bits of
+	// its other slots set until they are next written — so a write that
+	// misses code is certainly a data write.
+	dec, code [16]uint64
+	ins       [1024]rv.Decoded
 
 	// Superblock tier state (superblock.go), lazily allocated: hot counts
 	// dispatches per entry slot until translation; blocks holds the
 	// translated superblocks by entry slot (a direct array, not a map —
-	// the lookup is on the per-dispatch hot path), each guarded by the
-	// gen it was translated under.
+	// the lookup is on the per-dispatch hot path).
 	hot    *[1024]uint8
 	blocks *[1024]*sblock
 }
 
-// invalidate drops every slot and remembers that the consumed write-watch
-// must be re-armed before the page is trusted again.
-func (dp *decPage) invalidate() {
-	dp.gen++
-	if dp.gen == 0 { // tag wrap: make all stale tags unambiguously invalid
-		clear(dp.tags[:])
-		// Superblocks are gen-guarded too: after a wrap a stale block's
-		// recorded gen could collide with a future value, so drop them all.
-		dp.blocks = nil
-		dp.gen = 1
+// slotBit locates slot i in a 1024-bit slot bitmap.
+func slotBit(i int) (word int, mask uint64) { return i >> 6, 1 << (i & 63) }
+
+// decoded reports whether slot i holds a valid decode.
+func (dp *decPage) decoded(i int) bool {
+	w, m := slotBit(i)
+	return dp.dec[w]&m != 0
+}
+
+// fill caches the decode of slot i.
+func (dp *decPage) fill(i int, d rv.Decoded) {
+	w, m := slotBit(i)
+	dp.ins[i] = d
+	dp.dec[w] |= m
+	dp.code[w] |= m
+}
+
+// markCode records that a superblock read slots [from, to).
+func (dp *decPage) markCode(from, to int) {
+	for i := from; i < to; i++ {
+		w, m := slotBit(i)
+		dp.code[w] |= m
 	}
-	dp.armed = false
+}
+
+// write drops every decode and superblock that read a byte of the in-page
+// range [lo, hi) and reports whether any was live.
+func (dp *decPage) write(lo, hi int) (hit bool) {
+	first, last := lo>>2, (hi-1)>>2
+	code := false
+	for i := first; i <= last; i++ {
+		w, m := slotBit(i)
+		if dp.code[w]&m == 0 {
+			continue
+		}
+		code = true
+		hit = hit || dp.dec[w]&m != 0
+		dp.code[w] &^= m
+		dp.dec[w] &^= m
+	}
+	if !code || dp.blocks == nil {
+		return hit
+	}
+	// A block spans at most sbMaxOps slots, so only entries that close can
+	// reach the first written slot.
+	for e := max(first-sbMaxOps+1, 0); e <= last; e++ {
+		if b := dp.blocks[e]; b != nil && e+int(b.span) > first {
+			dp.blocks[e] = nil
+			hit = true
+		}
+	}
+	return hit
 }
 
 // fastState bundles the per-hart host caches.
@@ -61,7 +105,8 @@ type fastState struct {
 	// 1-entry lookup cache in front (straight-line code stays on one
 	// page). Pages are cached only when the bus can watch them (RAM);
 	// any write into a cached page — this hart, another hart, DMA, the
-	// fault injector — drops the page via InvalidatePhysPage.
+	// fault injector — drops the decodes and superblocks that read the
+	// written bytes via InvalidatePhysPage.
 	pages        map[uint64]*decPage
 	lastPageBase uint64
 	lastPage     *decPage
@@ -112,28 +157,34 @@ func (h *Hart) SetFastPath(on bool) {
 // FastPathEnabled reports whether the host caches are in use.
 func (h *Hart) FastPathEnabled() bool { return h.fast.on }
 
-// InvalidatePhysPage implements mem.PageWatcher: a watched page was
-// written, so drop any predecoded instructions on it and, if a cached
-// translation walked through it, the TLB.
-func (h *Hart) InvalidatePhysPage(page uint64) {
-	if dp, ok := h.fast.pages[page]; ok {
-		dp.invalidate()
-		// Drop the 1-entry lookup cache too when it fronts this page, so
-		// no later fetch can trust a stale pointer without going through
-		// the map (and the re-arm/tag checks) again.
-		if h.fast.lastPage == dp {
-			h.fast.lastPage, h.fast.lastPageBase = nil, 0
-		}
-	}
+// InvalidatePhysPage implements mem.PageWatcher: bytes [lo, hi) of a
+// watched page were written. It drops the predecoded instructions and
+// superblocks that read them and, if a cached translation walked through
+// the page, the whole TLB, and keeps the watch while the page has a decode
+// page. A write that hit live code also ends the running block after the
+// current op, since the interpreter fetches the new bytes from the next
+// instruction on.
+func (h *Hart) InvalidatePhysPage(page uint64, lo, hi int) bool {
 	if _, ok := h.fast.ptePages[page]; ok {
 		h.fast.tlb.Flush()
 		clear(h.fast.ptePages)
 	}
+	dp := h.fast.pages[page]
+	if dp == nil {
+		return false
+	}
+	if dp.write(lo, hi) {
+		h.Perf.CodeWriteInvalidations++
+		h.sb.endAfter = true
+	} else {
+		h.Perf.CodePageDataWrites++
+	}
+	return true
 }
 
 // flushDecode drops every predecoded page (fence.i, snapshot restore,
-// fast-path toggle). The bus watch bits stay armed; a later notification
-// for an already-dropped page is a no-op.
+// fast-path toggle). The bus watch bits stay armed until the next write to
+// each page, which this hart then declines to keep.
 func (h *Hart) flushDecode() {
 	clear(h.fast.pages)
 	h.fast.lastPage, h.fast.lastPageBase = nil, 0
@@ -280,28 +331,21 @@ func (h *Hart) fetchFast() (*rv.Decoded, *Exc) {
 				h.fast.fetchDP = nil // never translated into superblocks
 				return &h.fast.scratch, nil
 			}
-			dp = &decPage{gen: 1}
+			// The watch armed above stays armed for the page's life.
+			dp = new(decPage)
 			h.fast.pages[pageBase] = dp
 		}
 		h.fast.lastPage, h.fast.lastPageBase = dp, pageBase
 	}
-	if !dp.armed {
-		// First use, or a write consumed the watch: re-arm before trusting
-		// any slot filled from here on. Always succeeds — the page was RAM
-		// when it entered the cache and regions never go away.
-		h.mem.WatchPage(pageBase)
-		dp.armed = true
-	}
-	i := (pa & 4095) >> 2
-	h.fast.fetchDP, h.fast.fetchSlot, h.fast.fetchPA = dp, int(i), pa
-	if dp.tags[i] != dp.gen {
+	i := int(pa&4095) >> 2
+	h.fast.fetchDP, h.fast.fetchSlot, h.fast.fetchPA = dp, i, pa
+	if !dp.decoded(i) {
 		h.Perf.DecodeMisses++
 		v, ok := h.mem.Load(pa, 4)
 		if !ok {
 			return nil, h.exc(rv.ExcInstrAccessFault, h.PC)
 		}
-		dp.ins[i] = rv.Decode(uint32(v))
-		dp.tags[i] = dp.gen
+		dp.fill(i, rv.Decode(uint32(v)))
 	} else {
 		h.Perf.DecodeHits++
 	}

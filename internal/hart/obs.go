@@ -36,6 +36,12 @@ type PerfCounters struct {
 	SBRetired      uint64
 	SBGuardMisses  uint64
 	SBAborts       uint64
+	// Outcomes of writes into pages this hart caches decodes for
+	// (InvalidatePhysPage): writes that dropped a live decode or
+	// superblock (self-modifying or reloaded code), and writes that
+	// touched no live slot (data sharing a page with code).
+	CodeWriteInvalidations uint64
+	CodePageDataWrites     uint64
 }
 
 // trapCauseIndex maps an mcause value into TrapsByCause: exception codes
@@ -83,7 +89,7 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 	}
 	r.Collect(func(emit func(name string, value uint64)) {
 		var tlbH, tlbM, decH, decM, walks, traps, instret, cycles uint64
-		var sbT, sbH, sbR, sbG, sbA uint64
+		var sbT, sbH, sbR, sbG, sbA, smcI, smcD uint64
 		for _, h := range m.Harts {
 			p := &h.Perf
 			pfx := fmt.Sprintf("hart%d.", h.ID)
@@ -108,6 +114,8 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 			emit(pfx+"sb.retired", p.SBRetired)
 			emit(pfx+"sb.guard_misses", p.SBGuardMisses)
 			emit(pfx+"sb.aborts", p.SBAborts)
+			emit(pfx+"smc.code_invalidations", p.CodeWriteInvalidations)
+			emit(pfx+"smc.data_writes", p.CodePageDataWrites)
 			tlbH += p.TLBHits
 			tlbM += p.TLBMisses
 			decH += p.DecodeHits
@@ -121,6 +129,8 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 			sbR += p.SBRetired
 			sbG += p.SBGuardMisses
 			sbA += p.SBAborts
+			smcI += p.CodeWriteInvalidations
+			smcD += p.CodePageDataWrites
 		}
 		emit("sim.cycles", cycles)
 		emit("sim.instret", instret)
@@ -137,6 +147,8 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 		emit("sim.sb.retired", sbR)
 		emit("sim.sb.guard_misses", sbG)
 		emit("sim.sb.aborts", sbA)
+		emit("sim.smc.code_invalidations", smcI)
+		emit("sim.smc.data_writes", smcD)
 		// Share of all retired instructions that ran inside superblocks.
 		// (Perf counters survive Machine.Reset while instret does not, so
 		// guard the subtraction across reboots.)

@@ -14,11 +14,13 @@ package hart
 // translation vs. the simulated cycle model"):
 //
 //  1. Entry guard. A block is only dispatched when its guard vector
-//     matches: decode-page generation (catches self-modifying code),
-//     privilege mode, satp, and PMP epoch (catch remapping and
-//     reprotection). The dispatch point itself sits after Step's
-//     pending-interrupt check, so a block never starts with a deliverable
-//     interrupt pending. Data accesses re-validate per access against a
+//     matches: privilege mode, satp, and PMP epoch (catch remapping and
+//     reprotection). Self-modifying code never reaches the guard: a write
+//     into any slot a block read drops the block from its decode page
+//     (decPage.write), and ends it if it is running (sbState.endAfter).
+//     The dispatch point itself sits after Step's pending-interrupt
+//     check, so a block never starts with a deliverable interrupt
+//     pending. Data accesses re-validate per access against a
 //     TLB key (mmu.Key) hoisted once per dispatch — sound because every
 //     instruction that could change it (CSR writes, xRET, traps) is a
 //     block terminator.
@@ -71,7 +73,7 @@ type sbOp func(h *Hart) (uint64, bool)
 // i.e. by physical location, so aliased virtual mappings share it. ops is
 // nil for a sentinel recording an untranslatable entry point.
 type sblock struct {
-	gen      uint32 // decPage.gen at translation: stale bytes never run
+	span     uint8 // slots read from the entry on (<= sbMaxOps); a write to one drops the block
 	mode     rv.Mode
 	satp     uint64
 	pmpEpoch uint64
@@ -107,10 +109,13 @@ type sbState struct {
 	bare bool
 	key  mmu.Key
 
-	// endAfter asks the running block to stop after the current op: set
-	// by stores into (and page walks through) pages holding cached
-	// decodes, where continuing could execute stale translations the
-	// interpreter would re-fetch.
+	// endAfter asks the running block to stop after the current op, where
+	// continuing could execute stale code the interpreter would re-fetch.
+	// A sequential store or A/D-bit walk sets it through
+	// InvalidatePhysPage exactly when it hit live code. A parallel slice
+	// only buffers its stores until the barrier, so there sbStore and
+	// sbTranslateData set it for any write into a page holding cached
+	// decodes.
 	endAfter bool
 }
 
@@ -149,6 +154,8 @@ func (h *Hart) sbTry() uint64 {
 		sb = dp.blocks[slot]
 	}
 	if sb == nil {
+		// Untranslated, or dropped by a write to its bytes: heat up first,
+		// so a store-thrashed page cannot spend its time in the translator.
 		if dp.hot == nil {
 			dp.hot = new([1024]uint8)
 		}
@@ -158,18 +165,11 @@ func (h *Hart) sbTry() uint64 {
 		}
 		dp.hot[slot] = 0
 		sb = h.sbTranslate(dp, slot)
-	} else if sb.gen != dp.gen {
-		// Stale code bytes (self-modification): the translation is garbage.
-		// Drop it and re-heat rather than retranslating immediately, so a
-		// store-thrashed page cannot spend its time in the translator.
-		h.Perf.SBGuardMisses++
-		dp.blocks[slot] = nil
-		return 0
 	} else if sb.mode != h.Mode || sb.satp != h.CSR.Satp ||
 		sb.pmpEpoch != h.CSR.PMP.Epoch() {
-		// Environment guard miss. Unlike a gen miss the translation itself
-		// is still good — these fields only protect the translation-time
-		// per-op execute-permission checks (data accesses revalidate per
+		// Environment guard miss. The translation itself is still good —
+		// these fields only protect the translation-time per-op
+		// execute-permission checks (data accesses revalidate per
 		// dispatch via sb.key, and blocks are keyed physically so satp
 		// cannot change what they execute). Re-check the permissions under
 		// the current environment and refresh the guard instead of
@@ -213,7 +213,6 @@ func (h *Hart) sbRevalidate(sb *sblock) bool {
 // revalidated wholesale by the pmpEpoch guard.
 func (h *Hart) sbTranslate(dp *decPage, slot int) *sblock {
 	sb := &sblock{
-		gen:      dp.gen,
 		mode:     h.Mode,
 		satp:     h.CSR.Satp,
 		pmpEpoch: h.CSR.PMP.Epoch(),
@@ -224,13 +223,14 @@ func (h *Hart) sbTranslate(dp *decPage, slot int) *sblock {
 	dp.blocks[slot] = sb
 	pageBase := h.fast.fetchPA &^ 4095
 	ops := make([]sbOp, 0, sbMaxOps)
+	read := 0 // slots read, including an ineligible one that ended the walk
 	for i := slot; i < 1024 && len(ops) < sbMaxOps; i++ {
 		pa := pageBase | uint64(i)<<2
 		if !h.CSR.PMP.Check(pa, 4, mem.Exec, h.Mode) {
 			break
 		}
 		var d rv.Decoded
-		if dp.tags[i] == dp.gen {
+		if dp.decoded(i) {
 			d = dp.ins[i]
 		} else {
 			v, ok := h.mem.Load(pa, 4)
@@ -239,6 +239,7 @@ func (h *Hart) sbTranslate(dp *decPage, slot int) *sblock {
 			}
 			d = rv.Decode(uint32(v))
 		}
+		read++
 		fn, term := h.sbCompile(&d)
 		if fn == nil {
 			break
@@ -248,6 +249,11 @@ func (h *Hart) sbTranslate(dp *decPage, slot int) *sblock {
 			break
 		}
 	}
+	// Raw reads leave no decode behind, so mark every slot read as code: a
+	// write to any of them must drop this block (sentinels included, so a
+	// patched entry gets another chance at translation).
+	sb.span = uint8(read)
+	dp.markCode(slot, slot+read)
 	if len(ops) < sbMinOps {
 		return sb // sentinel (ops stays nil)
 	}
@@ -327,13 +333,17 @@ func (h *Hart) sbTranslateData(va uint64, acc mem.AccessType) (uint64, bool) {
 		return 0, false
 	}
 	h.tlbFill(acc, vpn, h.sb.key, &res)
-	// The walk may have stored A/D bits into a page that also holds
-	// cached decodes — possibly this very block's — which the interpreter
-	// would observe at its next fetch. Stop after this op.
-	for i := 0; i < res.WalkLen; i++ {
-		if _, cached := h.fast.pages[res.Walk[i]&^4095]; cached {
-			h.sb.endAfter = true
-			break
+	// The walk may have stored A/D bits into a page that also holds cached
+	// decodes — possibly this very block's — which the interpreter would
+	// observe at its next fetch. A sequential walk stores through the bus,
+	// whose watch ends the block if it hit live code; a parallel slice
+	// buffers the store, so stop after this op.
+	if h.inSlice {
+		for i := 0; i < res.WalkLen; i++ {
+			if _, cached := h.fast.pages[res.Walk[i]&^4095]; cached {
+				h.sb.endAfter = true
+				break
+			}
 		}
 	}
 	return res.PA, true
@@ -360,10 +370,12 @@ func (h *Hart) sbLoad(va uint64, size int) (uint64, bool) {
 }
 
 // sbStore performs an in-block data store, mirroring MemAccess(Write)
-// including the LR/SC reservation kills. Stores into pages holding cached
-// decodes end the block after this op (self-modifying code: in sequential
-// mode the write watch has already invalidated the page synchronously; the
-// interpreter refetches from the next instruction on, and so must we).
+// including the LR/SC reservation kills. Self-modifying code ends the
+// block after this op, since the interpreter refetches from the next
+// instruction on: in sequential mode the bus write watch drops the
+// overwritten code synchronously and sets endAfter itself; a parallel
+// slice only buffers the store, so any store into a page holding cached
+// decodes ends the block.
 func (h *Hart) sbStore(va uint64, size int, value uint64) bool {
 	if va%uint64(size) != 0 && !h.Cfg.HWMisaligned {
 		return false
@@ -378,8 +390,10 @@ func (h *Hart) sbStore(va uint64, size int, value uint64) bool {
 	if !h.mem.IsRAM(pa, size) {
 		return false
 	}
-	if _, cached := h.fast.pages[pa&^4095]; cached {
-		h.sb.endAfter = true
+	if h.inSlice {
+		if _, cached := h.fast.pages[pa&^4095]; cached {
+			h.sb.endAfter = true
+		}
 	}
 	h.charge(h.Cfg.Cost.MemAccess)
 	if !h.mem.Store(pa, size, value) {

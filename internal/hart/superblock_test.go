@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"govfm/internal/asm"
+	"govfm/internal/obs"
 	"govfm/internal/rv"
 )
 
@@ -368,30 +369,219 @@ func TestSuperblockImageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInvalidatePhysPageDropsLastPage is the satellite-1 regression: the
-// 1-entry page-lookup cache must be dropped when the page it fronts is
-// invalidated, so no later fetch can trust the stale pointer without
-// re-entering the map.
-func TestInvalidatePhysPageDropsLastPage(t *testing.T) {
-	m := sbMachine(t, hotLoopBody(100), true, true)
-	m.Run(20)
+// codePageData is a data word on the same 4 KiB page as the test
+// programs, whose code starts at DramBase and ends before it.
+const codePageData = DramBase + 0x800
+
+// codePageDataBody is a hot loop that stores to data words on its own code
+// page every pass, the way a hypervisor saves trap frames next to its
+// handler. None of the stored words is ever executed.
+func codePageDataBody(iters uint64) func(a *asm.Asm) {
+	return func(a *asm.Asm) {
+		a.Li(asm.T0, codePageData)
+		a.Li(asm.A0, 0)
+		a.Li(asm.S1, iters)
+		a.Label("loop")
+		a.Sd(asm.S1, asm.T0, 0)
+		a.Add(asm.A0, asm.A0, asm.S1)
+		a.Sw(asm.A0, asm.T0, 12)
+		a.Addi(asm.S1, asm.S1, -1)
+		a.Bnez(asm.S1, "loop")
+		exit(a)
+	}
+}
+
+// TestCodePageDataStoreKeepsCode: data stores to non-code words of a code
+// page drop no decode and no superblock, and the obs layer reports them
+// as data writes.
+func TestCodePageDataStoreKeepsCode(t *testing.T) {
+	const iters = 1 << 40 // never finishes within the budgets below
+	interp := sbMachine(t, codePageDataBody(iters), false, false)
+	full := sbMachine(t, codePageDataBody(iters), true, true)
+	o := obs.New(obs.Options{})
+	full.AttachObs(o)
+	interp.Run(2000)
+	full.Run(2000)
+	h := full.Harts[0]
+	warm := h.Perf
+	if warm.SBTranslations == 0 || warm.CodePageDataWrites == 0 {
+		t.Fatalf("precondition: loop untranslated or its stores unseen: %+v", warm)
+	}
+	interp.Run(5000)
+	full.Run(5000)
+	sbCompareEnd(t, interp, full)
+	p := h.Perf
+	if p.DecodeMisses != warm.DecodeMisses || p.SBTranslations != warm.SBTranslations {
+		t.Errorf("data stores cost code: decode misses %d -> %d, translations %d -> %d",
+			warm.DecodeMisses, p.DecodeMisses, warm.SBTranslations, p.SBTranslations)
+	}
+	if p.CodeWriteInvalidations != 0 || p.CodePageDataWrites <= warm.CodePageDataWrites ||
+		p.SBRetired <= warm.SBRetired {
+		t.Errorf("counters: %+v after warm-up %+v", p, warm)
+	}
+	v := o.Metrics.Snapshot().Values
+	if v["hart0.smc.data_writes"] != p.CodePageDataWrites || v["sim.smc.data_writes"] != p.CodePageDataWrites ||
+		v["sim.smc.code_invalidations"] != 0 {
+		t.Errorf("smc metrics %d/%d/%d, want %d/%d/0", v["hart0.smc.data_writes"],
+			v["sim.smc.data_writes"], v["sim.smc.code_invalidations"], p.CodePageDataWrites, p.CodePageDataWrites)
+	}
+}
+
+// TestCodePageDataThenCodeStore: after a data store onto a code page, a
+// code store to the same page with no fetch in between must still drop the
+// stale code. A watch consumed by the first notification, and re-armed
+// only by a later fetch, would miss the second. Both stores come from
+// outside the hart, as a DMA engine or the monitor would issue them.
+func TestCodePageDataThenCodeStore(t *testing.T) {
+	patched := encodeOne(t, func(a *asm.Asm) { a.Addi(asm.A0, asm.A0, 100) })
+	var target uint64
+	body := func(a *asm.Asm) {
+		a.Li(asm.A0, 0)
+		a.Li(asm.S1, 100)
+		a.Label("loop")
+		target = a.PC()
+		a.Addi(asm.A0, asm.A0, 1)
+		a.Addi(asm.S1, asm.S1, -1)
+		a.Bnez(asm.S1, "loop")
+		exit(a)
+	}
+	interp := sbMachine(t, body, false, false)
+	full := sbMachine(t, body, true, true)
+	for _, m := range []*Machine{interp, full} {
+		m.Run(150) // mid-loop, with the loop translated on full
+		m.Bus.Store(codePageData, 8, 0xD00D)
+		m.Bus.Store(target, 4, uint64(patched))
+		m.Run(5000)
+		mustHalt(t, m)
+	}
+	sbCompareEnd(t, interp, full)
+	p := full.Harts[0].Perf
+	if p.CodePageDataWrites == 0 || p.CodeWriteInvalidations == 0 || p.SBRetired == 0 {
+		t.Errorf("counters: %+v", p)
+	}
+	if a0 := full.Harts[0].Regs[asm.A0]; a0 <= 100 {
+		t.Errorf("a0 = %d: the patched instruction never ran", a0)
+	}
+}
+
+// TestStoreIntoRawReadSlotEndsBlock: a block that read a slot raw (the
+// translator decoded it without filling the cache) is dropped by a store
+// into that slot, and when the block itself made the store it ends right
+// after it, so the patched instruction runs on the interpreter.
+func TestStoreIntoRawReadSlotEndsBlock(t *testing.T) {
+	patched := encodeOne(t, func(a *asm.Asm) { a.Addi(asm.A0, asm.A0, 100) })
+	var entry, patch uint64
+	body := func(a *asm.Asm) {
+		a.Li(asm.A0, 0)
+		a.Li(asm.S1, 200)
+		a.Li(asm.T0, codePageData) // moved onto the patch slot below
+		a.Li(asm.T1, uint64(patched))
+		a.Label("loop")
+		entry = a.PC()
+		a.Addi(asm.A0, asm.A0, 1)
+		a.Sw(asm.T1, asm.T0, 0)
+		a.Addi(asm.S1, asm.S1, -1)
+		patch = a.PC()
+		a.Addi(asm.A0, asm.A0, 1)
+		a.Bnez(asm.S1, "loop")
+		exit(a)
+	}
+	interp := sbMachine(t, body, false, false)
+	full := sbMachine(t, body, true, true)
+	interp.Run(300)
+	full.Run(300)
+	h := full.Harts[0]
+	for h.PC != entry { // single steps never dispatch a block
+		interp.Step()
+		full.Step()
+	}
+	dp := h.fast.pages[entry&^4095]
+	e := int(entry&4095) >> 2
+	if dp == nil || dp.blocks == nil || dp.blocks[e] == nil || dp.blocks[e].ops == nil {
+		t.Fatal("precondition: loop not translated")
+	}
+	// Forget every decode and block after the entry and re-heat it, so the
+	// next dispatch retranslates the loop from raw reads.
+	for i := e + 1; i < e+5; i++ {
+		w, m := slotBit(i)
+		dp.dec[w] &^= m
+		dp.code[w] &^= m
+		dp.blocks[i] = nil
+	}
+	dp.blocks[e] = nil
+	dp.hot[e] = sbHotThreshold
+	translated := h.Perf.SBTranslations
+	interp.Harts[0].Regs[asm.T0] = patch
+	h.Regs[asm.T0] = patch
+	interp.Run(5000)
+	full.Run(5000)
+	mustHalt(t, interp)
+	mustHalt(t, full)
+	sbCompareEnd(t, interp, full)
+	if h.Perf.SBTranslations == translated || h.Perf.CodeWriteInvalidations == 0 {
+		t.Errorf("counters: %+v", h.Perf)
+	}
+}
+
+// TestStraddlingStoreInvalidatesBothPages: a store across a page boundary
+// drops exactly the slots it overlaps on each page.
+func TestStraddlingStoreInvalidatesBothPages(t *testing.T) {
+	boundary := uint64(DramBase + 0x1000)
+	body := func(a *asm.Asm) {
+		a.J("cross")
+		for a.PC() < boundary-16 {
+			a.Nop()
+		}
+		a.Label("cross")
+		for i := 0; i < 8; i++ {
+			a.Addi(asm.A0, asm.A0, 1)
+		}
+		exit(a)
+	}
+	m := sbMachine(t, body, true, true)
+	m.Run(100)
+	mustHalt(t, m)
 	h := m.Harts[0]
-	if h.fast.lastPage == nil {
-		t.Fatalf("precondition: lookup cache not warm after 20 steps")
+	lo, hi := h.fast.pages[DramBase], h.fast.pages[boundary]
+	if lo == nil || hi == nil || !lo.decoded(1022) || !lo.decoded(1023) ||
+		!hi.decoded(0) || !hi.decoded(1) {
+		t.Fatal("precondition: code around the page boundary not cached")
 	}
-	page := h.fast.lastPageBase
-	h.InvalidatePhysPage(page)
-	if h.fast.lastPage != nil || h.fast.lastPageBase != 0 {
-		t.Fatalf("lookup cache survived InvalidatePhysPage of its own page")
+	m.Bus.Store(boundary-4, 8, 0) // last slot of one page, first of the next
+	if lo.decoded(1023) || hi.decoded(0) || !lo.decoded(1022) || !hi.decoded(1) {
+		t.Errorf("decoded after store: lo 1022=%v 1023=%v, hi 0=%v 1=%v",
+			lo.decoded(1022), lo.decoded(1023), hi.decoded(0), hi.decoded(1))
 	}
-	// Invalidating an unrelated page must keep the cache.
-	m.Run(20)
-	if h.fast.lastPage == nil {
-		t.Fatalf("precondition: lookup cache not re-warmed")
+	if n := h.Perf.CodeWriteInvalidations; n != 2 {
+		t.Errorf("code invalidations = %d, want one per page", n)
 	}
-	h.InvalidatePhysPage(h.fast.lastPageBase + 0x100000)
-	if h.fast.lastPage == nil {
-		t.Fatalf("lookup cache dropped by an unrelated page invalidation")
+}
+
+// TestCodePageDataStoreSeqPar: the data-on-code-page loop ends in the
+// same state under both schedulers. Parallel slices keep the conservative
+// end-the-block rule for buffered stores; sequential runs end a block only
+// on a store that hit code.
+func TestCodePageDataStoreSeqPar(t *testing.T) {
+	// Unbounded loops, so both schedulers stop on the step budget rather
+	// than on the exit device.
+	seq := sbMachine(t, codePageDataBody(1<<40), true, true)
+	par := sbMachine(t, codePageDataBody(1<<40), true, true)
+	par.Sched, par.Quantum = SchedPar, 64
+	seq.Run(3000)
+	par.RunParBudget(3000)
+	sbCompareEnd(t, seq, par)
+	for _, m := range []*Machine{seq, par} {
+		p := m.Harts[0].Perf
+		if p.SBRetired == 0 || p.CodeWriteInvalidations != 0 || p.CodePageDataWrites == 0 {
+			t.Errorf("%v: counters %+v", m.Sched, p)
+		}
+	}
+	for off := uint64(0); off < 16; off += 8 {
+		ws, _ := seq.Bus.Load(codePageData+off, 8)
+		wp, _ := par.Bus.Load(codePageData+off, 8)
+		if ws != wp {
+			t.Errorf("data word +%d: seq %#x par %#x", off, ws, wp)
+		}
 	}
 }
 
@@ -428,42 +618,5 @@ func TestCrossHartCodePatch(t *testing.T) {
 		if got := m.Harts[0].Regs[asm.A0]; got != 100 {
 			t.Errorf("sb=%v: a0 = %d, want 100 (stale decode after cross-hart patch)", sb, got)
 		}
-	}
-}
-
-// TestDecPageGenWrap is the satellite-2 regression: forcing the predecode
-// generation counter through its uint32 wrap must leave no stale tag
-// valid and no translated block alive.
-func TestDecPageGenWrap(t *testing.T) {
-	dp := &decPage{gen: ^uint32(0)}
-	for i := range dp.tags {
-		dp.tags[i] = dp.gen // every slot valid at the pre-wrap generation
-	}
-	dp.blocks = new([1024]*sblock)
-	dp.blocks[3] = &sblock{gen: dp.gen}
-	dp.invalidate()
-	if dp.gen != 1 {
-		t.Fatalf("gen after wrap = %d, want 1", dp.gen)
-	}
-	for i, tag := range dp.tags {
-		if tag == dp.gen {
-			t.Fatalf("slot %d still validates after generation wrap", i)
-		}
-	}
-	if dp.blocks != nil {
-		t.Fatalf("translated blocks survived the generation wrap")
-	}
-	// A non-wrapping invalidate must keep the block array (guard checks
-	// catch the gen change) but advance the generation.
-	dp2 := &decPage{gen: 7}
-	dp2.tags[0] = 7
-	dp2.blocks = new([1024]*sblock)
-	dp2.blocks[0] = &sblock{gen: 7}
-	dp2.invalidate()
-	if dp2.gen != 8 || dp2.tags[0] == dp2.gen {
-		t.Fatalf("plain invalidate broken: gen=%d tag=%d", dp2.gen, dp2.tags[0])
-	}
-	if b := dp2.blocks[0]; b == nil || b.gen == dp2.gen {
-		t.Fatalf("plain invalidate must leave blocks to the entry guard")
 	}
 }

@@ -99,9 +99,9 @@ type Region struct {
 	bus *Bus
 
 	// watch is a per-4KiB-page bitmap of pages some PageWatcher has asked
-	// to be told about. A bit is set by WatchPage, cleared when the page is
-	// written (the watchers are notified once and must re-arm on their next
-	// cache fill). Allocated eagerly for RAM regions so that bits can be
+	// to be told about. A bit is set by WatchPage and cleared by a write
+	// none of the notified watchers keeps it through (see PageWatcher).
+	// Allocated eagerly for RAM regions so that bits can be
 	// armed with atomic ops from concurrently executing hart slices; writes
 	// (and hence noteWrite) only ever happen while the harts are quiesced.
 	// Watch bits are host-cache state: they are per-bus and never travel
@@ -237,8 +237,15 @@ func (r *Region) Contains(addr uint64, size int) bool {
 // register as watchers to invalidate host-side caches (predecoded
 // instructions, TLB entries whose page tables live on the page) when
 // anything — another hart, DMA, a fault injector — mutates the page.
+//
+// InvalidatePhysPage receives the written bytes as the in-page range
+// [lo, hi), 0 <= lo < hi <= 4096, so a watcher can drop exactly the state
+// that read them. It returns whether the watcher still holds state cached
+// from the page. The page's watch bit stays armed while any watcher keeps
+// it and is cleared once none does; a watcher that dropped everything
+// re-arms with WatchPage on its next fill.
 type PageWatcher interface {
-	InvalidatePhysPage(pageBase uint64)
+	InvalidatePhysPage(pageBase uint64, lo, hi int) (keep bool)
 }
 
 // busIDs hands out a process-unique identity per Bus. Identities are never
@@ -308,19 +315,26 @@ func (b *Bus) IsRAM(addr uint64, size int) bool {
 	return r != nil && r.Dev == nil
 }
 
-// noteWrite fires watchers for every watched page the write [off, off+size)
-// touches, clearing the watch bits (watchers re-arm on their next fill).
+// noteWrite notifies the watchers of every watched page the write
+// [off, off+size) touches, passing the written range within that page. A
+// page's bit stays set while some watcher keeps state cached from it.
 func (b *Bus) noteWrite(r *Region, off uint64, size int) {
-	p1 := off >> 12
-	p2 := (off + uint64(size) - 1) >> 12
-	for p := p1; p <= p2; p++ {
-		if r.watch[p/64]&(1<<(p%64)) == 0 {
+	end := off + uint64(size)
+	for p := off >> pageShift; p<<pageShift < end; p++ {
+		word, bit := &r.watch[p/64], uint64(1)<<(p%64)
+		if *word&bit == 0 {
 			continue
 		}
-		r.watch[p/64] &^= 1 << (p % 64)
-		page := r.Base + p<<12
+		base := p << pageShift
+		lo, hi := int(max(off, base)-base), int(min(end, base+pageSize)-base)
+		keep := false
 		for _, w := range b.watchers {
-			w.InvalidatePhysPage(page)
+			if w.InvalidatePhysPage(r.Base+base, lo, hi) {
+				keep = true
+			}
+		}
+		if !keep {
+			*word &^= bit
 		}
 	}
 }

@@ -189,7 +189,8 @@ func (p *Port) IsRAM(addr uint64, size int) bool {
 }
 
 // Commit applies the buffered stores to shared RAM in ascending physical
-// address order, firing write watches as usual. For every committed word it
+// address order, firing write watches as usual with each committed 8-byte
+// word as the written range. For every committed word it
 // calls kill (if non-nil) with the word's base address so the machine can
 // break other harts' overlapping LR/SC reservations. Must only be called at
 // a barrier, with all slices quiesced; it leaves the port in direct mode.

@@ -28,7 +28,9 @@ import (
 // the interpreter would have preempted with a timer interrupt, and only a
 // moving clock can falsify it. A slice of cases also aims a store base
 // register at the hart's own program window, so generated stores
-// self-modify code under translated blocks; others reach the PMP config
+// self-modify code under translated blocks, and a shared-page slice aims
+// it at or before the program's end, so stores write data beside live
+// code on its page (and sometimes the code itself); others reach the PMP config
 // CSRs, so pmpEpoch guard misses occur organically. The generated
 // programs already carry sfence.vma, fence.i, wfi, and world switches
 // (asm.genPriv), all of which must end or invalidate blocks correctly.
@@ -60,13 +62,15 @@ type SBCase struct {
 	Timer    bool   // program mtimecmp so the comparator crosses mid-run
 	Mtimecmp uint64 // comparator value when Timer is set
 	SMC      bool   // one base register points into the program window
-	Prog     []uint32
-	Init     schedHartInit
+	// SharedPage: one base register points at or before the program's end.
+	SharedPage bool
+	Prog       []uint32
+	Init       schedHartInit
 }
 
 func (tc *SBCase) String() string {
-	return fmt.Sprintf("sbcase{%s, sched=%v, quantum=%d, timer=%v, smc=%v}",
-		tc.Profile, tc.Sched, tc.Quantum, tc.Timer, tc.SMC)
+	return fmt.Sprintf("sbcase{%s, sched=%v, quantum=%d, timer=%v, smc=%v, shared-page=%v}",
+		tc.Profile, tc.Sched, tc.Quantum, tc.Timer, tc.SMC, tc.SharedPage)
 }
 
 // SBMismatch is one tier divergence.
@@ -79,10 +83,13 @@ func (m *SBMismatch) String() string { return m.Desc + " in " + m.Case.String() 
 
 // SBEquivStats summarizes a superblock-equivalence run.
 type SBEquivStats struct {
-	Cases      int
-	Steps      int // interpreter machine steps across all cases
-	SBRetired  uint64
-	Mismatches []*SBMismatch
+	Cases     int
+	Steps     int // interpreter machine steps across all cases
+	SBRetired uint64
+	// Full-stack writes into cached code pages: those that dropped live
+	// code, and data writes that left it alone.
+	CodeInvalidations, CodePageDataWrites uint64
+	Mismatches                            []*SBMismatch
 }
 
 // sbTrio is one profile's machine trio, reused across cases through full
@@ -152,13 +159,22 @@ func (t *sbTrio) genSBCase(rng *rand.Rand, sched hart.SchedKind, quantum uint64)
 		}
 		in.Regs[r] = base
 	}
-	if rng.Intn(3) == 0 {
+	last := t.genCfg.BaseRegs[len(t.genCfg.BaseRegs)-1]
+	switch rng.Intn(6) {
+	case 0, 1:
 		// Self-modifying-code case: the last base register points into the
 		// program window, so generated stores overwrite live code that may
 		// already be translated into a block.
 		tc.SMC = true
-		last := t.genCfg.BaseRegs[len(t.genCfg.BaseRegs)-1]
 		in.Regs[last] = ProgBase + uint64(rng.Intn(ProgCap-2048))&^7
+	case 2:
+		// Shared-page case: the last base register points at the end of
+		// the program or anywhere back to its start, on the same page.
+		// Most stores through it are data stores onto the code page, which
+		// must leave decodes and blocks alone; those with small offsets
+		// overwrite live code.
+		tc.SharedPage = true
+		in.Regs[last] = ProgBase + 4*Slots - uint64(8*rng.Intn(Slots/2+1))
 	}
 	slot := func() uint64 { return ProgBase + uint64(4*rng.Intn(Slots)) }
 	in.Mtvec = slot() | uint64(rng.Intn(2))
@@ -327,7 +343,10 @@ func RunSuperblockEquivalence(profiles []string, seed int64, cases int) (*SBEqui
 	// Perf counters survive Machine.Reset, so each trio's final counter is
 	// already the total across all of its cases.
 	for _, t := range trios {
-		st.SBRetired += t.full.Harts[0].Perf.SBRetired
+		p := &t.full.Harts[0].Perf
+		st.SBRetired += p.SBRetired
+		st.CodeInvalidations += p.CodeWriteInvalidations
+		st.CodePageDataWrites += p.CodePageDataWrites
 	}
 	return st, nil
 }

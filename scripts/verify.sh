@@ -94,6 +94,13 @@ echo "== superblock equivalence (translation tier vs. fast path vs. interpreter)
 # timer interrupts, self-modifying code, and PMP reprogramming.
 run_gate superblock_equiv go run ./cmd/fuzzdiff -superblock both -equiv-cases 400
 
+echo "== repo benchmark tests (every workload, every fast tier vs. the interpreter oracle)"
+# benchmark/ is a nested module, so go test ./... above skips it. Its
+# tests are the only ones that boot the hypervisor workload through every
+# fast tier against an interpreter oracle (cycles, instret, console,
+# monitor stats).
+run_gate benchmark_test go -C benchmark test .
+
 echo "== Table 4 host-throughput benchmark (compile-and-run gate)"
 run_gate bench_table4 go test ./internal/bench -run '^$' -bench BenchmarkTable4Operations -benchtime 1x
 
