@@ -306,11 +306,17 @@ func runSchedEquiv(profiles []string, seed int64, cases int, out, errw io.Writer
 	return 0
 }
 
+// sbMinChainCases is the run size from which the superblock-equivalence
+// mode fails when no case chained one block into another: a run that
+// large without a chain proves nothing about chaining.
+const sbMinChainCases = 100
+
 // runSBEquiv drives the superblock-equivalence mode: each randomized
 // single-hart case runs three times from the identical initial state — on
 // the plain interpreter, on the fast path without superblocks, and on the
 // full stack — under the same scheduler with a live wall clock, and any
-// divergence in end state (cycle counters included) is a failure.
+// divergence in end state (cycle counters included) is a failure, as is a
+// run of sbMinChainCases or more cases that never chained.
 func runSBEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) int {
 	t0 := time.Now()
 	st, err := fuzz.RunSuperblockEquivalence(profiles, seed, cases)
@@ -318,13 +324,17 @@ func runSBEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) i
 		fmt.Fprintf(errw, "fuzzdiff: %v\n", err)
 		return 2
 	}
-	fmt.Fprintf(out, "superblock-equivalence: %d cases, %d interp steps, %d sb-retired, %d code invalidations, %d code-page data writes, %d divergence(s) across %d profile(s) in %.1fs\n",
-		st.Cases, st.Steps, st.SBRetired, st.CodeInvalidations, st.CodePageDataWrites,
+	fmt.Fprintf(out, "superblock-equivalence: %d cases, %d interp steps, %d sb-retired, %d sb-chains, %d code invalidations, %d code-page data writes, %d divergence(s) across %d profile(s) in %.1fs\n",
+		st.Cases, st.Steps, st.SBRetired, st.SBChains, st.CodeInvalidations, st.CodePageDataWrites,
 		len(st.Mismatches), len(profiles), time.Since(t0).Seconds())
 	for _, m := range st.Mismatches {
 		fmt.Fprintf(out, "  DIVERGENCE %s\n", m)
 	}
 	if len(st.Mismatches) > 0 {
+		return 1
+	}
+	if st.Cases >= sbMinChainCases && st.SBChains == 0 {
+		fmt.Fprintf(out, "  NO CHAINS in %d cases: the gate did not exercise block chaining\n", st.Cases)
 		return 1
 	}
 	return 0

@@ -674,7 +674,9 @@ func (h *Hart) hlsv(raw uint32, rd, rs1, rs2 uint32, next uint64) (uint64, *Exc)
 		if h.resValid && res.PA&^7 == h.resAddr&^7 {
 			h.resValid = false
 		}
-		if !h.inSlice {
+		if h.inSlice {
+			h.noteOwnStore(res.PA, size)
+		} else {
 			for _, p := range h.peers {
 				p.KillReservation(res.PA)
 			}

@@ -653,12 +653,15 @@ func (h *Hart) MemAccess(va uint64, size int, acc mem.AccessType, value uint64, 
 		}
 		// A store to the reservation's region kills it — this hart's
 		// immediately, and every peer's, as cache coherence would. During a
-		// parallel slice the store is buffered; peers' reservations are
-		// killed when it commits at the barrier.
+		// parallel slice the store is buffered: this hart's own caches see
+		// it at once (noteOwnStore), peers' reservations and caches when it
+		// commits at the barrier.
 		if h.resValid && pa&^7 == h.resAddr&^7 {
 			h.resValid = false
 		}
-		if !h.inSlice {
+		if h.inSlice {
+			h.noteOwnStore(pa, size)
+		} else {
 			for _, p := range h.peers {
 				p.KillReservation(pa)
 			}

@@ -161,13 +161,14 @@ func (h *Hart) FastPathEnabled() bool { return h.fast.on }
 // watched page were written. It drops the predecoded instructions and
 // superblocks that read them and, if a cached translation walked through
 // the page, the whole TLB, and keeps the watch while the page has a decode
-// page. A write that hit live code also ends the running block after the
-// current op, since the interpreter fetches the new bytes from the next
-// instruction on.
+// page. A write that hit live code or a page table also ends the running
+// block after the current op: a block never refetches or retranslates its
+// PCs, while the interpreter fetches the new bytes, through the new
+// mapping, from the next instruction on.
 func (h *Hart) InvalidatePhysPage(page uint64, lo, hi int) bool {
 	if _, ok := h.fast.ptePages[page]; ok {
-		h.fast.tlb.Flush()
-		clear(h.fast.ptePages)
+		h.flushTLB()
+		h.sb.endAfter = true
 	}
 	dp := h.fast.pages[page]
 	if dp == nil {
@@ -180,6 +181,20 @@ func (h *Hart) InvalidatePhysPage(page uint64, lo, hi int) bool {
 		h.Perf.CodePageDataWrites++
 	}
 	return true
+}
+
+// noteOwnStore applies a store this hart just buffered inside a parallel
+// slice to its own caches, as the bus watch does for a direct store. The
+// port forwards the buffered bytes to the hart's own fetches and page
+// walks at once, so its decodes and translations cannot wait for the
+// barrier, whose commit notifies every hart, this one again included.
+func (h *Hart) noteOwnStore(pa uint64, size int) {
+	for end := pa + uint64(size); pa < end; {
+		page := pa &^ 4095
+		hi := min(end, page+4096)
+		h.InvalidatePhysPage(page, int(pa-page), int(hi-page))
+		pa = hi
+	}
 }
 
 // flushDecode drops every predecoded page (fence.i, snapshot restore,

@@ -28,18 +28,22 @@ type PerfCounters struct {
 	Traps        uint64
 	TrapsByCause [64]uint64
 	// Superblock tier outcomes (superblock.go): translations built, block
-	// dispatches that retired at least one instruction, instructions
-	// retired inside blocks, entry-guard misses, and in-block op aborts
-	// that fell back to the interpreter.
+	// dispatches that retired at least one instruction, block-to-block
+	// transfers within one dispatch, instructions retired inside blocks,
+	// entry-guard misses, and in-block op aborts that fell back to the
+	// interpreter.
 	SBTranslations uint64
 	SBHits         uint64
+	SBChains       uint64
 	SBRetired      uint64
 	SBGuardMisses  uint64
 	SBAborts       uint64
 	// Outcomes of writes into pages this hart caches decodes for
 	// (InvalidatePhysPage): writes that dropped a live decode or
 	// superblock (self-modifying or reloaded code), and writes that
-	// touched no live slot (data sharing a page with code).
+	// touched no live slot (data sharing a page with code). In a parallel
+	// slice a hart's own store is seen at the store and again, as a data
+	// write, when the barrier commits it.
 	CodeWriteInvalidations uint64
 	CodePageDataWrites     uint64
 }
@@ -89,7 +93,7 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 	}
 	r.Collect(func(emit func(name string, value uint64)) {
 		var tlbH, tlbM, decH, decM, walks, traps, instret, cycles uint64
-		var sbT, sbH, sbR, sbG, sbA, smcI, smcD uint64
+		var sbT, sbH, sbC, sbR, sbG, sbA, smcI, smcD uint64
 		for _, h := range m.Harts {
 			p := &h.Perf
 			pfx := fmt.Sprintf("hart%d.", h.ID)
@@ -111,6 +115,7 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 			emit(pfx+"pmp.fast_hits", h.CSR.PMP.Perf.FastHits)
 			emit(pfx+"sb.translations", p.SBTranslations)
 			emit(pfx+"sb.hits", p.SBHits)
+			emit(pfx+"sb.chains", p.SBChains)
 			emit(pfx+"sb.retired", p.SBRetired)
 			emit(pfx+"sb.guard_misses", p.SBGuardMisses)
 			emit(pfx+"sb.aborts", p.SBAborts)
@@ -126,6 +131,7 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 			cycles += h.Cycles
 			sbT += p.SBTranslations
 			sbH += p.SBHits
+			sbC += p.SBChains
 			sbR += p.SBRetired
 			sbG += p.SBGuardMisses
 			sbA += p.SBAborts
@@ -144,6 +150,7 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 		emit("sim.decode.hit_pct", obs.HitRatePct(decH, decM))
 		emit("sim.sb.translations", sbT)
 		emit("sim.sb.hits", sbH)
+		emit("sim.sb.chains", sbC)
 		emit("sim.sb.retired", sbR)
 		emit("sim.sb.guard_misses", sbG)
 		emit("sim.sb.aborts", sbA)

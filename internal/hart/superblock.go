@@ -2,8 +2,9 @@ package hart
 
 // Superblock binary-translation tier. Rides the predecode cache in
 // hostfast.go: once a straight-line region gets hot, its instructions are
-// translated into a chain of fused Go closures (threaded code) executed
-// whole per dispatch, collapsing the per-instruction fetch/decode/dispatch
+// translated into a chain of fused Go closures (threaded code), and one
+// dispatch runs a block and then the blocks it branches to on the same
+// page (runBlock), collapsing the per-instruction fetch/decode/dispatch
 // overhead while charging the exact documented per-instruction simulated
 // cycles. Like everything in hostfast.go this trades host time only — the
 // architectural state and cycle counters are bit-identical with the tier on
@@ -13,14 +14,15 @@ package hart
 // The safety argument has three legs (see DESIGN.md, "Superblock
 // translation vs. the simulated cycle model"):
 //
-//  1. Entry guard. A block is only dispatched when its guard vector
-//     matches: privilege mode, satp, and PMP epoch (catch remapping and
-//     reprotection). Self-modifying code never reaches the guard: a write
-//     into any slot a block read drops the block from its decode page
-//     (decPage.write), and ends it if it is running (sbState.endAfter).
-//     The dispatch point itself sits after Step's pending-interrupt
-//     check, so a block never starts with a deliverable interrupt
-//     pending. Data accesses re-validate per access against a
+//  1. Entry guard. A block is only dispatched, or chained into, when its
+//     guard vector matches: privilege mode, satp, and PMP epoch (catch
+//     remapping and reprotection). Self-modifying code never reaches the
+//     guard: a write into any slot a block read drops the block from its
+//     decode page (decPage.write), and ends it if it is running
+//     (sbState.endAfter), as does a write to a page table a cached
+//     translation read. The dispatch point itself sits after Step's
+//     pending-interrupt check, so a block never starts with a deliverable
+//     interrupt pending. Data accesses re-validate per access against a
 //     TLB key (mmu.Key) hoisted once per dispatch — sound because every
 //     instruction that could change it (CSR writes, xRET, traps) is a
 //     block terminator.
@@ -109,13 +111,15 @@ type sbState struct {
 	bare bool
 	key  mmu.Key
 
-	// endAfter asks the running block to stop after the current op, where
-	// continuing could execute stale code the interpreter would re-fetch.
-	// A sequential store or A/D-bit walk sets it through
-	// InvalidatePhysPage exactly when it hit live code. A parallel slice
-	// only buffers its stores until the barrier, so there sbStore and
-	// sbTranslateData set it for any write into a page holding cached
-	// decodes.
+	// endAfter asks the running block (and its chain) to stop after the
+	// current op, where continuing could execute stale code or through a
+	// stale fetch translation that the interpreter would redo.
+	// InvalidatePhysPage sets it exactly when a store or A/D-bit walk hit
+	// live code or a page table: synchronously under the sequential
+	// scheduler, and through noteOwnStore for the hart's own buffered
+	// stores in a parallel slice. A slice also buffers the walker's A/D
+	// stores, so sbTranslateData sets it for any walk through a page
+	// holding cached decodes.
 	endAfter bool
 }
 
@@ -185,7 +189,7 @@ func (h *Hart) sbTry() uint64 {
 	if sb.ops == nil {
 		return 0 // sentinel: entry point known untranslatable
 	}
-	return h.runBlock(sb)
+	return h.runBlock(dp, sb)
 }
 
 // sbRevalidate re-runs the translation-time execute-permission checks for
@@ -262,11 +266,19 @@ func (h *Hart) sbTranslate(dp *decPage, slot int) *sblock {
 	return sb
 }
 
-// runBlock executes a guarded block, retiring per-instruction cycle and
-// instret counts identical to the interpreter's, and returns how many
-// instructions retired. On an op failure the op's cycle charges are rolled
-// back and the interpreter resumes at that op with zero residue.
-func (h *Hart) runBlock(sb *sblock) uint64 {
+// runBlock executes a guarded block of dp, then chains into the blocks
+// that follow it, retiring per-instruction cycle and instret counts
+// identical to the interpreter's, and returns how many instructions
+// retired. On an op failure the op's cycle charges are rolled back and the
+// interpreter resumes at that op with zero residue.
+//
+// A finished block chains into the block at its successor PC only when
+// that PC is aligned and on the dispatch entry's virtual page, and the
+// block there is real and guarded for the hart's current state. The
+// entry's fetch translation and the successor's translation-time execute
+// checks then hold exactly as if the dispatcher had fetched it; a write
+// that could change either ends the chain through endAfter.
+func (h *Hart) runBlock(dp *decPage, sb *sblock) uint64 {
 	priv := h.effectivePriv()
 	h.sb.priv = priv
 	h.sb.bare = priv == rv.ModeM || rv.SatpMode(h.CSR.Satp) != rv.SatpModeSv39
@@ -279,32 +291,47 @@ func (h *Hart) runBlock(sb *sblock) uint64 {
 	if h.sb.lazyLimit {
 		limitC = h.sb.limitFn()
 	}
+	page := h.PC &^ 4095
+	inSlice := h.inSlice // the port buffers writes only inside a slice
 	smode := h.Mode == rv.ModeS
 	cInstr := h.Cfg.Cost.Instr
 	var n uint64
-	for _, fn := range sb.ops {
-		// Pre-op scheduling check, mirroring the per-step loop conditions
-		// of runSlice (quantum) and stepSeq (timer headroom, budget). The
-		// entry op is exempt: the scheduler only armed us because one more
-		// step was due.
-		if n > 0 && (h.Cycles-start >= limitC || n >= limitS ||
-			h.sb.endAfter || h.mem.Full()) {
+chain:
+	for {
+		for _, fn := range sb.ops {
+			// Pre-op scheduling check, mirroring the per-step loop
+			// conditions of runSlice (quantum, write buffer) and stepSeq
+			// (timer headroom, budget). Only the dispatch's first op is
+			// exempt: the scheduler armed us because one more step was due.
+			if n > 0 && (h.Cycles-start >= limitC || n >= limitS ||
+				h.sb.endAfter || inSlice && h.mem.Full()) {
+				break chain
+			}
+			cyc0 := h.Cycles
+			h.Cycles += cInstr
+			next, ok := fn(h)
+			if !ok {
+				h.Cycles = cyc0 // roll back this op entirely; interpreter redoes it
+				h.Perf.SBAborts++
+				break chain
+			}
+			h.PC = next
+			h.Instret++
+			if smode {
+				h.SInstret++
+			}
+			n++
+		}
+		pc := h.PC
+		if pc&3 != 0 || pc&^4095 != page {
 			break
 		}
-		cyc0 := h.Cycles
-		h.Cycles += cInstr
-		next, ok := fn(h)
-		if !ok {
-			h.Cycles = cyc0 // roll back this op entirely; interpreter redoes it
-			h.Perf.SBAborts++
+		sb = dp.blocks[int(pc&4095)>>2]
+		if sb == nil || sb.ops == nil || sb.mode != h.Mode ||
+			sb.satp != h.CSR.Satp || sb.pmpEpoch != h.CSR.PMP.Epoch() {
 			break
 		}
-		h.PC = next
-		h.Instret++
-		if smode {
-			h.SInstret++
-		}
-		n++
+		h.Perf.SBChains++
 	}
 	if n > 0 {
 		h.Perf.SBHits++
@@ -370,12 +397,10 @@ func (h *Hart) sbLoad(va uint64, size int) (uint64, bool) {
 }
 
 // sbStore performs an in-block data store, mirroring MemAccess(Write)
-// including the LR/SC reservation kills. Self-modifying code ends the
-// block after this op, since the interpreter refetches from the next
-// instruction on: in sequential mode the bus write watch drops the
-// overwritten code synchronously and sets endAfter itself; a parallel
-// slice only buffers the store, so any store into a page holding cached
-// decodes ends the block.
+// including the LR/SC reservation kills and the slice-local cache
+// invalidation. A store that rewrites live code or a page table ends the
+// block after this op (InvalidatePhysPage sets endAfter), since the
+// interpreter refetches and retranslates from the next instruction on.
 func (h *Hart) sbStore(va uint64, size int, value uint64) bool {
 	if va%uint64(size) != 0 && !h.Cfg.HWMisaligned {
 		return false
@@ -390,11 +415,6 @@ func (h *Hart) sbStore(va uint64, size int, value uint64) bool {
 	if !h.mem.IsRAM(pa, size) {
 		return false
 	}
-	if h.inSlice {
-		if _, cached := h.fast.pages[pa&^4095]; cached {
-			h.sb.endAfter = true
-		}
-	}
 	h.charge(h.Cfg.Cost.MemAccess)
 	if !h.mem.Store(pa, size, value) {
 		return false
@@ -402,7 +422,9 @@ func (h *Hart) sbStore(va uint64, size int, value uint64) bool {
 	if h.resValid && pa&^7 == h.resAddr&^7 {
 		h.resValid = false
 	}
-	if !h.inSlice {
+	if h.inSlice {
+		h.noteOwnStore(pa, size)
+	} else {
 		for _, p := range h.peers {
 			p.KillReservation(pa)
 		}

@@ -1,6 +1,7 @@
 package hart
 
 import (
+	"fmt"
 	"testing"
 
 	"govfm/internal/asm"
@@ -105,13 +106,18 @@ func hotLoopBody(iters uint64) func(a *asm.Asm) {
 
 // TestSuperblockHotLoop runs a hot loop under the interpreter, the fast
 // path, and the full stack, and requires bit-identical end states while
-// the full stack actually retires instructions inside blocks.
+// the full stack actually retires instructions inside blocks. Once
+// translated, the loop's block chains into itself, so the remaining passes
+// retire in a handful of dispatches rather than one per pass.
 func TestSuperblockHotLoop(t *testing.T) {
-	interp := sbMachine(t, hotLoopBody(200), false, false)
-	fast := sbMachine(t, hotLoopBody(200), true, false)
-	full := sbMachine(t, hotLoopBody(200), true, true)
+	const iters = 2000
+	interp := sbMachine(t, hotLoopBody(iters), false, false)
+	fast := sbMachine(t, hotLoopBody(iters), true, false)
+	full := sbMachine(t, hotLoopBody(iters), true, true)
+	o := obs.New(obs.Options{})
+	full.AttachObs(o)
 	for _, m := range []*Machine{interp, fast, full} {
-		m.Run(5000)
+		m.Run(20000)
 		mustHalt(t, m)
 	}
 	sbCompareEnd(t, interp, fast)
@@ -120,6 +126,13 @@ func TestSuperblockHotLoop(t *testing.T) {
 	if p.SBTranslations == 0 || p.SBRetired == 0 {
 		t.Fatalf("superblock tier never engaged: translations=%d retired=%d",
 			p.SBTranslations, p.SBRetired)
+	}
+	if p.SBHits > 10 || p.SBChains < iters-sbHotThreshold-10 {
+		t.Errorf("dispatches = %d, chains = %d over %d passes", p.SBHits, p.SBChains, iters)
+	}
+	v := o.Metrics.Snapshot().Values
+	if v["hart0.sb.chains"] != p.SBChains || v["sim.sb.chains"] != p.SBChains {
+		t.Errorf("chain metrics %d/%d, want %d", v["hart0.sb.chains"], v["sim.sb.chains"], p.SBChains)
 	}
 	if fast.Harts[0].Perf.SBRetired != 0 {
 		t.Fatalf("superblocks retired with the tier off: %d", fast.Harts[0].Perf.SBRetired)
@@ -250,46 +263,74 @@ func TestSuperblockPMPEpochGuard(t *testing.T) {
 // must take the trap after exactly the same retired instruction — same
 // instret, same cycles, same loop counter — as the interpreter, i.e. a
 // block never runs past the cycle at which the interpreter's per-step
-// interrupt latch would have preempted.
+// interrupt latch would have preempted. The loop is one self-chaining
+// block, or three blocks chained into each other; a sweep of comparator
+// values lands the crossing on every op, block boundaries included.
 func TestSuperblockTimerInterruptExact(t *testing.T) {
-	body := func(a *asm.Asm) {
-		a.La(asm.T0, "mtrap")
-		a.Csrw(rv.CSRMtvec, asm.T0)
-		a.Li(asm.T0, 1<<7) // MTIE
-		a.Csrw(rv.CSRMie, asm.T0)
-		a.Li(asm.T0, 1<<3) // MIE
-		a.Csrrs(asm.X0, rv.CSRMstatus, asm.T0)
-		a.Li(asm.A0, 0)
-		a.Li(asm.S1, 100000)
-		a.Label("loop")
-		a.Addi(asm.A0, asm.A0, 1)
-		a.Xor(asm.A2, asm.A0, asm.S1)
-		a.Addi(asm.S1, asm.S1, -1)
-		a.Bnez(asm.S1, "loop")
-		exit(a) // only reached if the interrupt never fires
-		a.Label("mtrap")
-		a.Csrr(asm.A5, rv.CSRMcause)
-		exit(a)
-	}
-	const cmp = 13 // mtime ticks; crosses a few thousand cycles in, mid-loop
-	interp := sbMachine(t, body, false, false)
-	full := sbMachine(t, body, true, true)
-	interp.Clint.SetMtimecmp(0, cmp)
-	full.Clint.SetMtimecmp(0, cmp)
-	interp.Run(100000)
-	full.Run(100000)
-	mustHalt(t, interp)
-	mustHalt(t, full)
-	sbCompareEnd(t, interp, full)
-	h := full.Harts[0]
-	if h.Regs[asm.A5] != rv.Cause(7, true) {
-		t.Fatalf("mcause = %#x, want machine timer interrupt", h.Regs[asm.A5])
-	}
-	if h.Regs[asm.A0] == 0 || h.Regs[asm.A0] >= 100000 {
-		t.Fatalf("interrupt did not land mid-loop: a0 = %d", h.Regs[asm.A0])
-	}
-	if h.Perf.SBRetired == 0 {
-		t.Fatalf("superblock tier never engaged before the interrupt")
+	for _, tc := range []struct {
+		name string
+		loop func(a *asm.Asm)
+	}{
+		{"one-block", func(a *asm.Asm) {
+			a.Label("loop")
+			a.Addi(asm.A0, asm.A0, 1)
+			a.Xor(asm.A2, asm.A0, asm.S1)
+			a.Addi(asm.S1, asm.S1, -1)
+			a.Bnez(asm.S1, "loop")
+		}},
+		{"three-blocks", func(a *asm.Asm) {
+			a.Label("loop")
+			a.Addi(asm.A0, asm.A0, 1)
+			a.Xor(asm.A2, asm.A0, asm.S1)
+			a.J("b2")
+			a.Label("b2")
+			a.Addi(asm.A3, asm.A3, 3)
+			a.Sub(asm.A4, asm.A3, asm.A0)
+			a.J("b3")
+			a.Label("b3")
+			a.Addi(asm.S1, asm.S1, -1)
+			a.Bnez(asm.S1, "loop")
+		}},
+	} {
+		body := func(a *asm.Asm) {
+			a.La(asm.T0, "mtrap")
+			a.Csrw(rv.CSRMtvec, asm.T0)
+			a.Li(asm.T0, 1<<7) // MTIE
+			a.Csrw(rv.CSRMie, asm.T0)
+			a.Li(asm.T0, 1<<3) // MIE
+			a.Csrrs(asm.X0, rv.CSRMstatus, asm.T0)
+			a.Li(asm.A0, 0)
+			a.Li(asm.S1, 100000)
+			tc.loop(a)
+			exit(a) // only reached if the interrupt never fires
+			a.Label("mtrap")
+			a.Csrr(asm.A5, rv.CSRMcause)
+			exit(a)
+		}
+		// mtime ticks; each crosses a few thousand cycles in, mid-loop.
+		for cmp := uint64(8); cmp < 24; cmp++ {
+			t.Run(fmt.Sprintf("%s/%d", tc.name, cmp), func(t *testing.T) {
+				interp := sbMachine(t, body, false, false)
+				full := sbMachine(t, body, true, true)
+				interp.Clint.SetMtimecmp(0, cmp)
+				full.Clint.SetMtimecmp(0, cmp)
+				interp.Run(100000)
+				full.Run(100000)
+				mustHalt(t, interp)
+				mustHalt(t, full)
+				sbCompareEnd(t, interp, full)
+				h := full.Harts[0]
+				if h.Regs[asm.A5] != rv.Cause(7, true) {
+					t.Fatalf("mcause = %#x, want machine timer interrupt", h.Regs[asm.A5])
+				}
+				if h.Regs[asm.A0] == 0 || h.Regs[asm.A0] >= 100000 {
+					t.Fatalf("interrupt did not land mid-loop: a0 = %d", h.Regs[asm.A0])
+				}
+				if h.Perf.SBChains == 0 {
+					t.Fatalf("tier never chained before the interrupt: %+v", h.Perf)
+				}
+			})
+		}
 	}
 }
 
@@ -618,5 +659,219 @@ func TestCrossHartCodePatch(t *testing.T) {
 		if got := m.Harts[0].Regs[asm.A0]; got != 100 {
 			t.Errorf("sb=%v: a0 = %d, want 100 (stale decode after cross-hart patch)", sb, got)
 		}
+	}
+}
+
+// ptStoreBody is a hot S-mode loop whose block, on its last pass, stores 0
+// over the gigapage leaf that maps its own code, with no sfence.vma. The
+// interpreter's next fetch walks the cleared leaf and takes an instruction
+// page fault. A block never refetches, so it must end at that store, and a
+// parallel slice must not keep using the translation its own buffered
+// store replaced.
+func ptStoreBody(a *asm.Asm) {
+	sv39Prologue(a)
+	a.Label("smain")
+	a.Li(asm.T0, ptRoot+2*8) // the gigapage leaf, through the identity map
+	a.Li(asm.T1, frameP1+8)  // a data word off the page-table pages
+	a.Sub(asm.T0, asm.T0, asm.T1)
+	a.Li(asm.S1, 40)
+	a.Label("loop")
+	a.Addi(asm.S1, asm.S1, -1)
+	a.Sltiu(asm.T2, asm.S1, 1) // 1 on the last pass
+	a.Sub(asm.T2, asm.X0, asm.T2)
+	a.And(asm.T3, asm.T0, asm.T2)
+	a.Add(asm.T3, asm.T3, asm.T1) // the leaf on the last pass, else the data word
+	a.Sd(asm.X0, asm.T3, 0)
+	a.Addi(asm.A0, asm.A0, 1) // the last pass faults fetching this
+	a.Addi(asm.A1, asm.A1, 1)
+	a.Bnez(asm.S1, "loop")
+	a.Ecall()
+	a.Label("mtrap")
+	exit(a)
+}
+
+// TestPageTableStoreEndsBlock: a store that unmaps the running code ends
+// the block, so every tier faults on the same fetch as the interpreter,
+// under both schedulers.
+func TestPageTableStoreEndsBlock(t *testing.T) {
+	for _, sched := range []SchedKind{SchedSeq, SchedPar} {
+		t.Run(sched.String(), func(t *testing.T) {
+			interp := sbMachine(t, ptStoreBody, false, false)
+			fast := sbMachine(t, ptStoreBody, true, false)
+			full := sbMachine(t, ptStoreBody, true, true)
+			for _, m := range []*Machine{interp, fast, full} {
+				m.Sched = sched
+				m.Run(5000)
+				mustHalt(t, m)
+			}
+			if c := interp.Harts[0].CSR.Mcause; c != rv.ExcInstrPageFault {
+				t.Fatalf("interpreter mcause = %d, want an instruction page fault", c)
+			}
+			sbCompareEnd(t, interp, fast)
+			sbCompareEnd(t, interp, full)
+			if full.Harts[0].Perf.SBRetired == 0 {
+				t.Fatal("superblock tier never engaged")
+			}
+		})
+	}
+}
+
+// TestSliceOwnCodePatch: inside a parallel slice a hart's own store is
+// buffered until the barrier, yet its next fetch of the patched slot must
+// see the new encoding, as the interpreter does through the port.
+func TestSliceOwnCodePatch(t *testing.T) {
+	patched := encodeOne(t, func(a *asm.Asm) { a.Addi(asm.A0, asm.A0, 100) })
+	body := selfModifyBody(patched, false)
+	interp := sbMachine(t, body, false, false)
+	fast := sbMachine(t, body, true, false)
+	full := sbMachine(t, body, true, true)
+	for _, m := range []*Machine{interp, fast, full} {
+		m.Sched = SchedPar
+		m.Run(1000)
+		mustHalt(t, m)
+	}
+	sbCompareEnd(t, interp, fast)
+	sbCompareEnd(t, interp, full)
+	if a0 := full.Harts[0].Regs[asm.A0]; a0 != 101 {
+		t.Errorf("a0 = %d, want 101 (stale decode in the slice?)", a0)
+	}
+}
+
+// sbRunPair runs body on the interpreter and the full stack to the exit
+// device and requires identical end states and at least one chain; it
+// returns the full machine.
+func sbRunPair(t *testing.T, body func(a *asm.Asm)) *Machine {
+	t.Helper()
+	interp := sbMachine(t, body, false, false)
+	full := sbMachine(t, body, true, true)
+	for _, m := range []*Machine{interp, full} {
+		m.Run(5000)
+		mustHalt(t, m)
+	}
+	sbCompareEnd(t, interp, full)
+	if full.Harts[0].Perf.SBChains == 0 {
+		t.Fatal("no block ever chained into another")
+	}
+	return full
+}
+
+// TestChainStaysOnEntryPage: a block on one page jumps to the same in-page
+// offset on the next page, which holds different code. A chain looks up
+// successors in the entry's decode page, so it must stop at the page
+// change rather than run the entry page's block at that offset.
+func TestChainStaysOnEntryPage(t *testing.T) {
+	const off = 0x100
+	full := sbRunPair(t, func(a *asm.Asm) {
+		a.Li(asm.A0, 0)
+		a.Li(asm.S1, 100)
+		a.J("a")
+		for a.PC() < DramBase+off {
+			a.Nop()
+		}
+		a.Label("a") // a self-chaining loop on the first page...
+		a.Addi(asm.A0, asm.A0, 1)
+		a.Addi(asm.S1, asm.S1, -1)
+		a.Beqz(asm.S1, "done")
+		a.Addi(asm.A1, asm.A1, 1)
+		a.J("b")
+		a.Label("done")
+		exit(a)
+		for a.PC() < DramBase+0x1000+off {
+			a.Nop()
+		}
+		a.Label("b") // ...and different code at its offset on the next
+		a.Addi(asm.A0, asm.A0, 100)
+		a.Addi(asm.A2, asm.A2, 1)
+		a.J("a")
+	})
+	if a0 := full.Harts[0].Regs[asm.A0]; a0 != 100+99*100 {
+		t.Errorf("a0 = %d, want %d", a0, 100+99*100)
+	}
+}
+
+// TestChainRechecksSuccessorGuard: M-mode revokes execute permission on
+// the second block of a hot two-block S-mode loop. The first block passes
+// its guard check after revalidation, but the second's guard is stale, so
+// the chain must stop and the fetch of the second block must fault.
+func TestChainRechecksSuccessorGuard(t *testing.T) {
+	var second uint64
+	full := sbRunPair(t, func(a *asm.Asm) {
+		pmpOpen(a)
+		a.La(asm.T0, "mtrap")
+		a.Csrw(rv.CSRMtvec, asm.T0)
+		a.Li(asm.T0, 3<<11) // MPP := S
+		a.Csrrc(asm.X0, rv.CSRMstatus, asm.T0)
+		a.Li(asm.T0, 1<<11)
+		a.Csrrs(asm.X0, rv.CSRMstatus, asm.T0)
+		a.La(asm.T0, "smain")
+		a.Csrw(rv.CSRMepc, asm.T0)
+		a.Mret()
+
+		a.Label("smain")
+		a.Li(asm.S1, 50)
+		a.Label("first")
+		a.Addi(asm.A0, asm.A0, 1)
+		a.Addi(asm.S1, asm.S1, -1)
+		a.Beqz(asm.S1, "revoke")
+		for a.PC()%16 != 0 {
+			a.Nop()
+		}
+		second = a.PC()
+		a.Addi(asm.A1, asm.A1, 1)
+		a.Addi(asm.A2, asm.A2, 2)
+		a.J("first")
+		a.Label("revoke")
+		a.Ecall()
+		a.Li(asm.S1, 10)
+		a.J("first")
+
+		// M-mode: the first trap (the ecall) makes PMP entry 0 a
+		// read/write-only NAPOT region over the second block and returns
+		// past the ecall; the next trap ends the run.
+		a.Label("mtrap")
+		a.Csrr(asm.T0, rv.CSRMcause)
+		a.Li(asm.T1, rv.ExcEcallFromS)
+		a.Bne(asm.T0, asm.T1, "fin")
+		a.Li(asm.T0, second>>2|1) // 16 bytes from second
+		a.Csrw(rv.CSRPmpaddr0, asm.T0)
+		a.Li(asm.T0, 0x1F<<56|0x1B) // entry 7 as pmpOpen set it; entry 0 NAPOT|R|W
+		a.Csrw(rv.CSRPmpcfg0, asm.T0)
+		a.Csrr(asm.T0, rv.CSRMepc)
+		a.Addi(asm.T0, asm.T0, 4)
+		a.Csrw(rv.CSRMepc, asm.T0)
+		a.Mret()
+		a.Label("fin")
+		exit(a)
+	})
+	h := full.Harts[0]
+	if h.CSR.Mcause != rv.ExcInstrAccessFault || h.CSR.Mepc != second {
+		t.Errorf("mcause/mepc = %d/%#x, want an instruction access fault at %#x",
+			h.CSR.Mcause, h.CSR.Mepc, second)
+	}
+}
+
+// TestChainStopsAtMisalignedTarget: on its last pass a hot loop's jalr
+// targets two bytes past the loop head, on the same page. The slot of that
+// address holds the loop's own block, but the fetch must fault instead.
+func TestChainStopsAtMisalignedTarget(t *testing.T) {
+	full := sbRunPair(t, func(a *asm.Asm) {
+		a.La(asm.T0, "mtrap")
+		a.Csrw(rv.CSRMtvec, asm.T0)
+		a.Li(asm.S1, 50)
+		a.La(asm.T1, "loop")
+		a.Label("loop")
+		a.Addi(asm.A0, asm.A0, 1)
+		a.Addi(asm.S1, asm.S1, -1)
+		a.Sltiu(asm.T2, asm.S1, 1) // 1 on the last pass
+		a.Slli(asm.T2, asm.T2, 1)
+		a.Add(asm.T3, asm.T1, asm.T2) // loop, or loop+2 on the last pass
+		a.Jr(asm.T3)
+		a.Label("mtrap")
+		exit(a)
+	})
+	h := full.Harts[0]
+	if h.CSR.Mcause != rv.ExcInstrAddrMisaligned || h.Regs[asm.A0] != 50 {
+		t.Errorf("mcause = %d, a0 = %d: want a misaligned fetch after 50 passes",
+			h.CSR.Mcause, h.Regs[asm.A0])
 	}
 }

@@ -64,14 +64,27 @@ type SBCase struct {
 	SMC      bool   // one base register points into the program window
 	// SharedPage: one base register points at or before the program's end.
 	SharedPage bool
-	Prog       []uint32
-	Init       schedHartInit
+	// Loop: the last slot jumps back to slot 0 (sbLoopBack).
+	Loop bool
+	Prog []uint32
+	Init schedHartInit
 }
 
 func (tc *SBCase) String() string {
-	return fmt.Sprintf("sbcase{%s, sched=%v, quantum=%d, timer=%v, smc=%v, shared-page=%v}",
-		tc.Profile, tc.Sched, tc.Quantum, tc.Timer, tc.SMC, tc.SharedPage)
+	return fmt.Sprintf("sbcase{%s, sched=%v, quantum=%d, timer=%v, smc=%v, shared-page=%v, loop=%v}",
+		tc.Profile, tc.Sched, tc.Quantum, tc.Timer, tc.SMC, tc.SharedPage, tc.Loop)
 }
+
+// sbLoopBack is "jal x0, slot 0" encoded for the program's last slot.
+var sbLoopBack = func() uint32 {
+	a := asm.New(ProgBase)
+	a.Label("top")
+	for i := 0; i < Slots-1; i++ {
+		a.Nop()
+	}
+	a.J("top")
+	return binary.LittleEndian.Uint32(a.MustAssemble()[4*(Slots-1):])
+}()
 
 // SBMismatch is one tier divergence.
 type SBMismatch struct {
@@ -86,6 +99,9 @@ type SBEquivStats struct {
 	Cases     int
 	Steps     int // interpreter machine steps across all cases
 	SBRetired uint64
+	// SBChains counts full-stack block-to-block transfers within one
+	// dispatch: a run that made none never exercised chaining.
+	SBChains uint64
 	// Full-stack writes into cached code pages: those that dropped live
 	// code, and data writes that left it alone.
 	CodeInvalidations, CodePageDataWrites uint64
@@ -146,7 +162,19 @@ func (t *sbTrio) genSBCase(rng *rand.Rand, sched hart.SchedKind, quantum uint64)
 		Profile: t.profile,
 		Sched:   sched,
 		Quantum: quantum,
-		Prog:    asm.Generate(rng, &t.genCfg),
+		Loop:    rng.Intn(6) == 0,
+	}
+	cfg := t.genCfg
+	if tc.Loop {
+		// Loop case: the last slot jumps back to slot 0, so the program
+		// runs round and round and chains re-enter translated blocks.
+		// Offsets stay within one program length of their base, so an SMC
+		// case's stores overwrite code that runs again.
+		cfg.BaseWindow = 4 * Slots
+	}
+	tc.Prog = asm.Generate(rng, &cfg)
+	if tc.Loop {
+		tc.Prog[Slots-1] = sbLoopBack
 	}
 	in := &tc.Init
 	for r := 1; r < 32; r++ {
@@ -167,6 +195,9 @@ func (t *sbTrio) genSBCase(rng *rand.Rand, sched hart.SchedKind, quantum uint64)
 		// already be translated into a block.
 		tc.SMC = true
 		in.Regs[last] = ProgBase + uint64(rng.Intn(ProgCap-2048))&^7
+		if tc.Loop {
+			in.Regs[last] = ProgBase
+		}
 	case 2:
 		// Shared-page case: the last base register points at the end of
 		// the program or anywhere back to its start, on the same page.
@@ -345,6 +376,7 @@ func RunSuperblockEquivalence(profiles []string, seed int64, cases int) (*SBEqui
 	for _, t := range trios {
 		p := &t.full.Harts[0].Perf
 		st.SBRetired += p.SBRetired
+		st.SBChains += p.SBChains
 		st.CodeInvalidations += p.CodeWriteInvalidations
 		st.CodePageDataWrites += p.CodePageDataWrites
 	}

@@ -91,7 +91,8 @@ echo "== superblock equivalence (translation tier vs. fast path vs. interpreter)
 # tier: every case runs on an interpreter-only, a caches-only, and a
 # full-stack machine under a live wall clock and must match bit-for-bit
 # (registers, CSRs, memory, cycle counters), swept across both schedulers,
-# timer interrupts, self-modifying code, and PMP reprogramming.
+# timer interrupts, self-modifying code, PMP reprogramming, and looping
+# programs. It also fails when no case chained one block into another.
 run_gate superblock_equiv go run ./cmd/fuzzdiff -superblock both -equiv-cases 400
 
 echo "== repo benchmark tests (every workload, every fast tier vs. the interpreter oracle)"
