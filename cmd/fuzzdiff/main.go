@@ -307,16 +307,18 @@ func runSchedEquiv(profiles []string, seed int64, cases int, out, errw io.Writer
 }
 
 // sbMinChainCases is the run size from which the superblock-equivalence
-// mode fails when no case chained one block into another: a run that
-// large without a chain proves nothing about chaining.
+// mode fails when no case chained one block into another, or when that
+// many multi-hart cases never ran a multi-hart round: a run that large
+// without either proves nothing about it.
 const sbMinChainCases = 100
 
-// runSBEquiv drives the superblock-equivalence mode: each randomized
-// single-hart case runs three times from the identical initial state — on
-// the plain interpreter, on the fast path without superblocks, and on the
-// full stack — under the same scheduler with a live wall clock, and any
-// divergence in end state (cycle counters included) is a failure, as is a
-// run of sbMinChainCases or more cases that never chained.
+// runSBEquiv drives the superblock-equivalence mode: each randomized case
+// runs three times from the identical initial state — on the plain
+// interpreter, on the fast path without superblocks, and on the full stack
+// — under the same scheduler with a live wall clock, and any divergence in
+// end state (cycle counters included) is a failure, as is a run of
+// sbMinChainCases or more cases that never chained, or of as many
+// multi-hart cases that never ran a round.
 func runSBEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) int {
 	t0 := time.Now()
 	st, err := fuzz.RunSuperblockEquivalence(profiles, seed, cases)
@@ -324,8 +326,9 @@ func runSBEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) i
 		fmt.Fprintf(errw, "fuzzdiff: %v\n", err)
 		return 2
 	}
-	fmt.Fprintf(out, "superblock-equivalence: %d cases, %d interp steps, %d sb-retired, %d sb-chains, %d code invalidations, %d code-page data writes, %d divergence(s) across %d profile(s) in %.1fs\n",
-		st.Cases, st.Steps, st.SBRetired, st.SBChains, st.CodeInvalidations, st.CodePageDataWrites,
+	fmt.Fprintf(out, "superblock-equivalence: %d cases (%d multi-hart), %d interp steps, %d sb-retired, %d sb-chains, %d sb-rounds, %d code invalidations, %d code-page data writes, %d divergence(s) across %d profile(s) in %.1fs\n",
+		st.Cases, st.MultiHart, st.Steps, st.SBRetired, st.SBChains, st.SBRounds,
+		st.CodeInvalidations, st.CodePageDataWrites,
 		len(st.Mismatches), len(profiles), time.Since(t0).Seconds())
 	for _, m := range st.Mismatches {
 		fmt.Fprintf(out, "  DIVERGENCE %s\n", m)
@@ -335,6 +338,10 @@ func runSBEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) i
 	}
 	if st.Cases >= sbMinChainCases && st.SBChains == 0 {
 		fmt.Fprintf(out, "  NO CHAINS in %d cases: the gate did not exercise block chaining\n", st.Cases)
+		return 1
+	}
+	if st.MultiHart >= sbMinChainCases && st.SBRounds == 0 {
+		fmt.Fprintf(out, "  NO ROUNDS in %d multi-hart cases: the gate did not exercise multi-hart rounds\n", st.MultiHart)
 		return 1
 	}
 	return 0

@@ -33,10 +33,11 @@ type decPage struct {
 
 	// Superblock tier state (superblock.go), lazily allocated: hot counts
 	// dispatches per entry slot until translation; blocks holds the
-	// translated superblocks by entry slot (a direct array, not a map —
-	// the lookup is on the per-dispatch hot path).
+	// translated superblocks by entry slot in 64-slot chunks (direct
+	// arrays, not a map — the lookup is on the per-dispatch hot path —
+	// allocated per chunk, as hot code rarely spans a page).
 	hot    *[1024]uint8
-	blocks *[1024]*sblock
+	blocks [1024 / 64]*[64]*sblock
 }
 
 // slotBit locates slot i in a 1024-bit slot bitmap.
@@ -54,6 +55,24 @@ func (dp *decPage) fill(i int, d rv.Decoded) {
 	dp.ins[i] = d
 	dp.dec[w] |= m
 	dp.code[w] |= m
+}
+
+// block returns the superblock entered at slot i, or nil.
+func (dp *decPage) block(i int) *sblock {
+	if c := dp.blocks[i>>6]; c != nil {
+		return c[i&63]
+	}
+	return nil
+}
+
+// setBlock installs sb as the superblock entered at slot i.
+func (dp *decPage) setBlock(i int, sb *sblock) {
+	c := dp.blocks[i>>6]
+	if c == nil {
+		c = new([64]*sblock)
+		dp.blocks[i>>6] = c
+	}
+	c[i&63] = sb
 }
 
 // markCode records that a superblock read slots [from, to).
@@ -79,14 +98,14 @@ func (dp *decPage) write(lo, hi int) (hit bool) {
 		dp.code[w] &^= m
 		dp.dec[w] &^= m
 	}
-	if !code || dp.blocks == nil {
+	if !code {
 		return hit
 	}
 	// A block spans at most sbMaxOps slots, so only entries that close can
 	// reach the first written slot.
 	for e := max(first-sbMaxOps+1, 0); e <= last; e++ {
-		if b := dp.blocks[e]; b != nil && e+int(b.span) > first {
-			dp.blocks[e] = nil
+		if b := dp.block(e); b != nil && e+int(b.span) > first {
+			dp.setBlock(e, nil)
 			hit = true
 		}
 	}

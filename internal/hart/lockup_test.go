@@ -48,3 +48,35 @@ func TestWFIWithEnabledSourceDoesNotLockup(t *testing.T) {
 	})
 	mustHalt(t, m)
 }
+
+// TestWFIBatchWakesOnHvip: an enabled hvip source wakes a sleeping hart,
+// as Hart.Step's wake rule says, although no mip bit pends; the WFI
+// fast-forward must step it rather than batch idle polls.
+func TestWFIBatchWakesOnHvip(t *testing.T) {
+	img := asm.New(DramBase)
+	img.Li(asm.T0, 1<<rv.IntVSSoft)
+	img.Csrw(rv.CSRHie, asm.T0)
+	img.Csrw(rv.CSRHvip, asm.T0)
+	img.Li(asm.T0, 1<<rv.IntMTimer) // a wake source that never pends
+	img.Csrw(rv.CSRMie, asm.T0)
+	img.Wfi()
+	exit(img)
+	for _, sb := range []bool{false, true} {
+		cfg := PremierP550() // the H extension
+		cfg.Harts = 1
+		m, err := NewMachine(cfg, 4<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.LoadImage(DramBase, img.MustAssemble()); err != nil {
+			t.Fatal(err)
+		}
+		m.Reset(DramBase)
+		m.SetSuperblock(sb)
+		m.Run(1000)
+		if ok, reason := m.Halted(); !ok || reason != "guest-exit-pass" {
+			t.Fatalf("superblock=%v: halted=%v %q, want the hvip source to wake the hart",
+				sb, ok, reason)
+		}
+	}
+}

@@ -240,14 +240,21 @@ func (m *Machine) Reset(pc uint64) {
 // is always the sequential scheduler; Run dispatches on Sched.
 func (m *Machine) Step() { m.stepSeq(1) }
 
-// stepSeq runs one sequential machine step with a step budget. With a
-// budget above one and an eligible machine — a single hart with the
-// superblock tier and fast paths on, and no per-step watchdog — the hart
-// may retire up to budget instructions from one translated superblock
-// within this step. The block is bounded by sbSeqHeadroom so mtime, the
-// interrupt latch points, and the whole architectural trace stay
-// bit-identical to per-instruction stepping. The return value is the
-// number of sequential steps this call was equivalent to (>= 1).
+// stepSeq runs sequential machine steps within a step budget and returns
+// how many it ran (>= 1). A step latches every hart's interrupt lines,
+// steps the harts in ID order, and advances mtime by the cycles the slowest
+// hart consumed (cores share a wall clock). With a budget above one, harts
+// with the superblock tier and fast paths on and no per-step watchdog run
+// translated code, and the architectural trace — mtime and the interrupt
+// latch points included — stays bit-identical to per-instruction stepping:
+//
+//   - A single hart may retire up to budget instructions from its blocks in
+//     one step, bounded by sbSeqHeadroom, or batch idle WFI polls
+//     (wfiBatch).
+//   - On a multi-hart machine each hart enters its block at its own turn
+//     and retires only the block's first op. If every hart then holds a
+//     block cursor, waits idle in WFI, or is stopped, seqRound runs further
+//     steps, one op per hart per step, in the interpreter's interleaving.
 func (m *Machine) stepSeq(budget uint64) uint64 {
 	// Latch every hart's interrupt lines before any hart steps, so an MSIP
 	// or mtimecmp write during this step becomes visible to every hart at
@@ -257,68 +264,189 @@ func (m *Machine) stepSeq(budget uint64) uint64 {
 	for _, h := range m.Harts {
 		h.CSR.SetHWLines(m.Clint.Pending(h.ID) | m.Plic.Pending(h.ID))
 	}
+	arm := budget > 1
+	multi := len(m.Harts) > 1
+	round := arm && multi // every hart so far can go on in a round
 	stepEq := uint64(1)
 	var maxConsumed uint64
-	// Superblocks stay off on multi-hart machines under this scheduler:
-	// one hart leaping ahead would change the per-instruction round-robin
-	// interleaving the machine's memory model is defined by.
-	arm := budget > 1 && len(m.Harts) == 1
 	for _, h := range m.Harts {
-		before := h.Cycles
-		if arm && h.sb.on && h.fast.on && h.Watchdog == nil &&
-			h.Waiting && !h.Stopped && !h.Halted {
+		var c uint64
+		h.sb.cur.sb = nil // a round resumes only a block entered at this step
+		tier := arm && h.sb.on && h.fast.on && h.Watchdog == nil
+		switch {
+		case !tier || h.Stopped || h.Halted:
+			round = round && tier
+			c = m.stepHart(h)
+		case h.Waiting && multi:
+			round = round && h.idlePoll()
+			c = m.stepHart(h)
+		case h.Waiting:
 			// WFI fast-forward: batch the idle polls this step's latch has
 			// already proven identical (see wfiBatch). Falls through to a
 			// normal step when the hart is waking or a comparator is close.
+			before := h.Cycles
 			if k := m.wfiBatch(h, budget); k > 0 {
-				if k > stepEq {
-					stepEq = k
+				stepEq, c = k, h.Cycles-before
+			} else {
+				c = m.stepHart(h)
+			}
+		default:
+			h.sb.armed = true
+			if multi {
+				// One op now; seqRound resumes the block from h.sb.cur.
+				h.sb.cycleLimit, h.sb.stepLimit = ^uint64(0), 1
+			} else {
+				// The timer-headroom cycle limit is deferred to runBlock
+				// via the lazy closure: most armed steps never dispatch a
+				// block (cold code, untranslatable entries, waiting in a
+				// trap handler), and paying sbSeqHeadroom's divisions on
+				// each of them shows up on trap-heavy workloads.
+				if h.sb.limitFn == nil {
+					hh := h
+					h.sb.limitFn = func() uint64 { return m.sbSeqHeadroom(hh) }
 				}
-				if c := h.Cycles - before; c > maxConsumed {
-					maxConsumed = c
+				h.sb.lazyLimit = true
+				h.sb.stepLimit = budget
+			}
+			c = m.stepHart(h)
+			h.sb.armed = false
+			h.sb.lazyLimit = false
+			stepEq = max(stepEq, h.sb.retired)
+			round = round && h.sb.cur.sb != nil
+		}
+		maxConsumed = max(maxConsumed, c)
+	}
+	if round && !m.halted {
+		return m.seqRound(budget, maxConsumed)
+	}
+	m.advanceTime(maxConsumed)
+	return stepEq
+}
+
+// stepHart runs hart h's turn of a sequential step through Hart.Step, with
+// its watchdog and halt propagation, and returns the cycles it consumed.
+func (m *Machine) stepHart(h *Hart) uint64 {
+	before := h.Cycles
+	h.Step()
+	if h.Watchdog != nil {
+		h.Watchdog(h)
+	}
+	if h.Halted && !m.halted {
+		m.halt("hart-halt: " + h.HaltReason)
+	}
+	return h.Cycles - before
+}
+
+// seqRound goes on with a multi-hart step after which every hart holds a
+// block cursor, waits idle in WFI, or is stopped (stepSeq), and returns how
+// many steps the call ran, that first step included. consumed is the first
+// step's clock charge.
+//
+// Each further step runs, in hart-ID order, one op per hart from its cursor
+// — chaining into a same-page successor under the entry guard — or charges
+// an idle hart its poll, then adds the step's largest charge to the clock.
+// That is the interpreter's own interleaving, so cross-hart stores, code
+// patches and reservation kills land between the same two instructions.
+// What the skipped latches, interrupt checks and fetches would read cannot
+// change within the round: ops touch only RAM, so device state and the
+// latched lines stay put, and the round stops at a step boundary before
+// the clock reaches any hart's timer comparator (the machine-wide
+// headroom) or the budget runs out. It also stops after a step in which a
+// hart's chain ended. When an op aborts, or a write ended a hart's block
+// (endAfter), the clock is brought current and the interpreter finishes
+// that step from that hart on.
+func (m *Machine) seqRound(budget, consumed uint64) uint64 {
+	limit := ^uint64(0)
+	for _, h := range m.Harts {
+		limit = min(limit, m.sbSeqHeadroom(h))
+		if h.sb.cur.sb != nil {
+			h.Perf.SBRounds++
+		}
+	}
+	steps := uint64(1)
+	for steps < budget && consumed < limit {
+		var maxC uint64
+		ended := false
+		for i, h := range m.Harts {
+			c := &h.sb.cur
+			if c.sb == nil {
+				// Idle in WFI, or stopped.
+				if h.Waiting && !h.Stopped && !h.Halted {
+					h.charge(h.Cfg.Cost.WFIIdle)
+					maxC = max(maxC, h.Cfg.Cost.WFIIdle)
 				}
 				continue
 			}
-		}
-		if arm && h.sb.on && h.fast.on && h.Watchdog == nil &&
-			!h.Waiting && !h.Stopped && !h.Halted {
-			// The timer-headroom cycle limit is deferred to runBlock via
-			// the lazy closure: most armed steps never dispatch a block
-			// (cold code, untranslatable entries, waiting in a trap
-			// handler), and paying sbSeqHeadroom's divisions on each of
-			// them shows up on trap-heavy workloads.
-			if h.sb.limitFn == nil {
-				hh := h
-				h.sb.limitFn = func() uint64 { return m.sbSeqHeadroom(hh) }
+			before := h.Cycles
+			if !h.sb.endAfter {
+				h.Cycles += h.Cfg.Cost.Instr
+				next, ok := c.sb.ops[c.op](h)
+				if ok {
+					h.sbCommit(next, h.Mode == rv.ModeS)
+					h.Perf.SBRetired++
+					if c.op++; c.op == len(c.sb.ops) {
+						c.op = 0
+						// Chain as runBlock does: an aligned PC on the
+						// entry page, holding a real block guarded for
+						// the hart.
+						next, pc := (*sblock)(nil), h.PC
+						if pc&3 == 0 && pc&^4095 == c.page {
+							next = c.dp.block(int(pc&4095) >> 2)
+						}
+						if next != nil && next.ops != nil && next.guards(h) {
+							c.sb = next
+							h.Perf.SBChains++
+						} else {
+							c.sb, ended = nil, true
+						}
+					}
+					maxC = max(maxC, h.Cycles-before)
+					continue
+				}
+				h.sbAbort(before)
 			}
-			h.sb.armed = true
-			h.sb.lazyLimit = true
-			h.sb.stepLimit = budget
-			h.Step()
-			h.sb.armed = false
-			h.sb.lazyLimit = false
-			if h.sb.retired > stepEq {
-				stepEq = h.sb.retired
+			// The op aborted or a write ended the block: bring the clock
+			// current and let the interpreter finish the step.
+			m.advanceTime(consumed)
+			for _, h := range m.Harts[i:] {
+				maxC = max(maxC, m.stepHart(h))
 			}
-		} else {
-			h.Step()
+			m.advanceTime(maxC)
+			return steps + 1
 		}
-		if h.Watchdog != nil {
-			h.Watchdog(h)
-		}
-		if c := h.Cycles - before; c > maxConsumed {
-			maxConsumed = c
-		}
-		if h.Halted && !m.halted {
-			m.halt("hart-halt: " + h.HaltReason)
+		consumed += maxC
+		steps++
+		if ended {
+			break
 		}
 	}
-	m.timeRemainder += maxConsumed
+	m.advanceTime(consumed)
+	return steps
+}
+
+// advanceTime adds consumed cycles to the wall clock: mtime moves by whole
+// ticks and the remainder carries, so advancing once by a sum of step
+// charges lands exactly where advancing after each step would.
+func (m *Machine) advanceTime(consumed uint64) {
+	m.timeRemainder += consumed
 	if m.Cfg.CyclesPerTick > 0 {
 		m.Clint.Advance(m.timeRemainder / m.Cfg.CyclesPerTick)
 		m.timeRemainder %= m.Cfg.CyclesPerTick
 	}
-	return stepEq
+}
+
+// idlePoll reports whether hart h's next Step is an idle WFI poll, exactly
+// as Hart.Step decides it: the hart waits, no enabled interrupt is pending
+// to take or to wake it, and some enable is set (with none, the poll halts
+// the hart as a lockup).
+func (h *Hart) idlePoll() bool {
+	if !h.Waiting || h.CSR.Mip(h.Time())&h.CSR.Mie != 0 {
+		return false
+	}
+	if h.Cfg.HasH {
+		return h.CSR.Hvip&h.CSR.Hie == 0 && (h.CSR.Mie != 0 || h.CSR.Hie != 0)
+	}
+	return h.CSR.Mie != 0
 }
 
 // wfiBatch advances a WFI-waiting hart by up to budget idle polls in one
@@ -333,10 +461,8 @@ func (m *Machine) stepSeq(budget uint64) uint64 {
 // exactly that horizon. Cycles, mtime advancement, and the wake step all
 // land bit-identically with per-instruction stepping.
 func (m *Machine) wfiBatch(h *Hart, budget uint64) uint64 {
-	// Mirror the idle-poll preconditions of Hart.Step exactly: a deliverable
-	// or merely-pending-and-enabled interrupt wakes the hart, and Mie == 0
-	// is a lockup halt — all handled by the normal step path.
-	if h.CSR.Mip(h.Time())&h.CSR.Mie != 0 || h.CSR.Mie == 0 {
+	// A waking hart and a lockup halt are the normal step path's.
+	if !h.idlePoll() {
 		return 0
 	}
 	w := h.Cfg.Cost.WFIIdle

@@ -29,15 +29,17 @@ type PerfCounters struct {
 	TrapsByCause [64]uint64
 	// Superblock tier outcomes (superblock.go): translations built, block
 	// dispatches that retired at least one instruction, block-to-block
-	// transfers within one dispatch, instructions retired inside blocks,
-	// entry-guard misses, and in-block op aborts that fell back to the
-	// interpreter.
+	// transfers within one dispatch or round, instructions retired inside
+	// blocks, entry-guard misses, in-block op aborts that fell back to the
+	// interpreter, and multi-hart sequential rounds (Machine.seqRound) the
+	// hart ran block ops in past their first step.
 	SBTranslations uint64
 	SBHits         uint64
 	SBChains       uint64
 	SBRetired      uint64
 	SBGuardMisses  uint64
 	SBAborts       uint64
+	SBRounds       uint64
 	// Outcomes of writes into pages this hart caches decodes for
 	// (InvalidatePhysPage): writes that dropped a live decode or
 	// superblock (self-modifying or reloaded code), and writes that
@@ -93,7 +95,7 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 	}
 	r.Collect(func(emit func(name string, value uint64)) {
 		var tlbH, tlbM, decH, decM, walks, traps, instret, cycles uint64
-		var sbT, sbH, sbC, sbR, sbG, sbA, smcI, smcD uint64
+		var sbT, sbH, sbC, sbR, sbG, sbA, sbRnd, smcI, smcD uint64
 		for _, h := range m.Harts {
 			p := &h.Perf
 			pfx := fmt.Sprintf("hart%d.", h.ID)
@@ -119,6 +121,7 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 			emit(pfx+"sb.retired", p.SBRetired)
 			emit(pfx+"sb.guard_misses", p.SBGuardMisses)
 			emit(pfx+"sb.aborts", p.SBAborts)
+			emit(pfx+"sb.rounds", p.SBRounds)
 			emit(pfx+"smc.code_invalidations", p.CodeWriteInvalidations)
 			emit(pfx+"smc.data_writes", p.CodePageDataWrites)
 			tlbH += p.TLBHits
@@ -135,6 +138,7 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 			sbR += p.SBRetired
 			sbG += p.SBGuardMisses
 			sbA += p.SBAborts
+			sbRnd += p.SBRounds
 			smcI += p.CodeWriteInvalidations
 			smcD += p.CodePageDataWrites
 		}
@@ -154,6 +158,7 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 		emit("sim.sb.retired", sbR)
 		emit("sim.sb.guard_misses", sbG)
 		emit("sim.sb.aborts", sbA)
+		emit("sim.sb.rounds", sbRnd)
 		emit("sim.smc.code_invalidations", smcI)
 		emit("sim.smc.data_writes", smcD)
 		// Share of all retired instructions that ran inside superblocks.

@@ -47,6 +47,8 @@ package hart
 // its own heat counters.
 
 import (
+	"slices"
+
 	"govfm/internal/mem"
 	"govfm/internal/mmu"
 	"govfm/internal/rv"
@@ -82,18 +84,31 @@ type sblock struct {
 	ops      []sbOp
 }
 
+// sbCursor is where a multi-hart sequential round (Machine.seqRound)
+// resumes a hart inside its chain: the block, the index of its next op, and
+// the decode page and virtual page the dispatch entered on. sb is nil when
+// the hart holds no cursor.
+type sbCursor struct {
+	dp   *decPage
+	sb   *sblock
+	op   int
+	page uint64
+}
+
 // sbState is the hart's per-dispatch superblock state. armed is set by the
 // scheduler around a Step call that may run a block; cycleLimit/stepLimit
 // bound the block so scheduling decisions land exactly where
 // per-instruction stepping would put them; retired reports how many
 // sequential steps the Step call was equivalent to (1 for every non-block
-// step, including no-op steps of halted harts).
+// step, including no-op steps of halted harts). cur records where a
+// dispatch that retired one op stopped, for a round to resume.
 type sbState struct {
 	on         bool
 	armed      bool
 	cycleLimit uint64
 	stepLimit  uint64
 	retired    uint64
+	cur        sbCursor
 
 	// lazyLimit, when set by the sequential scheduler, supplies cycleLimit
 	// on demand (Machine.sbSeqHeadroom). Computing the timer headroom costs
@@ -121,6 +136,10 @@ type sbState struct {
 	// stores, so sbTranslateData sets it for any walk through a page
 	// holding cached decodes.
 	endAfter bool
+
+	// ops is the translator's scratch: a block keeps an exact-length copy,
+	// a sentinel none.
+	ops [sbMaxOps]sbOp
 }
 
 // SetSuperblock switches the superblock tier on or off, dropping every
@@ -153,10 +172,7 @@ func (h *Hart) sbTry() uint64 {
 		return 0 // MMIO fetch: never translated
 	}
 	slot := h.fast.fetchSlot
-	var sb *sblock
-	if dp.blocks != nil {
-		sb = dp.blocks[slot]
-	}
+	sb := dp.block(slot)
 	if sb == nil {
 		// Untranslated, or dropped by a write to its bytes: heat up first,
 		// so a store-thrashed page cannot spend its time in the translator.
@@ -169,8 +185,7 @@ func (h *Hart) sbTry() uint64 {
 		}
 		dp.hot[slot] = 0
 		sb = h.sbTranslate(dp, slot)
-	} else if sb.mode != h.Mode || sb.satp != h.CSR.Satp ||
-		sb.pmpEpoch != h.CSR.PMP.Epoch() {
+	} else if !sb.guards(h) {
 		// Environment guard miss. The translation itself is still good —
 		// these fields only protect the translation-time per-op
 		// execute-permission checks (data accesses revalidate per
@@ -182,14 +197,22 @@ func (h *Hart) sbTry() uint64 {
 		// per switch, costing far more than it saves.
 		h.Perf.SBGuardMisses++
 		if sb.ops == nil || !h.sbRevalidate(sb) {
-			dp.blocks[slot] = nil
+			dp.setBlock(slot, nil)
 			return 0
 		}
 	}
 	if sb.ops == nil {
 		return 0 // sentinel: entry point known untranslatable
 	}
-	return h.runBlock(dp, sb)
+	page := h.PC &^ 4095
+	n := h.runBlock(dp, sb)
+	if n == 1 {
+		// Where a multi-hart round (Machine.seqRound) resumes the hart: a
+		// block's first op never ends it, as a block has at least sbMinOps
+		// ops and only its last transfers control.
+		h.sb.cur = sbCursor{dp: dp, sb: sb, op: 1, page: page}
+	}
+	return n
 }
 
 // sbRevalidate re-runs the translation-time execute-permission checks for
@@ -221,12 +244,9 @@ func (h *Hart) sbTranslate(dp *decPage, slot int) *sblock {
 		satp:     h.CSR.Satp,
 		pmpEpoch: h.CSR.PMP.Epoch(),
 	}
-	if dp.blocks == nil {
-		dp.blocks = new([1024]*sblock)
-	}
-	dp.blocks[slot] = sb
+	dp.setBlock(slot, sb)
 	pageBase := h.fast.fetchPA &^ 4095
-	ops := make([]sbOp, 0, sbMaxOps)
+	ops := h.sb.ops[:0]
 	read := 0 // slots read, including an ineligible one that ended the walk
 	for i := slot; i < 1024 && len(ops) < sbMaxOps; i++ {
 		pa := pageBase | uint64(i)<<2
@@ -258,11 +278,11 @@ func (h *Hart) sbTranslate(dp *decPage, slot int) *sblock {
 	// patched entry gets another chance at translation).
 	sb.span = uint8(read)
 	dp.markCode(slot, slot+read)
-	if len(ops) < sbMinOps {
-		return sb // sentinel (ops stays nil)
+	if len(ops) >= sbMinOps { // else a sentinel, whose ops stay nil
+		sb.ops = slices.Clone(ops)
+		h.Perf.SBTranslations++
 	}
-	sb.ops = ops
-	h.Perf.SBTranslations++
+	clear(ops)
 	return sb
 }
 
@@ -293,8 +313,7 @@ func (h *Hart) runBlock(dp *decPage, sb *sblock) uint64 {
 	}
 	page := h.PC &^ 4095
 	inSlice := h.inSlice // the port buffers writes only inside a slice
-	smode := h.Mode == rv.ModeS
-	cInstr := h.Cfg.Cost.Instr
+	cInstr, smode := h.Cfg.Cost.Instr, h.Mode == rv.ModeS
 	var n uint64
 chain:
 	for {
@@ -311,24 +330,19 @@ chain:
 			h.Cycles += cInstr
 			next, ok := fn(h)
 			if !ok {
-				h.Cycles = cyc0 // roll back this op entirely; interpreter redoes it
-				h.Perf.SBAborts++
+				h.sbAbort(cyc0)
 				break chain
 			}
-			h.PC = next
-			h.Instret++
-			if smode {
-				h.SInstret++
-			}
+			h.sbCommit(next, smode)
 			n++
 		}
+		// Chain on: the PC must be aligned and on the entry page, and its
+		// slot hold a real block guarded for the hart.
 		pc := h.PC
 		if pc&3 != 0 || pc&^4095 != page {
 			break
 		}
-		sb = dp.blocks[int(pc&4095)>>2]
-		if sb == nil || sb.ops == nil || sb.mode != h.Mode ||
-			sb.satp != h.CSR.Satp || sb.pmpEpoch != h.CSR.PMP.Epoch() {
+		if sb = dp.block(int(pc&4095) >> 2); sb == nil || sb.ops == nil || !sb.guards(h) {
 			break
 		}
 		h.Perf.SBChains++
@@ -338,6 +352,32 @@ chain:
 		h.Perf.SBRetired += n
 	}
 	return n
+}
+
+// sbCommit retires an op that completed, as the interpreter retires an
+// instruction: the op's cycles are charged, so it sets the next PC and
+// counts the retirement (smode: the hart runs in S-mode).
+func (h *Hart) sbCommit(next uint64, smode bool) {
+	h.PC = next
+	h.Instret++
+	if smode {
+		h.SInstret++
+	}
+}
+
+// sbAbort rolls back an op that cannot complete in-block: the cycles
+// charged since cyc0 go, the op wrote nothing else, and the interpreter
+// re-executes it.
+func (h *Hart) sbAbort(cyc0 uint64) {
+	h.Cycles = cyc0
+	h.Perf.SBAborts++
+}
+
+// guards reports whether sb's guard vector matches the hart's state: the
+// entry guard of a dispatch (sbTry) and of a chain (runBlock,
+// Machine.seqRound).
+func (sb *sblock) guards(h *Hart) bool {
+	return sb.mode == h.Mode && sb.satp == h.CSR.Satp && sb.pmpEpoch == h.CSR.PMP.Epoch()
 }
 
 // sbTranslateData maps a data virtual address inside a block using the

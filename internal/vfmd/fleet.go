@@ -754,9 +754,13 @@ func (f *Fleet) submit(kind string, e *machineEntry, limits JobLimits, idemKey s
 	if e != nil {
 		j.Machine = e.id
 	}
+	// Count the job before a worker can receive it: a worker may finish
+	// it, and call jobWG.Done, before this function returns.
+	f.jobWG.Add(1)
 	select {
 	case f.jobQ <- j:
 	default:
+		f.jobWG.Done()
 		f.mu.Unlock()
 		f.counters.jobsRejected.Inc()
 		return nil, fmt.Errorf("%w (cap %d)", ErrQueueFull, f.opts.QueueCap)
@@ -765,7 +769,6 @@ func (f *Fleet) submit(kind string, e *machineEntry, limits JobLimits, idemKey s
 	if idemKey != "" {
 		f.idem[idemKey] = j.ID
 	}
-	f.jobWG.Add(1)
 	f.mu.Unlock()
 	f.counters.jobsSubmitted.Inc()
 	f.counters.queueDepth.Set(uint64(max64(f.depth.Add(1), 0)))
