@@ -84,7 +84,10 @@ func main() {
 			fail(err)
 		}
 		fmt.Print(res.Format())
-		fmt.Println("paper: five causes 99.98%; 5500 traps/s; 1.17 world-switches/s")
+		fmt.Printf("\ntotals:\n%s\n", res.Collector.Format())
+		fmt.Println("paper:    five causes 99.98%; 5500 traps/s; 1.17 world-switches/s")
+		fmt.Printf("measured: five causes %.2f%%; %.0f traps/s; %.2f world-switches/s\n",
+			100*res.TopShare, res.NativeTrapRate, res.WorldSwitchRate)
 		fmt.Println()
 	}
 

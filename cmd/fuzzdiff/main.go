@@ -28,7 +28,6 @@ import (
 	"os"
 	"time"
 
-	"govfm/internal/verif"
 	"govfm/internal/verif/fuzz"
 )
 
@@ -63,7 +62,6 @@ func run(args []string, out, errw io.Writer) int {
 		hext     = fs.Bool("hext", false, "hypervisor-extension mode: H-biased lockstep fuzzing on the H-capable profiles (guest V-states, hfence, VS CSRs)")
 		hextN    = fs.Int("hext-cases", 500, "cases per profile in -hext mode")
 		teeN     = fs.Int("tee", 0, "TEE lifecycle mode: run N shadow-model fuzz cases per profile over the ACE confidential-compute FSM instead of lockstep fuzzing")
-		server   = fs.String("server", "", "run the fuzz campaign through a vfmd fleet server at this base URL (e.g. http://127.0.0.1:9400) instead of in-process")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -93,10 +91,6 @@ func run(args []string, out, errw io.Writer) int {
 
 	if *forkN > 0 {
 		return runForkEquiv(profiles, *seed, *forkN, out, errw)
-	}
-
-	if *server != "" {
-		return runServerCampaign(*server, "fuzz", profiles, *seed, *budget, out, errw)
 	}
 
 	if *injectN > 0 {
@@ -216,7 +210,7 @@ func runHext(profiles []string, seed int64, cases int, repros string, out, errw 
 // swept across both schedulers and both fastpath settings.
 func runForkEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) int {
 	t0 := time.Now()
-	st, err := verif.RunForkEquivalence(profiles, seed, cases)
+	st, err := fuzz.RunForkEquivalence(profiles, seed, cases)
 	if err != nil {
 		fmt.Fprintf(errw, "fuzzdiff: %v\n", err)
 		return 2

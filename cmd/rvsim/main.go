@@ -1,13 +1,19 @@
-// Command rvsim runs a raw binary image on the bare machine simulator —
-// no monitor, no default firmware — starting in M-mode at the image base.
-// It is the debugging workhorse for firmware and kernel images. With no
-// -image it instead boots the built-in gosbi firmware and default boot
-// kernel under the monitor — the quickest way to a fully populated trace
-// (per-hart tracks plus the monitor track).
+// Command rvsim is the front door for running a system on the simulator.
+// By default it boots a vendor firmware (and, for SBI firmware, the
+// default boot kernel) under the virtual firmware monitor and reports the
+// run's outcome, console output, per-hart counters and monitor
+// statistics. -native runs the same firmware in physical M-mode instead —
+// the paper's native baseline. With -image it runs a raw binary image on
+// the bare machine — no monitor, no default firmware — starting in M-mode
+// at the image base; that is the debugging workhorse for firmware and
+// kernel images, and it ignores -firmware, -policy, -native and
+// -no-offload.
 //
 // Usage:
 //
-//	rvsim [-image prog.bin] [-base 0x80100000] [-platform visionfive2]
+//	rvsim [-firmware gosbi|minsbi|rtos] [-policy none|sandbox|keystone|ace]
+//	      [-native] [-no-offload]
+//	      [-image prog.bin] [-base addr] [-platform visionfive2|p550|rva23]
 //	      [-harts 1] [-max-steps N] [-trace] [-fastpath=true] [-superblock=true]
 //	      [-sched seq] [-quantum 1024]
 //	      [-trace-out boot.json] [-metrics-out metrics.json] [-metrics]
@@ -17,11 +23,15 @@
 // JSON (open in Perfetto); -metrics-out writes a metrics snapshot as
 // JSON; -metrics dumps the snapshot as text on exit. All three record
 // simulated time only — cycle counts are unchanged by enabling them.
+//
+// The exit status is 0 when the run ends in guest-exit-pass, 1 when it
+// does not or cannot start, and 2 for a usage error.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -33,97 +43,129 @@ import (
 	"govfm/internal/rv"
 )
 
-func main() {
-	image := flag.String("image", "", "binary image file")
-	base := flag.Uint64("base", core.FirmwareBase, "load/entry address")
-	platform := flag.String("platform", "visionfive2", "hardware profile")
-	harts := flag.Int("harts", 1, "core count")
-	maxSteps := flag.Uint64("max-steps", 100_000_000, "step budget")
-	traceTraps := flag.Bool("trace", false, "print every trap")
-	fastpath := flag.Bool("fastpath", true, "enable host acceleration caches")
-	superblock := flag.Bool("superblock", true, "enable the superblock translation tier (requires -fastpath)")
-	sched := flag.String("sched", "seq", "execution scheduler: seq (round-robin) or par (quantum-parallel)")
-	quantum := flag.Uint64("quantum", 0, "parallel scheduler slice length in cycles (0 = default)")
-	traceOut := flag.String("trace-out", "", "write Chrome trace_event JSON to this file")
-	metricsOut := flag.String("metrics-out", "", "write a metrics snapshot (JSON) to this file")
-	metricsDump := flag.Bool("metrics", false, "print a metrics dump on exit")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole program; it returns the process exit code so tests can
+// drive it directly.
+func run(args []string, out, errw io.Writer) int {
+	fs := flag.NewFlagSet("rvsim", flag.ContinueOnError)
+	fs.SetOutput(errw)
+	var (
+		fw         = fs.String("firmware", "gosbi", "vendor firmware: gosbi, minsbi, or rtos")
+		policy     = fs.String("policy", "none", "isolation policy: none, sandbox, keystone, or ace")
+		native     = fs.Bool("native", false, "run the firmware in physical M-mode (no monitor)")
+		noOffload  = fs.Bool("no-offload", false, "disable the monitor's fast-path offloading")
+		image      = fs.String("image", "", "raw binary image to run on the bare machine")
+		base       = fs.Uint64("base", core.FirmwareBase, "load/entry address of -image")
+		platform   = fs.String("platform", "visionfive2", "hardware profile")
+		harts      = fs.Int("harts", 1, "core count")
+		maxSteps   = fs.Uint64("max-steps", 100_000_000, "step budget")
+		traceTraps = fs.Bool("trace", false, "print every trap")
+		fastpath   = fs.Bool("fastpath", true, "enable host acceleration caches")
+		superblock = fs.Bool("superblock", true, "enable the superblock translation tier (requires -fastpath)")
+		sched      = fs.String("sched", "seq", "execution scheduler: seq (round-robin) or par (quantum-parallel)")
+		quantum    = fs.Uint64("quantum", 0, "parallel scheduler slice length in cycles (0 = default)")
+		traceOut   = fs.String("trace-out", "", "write Chrome trace_event JSON to this file")
+		metricsOut = fs.String("metrics-out", "", "write a metrics snapshot (JSON) to this file")
+		metricsDmp = fs.Bool("metrics", false, "print a metrics dump on exit")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(errw, "rvsim: %v\n", err)
+		return code
+	}
+
+	mk, ok := hart.Profiles()[*platform]
+	if !ok {
+		return fail(2, fmt.Errorf("unknown platform %q", *platform))
+	}
+	kind, err := hart.ParseSched(*sched)
+	if err != nil {
+		return fail(2, err)
+	}
+	switch govfm.FirmwareKind(*fw) {
+	case govfm.Gosbi, govfm.Minsbi, govfm.RTOS:
+	default:
+		return fail(2, fmt.Errorf("unknown firmware %q", *fw))
+	}
+	var pol govfm.Policy
+	switch *policy {
+	case "none":
+	case "sandbox":
+		pol = govfm.SandboxPolicy()
+	case "keystone":
+		pol = govfm.KeystonePolicy()
+	case "ace":
+		pol = govfm.ACEPolicy()
+	default:
+		return fail(2, fmt.Errorf("unknown policy %q", *policy))
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rvsim: %v\n", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "rvsim: %v\n", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 
 	var ob *obs.Observer
-	if *traceOut != "" || *metricsOut != "" || *metricsDump {
+	if *traceOut != "" || *metricsOut != "" || *metricsDmp {
 		ob = obs.New(obs.Options{})
 	}
 
-	var m *hart.Machine
+	var (
+		m   *hart.Machine
+		mon *core.Monitor
+	)
 	if *image == "" {
-		// No image: boot the built-in monitored gosbi system.
 		sys, err := govfm.New(govfm.Config{
 			Platform:   govfm.Platform(*platform),
+			Firmware:   govfm.FirmwareKind(*fw),
 			Harts:      *harts,
-			Virtualize: true,
-			Offload:    true,
+			Virtualize: !*native,
+			Offload:    !*noOffload,
+			Policy:     pol,
 			Obs:        ob,
 			Sched:      *sched,
 			Quantum:    *quantum,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rvsim: %v\n", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		m = sys.Machine
+		m, mon = sys.Machine, sys.Monitor
 	} else {
 		img, err := os.ReadFile(*image)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rvsim: %v\n", err)
-			os.Exit(1)
-		}
-		mk, ok := hart.Profiles()[*platform]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "rvsim: unknown platform %q\n", *platform)
-			os.Exit(2)
+			return fail(1, err)
 		}
 		cfg := mk()
 		cfg.Harts = *harts
-		m, err = hart.NewMachine(cfg, core.DramSize)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rvsim: %v\n", err)
-			os.Exit(1)
+		if m, err = hart.NewMachine(cfg, core.DramSize); err != nil {
+			return fail(1, err)
 		}
 		if err := m.LoadImage(*base, img); err != nil {
-			fmt.Fprintf(os.Stderr, "rvsim: %v\n", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		if ob != nil {
 			m.AttachObs(ob)
 		}
 		m.Reset(*base)
 	}
-	kind, err := hart.ParseSched(*sched)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rvsim: %v\n", err)
-		os.Exit(2)
-	}
 	m.Sched = kind
 	m.Quantum = *quantum
 	if *traceTraps {
 		for _, h := range m.Harts {
 			h.OnTrap = func(t hart.TrapInfo) {
-				fmt.Printf("trap hart%d cycle=%d %s epc=%#x tval=%#x %v->%v\n",
+				fmt.Fprintf(out, "trap hart%d cycle=%d %s epc=%#x tval=%#x %v->%v\n",
 					t.Hart, t.Cycle, rv.CauseString(t.Cause), t.EPC, t.Tval,
 					t.FromMode, t.ToMode)
 			}
@@ -131,43 +173,50 @@ func main() {
 	}
 	m.SetFastPath(*fastpath)
 	m.SetSuperblock(*superblock)
-	steps, halted := m.Run(*maxSteps)
+	steps, _ := m.Run(*maxSteps)
 
-	fmt.Printf("console:\n%s\n", m.Uart.Output())
-	ok2, reason := m.Halted()
-	fmt.Printf("steps=%d halted=%v reason=%q\n", steps, ok2, reason)
+	fmt.Fprintf(out, "console:\n%s\n", m.Uart.Output())
+	halted, reason := m.Halted()
+	fmt.Fprintf(out, "steps=%d halted=%v reason=%q\n", steps, halted, reason)
 	for _, h := range m.Harts {
-		fmt.Printf("%v instret=%d\n", h, h.Instret)
+		fmt.Fprintf(out, "%v instret=%d\n", h, h.Instret)
+	}
+	if mon != nil {
+		st := mon.TotalStats()
+		fmt.Fprintf(out, "monitor: emulations=%d world-switches=%d fast-path=%d "+
+			"fw-traps=%d os-traps=%d virt-interrupts=%d\n",
+			st.Emulations, st.WorldSwitches, st.FastPathHits,
+			st.FirmwareTraps, st.OSTraps, st.VirtInterrupts)
 	}
 	if ob != nil {
-		if *metricsDump {
-			fmt.Printf("metrics:\n%s", ob.Metrics.Dump())
+		if *metricsDmp {
+			fmt.Fprintf(out, "metrics:\n%s", ob.Metrics.Dump())
 		}
 		if *metricsOut != "" {
 			if err := ob.WriteMetricsFile(*metricsOut); err != nil {
-				fmt.Fprintf(os.Stderr, "rvsim: %v\n", err)
+				fmt.Fprintf(errw, "rvsim: %v\n", err)
 			}
 		}
 		if *traceOut != "" {
 			if err := ob.WriteTraceFile(*traceOut); err != nil {
-				fmt.Fprintf(os.Stderr, "rvsim: %v\n", err)
+				fmt.Fprintf(errw, "rvsim: %v\n", err)
 			}
 		}
 	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rvsim: %v\n", err)
+			fmt.Fprintf(errw, "rvsim: %v\n", err)
 		} else {
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "rvsim: %v\n", err)
+				fmt.Fprintf(errw, "rvsim: %v\n", err)
 			}
 			f.Close()
 		}
 	}
 	if !halted || reason != "guest-exit-pass" {
-		pprof.StopCPUProfile() // flush before the non-deferred exit
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -284,9 +284,11 @@ type Fig3Result struct {
 func (f *Fig3Result) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 3: M-mode trap causes during boot (windows over mtime)\n")
+	// One space wider than the longest bucket name, so no two run together.
+	cw := trace.BucketWidth() + 1
 	fmt.Fprintf(&b, "%-10s", "window")
 	for _, c := range trace.Buckets {
-		fmt.Fprintf(&b, "%12s", c)
+		fmt.Fprintf(&b, "%*s", cw, c)
 	}
 	fmt.Fprintf(&b, "\n")
 	for i, w := range f.Collector.Windows {
@@ -300,7 +302,7 @@ func (f *Fig3Result) Format() string {
 			if total > 0 {
 				pct = 100 * float64(w.Counts[c]) / float64(total)
 			}
-			fmt.Fprintf(&b, "%11.1f%%", pct)
+			fmt.Fprintf(&b, "%*.1f%%", cw-1, pct)
 		}
 		fmt.Fprintf(&b, "\n")
 	}

@@ -1,12 +1,15 @@
 package bench
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"govfm/internal/core"
 	"govfm/internal/firmware"
 	"govfm/internal/hart"
 	"govfm/internal/kernel"
+	"govfm/internal/trace"
 )
 
 // The figure tests assert the *shape* of each paper result: who wins, by
@@ -36,6 +39,47 @@ func TestFig3BootTrapDistribution(t *testing.T) {
 		t.Errorf("offloaded world-switch rate %.1f/s too close to native trap rate %.1f/s",
 			res.WorldSwitchRate, res.NativeTrapRate)
 	}
+}
+
+// TestFig3TablesAligned checks both Fig. 3 tables: in every row, each
+// right-aligned column ends at the same offset as its header's, the
+// longest bucket names included.
+func TestFig3TablesAligned(t *testing.T) {
+	c := trace.NewCollector(0, func() uint64 { return 0 })
+	counts := map[string]uint64{}
+	for i, b := range trace.Buckets {
+		counts[b] = uint64(1000 * (i + 1))
+		c.Total[b] = counts[b]
+		c.TrapsToM += counts[b]
+	}
+	c.Windows = []trace.Window{{Counts: counts}, {Counts: map[string]uint64{}}}
+
+	// fieldEnds returns the end offset of every run of non-spaces.
+	fieldEnds := func(line string) []int {
+		var ends []int
+		for i := range len(line) {
+			if line[i] != ' ' && (i+1 == len(line) || line[i+1] == ' ') {
+				ends = append(ends, i+1)
+			}
+		}
+		return ends
+	}
+	// check skips each line's first column, which is left-aligned.
+	check := func(table, header string, rows []string) {
+		want := fieldEnds(header)
+		for _, r := range rows {
+			got := fieldEnds(r)
+			if len(got) > len(want) || !slices.Equal(got[1:], want[1:len(got)]) {
+				t.Errorf("%s: columns of %q end at %v, the header's at %v", table, r, got, want)
+			}
+		}
+	}
+	// Fig3Result.Format: a title, the header, a row per window, a summary.
+	fig := strings.Split(strings.TrimSuffix((&Fig3Result{Collector: c}).Format(), "\n"), "\n")
+	check("Fig3Result.Format", fig[1], fig[2:len(fig)-1])
+	// Collector.Format: the header, a row per bucket, the total.
+	tot := strings.Split(strings.TrimSuffix(c.Format(), "\n"), "\n")
+	check("Collector.Format", tot[0], tot[1:])
 }
 
 func TestFig10CoreMarkProShape(t *testing.T) {

@@ -1,7 +1,6 @@
 package inject
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"strings"
@@ -39,12 +38,6 @@ type CampaignConfig struct {
 	// campaign rebuilds injectors, so per-injector collectors would
 	// shadow each other); cmd/chaos surfaces them into the registry.
 	Obs *obs.Observer
-
-	// Cancelled, when non-nil, is polled between combos and between
-	// injected faults; a true return abandons the campaign with
-	// ErrCampaignCanceled. The vfmd fleet threads its per-job deadlines
-	// and shutdown drain through this.
-	Cancelled func() bool
 
 	// TEE restricts the injector to the TEE fault deck (forged lifecycle
 	// hypercalls, wall probes) and adds the confidential-compute
@@ -157,10 +150,6 @@ func (r *Report) Format() string {
 	return b.String()
 }
 
-// ErrCampaignCanceled reports a campaign abandoned through
-// CampaignConfig.Cancelled (deadline, shutdown).
-var ErrCampaignCanceled = errors.New("campaign canceled")
-
 // RunCampaign executes the full sweep.
 func RunCampaign(cfg CampaignConfig) (*Report, error) {
 	cfg.defaults()
@@ -169,9 +158,6 @@ func RunCampaign(cfg CampaignConfig) (*Report, error) {
 	for _, plat := range cfg.Platforms {
 		for _, fw := range cfg.Firmwares {
 			for _, pol := range cfg.Policies {
-				if cfg.Cancelled != nil && cfg.Cancelled() {
-					return nil, ErrCampaignCanceled
-				}
 				combo++
 				res, err := runCombo(cfg, plat, fw, pol, cfg.Seed*1000+combo)
 				if err != nil {
@@ -447,9 +433,6 @@ func runCombo(cfg CampaignConfig, plat, fw, pol string, seed int64) (res *ComboR
 	}
 
 	for i := 0; i < cfg.FaultsPerCombo; i++ {
-		if cfg.Cancelled != nil && cfg.Cancelled() {
-			return nil, ErrCampaignCanceled
-		}
 		if halted, _ := cs.sys.Machine.Halted(); halted || degradedRounds >= 4 {
 			if err := rebuild(); err != nil {
 				return nil, err

@@ -31,8 +31,6 @@ import "os"
 type Observer struct {
 	Metrics *Registry
 	Trace   *Tracer
-
-	opts Options // retained so forked children inherit the configuration
 }
 
 // Options configures a new Observer.
@@ -61,20 +59,7 @@ func New(opts Options) *Observer {
 	return &Observer{
 		Metrics: NewRegistry(),
 		Trace:   NewTracer(c),
-		opts:    opts,
 	}
-}
-
-// Child builds a fresh Observer with this observer's configuration. A
-// forked machine is observationally newborn — zeroed counters, empty
-// trace ring — but keeps the parent's trace capacity and any future
-// options. Nil-receiver-safe: a nil parent yields a default observer, so
-// fork paths need not special-case observability-off origins.
-func (o *Observer) Child() *Observer {
-	if o == nil {
-		return New(Options{})
-	}
-	return New(o.opts)
 }
 
 // WriteTraceFile writes the tracer's ring contents to path as Chrome

@@ -34,6 +34,16 @@ var Buckets = []string{CauseReadTime, CauseSetTimer, CauseMisaligned,
 	CauseIPI, CauseRfence, CauseGuestPageFault, CauseVirtualInstr,
 	CauseOther}
 
+// BucketWidth returns the length of the longest name in Buckets: the
+// column width that keeps a table of them aligned.
+func BucketWidth() int {
+	w := 0
+	for _, b := range Buckets {
+		w = max(w, len(b))
+	}
+	return w
+}
+
 // Window is one sampling interval of trap-cause counts.
 type Window struct {
 	StartTick uint64
@@ -182,14 +192,15 @@ func (c *Collector) Format() string {
 		rows = append(rows, kv{k, c.Total[k]})
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].v > rows[j].v })
-	fmt.Fprintf(&b, "%-12s %12s %8s\n", "cause", "traps", "share")
+	w := BucketWidth()
+	fmt.Fprintf(&b, "%-*s %12s %8s\n", w, "cause", "traps", "share")
 	for _, r := range rows {
 		share := 0.0
 		if c.TrapsToM > 0 {
 			share = 100 * float64(r.v) / float64(c.TrapsToM)
 		}
-		fmt.Fprintf(&b, "%-12s %12d %7.2f%%\n", r.k, r.v, share)
+		fmt.Fprintf(&b, "%-*s %12d %7.2f%%\n", w, r.k, r.v, share)
 	}
-	fmt.Fprintf(&b, "%-12s %12d\n", "total", c.TrapsToM)
+	fmt.Fprintf(&b, "%-*s %12d\n", w, "total", c.TrapsToM)
 	return b.String()
 }

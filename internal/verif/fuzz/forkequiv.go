@@ -1,4 +1,4 @@
-package verif
+package fuzz
 
 // Fork-equivalence suite: the gate for the copy-on-write snapshot/fork
 // engine. Each randomized case boots a machine, runs it k1 steps, forks it
@@ -11,37 +11,24 @@ package verif
 // inside the machine, which would invalidate every fork-spawned campaign.
 //
 // Cases are closed systems in the scheduler-equivalence style (see
-// internal/verif/fuzz/schedequiv.go): each hart is confined by locked PMP
-// entries to its own program and scratch windows, so generated wild
-// accesses trap deterministically instead of wandering into device space.
-// Unlike schedequiv the wall clock runs here: forks must preserve the
-// mtime remainder exactly.
+// schedequiv.go): each hart is confined by locked PMP entries to its own
+// program and scratch windows, so generated wild accesses trap
+// deterministically instead of wandering into device space. Unlike
+// schedequiv the wall clock runs here: forks must preserve the mtime
+// remainder exactly.
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
 	"govfm/internal/asm"
 	"govfm/internal/core"
 	"govfm/internal/hart"
-	"govfm/internal/pmp"
 	"govfm/internal/rv"
 )
 
-const (
-	// forkProgCap / forkScratchSize mirror the fuzz package's windows
-	// (NAPOT-aligned, per-hart tiled).
-	forkProgBase    = core.FirmwareBase
-	forkProgCap     = 0x2000
-	forkScratchBase = core.OSBase
-	forkScratchSize = 0x1_0000
-	forkSlots       = 48
-
-	// forkStepBudget bounds the case's total trajectory (k1 + k2).
-	forkStepBudget = 512
-)
+// forkStepBudget bounds the case's total trajectory (k1 + k2).
+const forkStepBudget = 512
 
 // forkGenCSRs is the CSR surface generated programs may touch — hart-local
 // plumbing only, interrupt-pending CSRs stay off the list.
@@ -61,18 +48,6 @@ var forkGenCSRs = []asm.GenCSR{
 	{CSR: rv.CSRMhartid, Forms: asm.FormsRead},
 }
 
-// forkHartInit is one hart's generated starting state.
-type forkHartInit struct {
-	Regs               [32]uint64
-	Mstatus            uint64
-	Medeleg            uint64
-	Mtvec, Stvec       uint64
-	Mepc, Sepc         uint64
-	Mscratch, Sscratch uint64
-	Mcause, Scause     uint64
-	Mtval, Stval       uint64
-}
-
 // ForkCase is one fork-equivalence input.
 type ForkCase struct {
 	Profile    string
@@ -84,7 +59,7 @@ type ForkCase struct {
 	K1, K2     uint64 // steps before the fork / steps after it
 
 	Progs [][]uint32
-	Init  []forkHartInit
+	Init  []hartInit
 }
 
 func (tc *ForkCase) String() string {
@@ -117,34 +92,26 @@ type ForkEquivStats struct {
 
 // forkRig holds one (profile, hart-count) configuration's machine trio:
 // parent and cold are installed per case; child is re-imaged from the
-// parent's fork each case via LoadImageState — deliberately exercising the
-// worker-pool reuse path (one long-lived machine, many images) rather than
+// parent's fork each case via LoadImageState — deliberately exercising
+// machine reuse (one long-lived machine, many images) rather than
 // allocating a fresh machine per case.
 type forkRig struct {
 	profile             string
 	harts               int
 	parent, cold, child *hart.Machine
 	genCfg              asm.GenCfg
-	progZero, scrZero   []byte
 }
-
-func forkProgBaseFor(i int) uint64    { return forkProgBase + uint64(i)*forkProgCap }
-func forkScratchBaseFor(i int) uint64 { return forkScratchBase + uint64(i)*forkScratchSize }
-
-func forkNapot(base, size uint64) uint64 { return (base >> 2) | (size>>3 - 1) }
 
 func newForkRig(profile string, harts int) (*forkRig, error) {
 	mk, ok := hart.Profiles()[profile]
 	if !ok {
-		return nil, fmt.Errorf("verif: unknown profile %q", profile)
+		return nil, fmt.Errorf("fuzz: unknown profile %q", profile)
 	}
 	rig := &forkRig{
-		profile:  profile,
-		harts:    harts,
-		progZero: make([]byte, forkProgCap),
-		scrZero:  make([]byte, forkScratchSize),
+		profile: profile,
+		harts:   harts,
 		genCfg: asm.GenCfg{
-			Slots:      forkSlots,
+			Slots:      Slots,
 			DataRegs:   []int{10, 11, 12, 13, 14, 15},
 			BaseRegs:   []int{16, 17, 18},
 			BaseWindow: 2048,
@@ -176,7 +143,7 @@ func (rig *forkRig) genForkCase(rng *rand.Rand, sched hart.SchedKind, fast, sb b
 		K1:         k1,
 		K2:         uint64(forkStepBudget) - k1,
 		Progs:      make([][]uint32, rig.harts),
-		Init:       make([]forkHartInit, rig.harts),
+		Init:       make([]hartInit, rig.harts),
 	}
 	for i := 0; i < rig.harts; i++ {
 		tc.Progs[i] = asm.Generate(rng, &rig.genCfg)
@@ -185,13 +152,13 @@ func (rig *forkRig) genForkCase(rng *rand.Rand, sched hart.SchedKind, fast, sb b
 			in.Regs[r] = rng.Uint64()
 		}
 		for _, r := range rig.genCfg.BaseRegs {
-			base := forkScratchBaseFor(i) + uint64(rng.Intn(forkScratchSize-4096))&^7
+			base := scratchBase(i) + uint64(rng.Intn(ScratchSize-4096))&^7
 			if rng.Intn(6) == 0 {
 				base |= uint64(rng.Intn(8))
 			}
 			in.Regs[r] = base
 		}
-		slot := func() uint64 { return forkProgBaseFor(i) + uint64(4*rng.Intn(forkSlots)) }
+		slot := func() uint64 { return progBase(i) + uint64(4*rng.Intn(Slots)) }
 		in.Mtvec = slot() | uint64(rng.Intn(2))
 		in.Stvec = slot() | uint64(rng.Intn(2))
 		in.Mepc, in.Sepc = slot(), slot()
@@ -205,126 +172,19 @@ func (rig *forkRig) genForkCase(rng *rand.Rand, sched hart.SchedKind, fast, sb b
 	return tc
 }
 
-// install writes the case onto a machine: full reset, per-hart program and
-// scratch images, starting state, locked-PMP confinement, and the case's
-// scheduler/fastpath configuration.
+// install writes the case onto a machine: full reset, the case's
+// scheduler/fastpath configuration, then each hart's program and scratch
+// images and its confined starting state (startHart).
 func (rig *forkRig) install(m *hart.Machine, tc *ForkCase) {
-	m.Reset(forkProgBase)
+	m.Reset(ProgBase)
 	m.Sched = tc.Sched
 	m.Quantum = tc.Quantum
 	m.SetFastPath(tc.FastPath)
 	m.SetSuperblock(tc.Superblock)
 	for i, h := range m.Harts {
-		prog := make([]byte, 4*len(tc.Progs[i]))
-		for j, w := range tc.Progs[i] {
-			binary.LittleEndian.PutUint32(prog[4*j:], w)
-		}
-		m.LoadImage(forkProgBaseFor(i), rig.progZero)
-		m.LoadImage(forkScratchBaseFor(i), rig.scrZero)
-		m.LoadImage(forkProgBaseFor(i), prog)
-
-		in := &tc.Init[i]
-		h.Regs = in.Regs
-		h.Regs[0] = 0
-		h.PC = forkProgBaseFor(i)
-		h.Mode = rv.ModeM
-		c := &h.CSR
-		c.WriteMstatus(in.Mstatus)
-		c.Medeleg = in.Medeleg
-		c.Mtvec, c.Stvec = in.Mtvec, in.Stvec
-		c.Mepc, c.Sepc = in.Mepc, in.Sepc
-		c.Mscratch, c.Sscratch = in.Mscratch, in.Sscratch
-		c.Mcause, c.Scause = in.Mcause, in.Scause
-		c.Mtval, c.Stval = in.Mtval, in.Stval
-
-		f := c.PMP
-		rwxNapot := uint8(pmp.CfgL | pmp.CfgR | pmp.CfgW | pmp.CfgX | pmp.ANapot<<3)
-		f.ForceAddr(0, forkNapot(forkProgBaseFor(i), forkProgCap))
-		f.ForceCfg(0, rwxNapot)
-		f.ForceAddr(1, forkNapot(forkScratchBaseFor(i), forkScratchSize))
-		f.ForceCfg(1, rwxNapot)
-		f.ForceAddr(2, rv.Mask(54))
-		f.ForceCfg(2, pmp.CfgL|pmp.ANapot<<3)
+		loadWindows(m, progBase(i), scratchBase(i), tc.Progs[i])
+		startHart(h, &tc.Init[i], progBase(i), scratchBase(i))
 	}
-}
-
-// forkCSRDelta returns the first CSR field differing between two harts'
-// files, or "".
-func forkCSRDelta(a, b *hart.CSRFile) string {
-	fields := []struct {
-		name string
-		a, b uint64
-	}{
-		{"mstatus", a.Mstatus, b.Mstatus}, {"medeleg", a.Medeleg, b.Medeleg},
-		{"mideleg", a.Mideleg, b.Mideleg}, {"mie", a.Mie, b.Mie},
-		{"mtvec", a.Mtvec, b.Mtvec}, {"mcounteren", a.Mcounteren, b.Mcounteren},
-		{"menvcfg", a.Menvcfg, b.Menvcfg}, {"mscratch", a.Mscratch, b.Mscratch},
-		{"mepc", a.Mepc, b.Mepc}, {"mcause", a.Mcause, b.Mcause},
-		{"mtval", a.Mtval, b.Mtval}, {"mseccfg", a.Mseccfg, b.Mseccfg},
-		{"stvec", a.Stvec, b.Stvec}, {"sscratch", a.Sscratch, b.Sscratch},
-		{"sepc", a.Sepc, b.Sepc}, {"scause", a.Scause, b.Scause},
-		{"stval", a.Stval, b.Stval}, {"satp", a.Satp, b.Satp},
-		{"stimecmp", a.Stimecmp, b.Stimecmp},
-		{"mip", a.Mip(0), b.Mip(0)},
-	}
-	for _, f := range fields {
-		if f.a != f.b {
-			return fmt.Sprintf("%s: forked=%#x cold=%#x", f.name, f.a, f.b)
-		}
-	}
-	for i := 0; i < a.PMP.NumEntries(); i++ {
-		if a.PMP.Cfg(i) != b.PMP.Cfg(i) || a.PMP.Addr(i) != b.PMP.Addr(i) {
-			return fmt.Sprintf("pmp%d differs", i)
-		}
-	}
-	return ""
-}
-
-// forkCompare checks every observable of machine got against cold and
-// returns a description of the first divergence, or "".
-func (rig *forkRig) forkCompare(got, cold *hart.Machine) string {
-	gh, gr := got.Halted()
-	ch, cr := cold.Halted()
-	if gh != ch || gr != cr {
-		return fmt.Sprintf("machine halt: forked=%v/%q cold=%v/%q", gh, gr, ch, cr)
-	}
-	if got.Clint.Time() != cold.Clint.Time() {
-		return fmt.Sprintf("mtime: forked=%d cold=%d", got.Clint.Time(), cold.Clint.Time())
-	}
-	if got.Uart.Output() != cold.Uart.Output() {
-		return fmt.Sprintf("uart: forked=%q cold=%q", got.Uart.Output(), cold.Uart.Output())
-	}
-	for i := range got.Harts {
-		hG, hC := got.Harts[i], cold.Harts[i]
-		if hG.Cycles != hC.Cycles {
-			return fmt.Sprintf("hart%d cycles: forked=%d cold=%d", i, hG.Cycles, hC.Cycles)
-		}
-		if hG.Instret != hC.Instret || hG.SInstret != hC.SInstret {
-			return fmt.Sprintf("hart%d instret: forked=%d/%d cold=%d/%d",
-				i, hG.Instret, hG.SInstret, hC.Instret, hC.SInstret)
-		}
-		if hG.PC != hC.PC || hG.Mode != hC.Mode || hG.Waiting != hC.Waiting ||
-			hG.Halted != hC.Halted {
-			return fmt.Sprintf("hart%d pc/mode/wfi/halt: forked=%#x/%v/%v/%v cold=%#x/%v/%v/%v",
-				i, hG.PC, hG.Mode, hG.Waiting, hG.Halted,
-				hC.PC, hC.Mode, hC.Waiting, hC.Halted)
-		}
-		if hG.Regs != hC.Regs {
-			return fmt.Sprintf("hart%d register file differs", i)
-		}
-		if d := forkCSRDelta(&hG.CSR, &hC.CSR); d != "" {
-			return fmt.Sprintf("hart%d %s", i, d)
-		}
-		for _, r := range [][2]uint64{
-			{forkProgBaseFor(i), forkProgCap}, {forkScratchBaseFor(i), forkScratchSize}} {
-			bG, err1 := got.Bus.ReadBytes(r[0], int(r[1]))
-			bC, err2 := cold.Bus.ReadBytes(r[0], int(r[1]))
-			if err1 != nil || err2 != nil || !bytes.Equal(bG, bC) {
-				return fmt.Sprintf("hart%d memory at %#x differs", i, r[0])
-			}
-		}
-	}
-	return ""
 }
 
 // forkQuanta / forkHartCounts are the sweep dimensions beyond
@@ -368,7 +228,7 @@ func RunForkEquivalence(profiles []string, seed int64, cases int) (*ForkEquivSta
 		rig.parent.Run(tc.K1)
 		img, err := rig.parent.Snapshot()
 		if err != nil {
-			return nil, fmt.Errorf("verif: snapshot of %v: %w", tc, err)
+			return nil, fmt.Errorf("fuzz: snapshot of %v: %w", tc, err)
 		}
 		st.ForkPages += img.Mem.Pages()
 
@@ -376,7 +236,7 @@ func RunForkEquivalence(profiles []string, seed int64, cases int) (*ForkEquivSta
 		rig.child.Sched = img.Sched
 		rig.child.Quantum = img.Quantum
 		if err := rig.child.LoadImageState(img); err != nil {
-			return nil, fmt.Errorf("verif: spawn of %v: %w", tc, err)
+			return nil, fmt.Errorf("fuzz: spawn of %v: %w", tc, err)
 		}
 		rig.child.Run(tc.K2)
 		rig.parent.Run(tc.K2)
@@ -390,10 +250,9 @@ func RunForkEquivalence(profiles []string, seed int64, cases int) (*ForkEquivSta
 		for _, half := range []struct {
 			tag string
 			m   *hart.Machine
-		}{{"child", rig.child}, {"parent", rig.parent}} {
-			if desc := rig.forkCompare(half.m, rig.cold); desc != "" {
-				st.Mismatches = append(st.Mismatches,
-					&ForkMismatch{Case: tc, Desc: half.tag + ": " + desc})
+		}{{"child-vs-cold", rig.child}, {"parent-vs-cold", rig.parent}} {
+			if desc := diffMachines(half.tag, rig.cold, half.m, ownWindows(rig.harts)); desc != "" {
+				st.Mismatches = append(st.Mismatches, &ForkMismatch{Case: tc, Desc: desc})
 			}
 		}
 		if len(st.Mismatches) >= 10 {

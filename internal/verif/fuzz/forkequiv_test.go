@@ -1,4 +1,4 @@
-package verif
+package fuzz
 
 import "testing"
 

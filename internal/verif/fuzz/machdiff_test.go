@@ -1,0 +1,88 @@
+package fuzz
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"govfm/internal/core"
+	"govfm/internal/hart"
+	"govfm/internal/rv"
+)
+
+// TestDiffMachinesNamesEachField changes one compared field on the second
+// of two identical machines and requires diffMachines to name it.
+func TestDiffMachinesNamesEachField(t *testing.T) {
+	newMachine := func() *hart.Machine {
+		cfg := hart.VisionFive2()
+		cfg.Harts = 2
+		m, err := hart.NewMachine(cfg, core.DramSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Reset(ProgBase)
+		return m
+	}
+	windows := ownWindows(2)
+	h := func(m *hart.Machine) *hart.Hart { return m.Harts[1] }
+	c := func(m *hart.Machine) *hart.CSRFile { return &m.Harts[1].CSR }
+	cases := []struct {
+		field  string // diffMachines' description after the label
+		mutate func(m *hart.Machine)
+	}{
+		{"machine halt", func(m *hart.Machine) { m.Bus.Store(hart.ExitBase, 4, hart.ExitPass) }},
+		{"mtime", func(m *hart.Machine) { m.Clint.Advance(1) }},
+		{"uart", func(m *hart.Machine) { m.Bus.Store(hart.UartBase, 1, 'x') }},
+		{"hart1 cycles", func(m *hart.Machine) { h(m).Cycles++ }},
+		{"hart1 instret", func(m *hart.Machine) { h(m).Instret++ }},
+		{"hart1 instret", func(m *hart.Machine) { h(m).SInstret++ }},
+		{"hart1 pc/mode/wfi/halt", func(m *hart.Machine) { h(m).PC += 4 }},
+		{"hart1 pc/mode/wfi/halt", func(m *hart.Machine) { h(m).Mode = rv.ModeS }},
+		{"hart1 pc/mode/wfi/halt", func(m *hart.Machine) { h(m).Waiting = true }},
+		{"hart1 pc/mode/wfi/halt", func(m *hart.Machine) { h(m).Halted = true }},
+		{"hart1 x31", func(m *hart.Machine) { h(m).Regs[31]++ }},
+		{"hart1 mstatus", func(m *hart.Machine) { c(m).Mstatus ^= 1 << rv.MstatusMIE }},
+		{"hart1 medeleg", func(m *hart.Machine) { c(m).Medeleg++ }},
+		{"hart1 mideleg", func(m *hart.Machine) { c(m).Mideleg ^= 2 }},
+		{"hart1 mie", func(m *hart.Machine) { c(m).Mie++ }},
+		{"hart1 mtvec", func(m *hart.Machine) { c(m).Mtvec++ }},
+		{"hart1 mcounteren", func(m *hart.Machine) { c(m).Mcounteren++ }},
+		{"hart1 menvcfg", func(m *hart.Machine) { c(m).Menvcfg++ }},
+		{"hart1 mscratch", func(m *hart.Machine) { c(m).Mscratch++ }},
+		{"hart1 mepc", func(m *hart.Machine) { c(m).Mepc++ }},
+		{"hart1 mcause", func(m *hart.Machine) { c(m).Mcause++ }},
+		{"hart1 mtval", func(m *hart.Machine) { c(m).Mtval++ }},
+		{"hart1 mseccfg", func(m *hart.Machine) { c(m).Mseccfg++ }},
+		{"hart1 mcountinhibit", func(m *hart.Machine) { c(m).Mcountinhibit++ }},
+		{"hart1 stvec", func(m *hart.Machine) { c(m).Stvec++ }},
+		{"hart1 scounteren", func(m *hart.Machine) { c(m).Scounteren++ }},
+		{"hart1 senvcfg", func(m *hart.Machine) { c(m).Senvcfg++ }},
+		{"hart1 sscratch", func(m *hart.Machine) { c(m).Sscratch++ }},
+		{"hart1 sepc", func(m *hart.Machine) { c(m).Sepc++ }},
+		{"hart1 scause", func(m *hart.Machine) { c(m).Scause++ }},
+		{"hart1 stval", func(m *hart.Machine) { c(m).Stval++ }},
+		{"hart1 satp", func(m *hart.Machine) { c(m).Satp++ }},
+		{"hart1 stimecmp", func(m *hart.Machine) { c(m).Stimecmp++ }},
+		{"hart1 mip", func(m *hart.Machine) { c(m).SetMip(1 << rv.IntSSoft) }},
+		{"hart1 pmp5", func(m *hart.Machine) { c(m).PMP.ForceAddr(5, 0x1234) }},
+		{"hart1 pmp5", func(m *hart.Machine) { c(m).PMP.ForceCfg(5, 0x1) }},
+		{fmt.Sprintf("memory at %#x", progBase(1)+8), func(m *hart.Machine) {
+			m.Bus.Store(progBase(1)+8, 1, 0xff)
+		}},
+		{fmt.Sprintf("memory at %#x", scratchBase(1)+16), func(m *hart.Machine) {
+			m.Bus.Store(scratchBase(1)+16, 1, 0xff)
+		}},
+	}
+	want := newMachine()
+	for _, tc := range cases {
+		got := newMachine()
+		if d := diffMachines("same", want, got, windows); d != "" {
+			t.Fatalf("identical machines differ: %s", d)
+		}
+		tc.mutate(got)
+		d := diffMachines("label", want, got, windows)
+		if !strings.HasPrefix(d, "label "+tc.field+":") {
+			t.Errorf("changing %s: diffMachines says %q", tc.field, d)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package fuzz
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -9,7 +8,6 @@ import (
 	"govfm/internal/asm"
 	"govfm/internal/core"
 	"govfm/internal/hart"
-	"govfm/internal/pmp"
 	"govfm/internal/rv"
 )
 
@@ -77,7 +75,7 @@ type SBCase struct {
 	// Loop: the last slot jumps back to slot 0 (sbLoopBack).
 	Loop bool
 	Prog []uint32
-	Init []schedHartInit // per hart
+	Init []hartInit // per hart
 }
 
 func (tc *SBCase) String() string {
@@ -133,7 +131,6 @@ type sbTrio struct {
 	// isolates superblock bugs from fast-path bugs.
 	interp, fast, full *hart.Machine
 	genCfg             asm.GenCfg
-	progZero, scrZero  []byte
 }
 
 func newSBTrio(profile string, harts int) (*sbTrio, error) {
@@ -142,10 +139,8 @@ func newSBTrio(profile string, harts int) (*sbTrio, error) {
 		return nil, fmt.Errorf("fuzz: unknown profile %q", profile)
 	}
 	t := &sbTrio{
-		profile:  profile,
-		harts:    harts,
-		progZero: make([]byte, ProgCap),
-		scrZero:  make([]byte, ScratchSize),
+		profile: profile,
+		harts:   harts,
 		genCfg: asm.GenCfg{
 			Slots:      Slots,
 			DataRegs:   []int{10, 11, 12, 13, 14, 15},
@@ -180,7 +175,7 @@ func (t *sbTrio) genSBCase(rng *rand.Rand, sched hart.SchedKind, quantum uint64)
 		Quantum: quantum,
 		Harts:   t.harts,
 		Loop:    rng.Intn(6) == 0,
-		Init:    make([]schedHartInit, t.harts),
+		Init:    make([]hartInit, t.harts),
 	}
 	cfg := t.genCfg
 	if tc.Loop {
@@ -253,47 +248,17 @@ func (t *sbTrio) genSBCase(rng *rand.Rand, sched hart.SchedKind, quantum uint64)
 	return tc
 }
 
-// install writes the case onto a machine: full reset, program and scratch
-// images, starting state, and the same locked-PMP confinement the
-// scheduler-equivalence mode uses (program and scratch windows granted,
-// locked deny-all underneath).
+// install writes the case onto a machine: full reset, the program and
+// scratch images all harts share, and each hart's starting state with the
+// same locked-PMP confinement the scheduler-equivalence mode uses
+// (startHart).
 func (t *sbTrio) install(m *hart.Machine, tc *SBCase) {
 	m.Reset(ProgBase)
 	m.Sched = tc.Sched
 	m.Quantum = tc.Quantum
-	prog := make([]byte, 4*len(tc.Prog))
-	for j, w := range tc.Prog {
-		binary.LittleEndian.PutUint32(prog[4*j:], w)
-	}
-	m.LoadImage(ProgBase, t.progZero)
-	m.LoadImage(ScratchBase, t.scrZero)
-	m.LoadImage(ProgBase, prog)
-
+	loadWindows(m, ProgBase, ScratchBase, tc.Prog)
 	for i, h := range m.Harts {
-		in := &tc.Init[i]
-		h.Regs = in.Regs
-		h.Regs[0] = 0
-		h.PC = ProgBase
-		h.Mode = rv.ModeM
-		c := &h.CSR
-		c.WriteMstatus(in.Mstatus)
-		c.Mie = in.Mie
-		c.Medeleg = in.Medeleg
-		c.Mtvec, c.Stvec = in.Mtvec, in.Stvec
-		c.Mepc, c.Sepc = in.Mepc, in.Sepc
-		c.Mscratch, c.Sscratch = in.Mscratch, in.Sscratch
-		c.Mcause, c.Scause = in.Mcause, in.Scause
-		c.Mtval, c.Stval = in.Mtval, in.Stval
-
-		f := c.PMP
-		rwxNapot := uint8(pmp.CfgL | pmp.CfgR | pmp.CfgW | pmp.CfgX | pmp.ANapot<<3)
-		f.ForceAddr(0, napotAddr(ProgBase, ProgCap))
-		f.ForceCfg(0, rwxNapot)
-		f.ForceAddr(1, napotAddr(ScratchBase, ScratchSize))
-		f.ForceCfg(1, rwxNapot)
-		f.ForceAddr(2, rv.Mask(54))
-		f.ForceCfg(2, pmp.CfgL|pmp.ANapot<<3)
-
+		startHart(h, &tc.Init[i], ProgBase, ScratchBase)
 		if tc.Timer {
 			m.Clint.SetMtimecmp(i, tc.Mtimecmp[i])
 		}
@@ -310,56 +275,8 @@ func runSBCase(m *hart.Machine, tc *SBCase) {
 	}
 }
 
-// sbCompare checks every observable of a finished machine pair and returns
-// a description of the first divergence, or "". want is the oracle.
-func sbCompare(label string, want, got *hart.Machine) string {
-	wh, wr := want.Halted()
-	gh, gr := got.Halted()
-	if wh != gh || wr != gr {
-		return fmt.Sprintf("%s machine halt: want=%v/%q got=%v/%q", label, wh, wr, gh, gr)
-	}
-	if w, g := want.Clint.Time(), got.Clint.Time(); w != g {
-		return fmt.Sprintf("%s mtime: want=%d got=%d", label, w, g)
-	}
-	for i, hW := range want.Harts {
-		if d := sbCompareHart(hW, got.Harts[i]); d != "" {
-			return fmt.Sprintf("%s hart%d %s", label, i, d)
-		}
-	}
-	for _, r := range [][2]uint64{{ProgBase, ProgCap}, {ScratchBase, ScratchSize}} {
-		bW, err1 := want.Bus.ReadBytes(r[0], int(r[1]))
-		bG, err2 := got.Bus.ReadBytes(r[0], int(r[1]))
-		if err1 != nil || err2 != nil || !bytes.Equal(bW, bG) {
-			return fmt.Sprintf("%s memory at %#x differs", label, r[0])
-		}
-	}
-	return ""
-}
-
-// sbCompareHart describes the first difference between two harts, or "".
-func sbCompareHart(hW, hG *hart.Hart) string {
-	if hW.Cycles != hG.Cycles {
-		return fmt.Sprintf("cycles: want=%d got=%d", hW.Cycles, hG.Cycles)
-	}
-	if hW.Instret != hG.Instret || hW.SInstret != hG.SInstret {
-		return fmt.Sprintf("instret: want=%d/%d got=%d/%d",
-			hW.Instret, hW.SInstret, hG.Instret, hG.SInstret)
-	}
-	if hW.PC != hG.PC || hW.Mode != hG.Mode || hW.Waiting != hG.Waiting ||
-		hW.Halted != hG.Halted {
-		return fmt.Sprintf("pc/mode/wfi/halt: want=%#x/%v/%v/%v got=%#x/%v/%v/%v",
-			hW.PC, hW.Mode, hW.Waiting, hW.Halted,
-			hG.PC, hG.Mode, hG.Waiting, hG.Halted)
-	}
-	if hW.Regs != hG.Regs {
-		for r := 0; r < 32; r++ {
-			if hW.Regs[r] != hG.Regs[r] {
-				return fmt.Sprintf("x%d: want=%#x got=%#x", r, hW.Regs[r], hG.Regs[r])
-			}
-		}
-	}
-	return csrDelta(&hW.CSR, &hG.CSR)
-}
+// sbWindows are the program and scratch windows every hart shares.
+var sbWindows = [][2]uint64{{ProgBase, ProgCap}, {ScratchBase, ScratchSize}}
 
 // RunSuperblockEquivalence fuzzes `cases` superblock-equivalence cases per
 // profile. Every case runs the identical initial state on the interpreter,
@@ -406,9 +323,9 @@ func RunSuperblockEquivalence(profiles []string, seed int64, cases int) (*SBEqui
 			st.Steps += int(h.Instret)
 		}
 
-		desc := sbCompare("full-vs-interp", t.interp, t.full)
+		desc := diffMachines("full-vs-interp", t.interp, t.full, sbWindows)
 		if desc == "" {
-			desc = sbCompare("full-vs-fast", t.fast, t.full)
+			desc = diffMachines("full-vs-fast", t.fast, t.full, sbWindows)
 		}
 		if desc != "" {
 			st.Mismatches = append(st.Mismatches, &SBMismatch{Case: tc, Desc: desc})

@@ -1,15 +1,12 @@
 package fuzz
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
 	"govfm/internal/asm"
 	"govfm/internal/core"
 	"govfm/internal/hart"
-	"govfm/internal/pmp"
 	"govfm/internal/rv"
 )
 
@@ -58,22 +55,6 @@ var schedGenCSRs = []asm.GenCSR{
 	{CSR: rv.CSRMhartid, Forms: asm.FormsRead},
 }
 
-// schedHartInit is one hart's generated starting state.
-type schedHartInit struct {
-	Regs    [32]uint64
-	Mstatus uint64
-	Mie     uint64
-	Medeleg uint64
-	Mtvec   uint64
-	Stvec   uint64
-	Mepc    uint64
-	Sepc    uint64
-
-	Mscratch, Sscratch uint64
-	Mcause, Scause     uint64
-	Mtval, Stval       uint64
-}
-
 // SchedCase is one scheduler-equivalence input: per-hart programs and
 // starting states, plus the quantum the parallel side runs with.
 type SchedCase struct {
@@ -81,7 +62,7 @@ type SchedCase struct {
 	Harts   int
 	Quantum uint64
 	Progs   [][]uint32
-	Init    []schedHartInit
+	Init    []hartInit
 }
 
 func (tc *SchedCase) String() string {
@@ -113,8 +94,6 @@ type schedPair struct {
 	harts    int
 	seq, par *hart.Machine
 	genCfg   asm.GenCfg
-	progZero []byte
-	scrZero  []byte
 }
 
 func newSchedPair(profile string, harts int) (*schedPair, error) {
@@ -123,10 +102,8 @@ func newSchedPair(profile string, harts int) (*schedPair, error) {
 		return nil, fmt.Errorf("fuzz: unknown profile %q", profile)
 	}
 	p := &schedPair{
-		profile:  profile,
-		harts:    harts,
-		progZero: make([]byte, ProgCap),
-		scrZero:  make([]byte, ScratchSize),
+		profile: profile,
+		harts:   harts,
 		genCfg: asm.GenCfg{
 			Slots:      Slots,
 			DataRegs:   []int{10, 11, 12, 13, 14, 15},
@@ -151,17 +128,6 @@ func newSchedPair(profile string, harts int) (*schedPair, error) {
 	return p, nil
 }
 
-// Per-hart window addresses. Prog windows tile the firmware region,
-// scratch windows the OS region; both strides keep NAPOT alignment.
-func (p *schedPair) progBase(i int) uint64 { return ProgBase + uint64(i)*ProgCap }
-func (p *schedPair) scratchBase(i int) uint64 {
-	return ScratchBase + uint64(i)*ScratchSize
-}
-
-// napotAddr encodes a pmpaddr NAPOT match over [base, base+size) — size a
-// power of two ≥ 8, base size-aligned.
-func napotAddr(base, size uint64) uint64 { return (base >> 2) | (size>>3 - 1) }
-
 // genSchedCase draws one case for this pair's configuration.
 func (p *schedPair) genSchedCase(rng *rand.Rand, quantum uint64) *SchedCase {
 	tc := &SchedCase{
@@ -169,7 +135,7 @@ func (p *schedPair) genSchedCase(rng *rand.Rand, quantum uint64) *SchedCase {
 		Harts:   p.harts,
 		Quantum: quantum,
 		Progs:   make([][]uint32, p.harts),
-		Init:    make([]schedHartInit, p.harts),
+		Init:    make([]hartInit, p.harts),
 	}
 	for i := 0; i < p.harts; i++ {
 		tc.Progs[i] = asm.Generate(rng, &p.genCfg)
@@ -178,13 +144,13 @@ func (p *schedPair) genSchedCase(rng *rand.Rand, quantum uint64) *SchedCase {
 			in.Regs[r] = randValue(rng)
 		}
 		for _, r := range p.genCfg.BaseRegs {
-			base := p.scratchBase(i) + uint64(rng.Intn(ScratchSize-4096))&^7
+			base := scratchBase(i) + uint64(rng.Intn(ScratchSize-4096))&^7
 			if rng.Intn(6) == 0 {
 				base |= uint64(rng.Intn(8))
 			}
 			in.Regs[r] = base
 		}
-		slot := func() uint64 { return p.progBase(i) + uint64(4*rng.Intn(Slots)) }
+		slot := func() uint64 { return progBase(i) + uint64(4*rng.Intn(Slots)) }
 		in.Mtvec = slot() | uint64(rng.Intn(2))
 		in.Stvec = slot() | uint64(rng.Intn(2))
 		in.Mepc, in.Sepc = slot(), slot()
@@ -199,124 +165,16 @@ func (p *schedPair) genSchedCase(rng *rand.Rand, quantum uint64) *SchedCase {
 	return tc
 }
 
-// install writes the case onto a machine: full reset, per-hart program and
-// scratch images, starting CSR/register state, and the locked-PMP
-// confinement that makes each hart a closed system. Entry 0 grants the
-// hart its own program window, entry 1 its own scratch window, and locked
-// entry 2 blankets the rest of the address space with no permissions —
-// shadowing everything else from every privilege level, M included.
+// install writes the case onto a machine: full reset, then each hart's
+// program and scratch images and its confined starting state (startHart),
+// which make each hart a closed system.
 func (p *schedPair) install(m *hart.Machine, tc *SchedCase) {
 	m.Reset(ProgBase)
 	m.Quantum = tc.Quantum
 	for i, h := range m.Harts {
-		prog := make([]byte, 4*len(tc.Progs[i]))
-		for j, w := range tc.Progs[i] {
-			binary.LittleEndian.PutUint32(prog[4*j:], w)
-		}
-		m.LoadImage(p.progBase(i), p.progZero)
-		m.LoadImage(p.scratchBase(i), p.scrZero)
-		m.LoadImage(p.progBase(i), prog)
-
-		in := &tc.Init[i]
-		h.Regs = in.Regs
-		h.Regs[0] = 0
-		h.PC = p.progBase(i)
-		h.Mode = rv.ModeM
-		c := &h.CSR
-		c.WriteMstatus(in.Mstatus)
-		c.Mie = in.Mie
-		c.Medeleg = in.Medeleg
-		c.Mtvec, c.Stvec = in.Mtvec, in.Stvec
-		c.Mepc, c.Sepc = in.Mepc, in.Sepc
-		c.Mscratch, c.Sscratch = in.Mscratch, in.Sscratch
-		c.Mcause, c.Scause = in.Mcause, in.Scause
-		c.Mtval, c.Stval = in.Mtval, in.Stval
-
-		f := c.PMP
-		rwxNapot := uint8(pmp.CfgL | pmp.CfgR | pmp.CfgW | pmp.CfgX | pmp.ANapot<<3)
-		f.ForceAddr(0, napotAddr(p.progBase(i), ProgCap))
-		f.ForceCfg(0, rwxNapot)
-		f.ForceAddr(1, napotAddr(p.scratchBase(i), ScratchSize))
-		f.ForceCfg(1, rwxNapot)
-		f.ForceAddr(2, rv.Mask(54))
-		f.ForceCfg(2, pmp.CfgL|pmp.ANapot<<3)
+		loadWindows(m, progBase(i), scratchBase(i), tc.Progs[i])
+		startHart(h, &tc.Init[i], progBase(i), scratchBase(i))
 	}
-}
-
-// csrDelta returns the first CSR field differing between the two harts'
-// files, or "".
-func csrDelta(a, b *hart.CSRFile) string {
-	fields := []struct {
-		name string
-		a, b uint64
-	}{
-		{"mstatus", a.Mstatus, b.Mstatus}, {"medeleg", a.Medeleg, b.Medeleg},
-		{"mideleg", a.Mideleg, b.Mideleg}, {"mie", a.Mie, b.Mie},
-		{"mtvec", a.Mtvec, b.Mtvec}, {"mcounteren", a.Mcounteren, b.Mcounteren},
-		{"menvcfg", a.Menvcfg, b.Menvcfg}, {"mscratch", a.Mscratch, b.Mscratch},
-		{"mepc", a.Mepc, b.Mepc}, {"mcause", a.Mcause, b.Mcause},
-		{"mtval", a.Mtval, b.Mtval}, {"mseccfg", a.Mseccfg, b.Mseccfg},
-		{"mcountinhibit", a.Mcountinhibit, b.Mcountinhibit},
-		{"stvec", a.Stvec, b.Stvec}, {"scounteren", a.Scounteren, b.Scounteren},
-		{"senvcfg", a.Senvcfg, b.Senvcfg}, {"sscratch", a.Sscratch, b.Sscratch},
-		{"sepc", a.Sepc, b.Sepc}, {"scause", a.Scause, b.Scause},
-		{"stval", a.Stval, b.Stval}, {"satp", a.Satp, b.Satp},
-		{"stimecmp", a.Stimecmp, b.Stimecmp},
-		{"mip", a.Mip(0), b.Mip(0)},
-	}
-	for _, f := range fields {
-		if f.a != f.b {
-			return fmt.Sprintf("%s: seq=%#x par=%#x", f.name, f.a, f.b)
-		}
-	}
-	for i := 0; i < a.PMP.NumEntries(); i++ {
-		if a.PMP.Cfg(i) != b.PMP.Cfg(i) || a.PMP.Addr(i) != b.PMP.Addr(i) {
-			return fmt.Sprintf("pmp%d: seq=%#x/%#x par=%#x/%#x",
-				i, a.PMP.Cfg(i), a.PMP.Addr(i), b.PMP.Cfg(i), b.PMP.Addr(i))
-		}
-	}
-	return ""
-}
-
-// schedCompare checks every observable of a finished case pair and returns
-// a description of the first divergence, or "".
-func (p *schedPair) schedCompare() string {
-	sh, sr := p.seq.Halted()
-	ph, pr := p.par.Halted()
-	if sh != ph || sr != pr {
-		return fmt.Sprintf("machine halt: seq=%v/%q par=%v/%q", sh, sr, ph, pr)
-	}
-	for i := range p.seq.Harts {
-		hS, hP := p.seq.Harts[i], p.par.Harts[i]
-		if hS.Cycles != hP.Cycles {
-			return fmt.Sprintf("hart%d cycles: seq=%d par=%d", i, hS.Cycles, hP.Cycles)
-		}
-		if hS.Instret != hP.Instret || hS.SInstret != hP.SInstret {
-			return fmt.Sprintf("hart%d instret: seq=%d/%d par=%d/%d",
-				i, hS.Instret, hS.SInstret, hP.Instret, hP.SInstret)
-		}
-		if hS.PC != hP.PC || hS.Mode != hP.Mode || hS.Waiting != hP.Waiting ||
-			hS.Halted != hP.Halted {
-			return fmt.Sprintf("hart%d pc/mode/wfi/halt: seq=%#x/%v/%v/%v par=%#x/%v/%v/%v",
-				i, hS.PC, hS.Mode, hS.Waiting, hS.Halted,
-				hP.PC, hP.Mode, hP.Waiting, hP.Halted)
-		}
-		if hS.Regs != hP.Regs {
-			return fmt.Sprintf("hart%d register file differs", i)
-		}
-		if d := csrDelta(&hS.CSR, &hP.CSR); d != "" {
-			return fmt.Sprintf("hart%d %s", i, d)
-		}
-		for _, r := range [][2]uint64{
-			{p.progBase(i), ProgCap}, {p.scratchBase(i), ScratchSize}} {
-			bS, err1 := p.seq.Bus.ReadBytes(r[0], int(r[1]))
-			bP, err2 := p.par.Bus.ReadBytes(r[0], int(r[1]))
-			if err1 != nil || err2 != nil || !bytes.Equal(bS, bP) {
-				return fmt.Sprintf("hart%d memory at %#x differs", i, r[0])
-			}
-		}
-	}
-	return ""
 }
 
 // RunSchedEquivalence fuzzes `cases` scheduler-equivalence cases per
@@ -349,7 +207,7 @@ func RunSchedEquivalence(profiles []string, seed int64, cases int) (*SchedEquivS
 
 		st.Cases++
 		st.Steps += int(k)
-		if desc := p.schedCompare(); desc != "" {
+		if desc := diffMachines("par-vs-seq", p.seq, p.par, ownWindows(p.harts)); desc != "" {
 			st.Mismatches = append(st.Mismatches, &SchedMismatch{Case: tc, Desc: desc})
 			if len(st.Mismatches) >= 10 {
 				break

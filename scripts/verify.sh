@@ -123,13 +123,6 @@ echo "== TEE lifecycle fuzz (shadow-model FSM sweep, 40 cases per profile)"
 # single operation; exits nonzero if the sweep exercised no guards.
 run_gate tee_fuzz go run ./cmd/fuzzdiff -tee 40
 
-echo "== fleet chaos smoke (120 control-plane faults; supervision invariants)"
-# Attacks the vfmd control plane itself — worker panics, stuck/slow jobs,
-# dropped/duplicated requests, mid-job machine kills — and asserts the
-# supervision invariants: service never crashes, every job terminal, no
-# machine lock leaked, no double-runs, respawns within cap.
-run_gate fleet_chaos go run ./cmd/chaos -fleet -smoke -fleet-report "$obs_dir/fleet_chaos.json"
-
 echo "== obs overhead (simulated cycles bit-identical with observability on vs. off)"
 # The same built-in gosbi boot, once bare and once with the full
 # observability layer attached (metrics + trace ring). Observability must
