@@ -236,20 +236,6 @@ func main() {
 		fmt.Printf("geomean speedup: %.2fx (simulated cycles bit-identical in every row)\n", geomean)
 
 		fmt.Println()
-		fmt.Println("Scheduler scaling: sequential round-robin vs. quantum-parallel")
-		fmt.Printf("%-14s %6s %10s %9s %9s %8s\n",
-			"platform", "harts", "steps", "MIPS-seq", "MIPS-par", "speedup")
-		scale, err := bench.SchedScale(hart.VisionFive2, []int{1, 2, 4})
-		if err != nil {
-			fail(err)
-		}
-		for _, r := range scale {
-			fmt.Printf("%-14s %6d %10d %9.2f %9.2f %7.2fx\n",
-				r.Platform, r.Harts, r.Steps, r.MIPSSeq, r.MIPSPar, r.Speedup)
-		}
-		fmt.Println("(per-hart cycle counters asserted bit-identical between schedulers)")
-
-		fmt.Println()
 		fmt.Println("Fork latency: COW spawn-from-snapshot vs. cold boot (200-case campaign)")
 		fmt.Printf("%-14s %6s %12s %12s %12s %8s\n",
 			"platform", "cases", "spawn-ns", "fork-c/s", "cold-c/s", "speedup")
@@ -263,7 +249,7 @@ func main() {
 		fmt.Printf("(shared image %d pages; every case must still finish with guest-exit-pass)\n",
 			fork.ImagePages)
 
-		if err := writeSimHostJSON(*simhostOut, all, scale, fork); err != nil {
+		if err := writeSimHostJSON(*simhostOut, all, fork); err != nil {
 			fail(err)
 		}
 		fmt.Printf("wrote %s\n", *simhostOut)
@@ -303,31 +289,28 @@ func checkSimHostBaseline(path string, geomean, maxRegress float64) error {
 }
 
 // writeSimHostJSON emits the simhost results as a JSON report for the
-// repository's BENCH_simhost.json artifact. The sched_scale and fork
-// sections are informational and deliberately outside the
-// geomean_speedup basis the -simhost-baseline guard reads.
-func writeSimHostJSON(path string, results []*bench.SimHostResult, scale []*bench.SchedScaleResult, fork *bench.ForkLatencyResult) error {
+// repository's BENCH_simhost.json artifact. The fork section is
+// informational and deliberately outside the geomean_speedup basis the
+// -simhost-baseline guard reads.
+func writeSimHostJSON(path string, results []*bench.SimHostResult, fork *bench.ForkLatencyResult) error {
 	report := struct {
-		Note           string                    `json:"note"`
-		GOOS           string                    `json:"goos"`
-		GOARCH         string                    `json:"goarch"`
-		NumCPU         int                       `json:"num_cpu"`
-		GeomeanSpeedup float64                   `json:"geomean_speedup"`
-		Results        []*bench.SimHostResult    `json:"results"`
-		SchedScale     []*bench.SchedScaleResult `json:"sched_scale"`
-		Fork           *bench.ForkLatencyResult  `json:"fork"`
+		Note           string                   `json:"note"`
+		GOOS           string                   `json:"goos"`
+		GOARCH         string                   `json:"goarch"`
+		NumCPU         int                      `json:"num_cpu"`
+		GeomeanSpeedup float64                  `json:"geomean_speedup"`
+		Results        []*bench.SimHostResult   `json:"results"`
+		Fork           *bench.ForkLatencyResult `json:"fork"`
 	}{
 		Note: "host throughput across three execution tiers: interpreter (off), " +
 			"acceleration caches (fast), and caches + superblock translation (on); " +
 			"cycles/instret are asserted bit-identical between all tiers; " +
-			"sched_scale compares the sequential and quantum-parallel schedulers; " +
 			"fork compares COW spawn-from-snapshot against cold boot per campaign case",
 		GOOS:           runtime.GOOS,
 		GOARCH:         runtime.GOARCH,
 		NumCPU:         runtime.NumCPU(),
 		GeomeanSpeedup: bench.GeomeanSpeedup(results),
 		Results:        results,
-		SchedScale:     scale,
 		Fork:           fork,
 	}
 	data, err := json.MarshalIndent(&report, "", "  ")

@@ -17,7 +17,6 @@
 //	go run ./cmd/fuzzdiff -budget 1000000        # long fuzzing run
 //	go run ./cmd/fuzzdiff -profile vf2 -seed 7   # one profile, chosen seed
 //	go run ./cmd/fuzzdiff -inject 50             # fault-injection mode
-//	go run ./cmd/fuzzdiff -sched both            # seq-vs-par scheduler equivalence
 //	go run ./cmd/fuzzdiff -hext -smoke           # hypervisor-extension lockstep gate
 package main
 
@@ -55,10 +54,9 @@ func run(args []string, out, errw io.Writer) int {
 		repros   = fs.String("repros", "internal/verif/fuzz/testdata/repros", "directory for minimized reproducer files")
 		injectN  = fs.Int("inject", 0, "fault-injection mode: run N randomized cases with containment armed instead of lockstep fuzzing")
 		fastpath = fs.String("fastpath", "on", "host acceleration caches: on, off, or both (both = equivalence mode, every case run fast and slow and compared)")
-		equivN   = fs.Int("equiv-cases", 1000, "cases per profile in -fastpath=both and -sched=both equivalence modes")
-		sched    = fs.String("sched", "", "scheduler equivalence: both = every multi-hart case run under the sequential and parallel schedulers and compared")
+		equivN   = fs.Int("equiv-cases", 1000, "cases per profile in the -fastpath=both and -superblock=both equivalence modes")
 		sb       = fs.String("superblock", "", "superblock equivalence: both = every case run on the interpreter, the fast path, and the superblock tier and compared")
-		forkN    = fs.Int("fork", 0, "fork-equivalence mode: run N cases per profile, each forked mid-run and compared bit-for-bit against a cold replay, swept across schedulers and fastpath settings")
+		forkN    = fs.Int("fork", 0, "fork-equivalence mode: run N cases per profile, each forked mid-run and compared bit-for-bit against a cold replay, swept across 1/2 harts and the three execution tiers")
 		hext     = fs.Bool("hext", false, "hypervisor-extension mode: H-biased lockstep fuzzing on the H-capable profiles (guest V-states, hfence, VS CSRs)")
 		hextN    = fs.Int("hext-cases", 500, "cases per profile in -hext mode")
 		teeN     = fs.Int("tee", 0, "TEE lifecycle mode: run N shadow-model fuzz cases per profile over the ACE confidential-compute FSM instead of lockstep fuzzing")
@@ -95,15 +93,6 @@ func run(args []string, out, errw io.Writer) int {
 
 	if *injectN > 0 {
 		return runInject(profiles, *seed, *injectN, out, errw)
-	}
-
-	switch *sched {
-	case "":
-	case "both":
-		return runSchedEquiv(profiles, *seed, *equivN, out, errw)
-	default:
-		fmt.Fprintf(errw, "fuzzdiff: unknown -sched %q (want both)\n", *sched)
-		return 2
 	}
 
 	switch *sb {
@@ -207,7 +196,7 @@ func runHext(profiles []string, seed int64, cases int, repros string, out, errw 
 // runForkEquiv drives the fork-equivalence mode: each case runs a parent,
 // forks it mid-run, and compares child and post-fork parent bit-for-bit
 // (cycle counters included) against a cold replay of the same trajectory,
-// swept across both schedulers and both fastpath settings.
+// swept across one and two harts and the three execution tiers.
 func runForkEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) int {
 	t0 := time.Now()
 	st, err := fuzz.RunForkEquivalence(profiles, seed, cases)
@@ -278,28 +267,6 @@ func runInject(profiles []string, seed int64, cases int, out, errw io.Writer) in
 	return 0
 }
 
-// runSchedEquiv drives the scheduler-equivalence mode: each randomized
-// multi-hart case runs under the sequential round-robin and the parallel
-// quantum scheduler, and any divergence in per-hart end state (cycle
-// counters included) or machine halt state is a failure.
-func runSchedEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) int {
-	t0 := time.Now()
-	st, err := fuzz.RunSchedEquivalence(profiles, seed, cases)
-	if err != nil {
-		fmt.Fprintf(errw, "fuzzdiff: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(out, "sched-equivalence: %d cases, %d seq steps, %d divergence(s) across %d profile(s) in %.1fs\n",
-		st.Cases, st.Steps, len(st.Mismatches), len(profiles), time.Since(t0).Seconds())
-	for _, m := range st.Mismatches {
-		fmt.Fprintf(out, "  DIVERGENCE %s\n", m)
-	}
-	if len(st.Mismatches) > 0 {
-		return 1
-	}
-	return 0
-}
-
 // sbMinChainCases is the run size from which the superblock-equivalence
 // mode fails when no case chained one block into another, or when that
 // many multi-hart cases never ran a multi-hart round: a run that large
@@ -309,10 +276,10 @@ const sbMinChainCases = 100
 // runSBEquiv drives the superblock-equivalence mode: each randomized case
 // runs three times from the identical initial state — on the plain
 // interpreter, on the fast path without superblocks, and on the full stack
-// — under the same scheduler with a live wall clock, and any divergence in
-// end state (cycle counters included) is a failure, as is a run of
-// sbMinChainCases or more cases that never chained, or of as many
-// multi-hart cases that never ran a round.
+// — with a live wall clock, and any divergence in end state (cycle
+// counters included) is a failure, as is a run of sbMinChainCases or more
+// cases that never chained, or of as many multi-hart cases that never ran
+// a round.
 func runSBEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) int {
 	t0 := time.Now()
 	st, err := fuzz.RunSuperblockEquivalence(profiles, seed, cases)

@@ -27,21 +27,6 @@ func TestRunExitCodes(t *testing.T) {
 	}
 }
 
-func TestRunSchedEquivMode(t *testing.T) {
-	var out, errw bytes.Buffer
-	code := run([]string{"-profile", "vf2", "-seed", "9", "-sched", "both",
-		"-equiv-cases", "40"}, &out, &errw)
-	if code != 0 {
-		t.Errorf("sched mode: exit %d, want 0\n%s%s", code, out.String(), errw.String())
-	}
-	if !strings.Contains(out.String(), "sched-equivalence: 40 cases") {
-		t.Errorf("sched summary missing: %s", out.String())
-	}
-	if code := run([]string{"-sched", "bogus"}, &out, &errw); code != 2 {
-		t.Errorf("bad -sched: exit %d, want 2", code)
-	}
-}
-
 func TestRunInjectMode(t *testing.T) {
 	var out, errw bytes.Buffer
 	code := run([]string{"-profile", "vf2", "-seed", "5", "-inject", "6"}, &out, &errw)

@@ -15,7 +15,6 @@
 //	      [-native] [-no-offload]
 //	      [-image prog.bin] [-base addr] [-platform visionfive2|p550|rva23]
 //	      [-harts 1] [-max-steps N] [-trace] [-fastpath=true] [-superblock=true]
-//	      [-sched seq] [-quantum 1024]
 //	      [-trace-out boot.json] [-metrics-out metrics.json] [-metrics]
 //	      [-cpuprofile prof.out] [-memprofile heap.out]
 //
@@ -63,8 +62,6 @@ func run(args []string, out, errw io.Writer) int {
 		traceTraps = fs.Bool("trace", false, "print every trap")
 		fastpath   = fs.Bool("fastpath", true, "enable host acceleration caches")
 		superblock = fs.Bool("superblock", true, "enable the superblock translation tier (requires -fastpath)")
-		sched      = fs.String("sched", "seq", "execution scheduler: seq (round-robin) or par (quantum-parallel)")
-		quantum    = fs.Uint64("quantum", 0, "parallel scheduler slice length in cycles (0 = default)")
 		traceOut   = fs.String("trace-out", "", "write Chrome trace_event JSON to this file")
 		metricsOut = fs.String("metrics-out", "", "write a metrics snapshot (JSON) to this file")
 		metricsDmp = fs.Bool("metrics", false, "print a metrics dump on exit")
@@ -82,10 +79,6 @@ func run(args []string, out, errw io.Writer) int {
 	mk, ok := hart.Profiles()[*platform]
 	if !ok {
 		return fail(2, fmt.Errorf("unknown platform %q", *platform))
-	}
-	kind, err := hart.ParseSched(*sched)
-	if err != nil {
-		return fail(2, err)
 	}
 	switch govfm.FirmwareKind(*fw) {
 	case govfm.Gosbi, govfm.Minsbi, govfm.RTOS:
@@ -135,8 +128,6 @@ func run(args []string, out, errw io.Writer) int {
 			Offload:    !*noOffload,
 			Policy:     pol,
 			Obs:        ob,
-			Sched:      *sched,
-			Quantum:    *quantum,
 		})
 		if err != nil {
 			return fail(1, err)
@@ -160,8 +151,6 @@ func run(args []string, out, errw io.Writer) int {
 		}
 		m.Reset(*base)
 	}
-	m.Sched = kind
-	m.Quantum = *quantum
 	if *traceTraps {
 		for _, h := range m.Harts {
 			h.OnTrap = func(t hart.TrapInfo) {

@@ -46,7 +46,6 @@ func TestRun(t *testing.T) {
 		{name: "minsbi-keystone", args: []string{"-firmware", "minsbi", "-policy", "keystone"}, code: 0,
 			want: []string{"cycles=73095", "monitor: emulations=90 world-switches=22 fast-path=23"}},
 		{name: "bad-policy", args: []string{"-policy", "bogus"}, code: 2},
-		{name: "bad-sched", args: []string{"-sched", "bogus"}, code: 2},
 		{name: "bad-platform", args: []string{"-platform", "bogus"}, code: 2},
 		{name: "bad-firmware", args: []string{"-firmware", "bogus"}, code: 2},
 		{name: "bad-flag", args: []string{"-bogus"}, code: 2},

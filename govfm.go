@@ -126,15 +126,6 @@ type Config struct {
 	// off.
 	Obs *obs.Observer
 
-	// Sched selects the execution scheduler: "seq" (default) steps harts
-	// round-robin on one goroutine; "par" runs each hart on its own
-	// goroutine for a quantum of simulated cycles between deterministic
-	// barriers (see DESIGN.md, "Parallel hart scheduling").
-	Sched string
-	// Quantum is the parallel scheduler's slice length in simulated cycles
-	// (0 = hart.DefaultQuantum); ignored under the sequential scheduler.
-	Quantum uint64
-
 	// VirtualizePLIC enables the experimental virtual PLIC (paper §4.3).
 	VirtualizePLIC bool
 	// IOPMP adds an IOPMP unit to the machine and virtualizes it (§4.3);
@@ -175,12 +166,6 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched, err := hart.ParseSched(cfg.Sched)
-	if err != nil {
-		return nil, fmt.Errorf("govfm: %v", err)
-	}
-	m.Sched = sched
-	m.Quantum = cfg.Quantum
 
 	img := cfg.FirmwareImage
 	needKernel := true

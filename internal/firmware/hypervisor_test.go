@@ -12,71 +12,32 @@ import (
 
 // TestHypervisorBootMatrix boots the synthetic type-1 hypervisor — HS-mode
 // host, two VS-mode guests behind an Sv39x4 G-stage — natively and under
-// the monitor, on both schedulers. The guest-visible console stream must
-// be byte-identical in every cell, and the hypervisor's own counter checks
-// (one fetch/load/store guest-page fault, two virtual-instruction traps)
-// gate the "guest-exit-pass" halt the run helper asserts.
+// the monitor. The guest-visible console stream must be byte-identical in
+// both, and the hypervisor's own counter checks (one fetch/load/store
+// guest-page fault, two virtual-instruction traps) gate the
+// "guest-exit-pass" halt the run helper asserts.
 func TestHypervisorBootMatrix(t *testing.T) {
 	hyp := kernel.BuildHypervisor(core.OSBase, kernel.HypOptions{Yields: 3})
-	for _, sched := range []hart.SchedKind{hart.SchedSeq, hart.SchedPar} {
-		mk := func() *hart.Config {
-			cfg := hart.PremierP550() // the H-capable profile
-			cfg.Harts = 1
-			return cfg
-		}
-		fw := firmware.BuildGosbi(core.FirmwareBase, firmware.Options{
-			OSEntry: core.OSBase, Harts: 1, FirmwareSize: core.FirmwareSize,
-		})
-		native := runSched(t, mk(), fw, hyp, false, sched, 5_000_000)
-		virt := runSched(t, mk(), fw, hyp, true, sched, 5_000_000)
-		if native.Uart.Output() != virt.Uart.Output() {
-			t.Errorf("%v: hypervisor output diverged:\nnative: %q\nvirt:   %q",
-				sched, native.Uart.Output(), virt.Uart.Output())
-		}
-		// Both guests must have reached their banner and the hypervisor
-		// its all-done marker.
-		out := native.Uart.Output()
-		for _, want := range []string{"h", "a", "b", "H\n"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("%v: missing %q in %q", sched, want, out)
-			}
+	mk := func() *hart.Config {
+		cfg := hart.PremierP550() // the H-capable profile
+		cfg.Harts = 1
+		return cfg
+	}
+	fw := firmware.BuildGosbi(core.FirmwareBase, firmware.Options{
+		OSEntry: core.OSBase, Harts: 1, FirmwareSize: core.FirmwareSize,
+	})
+	native := run(t, mk(), fw, hyp, false, 5_000_000)
+	virt := run(t, mk(), fw, hyp, true, 5_000_000)
+	if native.Uart.Output() != virt.Uart.Output() {
+		t.Errorf("hypervisor output diverged:\nnative: %q\nvirt:   %q",
+			native.Uart.Output(), virt.Uart.Output())
+	}
+	// Both guests must have reached their banner and the hypervisor its
+	// all-done marker.
+	out := native.Uart.Output()
+	for _, want := range []string{"h", "a", "b", "H\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in %q", want, out)
 		}
 	}
-}
-
-// runSched is run with an explicit scheduler selection.
-func runSched(t *testing.T, cfg *hart.Config, fw firmware.Image, kern []byte,
-	virtualize bool, sched hart.SchedKind, maxSteps uint64) *hart.Machine {
-	t.Helper()
-	m, err := hart.NewMachine(cfg, core.DramSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Sched = sched
-	if err := m.LoadImage(fw.Base, fw.Bytes); err != nil {
-		t.Fatal(err)
-	}
-	if kern != nil {
-		if err := m.LoadImage(core.OSBase, kern); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if virtualize {
-		mon, err := core.Attach(m, core.Options{Offload: true, FirmwareEntry: fw.Base})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mon.Boot()
-	} else {
-		m.Reset(fw.Base)
-	}
-	m.Run(maxSteps)
-	ok, reason := m.Halted()
-	if !ok {
-		t.Fatalf("did not halt: hart0=%v uart=%q", m.Harts[0], m.Uart.Output())
-	}
-	if reason != "guest-exit-pass" {
-		t.Fatalf("halted with %q (uart=%q)", reason, m.Uart.Output())
-	}
-	return m
 }

@@ -17,14 +17,6 @@ func (h *Hart) execute(raw uint32) {
 // instruction (PC and instret update); on an exception it performs trap
 // entry with the PC still pointing at the faulting instruction.
 func (h *Hart) exec(d *rv.Decoded) {
-	if h.inSlice && d.Op == rv.OpAmo {
-		// AMOs are globally ordered read-modify-writes; park so the barrier
-		// replays them with direct bus access, where cross-hart atomicity
-		// holds trivially.
-		h.park = parkReplay
-		return
-	}
-	start := h.Cycles
 	h.charge(h.Cfg.Cost.Instr)
 	mode := h.Mode // retirement mode: sret/mret change h.Mode mid-execute
 	next := h.PC + 4
@@ -220,15 +212,6 @@ func (h *Hart) exec(d *rv.Decoded) {
 	}
 
 	if ei != nil {
-		if ei == errParked {
-			// The instruction needed a device mid-slice. Nothing
-			// architectural changed before the refused access (registers,
-			// PC, and the reservation are only touched on success); undo
-			// the cycle charges and let the barrier replay it.
-			h.Cycles = start
-			h.park = parkReplay
-			return
-		}
 		h.raise(ei)
 		return
 	}
@@ -653,9 +636,6 @@ func (h *Hart) hlsv(raw uint32, rd, rs1, rs2 uint32, next uint64) (uint64, *Exc)
 	env.HLVX = hlvx
 	res := mmu.Translate(env, va, acc)
 	if !res.OK {
-		if h.inSlice && h.mem.TakeBlocked() {
-			return next, errParked
-		}
 		ei := h.exc(res.Cause, va)
 		ei.Gpa = res.GPA
 		return next, ei
@@ -665,29 +645,14 @@ func (h *Hart) hlsv(raw uint32, rd, rs1, rs2 uint32, next uint64) (uint64, *Exc)
 	}
 	h.charge(h.Cfg.Cost.MemAccess)
 	if store {
-		if !h.mem.Store(res.PA, size, h.Reg(rs2)) {
-			if h.inSlice && h.mem.TakeBlocked() {
-				return next, errParked
-			}
+		if !h.Bus.Store(res.PA, size, h.Reg(rs2)) {
 			return next, h.exc(rv.ExcStoreAccessFault, va)
 		}
-		if h.resValid && res.PA&^7 == h.resAddr&^7 {
-			h.resValid = false
-		}
-		if h.inSlice {
-			h.noteOwnStore(res.PA, size)
-		} else {
-			for _, p := range h.peers {
-				p.KillReservation(res.PA)
-			}
-		}
+		h.killReservations(res.PA)
 		return next, nil
 	}
-	v, loaded := h.mem.Load(res.PA, size)
+	v, loaded := h.Bus.Load(res.PA, size)
 	if !loaded {
-		if h.inSlice && h.mem.TakeBlocked() {
-			return next, errParked
-		}
 		return next, h.exc(rv.ExcLoadAccessFault, va)
 	}
 	if signed {

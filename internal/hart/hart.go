@@ -117,20 +117,9 @@ type Hart struct {
 	// See superblock.go.
 	sb sbState
 
-	// mem is this hart's private port onto the bus: a pass-through in
-	// sequential mode, a write-buffering frozen-RAM view during parallel
-	// slices. All of the hart's own accesses go through it; Bus stays the
-	// shared bus for external agents (monitor, harnesses), which only run
-	// while the harts are quiesced.
-	mem *mem.Port
 	// peers lists the machine's other harts, for cross-hart LR/SC
 	// reservation kills on stores (wired by NewMachine).
 	peers []*Hart
-
-	// inSlice is set while the hart executes inside a parallel quantum
-	// slice; park records why the slice ended early. See sched.go.
-	inSlice bool
-	park    parkKind
 }
 
 // New creates a hart with reset state: M-mode, all CSRs at reset values.
@@ -146,7 +135,6 @@ func New(id int, cfg *Config, bus *mem.Bus) *Hart {
 	h.fast.pages = make(map[uint64]*decPage)
 	h.fast.ptePages = make(map[uint64]struct{})
 	if bus != nil {
-		h.mem = mem.NewPort(bus)
 		bus.AddPageWatcher(h)
 		h.SetFastPath(true)
 		h.sb.on = true
@@ -299,13 +287,6 @@ func (h *Hart) trap(cause, tval, gpa, epc uint64) {
 	h.PC = vectorPC(h.CSR.Mtvec, cause)
 	h.notifyTrap(cause, tval, epc, from, rv.ModeM)
 	if h.Monitor != nil {
-		if h.inSlice {
-			// Parallel slice: architectural M-trap entry is complete, but
-			// the monitor is shared host-side state — defer HandleMTrap to
-			// the quantum barrier, where harts run in deterministic order.
-			h.park = parkMonitor
-			return
-		}
 		// The "m-trap" span brackets the monitor's handling of this trap:
 		// it closes when HandleMTrap returns, which encloses the mret
 		// (ReturnMRET runs inside the handler), so the span reads as
@@ -501,10 +482,6 @@ func (h *Hart) Step() {
 	if h.fast.on {
 		d, ei := h.fetchFast()
 		if ei != nil {
-			if ei == errParked {
-				h.park = parkReplay
-				return
-			}
 			h.raise(ei)
 			return
 		}
@@ -523,10 +500,6 @@ func (h *Hart) Step() {
 	}
 	raw, ei := h.fetch()
 	if ei != nil {
-		if ei == errParked {
-			h.park = parkReplay
-			return
-		}
 		h.raise(ei)
 		return
 	}
@@ -543,9 +516,6 @@ func (h *Hart) fetch() (uint32, *Exc) {
 	env := h.mmuEnv(h.Mode, h.V)
 	res := mmu.Translate(env, h.PC, mem.Exec)
 	if !res.OK {
-		if h.inSlice && h.mem.TakeBlocked() {
-			return 0, errParked
-		}
 		ei := h.exc(res.Cause, h.PC)
 		ei.Gpa = res.GPA
 		return 0, ei
@@ -553,11 +523,8 @@ func (h *Hart) fetch() (uint32, *Exc) {
 	if !h.CSR.PMP.Check(res.PA, 4, mem.Exec, h.Mode) {
 		return 0, h.exc(rv.ExcInstrAccessFault, h.PC)
 	}
-	v, ok := h.mem.Load(res.PA, 4)
+	v, ok := h.Bus.Load(res.PA, 4)
 	if !ok {
-		if h.inSlice && h.mem.TakeBlocked() {
-			return 0, errParked
-		}
 		return 0, h.exc(rv.ExcInstrAccessFault, h.PC)
 	}
 	return uint32(v), nil
@@ -565,7 +532,7 @@ func (h *Hart) fetch() (uint32, *Exc) {
 
 func (h *Hart) mmuEnv(priv rv.Mode, virt bool) *mmu.Env {
 	e := &h.envCache
-	e.Bus = h.mem
+	e.Bus = h.Bus
 	e.PMP = h.CSR.PMP
 	e.Priv = priv
 	e.HLVX = false
@@ -645,34 +612,14 @@ func (h *Hart) MemAccess(va uint64, size int, acc mem.AccessType, value uint64, 
 	}
 	h.charge(h.Cfg.Cost.MemAccess)
 	if acc == mem.Write {
-		if !h.mem.Store(pa, size, value) {
-			if h.inSlice && h.mem.TakeBlocked() {
-				return 0, errParked
-			}
+		if !h.Bus.Store(pa, size, value) {
 			return 0, h.exc(rv.ExcStoreAccessFault, va)
 		}
-		// A store to the reservation's region kills it — this hart's
-		// immediately, and every peer's, as cache coherence would. During a
-		// parallel slice the store is buffered: this hart's own caches see
-		// it at once (noteOwnStore), peers' reservations and caches when it
-		// commits at the barrier.
-		if h.resValid && pa&^7 == h.resAddr&^7 {
-			h.resValid = false
-		}
-		if h.inSlice {
-			h.noteOwnStore(pa, size)
-		} else {
-			for _, p := range h.peers {
-				p.KillReservation(pa)
-			}
-		}
+		h.killReservations(pa)
 		return 0, nil
 	}
-	v, ok := h.mem.Load(pa, size)
+	v, ok := h.Bus.Load(pa, size)
 	if !ok {
-		if h.inSlice && h.mem.TakeBlocked() {
-			return 0, errParked
-		}
 		return 0, h.exc(rv.ExcLoadAccessFault, va)
 	}
 	return v, nil
@@ -691,6 +638,16 @@ func (h *Hart) SetReservation(addr uint64) {
 func (h *Hart) KillReservation(pa uint64) {
 	if h.resValid && pa&^7 == h.resAddr&^7 {
 		h.resValid = false
+	}
+}
+
+// killReservations applies a store at pa by this hart to every LR/SC
+// reservation on the machine: this hart's and each peer's die if they
+// cover pa's doubleword, as cache coherence would on real hardware.
+func (h *Hart) killReservations(pa uint64) {
+	h.KillReservation(pa)
+	for _, p := range h.peers {
+		p.KillReservation(pa)
 	}
 }
 

@@ -202,20 +202,6 @@ func (h *Hart) InvalidatePhysPage(page uint64, lo, hi int) bool {
 	return true
 }
 
-// noteOwnStore applies a store this hart just buffered inside a parallel
-// slice to its own caches, as the bus watch does for a direct store. The
-// port forwards the buffered bytes to the hart's own fetches and page
-// walks at once, so its decodes and translations cannot wait for the
-// barrier, whose commit notifies every hart, this one again included.
-func (h *Hart) noteOwnStore(pa uint64, size int) {
-	for end := pa + uint64(size); pa < end; {
-		page := pa &^ 4095
-		hi := min(end, page+4096)
-		h.InvalidatePhysPage(page, int(pa-page), int(hi-page))
-		pa = hi
-	}
-}
-
 // flushDecode drops every predecoded page (fence.i, snapshot restore,
 // fast-path toggle). The bus watch bits stay armed until the next write to
 // each page, which this hart then declines to keep.
@@ -240,7 +226,7 @@ func (h *Hart) flushTLB() {
 func (h *Hart) tlbFill(acc mem.AccessType, vpn uint64, k mmu.Key, res *mmu.Result) {
 	for i := 0; i < res.WalkLen; i++ {
 		p := res.Walk[i] &^ 4095
-		if !h.mem.WatchPage(p) {
+		if !h.Bus.WatchPage(p) {
 			return
 		}
 		h.fast.ptePages[p] = struct{}{}
@@ -300,9 +286,6 @@ func (h *Hart) translate(va uint64, acc mem.AccessType, priv rv.Mode, virt bool)
 		h.Perf.PageWalks++
 		res := mmu.Translate(h.mmuEnv(priv, virt), va, acc)
 		if !res.OK {
-			if h.inSlice && h.mem.TakeBlocked() {
-				return 0, errParked
-			}
 			ei := h.exc(res.Cause, va)
 			ei.Gpa = res.GPA
 			return 0, ei
@@ -319,9 +302,6 @@ func (h *Hart) translate(va uint64, acc mem.AccessType, priv rv.Mode, virt bool)
 	h.Perf.PageWalks++
 	res := mmu.Translate(h.mmuEnv(priv, virt), va, acc)
 	if !res.OK {
-		if h.inSlice && h.mem.TakeBlocked() {
-			return 0, errParked
-		}
 		ei := h.exc(res.Cause, va)
 		ei.Gpa = res.GPA
 		return 0, ei
@@ -351,14 +331,11 @@ func (h *Hart) fetchFast() (*rv.Decoded, *Exc) {
 	if dp == nil || h.fast.lastPageBase != pageBase {
 		dp = h.fast.pages[pageBase]
 		if dp == nil {
-			if !h.mem.WatchPage(pageBase) {
+			if !h.Bus.WatchPage(pageBase) {
 				// Not RAM: execute-in-place from a device; never cache.
 				h.Perf.DecodeMisses++
-				v, ok := h.mem.Load(pa, 4)
+				v, ok := h.Bus.Load(pa, 4)
 				if !ok {
-					if h.inSlice && h.mem.TakeBlocked() {
-						return nil, errParked
-					}
 					return nil, h.exc(rv.ExcInstrAccessFault, h.PC)
 				}
 				h.fast.scratch = rv.Decode(uint32(v))
@@ -375,7 +352,7 @@ func (h *Hart) fetchFast() (*rv.Decoded, *Exc) {
 	h.fast.fetchDP, h.fast.fetchSlot, h.fast.fetchPA = dp, i, pa
 	if !dp.decoded(i) {
 		h.Perf.DecodeMisses++
-		v, ok := h.mem.Load(pa, 4)
+		v, ok := h.Bus.Load(pa, 4)
 		if !ok {
 			return nil, h.exc(rv.ExcInstrAccessFault, h.PC)
 		}

@@ -55,26 +55,16 @@ type Image struct {
 	Halted        bool
 	HaltReason    string
 
-	Sched      SchedKind
-	Quantum    uint64
 	FastPath   bool
 	Superblock bool
 }
 
 // Snapshot captures the complete machine as an Image in O(pages touched
-// since the last snapshot), sealing the current RAM generation. It must be
-// taken at a quiescent point: under SchedPar, mid-quantum snapshots (e.g.
-// from a monitor handler running at the barrier's replay stage) are
-// refused rather than risking a torn view of the per-hart store buffers.
+// since the last snapshot), sealing the current RAM generation. It may be
+// taken between machine steps or from inside a monitor handler: every
+// store a hart makes reaches the bus before its step ends, so there is no
+// in-flight state to tear. The error result is always nil today.
 func (m *Machine) Snapshot() (*Image, error) {
-	if m.inRound.Load() {
-		return nil, fmt.Errorf("hart: Snapshot mid-quantum under the parallel scheduler; snapshot only at round boundaries")
-	}
-	for _, h := range m.Harts {
-		if h.mem.Buffered() != 0 {
-			return nil, fmt.Errorf("hart: Snapshot with hart %d holding %d uncommitted buffered words", h.ID, h.mem.Buffered())
-		}
-	}
 	img := &Image{
 		Cfg:           m.Cfg,
 		DramSize:      m.DramSize,
@@ -86,8 +76,6 @@ func (m *Machine) Snapshot() (*Image, error) {
 		TimeRemainder: m.timeRemainder,
 		Halted:        m.halted,
 		HaltReason:    m.haltReason,
-		Sched:         m.Sched,
-		Quantum:       m.Quantum,
 		FastPath:      m.Harts[0].fast.on,
 		Superblock:    m.Harts[0].sb.on,
 	}
@@ -118,7 +106,6 @@ func (m *Machine) LoadImageState(img *Image) error {
 	}
 	for i, h := range m.Harts {
 		h.Restore(img.Harts[i]) // flushes predecode/TLB, reapplies PMP fast mode
-		h.mem.Discard()
 	}
 	m.Clint.Restore(img.Clint)
 	m.Plic.Restore(img.Plic)
@@ -148,8 +135,6 @@ func SpawnFromImage(img *Image) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.Sched = img.Sched
-	m.Quantum = img.Quantum
 	if err := m.LoadImageState(img); err != nil {
 		return nil, err
 	}

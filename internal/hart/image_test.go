@@ -75,51 +75,48 @@ func machinesEqual(t *testing.T, tag string, a, b *Machine) {
 // TestForkMatchesColdReplay is the core fork contract at machine level: a
 // child forked at step k1 and run to completion must be bit-identical —
 // cycle counters included — to a cold machine replayed through the same
-// trajectory, under both schedulers; and the parent, running on after the
-// fork, must be equally unperturbed by the child.
+// trajectory, with the fast path on and off; and the parent, running on
+// after the fork, must be equally unperturbed by the child.
 func TestForkMatchesColdReplay(t *testing.T) {
-	for _, sc := range schedNames {
-		for _, fast := range []bool{true, false} {
-			name := sc.name
-			if !fast {
-				name += "-nofast"
-			}
-			t.Run(name, func(t *testing.T) {
-				prog := forkProg(4000)
-				build := func() *Machine {
-					m := newTestMachine(t, 1)
-					m.Sched = sc.kind
-					m.SetFastPath(fast)
-					_ = m.LoadImage(DramBase, prog)
-					m.Reset(DramBase)
-					return m
-				}
-				const k1, k2 = 5000, 100000
-
-				parent := build()
-				parent.Run(k1)
-				img, err := parent.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				child, err := SpawnFromImage(img)
-				if err != nil {
-					t.Fatal(err)
-				}
-				child.Run(k2)
-				parent.Run(k2)
-
-				cold := build()
-				cold.Run(k1)
-				cold.Run(k2)
-
-				if ok, reason := child.Halted(); !ok || !strings.Contains(reason, "pass") {
-					t.Fatalf("child did not finish: %v %q", ok, reason)
-				}
-				machinesEqual(t, "child-vs-cold", child, cold)
-				machinesEqual(t, "parent-vs-cold", parent, cold)
-			})
+	for _, fast := range []bool{true, false} {
+		name := "seq"
+		if !fast {
+			name += "-nofast"
 		}
+		t.Run(name, func(t *testing.T) {
+			prog := forkProg(4000)
+			build := func() *Machine {
+				m := newTestMachine(t, 1)
+				m.SetFastPath(fast)
+				_ = m.LoadImage(DramBase, prog)
+				m.Reset(DramBase)
+				return m
+			}
+			const k1, k2 = 5000, 100000
+
+			parent := build()
+			parent.Run(k1)
+			img, err := parent.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			child, err := SpawnFromImage(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			child.Run(k2)
+			parent.Run(k2)
+
+			cold := build()
+			cold.Run(k1)
+			cold.Run(k2)
+
+			if ok, reason := child.Halted(); !ok || !strings.Contains(reason, "pass") {
+				t.Fatalf("child did not finish: %v %q", ok, reason)
+			}
+			machinesEqual(t, "child-vs-cold", child, cold)
+			machinesEqual(t, "parent-vs-cold", parent, cold)
+		})
 	}
 }
 
@@ -128,48 +125,45 @@ func TestForkMatchesColdReplay(t *testing.T) {
 // breaking pages off the shared snapshot backing. Under -race this is the
 // machine-level COW isolation gate; the end states must still all agree.
 func TestForkFamilyRunsConcurrently(t *testing.T) {
-	for _, sc := range schedNames {
-		t.Run(sc.name, func(t *testing.T) {
-			prog := forkProg(20000)
-			parent := newTestMachine(t, 1)
-			parent.Sched = sc.kind
-			_ = parent.LoadImage(DramBase, prog)
-			parent.Reset(DramBase)
-			parent.Run(3000)
+	t.Run("seq", func(t *testing.T) {
+		prog := forkProg(20000)
+		parent := newTestMachine(t, 1)
+		_ = parent.LoadImage(DramBase, prog)
+		parent.Reset(DramBase)
+		parent.Run(3000)
 
-			const children = 4
-			kids := make([]*Machine, children)
-			for i := range kids {
-				c, err := parent.Fork()
-				if err != nil {
-					t.Fatal(err)
-				}
-				kids[i] = c
+		const children = 4
+		kids := make([]*Machine, children)
+		for i := range kids {
+			c, err := parent.Fork()
+			if err != nil {
+				t.Fatal(err)
 			}
-			var wg sync.WaitGroup
-			run := func(m *Machine) {
-				defer wg.Done()
-				m.Run(500000)
-			}
-			wg.Add(children + 1)
-			go run(parent)
-			for _, c := range kids {
-				go run(c)
-			}
-			wg.Wait()
+			kids[i] = c
+		}
+		var wg sync.WaitGroup
+		run := func(m *Machine) {
+			defer wg.Done()
+			m.Run(500000)
+		}
+		wg.Add(children + 1)
+		go run(parent)
+		for _, c := range kids {
+			go run(c)
+		}
+		wg.Wait()
 
-			if ok, reason := parent.Halted(); !ok || !strings.Contains(reason, "pass") {
-				t.Fatalf("parent: %v %q", ok, reason)
+		if ok, reason := parent.Halted(); !ok || !strings.Contains(reason, "pass") {
+			t.Fatalf("parent: %v %q", ok, reason)
+		}
+		for i, c := range kids {
+			if ok, reason := c.Halted(); !ok || !strings.Contains(reason, "pass") {
+				t.Fatalf("child %d: %v %q", i, ok, reason)
 			}
-			for i, c := range kids {
-				if ok, reason := c.Halted(); !ok || !strings.Contains(reason, "pass") {
-					t.Fatalf("child %d: %v %q", i, ok, reason)
-				}
-				machinesEqual(t, "sibling", kids[0], c)
-			}
-			machinesEqual(t, "parent-vs-child", parent, kids[0])
-		})
-	}
+			machinesEqual(t, "sibling", kids[0], c)
+		}
+		machinesEqual(t, "parent-vs-child", parent, kids[0])
+	})
 }
 
 // snapshotInTrap is a Monitor that tries to snapshot the machine from
@@ -188,41 +182,14 @@ func (s *snapshotInTrap) HandleMTrap(h *Hart) {
 	h.HaltReason = "monitor-done"
 }
 
-// TestSnapshotMidQuantumRefused is the regression test for torn parallel
-// snapshots: under SchedPar a monitor handler runs at the quantum
-// barrier's replay stage — still inside the round — and a Snapshot taken
-// there must be refused rather than capturing half-committed store-buffer
-// state. At a round boundary the same machine must snapshot cleanly.
+// TestSnapshotMidQuantumRefused: a snapshot taken from inside a monitor
+// handler succeeds, since every store a hart makes reaches the bus before
+// the handler runs.
 func TestSnapshotMidQuantumRefused(t *testing.T) {
 	a := asm.New(DramBase)
 	a.Ecall()
 	prog := a.MustAssemble()
 
-	m := newTestMachine(t, 2)
-	m.Sched = SchedPar
-	mon := &snapshotInTrap{m: m}
-	for _, h := range m.Harts {
-		h.Monitor = mon
-	}
-	_ = m.LoadImage(DramBase, prog)
-	m.Reset(DramBase)
-	m.Run(100)
-
-	if mon.hits == 0 {
-		t.Fatal("monitor never ran")
-	}
-	if mon.err == nil || mon.img != nil {
-		t.Fatalf("mid-quantum Snapshot must be refused, got img=%v err=%v", mon.img, mon.err)
-	}
-	if !strings.Contains(mon.err.Error(), "mid-quantum") {
-		t.Fatalf("unexpected error: %v", mon.err)
-	}
-	// Quiesced at a round boundary: snapshot must succeed.
-	if _, err := m.Snapshot(); err != nil {
-		t.Fatalf("boundary Snapshot failed: %v", err)
-	}
-	// Under the sequential scheduler the machine is quiesced inside the
-	// handler, so the same monitor snapshot succeeds.
 	ms := newTestMachine(t, 1)
 	mons := &snapshotInTrap{m: ms}
 	ms.Harts[0].Monitor = mons

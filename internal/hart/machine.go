@@ -2,14 +2,12 @@ package hart
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"govfm/internal/dev/clint"
 	"govfm/internal/dev/iopmp"
 	"govfm/internal/dev/plic"
 	"govfm/internal/dev/uart"
 	"govfm/internal/mem"
-	"govfm/internal/obs"
 	"govfm/internal/rv"
 )
 
@@ -68,27 +66,10 @@ type Machine struct {
 
 	DramSize uint64
 
-	// Sched selects the execution engine: SchedSeq (default) is the
-	// per-instruction round-robin; SchedPar runs each hart on its own
-	// goroutine for Quantum simulated cycles between barriers (sched.go).
-	Sched SchedKind
-	// Quantum is the parallel slice length in simulated cycles
-	// (0 = DefaultQuantum). Ignored under SchedSeq.
-	Quantum uint64
-
 	halted     bool
 	haltReason string
 
 	timeRemainder uint64
-
-	// trace receives scheduler barrier instants (AttachObs).
-	trace *obs.Tracer
-	// par is the parallel scheduler's reusable round state.
-	par parScratch
-	// inRound is set for the duration of a parallel quantum round, during
-	// which per-hart store buffers hold uncommitted state; Snapshot refuses
-	// to run while it is set.
-	inRound atomic.Bool
 }
 
 // NewMachine builds a platform from a profile with the given DRAM size.
@@ -214,11 +195,7 @@ func (m *Machine) Reset(pc uint64) {
 		// entries with fill-time epochs that a rewound counter could
 		// eventually re-validate.
 		h.CSR.PMP.AdvanceEpoch(oldEpoch + 1)
-		h.inSlice, h.park = false, parkNone
 		h.sb.armed = false
-		if h.mem != nil {
-			h.mem.Discard()
-		}
 		// The fresh CSR file brings a fresh PMP: reapply the fast-path mode
 		// and drop every host cache keyed on the old file's epoch.
 		h.SetFastPath(h.fast.on)
@@ -236,8 +213,7 @@ func (m *Machine) Reset(pc uint64) {
 }
 
 // Step advances every runnable hart by one instruction and the global time
-// by the cycles the slowest hart consumed (cores share a wall clock). This
-// is always the sequential scheduler; Run dispatches on Sched.
+// by the cycles the slowest hart consumed (cores share a wall clock).
 func (m *Machine) Step() { m.stepSeq(1) }
 
 // stepSeq runs sequential machine steps within a step budget and returns
@@ -528,15 +504,11 @@ func (m *Machine) sbSeqHeadroom(h *Hart) uint64 {
 	return limit
 }
 
-// Run advances the machine until it halts or maxSteps machine steps elapse
-// (under SchedPar, until every hart has executed up to maxSteps
-// instructions). It returns the number of steps taken and whether the
-// machine halted. Under SchedSeq each iteration may retire a whole
-// superblock, counted as the equivalent number of per-instruction steps.
+// Run advances the machine until it halts or maxSteps machine steps elapse.
+// It returns the number of steps taken and whether the machine halted.
+// Each iteration may retire a whole superblock or round, counted as the
+// equivalent number of per-instruction steps.
 func (m *Machine) Run(maxSteps uint64) (uint64, bool) {
-	if m.Sched == SchedPar {
-		return m.runPar(maxSteps)
-	}
 	var steps uint64
 	for steps < maxSteps && !m.halted {
 		steps += m.stepSeq(maxSteps - steps)
@@ -545,12 +517,9 @@ func (m *Machine) Run(maxSteps uint64) (uint64, bool) {
 }
 
 // RunUntil steps until cond returns true, the machine halts, or maxSteps
-// elapse; it reports whether cond was met. Under SchedPar, cond is
-// evaluated at quantum-round boundaries.
+// elapse; it reports whether cond was met. cond is evaluated before every
+// machine step.
 func (m *Machine) RunUntil(cond func() bool, maxSteps uint64) bool {
-	if m.Sched == SchedPar {
-		return m.runParUntil(cond, maxSteps)
-	}
 	for steps := uint64(0); steps < maxSteps && !m.halted; steps++ {
 		if cond() {
 			return true

@@ -43,9 +43,7 @@ type PerfCounters struct {
 	// Outcomes of writes into pages this hart caches decodes for
 	// (InvalidatePhysPage): writes that dropped a live decode or
 	// superblock (self-modifying or reloaded code), and writes that
-	// touched no live slot (data sharing a page with code). In a parallel
-	// slice a hart's own store is seen at the store and again, as a data
-	// write, when the barrier commits it.
+	// touched no live slot (data sharing a page with code).
 	CodeWriteInvalidations uint64
 	CodePageDataWrites     uint64
 }
@@ -88,7 +86,6 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 	for _, h := range m.Harts {
 		h.Trace = o.Trace
 	}
-	m.trace = o.Trace // scheduler barrier instants (SchedPar)
 	r := o.Metrics
 	if r == nil {
 		return

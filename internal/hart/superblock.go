@@ -27,9 +27,8 @@ package hart
 //     instruction that could change it (CSR writes, xRET, traps) is a
 //     block terminator.
 //
-//  2. Cycle-budget headroom. Blocks stop before the point where a
-//     per-instruction scheduler would have intervened: under SchedPar the
-//     limit is the remaining quantum, under SchedSeq the distance to the
+//  2. Cycle-budget headroom. Blocks stop before the point where the
+//     per-instruction scheduler would have intervened: the distance to the
 //     next timer comparator (Machine.sbSeqHeadroom), so interrupt latch
 //     points — and therefore the whole architectural trace — land exactly
 //     where the interpreter would put them.
@@ -69,8 +68,8 @@ const (
 
 // sbOp is one fused instruction: it executes against the hart and returns
 // the next PC, or ok=false when the instruction cannot complete in-block
-// (fault, MMIO, translation miss that must park) and the interpreter must
-// re-execute it.
+// (fault, MMIO, failed translation) and the interpreter must re-execute
+// it.
 type sbOp func(h *Hart) (uint64, bool)
 
 // sblock is one translated superblock, keyed by (decPage, entry slot) —
@@ -129,12 +128,8 @@ type sbState struct {
 	// endAfter asks the running block (and its chain) to stop after the
 	// current op, where continuing could execute stale code or through a
 	// stale fetch translation that the interpreter would redo.
-	// InvalidatePhysPage sets it exactly when a store or A/D-bit walk hit
-	// live code or a page table: synchronously under the sequential
-	// scheduler, and through noteOwnStore for the hart's own buffered
-	// stores in a parallel slice. A slice also buffers the walker's A/D
-	// stores, so sbTranslateData sets it for any walk through a page
-	// holding cached decodes.
+	// InvalidatePhysPage sets it, synchronously with the bus write, exactly
+	// when a store or A/D-bit walk hit live code or a page table.
 	endAfter bool
 
 	// ops is the translator's scratch: a block keeps an exact-length copy,
@@ -257,7 +252,7 @@ func (h *Hart) sbTranslate(dp *decPage, slot int) *sblock {
 		if dp.decoded(i) {
 			d = dp.ins[i]
 		} else {
-			v, ok := h.mem.Load(pa, 4)
+			v, ok := h.Bus.Load(pa, 4)
 			if !ok {
 				break
 			}
@@ -312,18 +307,16 @@ func (h *Hart) runBlock(dp *decPage, sb *sblock) uint64 {
 		limitC = h.sb.limitFn()
 	}
 	page := h.PC &^ 4095
-	inSlice := h.inSlice // the port buffers writes only inside a slice
 	cInstr, smode := h.Cfg.Cost.Instr, h.Mode == rv.ModeS
 	var n uint64
 chain:
 	for {
 		for _, fn := range sb.ops {
-			// Pre-op scheduling check, mirroring the per-step loop
-			// conditions of runSlice (quantum, write buffer) and stepSeq
-			// (timer headroom, budget). Only the dispatch's first op is
-			// exempt: the scheduler armed us because one more step was due.
-			if n > 0 && (h.Cycles-start >= limitC || n >= limitS ||
-				h.sb.endAfter || inSlice && h.mem.Full()) {
+			// Pre-op scheduling check, mirroring stepSeq's per-step
+			// conditions (timer headroom, budget). Only the dispatch's
+			// first op is exempt: the scheduler armed us because one more
+			// step was due.
+			if n > 0 && (h.Cycles-start >= limitC || n >= limitS || h.sb.endAfter) {
 				break chain
 			}
 			cyc0 := h.Cycles
@@ -383,7 +376,9 @@ func (sb *sblock) guards(h *Hart) bool {
 // sbTranslateData maps a data virtual address inside a block using the
 // hoisted per-dispatch key, falling back to a full walk on a TLB miss —
 // exactly translate()'s behaviour. A failed walk aborts the block (the
-// interpreter re-runs the op and raises the fault or parks).
+// interpreter re-runs the op and raises the fault). A walk that stores
+// A/D bits into a page of live code ends the block through the bus watch,
+// as any other store does.
 func (h *Hart) sbTranslateData(va uint64, acc mem.AccessType) (uint64, bool) {
 	if h.sb.bare {
 		return va, true
@@ -400,19 +395,6 @@ func (h *Hart) sbTranslateData(va uint64, acc mem.AccessType) (uint64, bool) {
 		return 0, false
 	}
 	h.tlbFill(acc, vpn, h.sb.key, &res)
-	// The walk may have stored A/D bits into a page that also holds cached
-	// decodes — possibly this very block's — which the interpreter would
-	// observe at its next fetch. A sequential walk stores through the bus,
-	// whose watch ends the block if it hit live code; a parallel slice
-	// buffers the store, so stop after this op.
-	if h.inSlice {
-		for i := 0; i < res.WalkLen; i++ {
-			if _, cached := h.fast.pages[res.Walk[i]&^4095]; cached {
-				h.sb.endAfter = true
-				break
-			}
-		}
-	}
 	return res.PA, true
 }
 
@@ -429,16 +411,15 @@ func (h *Hart) sbLoad(va uint64, size int) (uint64, bool) {
 	if !h.CSR.PMP.Check(pa, size, mem.Read, h.sb.priv) {
 		return 0, false
 	}
-	if !h.mem.IsRAM(pa, size) {
-		return 0, false // MMIO: interpreter handles (device or park)
+	if !h.Bus.IsRAM(pa, size) {
+		return 0, false // MMIO: the interpreter performs the device access
 	}
 	h.charge(h.Cfg.Cost.MemAccess)
-	return h.mem.Load(pa, size)
+	return h.Bus.Load(pa, size)
 }
 
 // sbStore performs an in-block data store, mirroring MemAccess(Write)
-// including the LR/SC reservation kills and the slice-local cache
-// invalidation. A store that rewrites live code or a page table ends the
+// including the LR/SC reservation kills. A store that rewrites live code or a page table ends the
 // block after this op (InvalidatePhysPage sets endAfter), since the
 // interpreter refetches and retranslates from the next instruction on.
 func (h *Hart) sbStore(va uint64, size int, value uint64) bool {
@@ -452,23 +433,14 @@ func (h *Hart) sbStore(va uint64, size int, value uint64) bool {
 	if !h.CSR.PMP.Check(pa, size, mem.Write, h.sb.priv) {
 		return false
 	}
-	if !h.mem.IsRAM(pa, size) {
+	if !h.Bus.IsRAM(pa, size) {
 		return false
 	}
 	h.charge(h.Cfg.Cost.MemAccess)
-	if !h.mem.Store(pa, size, value) {
+	if !h.Bus.Store(pa, size, value) {
 		return false
 	}
-	if h.resValid && pa&^7 == h.resAddr&^7 {
-		h.resValid = false
-	}
-	if h.inSlice {
-		h.noteOwnStore(pa, size)
-	} else {
-		for _, p := range h.peers {
-			p.KillReservation(pa)
-		}
-	}
+	h.killReservations(pa)
 	return true
 }
 

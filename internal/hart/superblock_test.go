@@ -10,9 +10,8 @@ import (
 )
 
 // Superblock-tier tests. The tier only arms when a machine step carries a
-// budget above one (Machine.Run under the sequential scheduler, or a
-// parallel slice), so these tests compare END STATES after Run(budget)
-// rather than stepping per-instruction — per-step lockstep would never
+// budget above one (Machine.Run), so these tests compare END STATES after
+// Run(budget) rather than stepping per-instruction — per-step lockstep would never
 // execute a block. The interpreter configuration of the same program is
 // the oracle; cycle and instret counters must match bit for bit.
 
@@ -351,28 +350,6 @@ func TestSuperblockTimerInterruptExact(t *testing.T) {
 	}
 }
 
-// TestSuperblockParQuantumBoundary runs the hot loop under the parallel
-// scheduler with a deliberately odd quantum, superblocks on and off: a
-// block must stop at exactly the cycle the per-instruction slice loop
-// would have, so end states (cycles included) match bit for bit.
-func TestSuperblockParQuantumBoundary(t *testing.T) {
-	for _, q := range []uint64{7, 64, 1024} {
-		off := sbMachine(t, hotLoopBody(300), true, false)
-		on := sbMachine(t, hotLoopBody(300), true, true)
-		for _, m := range []*Machine{off, on} {
-			m.Sched = SchedPar
-			m.Quantum = q
-			m.RunParBudget(5000)
-		}
-		mustHalt(t, off)
-		mustHalt(t, on)
-		sbCompareEnd(t, off, on)
-		if on.Harts[0].Perf.SBRetired == 0 {
-			t.Fatalf("quantum %d: superblock tier never engaged under par", q)
-		}
-	}
-}
-
 // TestSuperblockForkDropsTranslations is the snapshot/fork satellite: a
 // fork taken mid-run must not carry translated blocks (they are host
 // state), the child must re-heat and re-translate, and parent and child
@@ -616,29 +593,25 @@ func TestStraddlingStoreInvalidatesBothPages(t *testing.T) {
 }
 
 // TestCodePageDataStoreSeqPar: the data-on-code-page loop ends in the
-// same state under both schedulers. Parallel slices keep the conservative
-// end-the-block rule for buffered stores; sequential runs end a block only
-// on a store that hit code.
+// same state on the full stack as on the interpreter, and the full stack
+// ends no block for its data stores, since none of them hits code.
 func TestCodePageDataStoreSeqPar(t *testing.T) {
-	// Unbounded loops, so both schedulers stop on the step budget rather
+	// Unbounded loops, so both machines stop on the step budget rather
 	// than on the exit device.
-	seq := sbMachine(t, codePageDataBody(1<<40), true, true)
-	par := sbMachine(t, codePageDataBody(1<<40), true, true)
-	par.Sched, par.Quantum = SchedPar, 64
-	seq.Run(3000)
-	par.RunParBudget(3000)
-	sbCompareEnd(t, seq, par)
-	for _, m := range []*Machine{seq, par} {
-		p := m.Harts[0].Perf
-		if p.SBRetired == 0 || p.CodeWriteInvalidations != 0 || p.CodePageDataWrites == 0 {
-			t.Errorf("%v: counters %+v", m.Sched, p)
-		}
+	interp := sbMachine(t, codePageDataBody(1<<40), false, false)
+	full := sbMachine(t, codePageDataBody(1<<40), true, true)
+	interp.Run(3000)
+	full.Run(3000)
+	sbCompareEnd(t, interp, full)
+	p := full.Harts[0].Perf
+	if p.SBRetired == 0 || p.CodeWriteInvalidations != 0 || p.CodePageDataWrites == 0 {
+		t.Errorf("counters %+v", p)
 	}
 	for off := uint64(0); off < 16; off += 8 {
-		ws, _ := seq.Bus.Load(codePageData+off, 8)
-		wp, _ := par.Bus.Load(codePageData+off, 8)
-		if ws != wp {
-			t.Errorf("data word +%d: seq %#x par %#x", off, ws, wp)
+		wi, _ := interp.Bus.Load(codePageData+off, 8)
+		wf, _ := full.Bus.Load(codePageData+off, 8)
+		if wi != wf {
+			t.Errorf("data word +%d: interp %#x full %#x", off, wi, wf)
 		}
 	}
 }
@@ -682,9 +655,7 @@ func TestCrossHartCodePatch(t *testing.T) {
 // ptStoreBody is a hot S-mode loop whose block, on its last pass, stores 0
 // over the gigapage leaf that maps its own code, with no sfence.vma. The
 // interpreter's next fetch walks the cleared leaf and takes an instruction
-// page fault. A block never refetches, so it must end at that store, and a
-// parallel slice must not keep using the translation its own buffered
-// store replaced.
+// page fault. A block never refetches, so it must end at that store.
 func ptStoreBody(a *asm.Asm) {
 	sv39Prologue(a)
 	a.Label("smain")
@@ -708,34 +679,29 @@ func ptStoreBody(a *asm.Asm) {
 }
 
 // TestPageTableStoreEndsBlock: a store that unmaps the running code ends
-// the block, so every tier faults on the same fetch as the interpreter,
-// under both schedulers.
+// the block, so every tier faults on the same fetch as the interpreter.
 func TestPageTableStoreEndsBlock(t *testing.T) {
-	for _, sched := range []SchedKind{SchedSeq, SchedPar} {
-		t.Run(sched.String(), func(t *testing.T) {
-			interp := sbMachine(t, ptStoreBody, false, false)
-			fast := sbMachine(t, ptStoreBody, true, false)
-			full := sbMachine(t, ptStoreBody, true, true)
-			for _, m := range []*Machine{interp, fast, full} {
-				m.Sched = sched
-				m.Run(5000)
-				mustHalt(t, m)
-			}
-			if c := interp.Harts[0].CSR.Mcause; c != rv.ExcInstrPageFault {
-				t.Fatalf("interpreter mcause = %d, want an instruction page fault", c)
-			}
-			sbCompareEnd(t, interp, fast)
-			sbCompareEnd(t, interp, full)
-			if full.Harts[0].Perf.SBRetired == 0 {
-				t.Fatal("superblock tier never engaged")
-			}
-		})
-	}
+	t.Run("seq", func(t *testing.T) {
+		interp := sbMachine(t, ptStoreBody, false, false)
+		fast := sbMachine(t, ptStoreBody, true, false)
+		full := sbMachine(t, ptStoreBody, true, true)
+		for _, m := range []*Machine{interp, fast, full} {
+			m.Run(5000)
+			mustHalt(t, m)
+		}
+		if c := interp.Harts[0].CSR.Mcause; c != rv.ExcInstrPageFault {
+			t.Fatalf("interpreter mcause = %d, want an instruction page fault", c)
+		}
+		sbCompareEnd(t, interp, fast)
+		sbCompareEnd(t, interp, full)
+		if full.Harts[0].Perf.SBRetired == 0 {
+			t.Fatal("superblock tier never engaged")
+		}
+	})
 }
 
-// TestSliceOwnCodePatch: inside a parallel slice a hart's own store is
-// buffered until the barrier, yet its next fetch of the patched slot must
-// see the new encoding, as the interpreter does through the port.
+// TestSliceOwnCodePatch: a hart that overwrites an instruction of its own
+// loop must execute the new encoding on the next pass, on every tier.
 func TestSliceOwnCodePatch(t *testing.T) {
 	patched := encodeOne(t, func(a *asm.Asm) { a.Addi(asm.A0, asm.A0, 100) })
 	body := selfModifyBody(patched, false)
@@ -743,14 +709,13 @@ func TestSliceOwnCodePatch(t *testing.T) {
 	fast := sbMachine(t, body, true, false)
 	full := sbMachine(t, body, true, true)
 	for _, m := range []*Machine{interp, fast, full} {
-		m.Sched = SchedPar
 		m.Run(1000)
 		mustHalt(t, m)
 	}
 	sbCompareEnd(t, interp, fast)
 	sbCompareEnd(t, interp, full)
 	if a0 := full.Harts[0].Regs[asm.A0]; a0 != 101 {
-		t.Errorf("a0 = %d, want 101 (stale decode in the slice?)", a0)
+		t.Errorf("a0 = %d, want 101 (stale decode after the patch?)", a0)
 	}
 }
 

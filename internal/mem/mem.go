@@ -10,9 +10,9 @@
 // shares every clean page with its ancestor. A page is written in place
 // only when its (owner, generation) tag matches the writing bus; any
 // mismatch breaks the page off the shared backing first. The break-off
-// check lives in the same write funnel (Store, WriteBytes, Port.Commit)
-// that fires the page-watch notifications, so copy-on-first-write rides
-// the exact choke point the host fast paths already trust.
+// check lives in the same write funnel (Store, WriteBytes) that fires the
+// page-watch notifications, so copy-on-first-write rides the exact choke
+// point the host fast paths already trust.
 package mem
 
 import (
@@ -101,17 +101,13 @@ type Region struct {
 	// watch is a per-4KiB-page bitmap of pages some PageWatcher has asked
 	// to be told about. A bit is set by WatchPage and cleared by a write
 	// none of the notified watchers keeps it through (see PageWatcher).
-	// Allocated eagerly for RAM regions so that bits can be
-	// armed with atomic ops from concurrently executing hart slices; writes
-	// (and hence noteWrite) only ever happen while the harts are quiesced.
 	// Watch bits are host-cache state: they are per-bus and never travel
 	// with snapshots.
 	watch []uint64
 }
 
 // page returns the page containing byte offset off, or nil for an
-// untouched (all-zero) page. Safe for concurrent readers: the directory
-// only changes while the machine is quiesced.
+// untouched (all-zero) page.
 func (r *Region) page(off uint64) *ramPage {
 	c := r.dir[off>>chunkShift]
 	if c == nil {
@@ -122,8 +118,7 @@ func (r *Region) page(off uint64) *ramPage {
 
 // writablePage returns the page containing off, breaking it (and its
 // chunk) off the shared copy-on-write backing if its generation tag does
-// not match the owning bus. Must only be called while the machine is
-// quiesced (direct-mode stores, barrier commits, image loads).
+// not match the owning bus.
 func (r *Region) writablePage(off uint64) *ramPage {
 	b := r.bus
 	ci := off >> chunkShift
@@ -293,20 +288,8 @@ func (b *Bus) WatchPage(pa uint64) bool {
 		return false
 	}
 	p := (pa - r.Base) >> 12
-	atomicSetBit(&r.watch[p/64], 1<<(p%64))
+	r.watch[p/64] |= 1 << (p % 64)
 	return true
-}
-
-// atomicSetBit ORs mask into *word with a CAS loop. Hart slices arm watch
-// bits concurrently during parallel execution; writes that clear them are
-// barrier-ordered, so a set-set race is the only one possible.
-func atomicSetBit(word *uint64, mask uint64) {
-	for {
-		old := atomic.LoadUint64(word)
-		if old&mask == mask || atomic.CompareAndSwapUint64(word, old, old|mask) {
-			return
-		}
-	}
 }
 
 // IsRAM reports whether [addr, addr+size) is fully RAM-backed.
@@ -403,17 +386,6 @@ func (b *Bus) find(addr uint64, size int) *Region {
 	if r := b.last; r != nil && r.Contains(addr, size) {
 		return r
 	}
-	r := b.lookup(addr, size)
-	if r != nil {
-		b.last = r
-	}
-	return r
-}
-
-// lookup is find without the shared 1-entry cache: safe for concurrent
-// readers (the region list is immutable once the machine runs). Per-hart
-// Ports keep their own cache in front of it.
-func (b *Bus) lookup(addr uint64, size int) *Region {
 	// Binary search for the last region with Base <= addr.
 	i := sort.Search(len(b.regions), func(i int) bool { return b.regions[i].Base > addr })
 	if i == 0 {
@@ -423,6 +395,7 @@ func (b *Bus) lookup(addr uint64, size int) *Region {
 	if !r.Contains(addr, size) {
 		return nil
 	}
+	b.last = r
 	return r
 }
 

@@ -41,7 +41,7 @@ func (s *RAMSnapshot) Pages() int {
 // Snapshot captures all RAM regions by sharing their pages and seals the
 // current generation: every page that existed before the call becomes
 // immutable, and the bus's next write to each breaks off a private copy.
-// Must be called with the machine quiesced (no hart slices in flight).
+// Must be called between machine steps.
 func (b *Bus) Snapshot() *RAMSnapshot {
 	s := &RAMSnapshot{}
 	for _, r := range b.regions {
@@ -62,7 +62,7 @@ func (b *Bus) Snapshot() *RAMSnapshot {
 // stay shared with every other holder of the snapshot — they carry foreign
 // tags, so this bus copy-on-writes them like a forked child. Watch bits
 // and host-side caches are NOT touched; callers that kept caches across
-// the load must flush them. Must be called with the machine quiesced.
+// the load must flush them. Must be called between machine steps.
 func (b *Bus) LoadSnapshot(s *RAMSnapshot) error {
 	i := 0
 	for _, r := range b.regions {

@@ -114,25 +114,6 @@ func TestWatchPageSpanningWrites(t *testing.T) {
 		watchNote{0x80002000, 0, 0x100})
 }
 
-// Port.Commit reports each committed buffered word as an 8-byte range,
-// whatever part of the word was written.
-func TestPortCommitReportsWords(t *testing.T) {
-	w := &recordWatcher{keep: map[uint64]bool{0x80001000: true}}
-	b := newWatchedBus(t, 0x10000, w)
-	b.WatchPage(0x80001000)
-	p := NewPort(b)
-	p.BeginSlice()
-	p.Store(0x80001013, 1, 0xAA)
-	p.Store(0x80001FFC, 8, 0) // straddles into the unwatched next page
-	p.Store(0x80001100, 8, 1)
-	wantNotes(t, w) // buffered: nothing reaches the bus before the barrier
-	p.Commit(nil)
-	wantNotes(t, w,
-		watchNote{0x80001000, 0x10, 0x18},
-		watchNote{0x80001000, 0x100, 0x108},
-		watchNote{0x80001000, 0xFF8, 0x1000})
-}
-
 func TestWatchPageRejectsMMIO(t *testing.T) {
 	b := NewBus()
 	if err := b.AddRAM(0x80000000, 0x1000); err != nil {

@@ -68,17 +68,9 @@ func fault(acc mem.AccessType, pageFault bool) Result {
 	return Result{Cause: cause}
 }
 
-// Memory is the walker's view of physical memory: the shared bus, or a
-// hart's private port during parallel slices (PTE reads then see the hart's
-// own buffered stores; A/D updates buffer until the barrier).
-type Memory interface {
-	Load(addr uint64, size int) (uint64, bool)
-	Store(addr uint64, size int, value uint64) bool
-}
-
 // Env carries the translation-relevant machine state.
 type Env struct {
-	Bus  Memory
+	Bus  *mem.Bus // PTE reads and A/D updates
 	PMP  *pmp.File
 	Satp uint64
 	Priv rv.Mode // effective privilege of the access (after MPRV)

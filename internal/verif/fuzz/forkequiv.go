@@ -6,20 +6,21 @@ package fuzz
 // steps; a cold machine replays the identical trajectory (k1 then k2 with
 // the same call sequence). Both the child and the post-fork parent must
 // match the cold replay bit for bit — cycle counters, registers, CSRs,
-// memory, console output, and mtime — across both schedulers and both
-// fastpath settings. Any divergence means a fork is observable from
-// inside the machine, which would invalidate every fork-spawned campaign.
+// memory, console output, and mtime — on both profiles, one and two
+// harts, and all three execution tiers (forkSweep). Any divergence means a
+// fork is observable from inside the machine, which would invalidate
+// every fork-spawned campaign.
 //
-// Cases are closed systems in the scheduler-equivalence style (see
-// schedequiv.go): each hart is confined by locked PMP entries to its own
-// program and scratch windows, so generated wild accesses trap
-// deterministically instead of wandering into device space. Unlike
-// schedequiv the wall clock runs here: forks must preserve the mtime
-// remainder exactly.
+// Cases are closed systems (see machdiff.go): each hart is confined by
+// locked PMP entries to its own program and scratch windows, so generated
+// wild accesses trap deterministically instead of wandering into device
+// space. The wall clock runs: forks must preserve the mtime remainder
+// exactly.
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"govfm/internal/asm"
 	"govfm/internal/core"
@@ -30,30 +31,15 @@ import (
 // forkStepBudget bounds the case's total trajectory (k1 + k2).
 const forkStepBudget = 512
 
-// forkGenCSRs is the CSR surface generated programs may touch — hart-local
-// plumbing only, interrupt-pending CSRs stay off the list.
-var forkGenCSRs = []asm.GenCSR{
-	{CSR: rv.CSRMscratch, Forms: asm.FormsAll},
-	{CSR: rv.CSRSscratch, Forms: asm.FormsAll},
-	{CSR: rv.CSRMtvec, Forms: asm.FormsAll},
-	{CSR: rv.CSRStvec, Forms: asm.FormsAll},
-	{CSR: rv.CSRMepc, Forms: asm.FormsAll},
-	{CSR: rv.CSRSepc, Forms: asm.FormsAll},
-	{CSR: rv.CSRMcause, Forms: asm.FormsAll},
-	{CSR: rv.CSRScause, Forms: asm.FormsAll},
-	{CSR: rv.CSRMtval, Forms: asm.FormsAll},
-	{CSR: rv.CSRStval, Forms: asm.FormsAll},
-	{CSR: rv.CSRMedeleg, Forms: asm.FormsAll},
-	{CSR: rv.CSRMstatus, Forms: asm.FormsImm},
-	{CSR: rv.CSRMhartid, Forms: asm.FormsRead},
-}
+// forkGenCSRs is the closed CSR surface minus mie: fork cases never enable
+// interrupts.
+var forkGenCSRs = slices.DeleteFunc(slices.Clone(closedGenCSRs),
+	func(c asm.GenCSR) bool { return c.CSR == rv.CSRMie })
 
 // ForkCase is one fork-equivalence input.
 type ForkCase struct {
 	Profile    string
 	Harts      int
-	Quantum    uint64
-	Sched      hart.SchedKind
 	FastPath   bool
 	Superblock bool   // superblock tier on (only meaningful with FastPath)
 	K1, K2     uint64 // steps before the fork / steps after it
@@ -70,8 +56,8 @@ func (tc *ForkCase) String() string {
 	if tc.Superblock {
 		fp += "+sb"
 	}
-	return fmt.Sprintf("forkcase{%s, harts=%d, sched=%v, %s, quantum=%d, k1=%d, k2=%d}",
-		tc.Profile, tc.Harts, tc.Sched, fp, tc.Quantum, tc.K1, tc.K2)
+	return fmt.Sprintf("forkcase{%s, harts=%d, %s, k1=%d, k2=%d}",
+		tc.Profile, tc.Harts, fp, tc.K1, tc.K2)
 }
 
 // ForkMismatch is one fork-vs-cold-replay divergence.
@@ -131,13 +117,11 @@ func newForkRig(profile string, harts int) (*forkRig, error) {
 }
 
 // genForkCase draws one case for this rig's configuration.
-func (rig *forkRig) genForkCase(rng *rand.Rand, sched hart.SchedKind, fast, sb bool, quantum uint64) *ForkCase {
+func (rig *forkRig) genForkCase(rng *rand.Rand, fast, sb bool) *ForkCase {
 	k1 := uint64(16 + rng.Intn(forkStepBudget/2))
 	tc := &ForkCase{
 		Profile:    rig.profile,
 		Harts:      rig.harts,
-		Quantum:    quantum,
-		Sched:      sched,
 		FastPath:   fast,
 		Superblock: sb,
 		K1:         k1,
@@ -172,13 +156,11 @@ func (rig *forkRig) genForkCase(rng *rand.Rand, sched hart.SchedKind, fast, sb b
 	return tc
 }
 
-// install writes the case onto a machine: full reset, the case's
-// scheduler/fastpath configuration, then each hart's program and scratch
-// images and its confined starting state (startHart).
+// install writes the case onto a machine: full reset, the case's execution
+// tier, then each hart's program and scratch images and its confined
+// starting state (startHart).
 func (rig *forkRig) install(m *hart.Machine, tc *ForkCase) {
 	m.Reset(ProgBase)
-	m.Sched = tc.Sched
-	m.Quantum = tc.Quantum
 	m.SetFastPath(tc.FastPath)
 	m.SetSuperblock(tc.Superblock)
 	for i, h := range m.Harts {
@@ -187,18 +169,24 @@ func (rig *forkRig) install(m *hart.Machine, tc *ForkCase) {
 	}
 }
 
-// forkQuanta / forkHartCounts are the sweep dimensions beyond
-// sched × fastpath.
-var (
-	forkQuanta     = []uint64{1, 64, 1024}
-	forkHartCounts = []int{1, 2}
-)
+// forkHartCounts are the machine sizes each profile's rigs cover.
+var forkHartCounts = []int{1, 2}
+
+// forkSweep maps case c to its rig index and execution tier — the
+// interpreter, the fast path, or the fast path with superblocks — given
+// nrigs rigs (profile × hart count). Every 3*nrigs consecutive cases
+// cover each rig × tier cell exactly once.
+func forkSweep(c, nrigs int) (rig int, fast, sb bool) {
+	tier := (c / nrigs) % 3
+	return c % nrigs, tier > 0, tier == 2
+}
 
 // RunForkEquivalence fuzzes `cases` fork-equivalence cases per profile,
-// swept across scheduler × fastpath × hart count × quantum. Every case
-// runs a parent k1 steps, forks it, runs parent and child k2 more steps,
-// and compares both against a cold machine replaying the identical k1+k2
-// call sequence.
+// swept across hart count × execution tier (forkSweep). Every case runs a
+// parent k1 steps, forks it, runs parent and child k2 more steps, and
+// compares both against a cold machine replaying the identical k1+k2 call
+// sequence. A forked machine must re-translate superblocks
+// bit-identically.
 func RunForkEquivalence(profiles []string, seed int64, cases int) (*ForkEquivStats, error) {
 	var rigs []*forkRig
 	for _, prof := range profiles {
@@ -213,16 +201,9 @@ func RunForkEquivalence(profiles []string, seed int64, cases int) (*ForkEquivSta
 	rng := rand.New(rand.NewSource(seed))
 	st := &ForkEquivStats{}
 	for c := 0; c < cases*len(profiles); c++ {
-		rig := rigs[c%len(rigs)]
-		sched := hart.SchedSeq
-		if c%2 == 1 {
-			sched = hart.SchedPar
-		}
-		fast := (c/2)%2 == 0
-		// Superblock sweep rides fastpath-on cases (the tier requires the
-		// fast path); a forked machine must re-translate bit-identically.
-		sb := fast && (c/4)%2 == 0
-		tc := rig.genForkCase(rng, sched, fast, sb, forkQuanta[c%len(forkQuanta)])
+		r, fast, sb := forkSweep(c, len(rigs))
+		rig := rigs[r]
+		tc := rig.genForkCase(rng, fast, sb)
 
 		rig.install(rig.parent, tc)
 		rig.parent.Run(tc.K1)
@@ -233,8 +214,6 @@ func RunForkEquivalence(profiles []string, seed int64, cases int) (*ForkEquivSta
 		st.ForkPages += img.Mem.Pages()
 
 		// Child continues from the image on the rig's long-lived machine.
-		rig.child.Sched = img.Sched
-		rig.child.Quantum = img.Quantum
 		if err := rig.child.LoadImageState(img); err != nil {
 			return nil, fmt.Errorf("fuzz: spawn of %v: %w", tc, err)
 		}

@@ -5,15 +5,36 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"govfm/internal/asm"
 	"govfm/internal/hart"
 	"govfm/internal/pmp"
 	"govfm/internal/rv"
 )
 
-// Shared plumbing of the machine-level equivalence gates (schedequiv.go,
-// sbequiv.go, forkequiv.go). A case confines each hart by locked PMP to a
-// program window and a scratch window, starts it from a generated
-// hartInit, and compares finished machines with diffMachines.
+// Shared plumbing of the machine-level equivalence gates (sbequiv.go,
+// forkequiv.go). A case confines each hart by locked PMP to a program
+// window and a scratch window, starts it from a generated hartInit, and
+// compares finished machines with diffMachines.
+
+// closedGenCSRs is the CSR surface generated programs may touch. All of it
+// is hart-local plumbing; interrupt-pending and translation CSRs stay off
+// the list, so a case stays a closed system.
+var closedGenCSRs = []asm.GenCSR{
+	{CSR: rv.CSRMscratch, Forms: asm.FormsAll},
+	{CSR: rv.CSRSscratch, Forms: asm.FormsAll},
+	{CSR: rv.CSRMtvec, Forms: asm.FormsAll},
+	{CSR: rv.CSRStvec, Forms: asm.FormsAll},
+	{CSR: rv.CSRMepc, Forms: asm.FormsAll},
+	{CSR: rv.CSRSepc, Forms: asm.FormsAll},
+	{CSR: rv.CSRMcause, Forms: asm.FormsAll},
+	{CSR: rv.CSRScause, Forms: asm.FormsAll},
+	{CSR: rv.CSRMtval, Forms: asm.FormsAll},
+	{CSR: rv.CSRStval, Forms: asm.FormsAll},
+	{CSR: rv.CSRMie, Forms: asm.FormsAll},
+	{CSR: rv.CSRMedeleg, Forms: asm.FormsAll},
+	{CSR: rv.CSRMstatus, Forms: asm.FormsImm},
+	{CSR: rv.CSRMhartid, Forms: asm.FormsRead},
+}
 
 // progBase and scratchBase are hart i's windows when every hart gets its
 // own: program windows tile the firmware region, scratch windows the OS

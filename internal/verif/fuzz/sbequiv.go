@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"govfm/internal/asm"
 	"govfm/internal/core"
@@ -18,9 +19,9 @@ import (
 // all three executions must agree on every architectural observable,
 // including the cycle and instret counters bit for bit.
 //
-// Unlike the scheduler-equivalence mode, the wall clock here is LIVE: the
-// profile's CyclesPerTick stands, and roughly half the cases program a
-// nearby mtimecmp so the comparator crosses mid-run. That is deliberate —
+// The wall clock here is LIVE: the profile's CyclesPerTick stands, and
+// roughly half the cases program a nearby mtimecmp so the comparator
+// crosses mid-run. That is deliberate —
 // the superblock tier's cycle-budget headroom (machine.go,
 // sbSeqHeadroom) exists precisely so a block never retires an instruction
 // the interpreter would have preempted with a timer interrupt, and only a
@@ -33,30 +34,27 @@ import (
 // programs already carry sfence.vma, fence.i, wfi, and world switches
 // (asm.genPriv), all of which must end or invalidate blocks correctly.
 //
-// Cases alternate between the sequential and the parallel scheduler, but
-// all three machines of a case always run under the SAME scheduler — this
-// gate isolates the execution tier, schedequiv.go isolates the scheduler.
-// Parallel cases run one hart; sequential cases cycle through one, two and
-// four harts (sbSeqHarts), where the full stack runs multi-hart rounds
-// (hart.Machine's seqRound). All harts of a case share the program, the
-// scratch window and the store base registers, so cross-hart stores,
-// code patches and reservation kills can land inside rounds; each hart
-// draws its own data registers, CSRs and timer comparator.
+// Each profile's cases cycle through one, two and four harts (sbHartCounts);
+// on two or four the full stack runs multi-hart rounds (hart.Machine's
+// seqRound). All harts of a case share the program, the scratch window and
+// the store base registers, so cross-hart stores, code patches and
+// reservation kills can land inside rounds; each hart draws its own data
+// registers, CSRs and timer comparator.
 
-// sbSeqHarts are the machine sizes sequential cases cycle through.
-var sbSeqHarts = []int{1, 2, 4}
+// sbHartCounts are the machine sizes cases cycle through.
+var sbHartCounts = []int{1, 2, 4}
 
 // sbStepBudget is the per-case step budget. It is deliberately larger
 // than the fuzzer's StepBudget so generated loops cross the translation
 // heat threshold and actually execute inside blocks.
 const sbStepBudget = 1024
 
-// sbGenCSRs extends the scheduler-equivalence CSR surface with the PMP
-// configuration CSRs. Entries 0..2 are locked by install (writes to them
+// sbGenCSRs extends the closed CSR surface with the PMP configuration
+// CSRs. Entries 0..2 are locked by install (writes to them
 // are ignored), and every address matches one of them, so writes to the
 // unlocked entries 3+ are architecturally inert — but they bump the PMP
 // epoch, forcing superblock entry-guard misses mid-program.
-var sbGenCSRs = append(append([]asm.GenCSR{}, schedGenCSRs...),
+var sbGenCSRs = append(slices.Clone(closedGenCSRs),
 	asm.GenCSR{CSR: rv.CSRPmpcfg0, Forms: asm.FormsAll},
 	asm.GenCSR{CSR: rv.CSRPmpaddr0 + 5, Forms: asm.FormsAll},
 )
@@ -64,8 +62,6 @@ var sbGenCSRs = append(append([]asm.GenCSR{}, schedGenCSRs...),
 // SBCase is one superblock-equivalence input.
 type SBCase struct {
 	Profile  string
-	Sched    hart.SchedKind
-	Quantum  uint64
 	Harts    int
 	Timer    bool     // program mtimecmp so the comparators cross mid-run
 	Mtimecmp []uint64 // per-hart comparator values when Timer is set
@@ -79,8 +75,8 @@ type SBCase struct {
 }
 
 func (tc *SBCase) String() string {
-	return fmt.Sprintf("sbcase{%s, sched=%v, quantum=%d, harts=%d, timer=%v, smc=%v, shared-page=%v, loop=%v}",
-		tc.Profile, tc.Sched, tc.Quantum, tc.Harts, tc.Timer, tc.SMC, tc.SharedPage, tc.Loop)
+	return fmt.Sprintf("sbcase{%s, harts=%d, timer=%v, smc=%v, shared-page=%v, loop=%v}",
+		tc.Profile, tc.Harts, tc.Timer, tc.SMC, tc.SharedPage, tc.Loop)
 }
 
 // sbLoopBack is "jal x0, slot 0" encoded for the program's last slot.
@@ -168,11 +164,9 @@ func newSBTrio(profile string, harts int) (*sbTrio, error) {
 }
 
 // genSBCase draws one case.
-func (t *sbTrio) genSBCase(rng *rand.Rand, sched hart.SchedKind, quantum uint64) *SBCase {
+func (t *sbTrio) genSBCase(rng *rand.Rand) *SBCase {
 	tc := &SBCase{
 		Profile: t.profile,
-		Sched:   sched,
-		Quantum: quantum,
 		Harts:   t.harts,
 		Loop:    rng.Intn(6) == 0,
 		Init:    make([]hartInit, t.harts),
@@ -250,12 +244,9 @@ func (t *sbTrio) genSBCase(rng *rand.Rand, sched hart.SchedKind, quantum uint64)
 
 // install writes the case onto a machine: full reset, the program and
 // scratch images all harts share, and each hart's starting state with the
-// same locked-PMP confinement the scheduler-equivalence mode uses
-// (startHart).
+// same locked-PMP confinement the fork gate uses (startHart).
 func (t *sbTrio) install(m *hart.Machine, tc *SBCase) {
 	m.Reset(ProgBase)
-	m.Sched = tc.Sched
-	m.Quantum = tc.Quantum
 	loadWindows(m, ProgBase, ScratchBase, tc.Prog)
 	for i, h := range m.Harts {
 		startHart(h, &tc.Init[i], ProgBase, ScratchBase)
@@ -265,28 +256,18 @@ func (t *sbTrio) install(m *hart.Machine, tc *SBCase) {
 	}
 }
 
-// runSBCase executes one installed machine for the case's budget under the
-// case's scheduler.
-func runSBCase(m *hart.Machine, tc *SBCase) {
-	if tc.Sched == hart.SchedPar {
-		m.RunParBudget(sbStepBudget)
-	} else {
-		m.Run(sbStepBudget)
-	}
-}
-
 // sbWindows are the program and scratch windows every hart shares.
 var sbWindows = [][2]uint64{{ProgBase, ProgCap}, {ScratchBase, ScratchSize}}
 
 // RunSuperblockEquivalence fuzzes `cases` superblock-equivalence cases per
 // profile. Every case runs the identical initial state on the interpreter,
-// on the fast path without superblocks, and on the full stack, under the
-// same scheduler, and compares the three end states bit for bit.
+// on the fast path without superblocks, and on the full stack, and
+// compares the three end states bit for bit.
 func RunSuperblockEquivalence(profiles []string, seed int64, cases int) (*SBEquivStats, error) {
-	// trios[p][j] serves profile p with sbSeqHarts[j] harts.
+	// trios[p][j] serves profile p with sbHartCounts[j] harts.
 	trios := make([][]*sbTrio, len(profiles))
 	for p, prof := range profiles {
-		for _, n := range sbSeqHarts {
+		for _, n := range sbHartCounts {
 			t, err := newSBTrio(prof, n)
 			if err != nil {
 				return nil, err
@@ -297,23 +278,13 @@ func RunSuperblockEquivalence(profiles []string, seed int64, cases int) (*SBEqui
 	rng := rand.New(rand.NewSource(seed))
 	st := &SBEquivStats{}
 	for c := 0; c < cases*len(profiles); c++ {
-		// Each profile alternates sequential cases, which cycle through
-		// the hart counts, with parallel one-hart cases, which cycle
-		// through the quanta.
-		k := c / len(profiles)
-		t := trios[c%len(profiles)][k/2%len(sbSeqHarts)]
-		sched := hart.SchedSeq
-		if k%2 == 1 {
-			t, sched = trios[c%len(profiles)][0], hart.SchedPar
+		// Each profile's cases cycle through the hart counts.
+		t := trios[c%len(profiles)][c/len(profiles)%len(sbHartCounts)]
+		tc := t.genSBCase(rng)
+		for _, m := range []*hart.Machine{t.interp, t.fast, t.full} {
+			t.install(m, tc)
+			m.Run(sbStepBudget)
 		}
-		tc := t.genSBCase(rng, sched, schedQuanta[k/2%len(schedQuanta)])
-
-		t.install(t.interp, tc)
-		runSBCase(t.interp, tc)
-		t.install(t.fast, tc)
-		runSBCase(t.fast, tc)
-		t.install(t.full, tc)
-		runSBCase(t.full, tc)
 
 		st.Cases++
 		if t.harts > 1 {

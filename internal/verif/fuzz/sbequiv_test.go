@@ -3,9 +3,9 @@ package fuzz
 import "testing"
 
 // TestSuperblockEquivalenceSmoke runs a short interpreter-vs-fastpath-vs-
-// superblock batch on both profiles across schedulers, quanta, hart
-// counts, timer, and SMC cases and requires bit-exact end-state agreement. The full-size run
-// is scripts/verify.sh's superblock gate.
+// superblock batch on both profiles across hart counts, timer, and SMC
+// cases and requires bit-exact end-state agreement. The full-size run is
+// scripts/verify.sh's superblock gate.
 func TestSuperblockEquivalenceSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("superblock-equivalence smoke is not short")

@@ -77,22 +77,22 @@ run_gate hext_lockstep go run ./cmd/fuzzdiff -hext -smoke
 echo "== fastpath equivalence (host caches on vs. off, state + cycles)"
 run_gate fastpath_equiv go run ./cmd/fuzzdiff -fastpath both -equiv-cases 400
 
-echo "== scheduler equivalence (sequential vs. quantum-parallel, state + cycles)"
-run_gate sched_equiv go run ./cmd/fuzzdiff -sched both -equiv-cases 400
-
 echo "== fork equivalence (COW fork vs. cold replay, state + cycles, 400 cases)"
 # Each case forks a parent mid-run and requires the child AND the
 # post-fork parent to match a cold replay bit-for-bit (cycle counters
-# included), swept across both schedulers and both fastpath settings.
+# included), swept so that every 12 cases cover each profile x {1, 2}
+# harts x {interpreter, fast path, fast path + superblocks} cell once.
 run_gate fork_equiv go run ./cmd/fuzzdiff -fork 200
 
 echo "== superblock equivalence (translation tier vs. fast path vs. interpreter)"
 # Three-machine differential gate for the superblock binary-translation
 # tier: every case runs on an interpreter-only, a caches-only, and a
 # full-stack machine under a live wall clock and must match bit-for-bit
-# (registers, CSRs, memory, cycle counters), swept across both schedulers,
-# timer interrupts, self-modifying code, PMP reprogramming, and looping
-# programs. It also fails when no case chained one block into another.
+# (registers, CSRs, memory, cycle counters), swept across both profiles,
+# 1, 2 and 4 harts (multi-hart cases run block rounds), timer interrupts,
+# self-modifying code, PMP reprogramming, and looping programs. It also
+# fails when no case chained one block into another, or when the
+# multi-hart cases never ran a round.
 run_gate superblock_equiv go run ./cmd/fuzzdiff -superblock both -equiv-cases 400
 
 echo "== repo benchmark tests (every workload, every fast tier vs. the interpreter oracle)"
