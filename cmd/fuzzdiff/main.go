@@ -5,11 +5,18 @@
 // disagreement is a finding; findings are minimized and written out as
 // self-contained reproducer test files.
 //
+// Every lockstep case also runs on a twin engine with the host caches off,
+// and the two must end in the same state, cycle counters included.
+//
 // With -inject N the same generator feeds the fault-injection engine
 // instead of the lockstep comparator: N randomized cases run with
 // containment armed while faults are injected, and the robustness contract
 // (no escaped panics, every monitor halt leaves a fault record) is
 // checked.
+//
+// With -equiv N the machine-equivalence harness runs instead: N cases per
+// profile, each on the interpreter, the fast path, the superblock tier and
+// a machine forked mid-run, all compared with the interpreter.
 //
 // Usage:
 //
@@ -17,7 +24,8 @@
 //	go run ./cmd/fuzzdiff -budget 1000000        # long fuzzing run
 //	go run ./cmd/fuzzdiff -profile vf2 -seed 7   # one profile, chosen seed
 //	go run ./cmd/fuzzdiff -inject 50             # fault-injection mode
-//	go run ./cmd/fuzzdiff -hext -smoke           # hypervisor-extension lockstep gate
+//	go run ./cmd/fuzzdiff -hext 500              # hypervisor-extension lockstep gate
+//	go run ./cmd/fuzzdiff -equiv 400             # machine-equivalence gate
 package main
 
 import (
@@ -47,19 +55,15 @@ func run(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("fuzzdiff", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	var (
-		seed     = fs.Int64("seed", 1, "fuzzer seed")
-		budget   = fs.Int("budget", 200_000, "total lockstep steps per profile")
-		smoke    = fs.Bool("smoke", false, "fixed-seed smoke run: 100k+ steps across both profiles, used as a CI gate")
-		profile  = fs.String("profile", "all", "platform profile: vf2, p550, or all")
-		repros   = fs.String("repros", "internal/verif/fuzz/testdata/repros", "directory for minimized reproducer files")
-		injectN  = fs.Int("inject", 0, "fault-injection mode: run N randomized cases with containment armed instead of lockstep fuzzing")
-		fastpath = fs.String("fastpath", "on", "host acceleration caches: on, off, or both (both = equivalence mode, every case run fast and slow and compared)")
-		equivN   = fs.Int("equiv-cases", 1000, "cases per profile in the -fastpath=both and -superblock=both equivalence modes")
-		sb       = fs.String("superblock", "", "superblock equivalence: both = every case run on the interpreter, the fast path, and the superblock tier and compared")
-		forkN    = fs.Int("fork", 0, "fork-equivalence mode: run N cases per profile, each forked mid-run and compared bit-for-bit against a cold replay, swept across 1/2 harts and the three execution tiers")
-		hext     = fs.Bool("hext", false, "hypervisor-extension mode: H-biased lockstep fuzzing on the H-capable profiles (guest V-states, hfence, VS CSRs)")
-		hextN    = fs.Int("hext-cases", 500, "cases per profile in -hext mode")
-		teeN     = fs.Int("tee", 0, "TEE lifecycle mode: run N shadow-model fuzz cases per profile over the ACE confidential-compute FSM instead of lockstep fuzzing")
+		seed    = fs.Int64("seed", 1, "fuzzer seed")
+		budget  = fs.Int("budget", 200_000, "total lockstep steps per profile")
+		smoke   = fs.Bool("smoke", false, "fixed-seed smoke run: 270k lockstep steps across both profiles, used as a CI gate")
+		profile = fs.String("profile", "all", "platform profile: vf2, p550, or all")
+		repros  = fs.String("repros", "internal/verif/fuzz/testdata/repros", "directory for minimized reproducer files")
+		injectN = fs.Int("inject", 0, "fault-injection mode: run N randomized cases with containment armed instead of lockstep fuzzing")
+		equivN  = fs.Int("equiv", 0, "machine-equivalence mode: run N cases per profile on the interpreter, the fast path, the superblock tier and a machine forked mid-run, swept across 1/2/4 harts and the fork's tier, and compare each with the interpreter")
+		hextN   = fs.Int("hext", 0, "hypervisor-extension mode: run N H-biased lockstep cases per profile on the H-capable profiles (guest V-states, hfence, VS CSRs)")
+		teeN    = fs.Int("tee", 0, "TEE lifecycle mode: run N shadow-model fuzz cases per profile over the ACE confidential-compute FSM instead of lockstep fuzzing")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -72,48 +76,25 @@ func run(args []string, out, errw io.Writer) int {
 	}
 	if *smoke {
 		*seed = 1
-		*budget = 60_000 // per profile; ≥100k total across both
+		*budget = 135_000 // per profile: ~740 cases on each
 		profiles = profileAlias["all"]
-	}
-
-	if *hext {
-		if *profile == "all" {
-			profiles = []string{"p550"} // the H-capable profile
-		}
-		return runHext(profiles, *seed, *hextN, *repros, out, errw)
 	}
 
 	if *teeN > 0 {
 		return runTEE(profiles, *seed, *teeN, out, errw)
 	}
 
-	if *forkN > 0 {
-		return runForkEquiv(profiles, *seed, *forkN, out, errw)
+	if *equivN > 0 {
+		return runEquiv(profiles, *seed, *equivN, out, errw)
 	}
 
 	if *injectN > 0 {
 		return runInject(profiles, *seed, *injectN, out, errw)
 	}
 
-	switch *sb {
-	case "":
-	case "both":
-		return runSBEquiv(profiles, *seed, *equivN, out, errw)
-	default:
-		fmt.Fprintf(errw, "fuzzdiff: unknown -superblock %q (want both)\n", *sb)
-		return 2
+	if *hextN > 0 && *profile == "all" {
+		profiles = []string{"p550"} // the H-capable profile
 	}
-
-	switch *fastpath {
-	case "on", "off":
-		fuzz.DefaultFastPath = *fastpath == "on"
-	case "both":
-		return runEquiv(profiles, *seed, *equivN, out, errw)
-	default:
-		fmt.Fprintf(errw, "fuzzdiff: unknown -fastpath %q (want on, off, or both)\n", *fastpath)
-		return 2
-	}
-
 	rawFindings := 0
 	totalSteps := 0
 	start := time.Now()
@@ -124,10 +105,23 @@ func run(args []string, out, errw io.Writer) int {
 			return 2
 		}
 		t0 := time.Now()
-		findings := f.RunBudget(*budget, 5)
+		var findings []*fuzz.Finding
+		if *hextN > 0 {
+			// Hypervisor-extension mode: case-denominated, with the
+			// generator biased toward the H surface — guest (V=1) starting
+			// states, hfence, VS CSR traffic, dense hedeleg/hvip delegation.
+			if !f.Engines[0].VirtCfg.HasH {
+				fmt.Fprintf(errw, "fuzzdiff: profile %q has no hypervisor extension (use -profile p550)\n", p)
+				return 2
+			}
+			f.Engines[0].HextBias = true
+			findings = f.RunCases(*hextN, 5)
+		} else {
+			findings = f.RunBudget(*budget, 5)
+		}
 		dt := time.Since(t0)
-		fmt.Fprintf(out, "%-12s seed=%d cases=%d steps=%d coverage=%d corpus=%d findings=%d (%.1fs, %.0f steps/s)\n",
-			p, *seed+int64(i), f.Cases, f.Steps, f.Coverage(), f.CorpusSize(0),
+		fmt.Fprintf(out, "%-12s seed=%d cases=%d guest-cases=%d steps=%d coverage=%d corpus=%d findings=%d (%.1fs, %.0f steps/s)\n",
+			p, *seed+int64(i), f.Cases, f.GuestCases, f.Steps, f.Coverage(), f.CorpusSize(0),
 			len(findings), dt.Seconds(), float64(f.Steps)/dt.Seconds())
 		totalSteps += f.Steps
 		rawFindings += len(f.Findings)
@@ -144,72 +138,6 @@ func run(args []string, out, errw io.Writer) int {
 	fmt.Fprintf(out, "total: %d lockstep steps across %d profile(s) in %.1fs, %d divergence(s)\n",
 		totalSteps, len(profiles), time.Since(start).Seconds(), rawFindings)
 	if rawFindings > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runHext drives the hypervisor-extension mode: the same three-way
-// lockstep comparison as the default mode, but case-denominated and with
-// the generator biased toward the H surface — guest (V=1) starting
-// states, hfence, VS CSR traffic, dense hedeleg/hvip delegation. Any
-// architectural or cycle-count divergence between the native hart, the
-// monitor-virtualized hart, and the reference model is a finding.
-func runHext(profiles []string, seed int64, cases int, repros string, out, errw io.Writer) int {
-	rawFindings := 0
-	start := time.Now()
-	for i, p := range profiles {
-		f, err := fuzz.NewFuzzer([]string{p}, seed+int64(i))
-		if err != nil {
-			fmt.Fprintf(errw, "fuzzdiff: %v\n", err)
-			return 2
-		}
-		if !f.Engines[0].VirtCfg.HasH {
-			fmt.Fprintf(errw, "fuzzdiff: profile %q has no hypervisor extension (use -profile p550)\n", p)
-			return 2
-		}
-		f.Engines[0].HextBias = true
-		t0 := time.Now()
-		findings := f.RunCases(cases, 5)
-		dt := time.Since(t0)
-		fmt.Fprintf(out, "%-12s hext: seed=%d cases=%d guest-cases=%d steps=%d coverage=%d findings=%d (%.1fs)\n",
-			p, seed+int64(i), f.Cases, f.GuestCases, f.Steps, f.Coverage(), len(findings), dt.Seconds())
-		rawFindings += len(f.Findings)
-		for _, fd := range findings {
-			fmt.Fprintf(out, "\n=== DIVERGENCE (%s) ===\n%s\n", p, fd)
-			path, err := fuzz.WriteRepro(repros, fd)
-			if err != nil {
-				fmt.Fprintf(errw, "fuzzdiff: writing reproducer: %v\n", err)
-				continue
-			}
-			fmt.Fprintf(out, "minimized reproducer written to %s\n", path)
-		}
-	}
-	fmt.Fprintf(out, "hext: %d divergence(s) across %d profile(s) in %.1fs\n",
-		rawFindings, len(profiles), time.Since(start).Seconds())
-	if rawFindings > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runForkEquiv drives the fork-equivalence mode: each case runs a parent,
-// forks it mid-run, and compares child and post-fork parent bit-for-bit
-// (cycle counters included) against a cold replay of the same trajectory,
-// swept across one and two harts and the three execution tiers.
-func runForkEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) int {
-	t0 := time.Now()
-	st, err := fuzz.RunForkEquivalence(profiles, seed, cases)
-	if err != nil {
-		fmt.Fprintf(errw, "fuzzdiff: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(out, "fork-equivalence: %d cases, %d steps, %d image pages, %d divergence(s) across %d profile(s) in %.1fs\n",
-		st.Cases, st.Steps, st.ForkPages, len(st.Mismatches), len(profiles), time.Since(t0).Seconds())
-	for _, m := range st.Mismatches {
-		fmt.Fprintf(out, "  DIVERGENCE %s\n", m)
-	}
-	if len(st.Mismatches) > 0 {
 		return 1
 	}
 	return 0
@@ -267,29 +195,28 @@ func runInject(profiles []string, seed int64, cases int, out, errw io.Writer) in
 	return 0
 }
 
-// sbMinChainCases is the run size from which the superblock-equivalence
-// mode fails when no case chained one block into another, or when that
-// many multi-hart cases never ran a multi-hart round: a run that large
-// without either proves nothing about it.
+// sbMinChainCases is the run size from which the machine-equivalence mode
+// fails when no case chained one block into another, or when that many
+// multi-hart cases never ran a multi-hart round: a run that large without
+// either proves nothing about it.
 const sbMinChainCases = 100
 
-// runSBEquiv drives the superblock-equivalence mode: each randomized case
-// runs three times from the identical initial state — on the plain
-// interpreter, on the fast path without superblocks, and on the full stack
-// — with a live wall clock, and any divergence in end state (cycle
-// counters included) is a failure, as is a run of sbMinChainCases or more
-// cases that never chained, or of as many multi-hart cases that never ran
-// a round.
-func runSBEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) int {
+// runEquiv drives the machine-equivalence mode: each randomized case runs
+// from one initial state on the interpreter, the fast path and the
+// superblock tier, and on a parent forked mid-run and its child, with a
+// live wall clock. Any divergence from the interpreter (cycle counters
+// included) is a failure, as is a run of sbMinChainCases or more cases that
+// never chained, or of as many multi-hart cases that never ran a round.
+func runEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) int {
 	t0 := time.Now()
-	st, err := fuzz.RunSuperblockEquivalence(profiles, seed, cases)
+	st, err := fuzz.RunMachineEquiv(profiles, seed, cases)
 	if err != nil {
 		fmt.Fprintf(errw, "fuzzdiff: %v\n", err)
 		return 2
 	}
-	fmt.Fprintf(out, "superblock-equivalence: %d cases (%d multi-hart), %d interp steps, %d sb-retired, %d sb-chains, %d sb-rounds, %d code invalidations, %d code-page data writes, %d divergence(s) across %d profile(s) in %.1fs\n",
+	fmt.Fprintf(out, "equiv: %d cases (%d multi-hart), %d interp steps, %d sb-retired, %d sb-chains, %d sb-rounds, %d code invalidations, %d code-page data writes, %d post-fork COW breaks, %d divergence(s) across %d profile(s) in %.1fs\n",
 		st.Cases, st.MultiHart, st.Steps, st.SBRetired, st.SBChains, st.SBRounds,
-		st.CodeInvalidations, st.CodePageDataWrites,
+		st.CodeInvalidations, st.CodePageDataWrites, st.COWBreaks,
 		len(st.Mismatches), len(profiles), time.Since(t0).Seconds())
 	for _, m := range st.Mismatches {
 		fmt.Fprintf(out, "  DIVERGENCE %s\n", m)
@@ -303,27 +230,6 @@ func runSBEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) i
 	}
 	if st.MultiHart >= sbMinChainCases && st.SBRounds == 0 {
 		fmt.Fprintf(out, "  NO ROUNDS in %d multi-hart cases: the gate did not exercise multi-hart rounds\n", st.MultiHart)
-		return 1
-	}
-	return 0
-}
-
-// runEquiv drives the fastpath-equivalence mode: each case runs twice, with
-// host caches on and off, and any architectural or cycle-count divergence
-// is a failure.
-func runEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) int {
-	t0 := time.Now()
-	st, err := fuzz.RunEquivalence(profiles, seed, cases)
-	if err != nil {
-		fmt.Fprintf(errw, "fuzzdiff: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(out, "fastpath-equivalence: %d cases, %d lockstep steps, %d divergence(s) across %d profile(s) in %.1fs\n",
-		st.Cases, st.Steps, len(st.Mismatches), len(profiles), time.Since(t0).Seconds())
-	for _, m := range st.Mismatches {
-		fmt.Fprintf(out, "  DIVERGENCE %s\n", m)
-	}
-	if len(st.Mismatches) > 0 {
 		return 1
 	}
 	return 0

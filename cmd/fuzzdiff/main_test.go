@@ -37,3 +37,14 @@ func TestRunInjectMode(t *testing.T) {
 		t.Errorf("inject summary missing: %s", out.String())
 	}
 }
+
+func TestRunEquivMode(t *testing.T) {
+	var out, errw bytes.Buffer
+	code := run([]string{"-profile", "vf2", "-equiv", "9"}, &out, &errw)
+	if code != 0 {
+		t.Errorf("equiv mode: exit %d, want 0\n%s%s", code, out.String(), errw.String())
+	}
+	if !strings.Contains(out.String(), "equiv: 9 cases (6 multi-hart)") {
+		t.Errorf("equiv summary missing: %s", out.String())
+	}
+}

@@ -45,6 +45,8 @@ func TestRun(t *testing.T) {
 			want: []string{"cycles=10258"}, notWant: []string{"monitor:"}},
 		{name: "minsbi-keystone", args: []string{"-firmware", "minsbi", "-policy", "keystone"}, code: 0,
 			want: []string{"cycles=73095", "monitor: emulations=90 world-switches=22 fast-path=23"}},
+		{name: "rtos-sandbox", args: []string{"-firmware", "rtos", "-policy", "sandbox"}, code: 1,
+			notWant: []string{"cycles="}},
 		{name: "bad-policy", args: []string{"-policy", "bogus"}, code: 2},
 		{name: "bad-platform", args: []string{"-platform", "bogus"}, code: 2},
 		{name: "bad-firmware", args: []string{"-firmware", "bogus"}, code: 2},

@@ -13,18 +13,24 @@ import (
 )
 
 // guardedDocs are the documents whose file paths, Go identifiers, test
-// names and quick-start flags TestDocReferences keeps in step with the
+// names and command-line flags TestDocReferences keeps in step with the
 // tree.
 var guardedDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+
+// guardedScripts are the files whose `go run ./cmd/<name>` lines
+// TestDocReferences checks for unregistered flags.
+var guardedScripts = []string{"scripts/verify.sh", ".github/workflows/*.yml"}
 
 var (
 	// docPath matches a repository path in prose, with or without a
 	// leading "./".
 	docPath = regexp.MustCompile(`(?:^|[^\w/-])(?:\./)?((?:cmd|internal|scripts|examples)/[\w./-]*)`)
-	// goRunCmd matches a command line that runs one of the cmd/ tools.
-	goRunCmd = regexp.MustCompile(`go run \./cmd/([\w-]+)(.*)`)
-	// cliFlag matches a flag on a command line.
-	cliFlag = regexp.MustCompile(`(?:^|\s)--?([a-zA-Z][\w-]*)`)
+	// docCmd matches a mention of one of the cmd/ tools in a document;
+	// goRunCmd matches a script line that runs one.
+	docCmd   = regexp.MustCompile(`\b(rvsim|fuzzdiff|benchall|chaos)\b`)
+	goRunCmd = regexp.MustCompile(`go run \./cmd/([\w-]+)`)
+	// cliFlag matches a whole token that is a flag, with or without a value.
+	cliFlag = regexp.MustCompile(`^--?([a-zA-Z][\w-]*)(?:=.*)?$`)
 	// fence matches a fenced code block; docCode matches inline code.
 	fence   = regexp.MustCompile("(?s)```.*?```")
 	docCode = regexp.MustCompile("`([^`\n]+)`")
@@ -41,8 +47,10 @@ var (
 // Y is neither a top-level declaration of package X nor a field or method
 // of a type named X; or names a Test/Benchmark/Fuzz function that no test
 // file declares (a name counts when it prefixes a declared one, as a -run
-// pattern does). It also fails when a README `go run ./cmd/<name>` line
-// passes a flag that cmd/<name> does not register.
+// pattern does). It also fails when a guarded document mentions a tool
+// with a flag that cmd/<name> does not register (`rvsim -flag`, inline
+// code included), or a guarded script's `go run ./cmd/<name>` line passes
+// one.
 func TestDocReferences(t *testing.T) {
 	ix := indexModule(t)
 	for _, doc := range guardedDocs {
@@ -80,30 +88,61 @@ func TestDocReferences(t *testing.T) {
 				t.Errorf("%s mentions %s, which does not exist", doc, m[1])
 			}
 		}
+		checkFlags(t, doc, string(data), docCmd)
 	}
 
-	readme, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatal(err)
+	for _, pattern := range guardedScripts {
+		files, err := filepath.Glob(pattern)
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s matches no file (%v)", pattern, err)
+		}
+		for _, file := range files {
+			data, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Join continued lines, so a command's later flags stay on its line.
+			checkFlags(t, file, strings.ReplaceAll(string(data), "\\\n", " "), goRunCmd)
+		}
 	}
-	for _, line := range strings.Split(string(readme), "\n") {
-		m := goRunCmd.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		name, rest := m[1], m[2]
-		if i := strings.IndexAny(rest, "#|&>;`"); i >= 0 {
-			rest = rest[:i]
-		}
-		src := cmdSource(t, name)
-		if src == "" {
-			t.Errorf("README runs cmd/%s, which has no Go source: %s", name, strings.TrimSpace(line))
-			continue
-		}
-		for _, f := range cliFlag.FindAllStringSubmatch(rest, -1) {
-			if !regexp.MustCompile(`\.[A-Z]\w*\("` + regexp.QuoteMeta(f[1]) + `",`).MatchString(src) {
-				t.Errorf("README runs cmd/%s with -%s, which it does not register: %s",
-					name, f[1], strings.TrimSpace(line))
+}
+
+// checkFlags fails the test for every flag that text passes a cmd/ tool,
+// named by cmd's first group, and that the tool does not register. The
+// flags are the run of tokens after the name, up to the first that is
+// neither a flag nor a flag's value, on the same line and before any of
+// "`#|&>;)".
+func checkFlags(t *testing.T, file, text string, cmd *regexp.Regexp) {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		for _, m := range cmd.FindAllStringSubmatchIndex(line, -1) {
+			name, rest := line[m[2]:m[3]], line[m[1]:]
+			if i := strings.IndexAny(rest, "`#|&>;)"); i >= 0 {
+				rest = rest[:i]
+			}
+			if rest == "" || (rest[0] != ' ' && rest[0] != '\t') {
+				continue // cmd/rvsim/main.go, rvsim's, chaos-mode
+			}
+			src := cmdSource(t, name)
+			if src == "" {
+				t.Errorf("%s runs cmd/%s, which has no Go source: %s", file, name, strings.TrimSpace(line))
+				continue
+			}
+			afterFlag := false
+			for _, tok := range strings.Fields(rest) {
+				f := cliFlag.FindStringSubmatch(tok)
+				if f == nil {
+					if !afterFlag || strings.HasPrefix(tok, "-") {
+						break
+					}
+					afterFlag = false // the flag's value
+					continue
+				}
+				afterFlag = true
+				if !regexp.MustCompile(`\.[A-Z]\w*\("` + regexp.QuoteMeta(f[1]) + `",`).MatchString(src) {
+					t.Errorf("%s passes cmd/%s -%s, which it does not register: %s",
+						file, name, f[1], strings.TrimSpace(line))
+				}
 			}
 		}
 	}

@@ -152,6 +152,15 @@ func New(cfg Config) (*System, error) {
 	if !ok {
 		return nil, fmt.Errorf("govfm: unknown platform %q", name)
 	}
+	if _, sb := cfg.Policy.(*sandbox.Policy); sb && cfg.Virtualize &&
+		cfg.Firmware == RTOS && cfg.FirmwareImage == nil {
+		// The sandbox protects an S-mode OS from the firmware: in the OS
+		// world it revokes the firmware's range. The RTOS has no OS and
+		// runs its U-mode app from that range, so the app would fault and
+		// the run end in guest-exit-fail.
+		return nil, fmt.Errorf("govfm: the sandbox policy cannot run the rtos firmware: " +
+			"it revokes the firmware range, from which the RTOS runs its U-mode app")
+	}
 	pcfg := mk()
 	if cfg.Harts > 0 {
 		pcfg.Harts = cfg.Harts

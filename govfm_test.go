@@ -85,6 +85,12 @@ func TestFacadeErrors(t *testing.T) {
 	if _, err := govfm.New(govfm.Config{Firmware: "efi"}); err == nil {
 		t.Error("unknown firmware must error")
 	}
+	_, err := govfm.New(govfm.Config{
+		Firmware: govfm.RTOS, Virtualize: true, Policy: govfm.SandboxPolicy(),
+	})
+	if err == nil || !strings.Contains(err.Error(), "sandbox") || !strings.Contains(err.Error(), "rtos") {
+		t.Errorf("rtos under the sandbox must be rejected naming both, got %v", err)
+	}
 }
 
 func TestFacadeVirtualDevices(t *testing.T) {

@@ -2,9 +2,9 @@ package hart
 
 // Host-side acceleration caches. Everything in this file trades host time
 // only: the simulated machine's architectural state and cycle accounting
-// are bit-identical with the fast paths on or off (the fastpath-equivalence
-// fuzz gate in internal/verif/fuzz runs the two configurations in lockstep
-// and fails on any divergence). See DESIGN.md, "Host fast paths vs. the
+// are bit-identical with the fast paths on or off (the differential fuzz
+// gates in internal/verif/fuzz run the two configurations side by side and
+// fail on any divergence). See DESIGN.md, "Host fast paths vs. the
 // simulated cycle model".
 
 import (

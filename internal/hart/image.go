@@ -38,7 +38,7 @@ func (d *DMAEngine) Restore(s DMASnapshot) {
 // caches, PMP fast segments, watch bits, Perf counters, and the
 // Monitor/Watchdog/Trace hooks all belong to a machine, not an image. A
 // spawned machine starts with cold caches that re-arm on first use, which
-// the fork-equivalence gate proves is invisible in simulated time.
+// the machine-equivalence fuzz gate proves is invisible in simulated time.
 type Image struct {
 	Cfg      *Config
 	DramSize uint64
@@ -120,7 +120,7 @@ func (m *Machine) LoadImageState(img *Image) error {
 	m.SetFastPath(img.FastPath)
 	// Only the tier switch travels in the image: translated blocks are host
 	// state, dropped with the predecode pages above; the child re-heats and
-	// re-translates (bit-identical — the fork-equivalence gate sweeps this).
+	// re-translates (bit-identical — the machine-equivalence gate sweeps this).
 	m.SetSuperblock(img.Superblock)
 	return nil
 }

@@ -137,8 +137,8 @@ func (m *Machine) Halted() (bool, string) { return m.halted, m.haltReason }
 // SetFastPath toggles every host-side acceleration cache in the machine:
 // the harts' predecode/TLB/flattened-PMP caches and the PLIC's pending
 // memoization. Off reproduces the pre-acceleration simulator exactly; the
-// architectural results are identical either way (enforced by the
-// fastpath-equivalence fuzz gate).
+// architectural results are identical either way (enforced by the lockstep
+// fuzzer's interpreter twin and the machine-equivalence gate).
 func (m *Machine) SetFastPath(on bool) {
 	for _, h := range m.Harts {
 		h.SetFastPath(on)

@@ -8,7 +8,7 @@ package hart
 // overhead while charging the exact documented per-instruction simulated
 // cycles. Like everything in hostfast.go this trades host time only — the
 // architectural state and cycle counters are bit-identical with the tier on
-// or off (enforced by the superblock-equivalence fuzz gate in
+// or off (enforced by the machine-equivalence fuzz gate in
 // internal/verif/fuzz and the three-tier assertion in bench.SimHost).
 //
 // The safety argument has three legs (see DESIGN.md, "Superblock

@@ -50,7 +50,9 @@ func TestChaosSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 4 * 9; rep.TotalInjected != want {
+	// Eight combinations: rtos × sandbox is skipped, since govfm.New
+	// rejects it.
+	if want := 4 * 8; rep.TotalInjected != want {
 		t.Errorf("injected %d faults, want %d", rep.TotalInjected, want)
 	}
 	for _, r := range rep.Results {

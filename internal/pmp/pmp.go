@@ -147,8 +147,8 @@ func (f *File) AdvanceEpoch(e uint64) {
 
 // SetFast selects the flattened-range lookup (true) or the architectural
 // linear scan (false) for Check. Both produce identical verdicts — the
-// fastpath-equivalence fuzz gate runs them against each other — so this
-// only trades host time.
+// differential fuzz gates run them against each other — so this only
+// trades host time.
 func (f *File) SetFast(on bool) { f.fast = on }
 
 // FastEnabled reports whether the flattened-range lookup is in use.

@@ -69,7 +69,7 @@ func buildCSRCase(e *Engine, csrSel, formSel, rd, rs1, privSel uint8, val uint64
 
 func checkCSRAccess(t *testing.T, csrSel, formSel, rd, rs1, privSel uint8, val uint64) {
 	t.Helper()
-	e, err := cachedEngine("visionfive2")
+	e, _, err := cachedPair("visionfive2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func FuzzCSRAccess(f *testing.F) {
 // allowed access form at all three privileges with a few data patterns, so
 // the whole CSR surface is differentially exercised on plain `go test`.
 func TestCSRAccessMatchesModel(t *testing.T) {
-	e, err := cachedEngine("visionfive2")
+	e, _, err := cachedPair("visionfive2")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,9 +26,18 @@ type Finding struct {
 func (f *Finding) String() string {
 	s := fmt.Sprintf("%s at step %d (word %#08x) in %s", f.Where, f.Step, f.Word, f.Case)
 	for _, d := range f.Deltas {
-		s += "\n  " + d.String()
+		s += "\n  " + deltaString(d)
 	}
 	return s
+}
+
+// deltaString renders a delta; one whose sides are equal carries its whole
+// description in Field (diffTwin's machine differences).
+func deltaString(d refmodel.Delta) string {
+	if d.A == d.B {
+		return d.Field
+	}
+	return d.String()
 }
 
 // Divergence pair labels.
@@ -73,9 +82,6 @@ type Engine struct {
 	natBase  *hart.MachineSnapshot
 	virtBase *hart.MachineSnapshot
 	natTrap  *hart.TrapInfo
-
-	progZero    []byte
-	scratchZero []byte
 }
 
 // NewEngine builds the paired machines for a profile name from
@@ -99,13 +105,7 @@ func NewEngine(profile string) (*Engine, error) {
 		return nil, err
 	}
 
-	e := &Engine{
-		Profile:     profile,
-		Native:      native,
-		Virt:        virt,
-		progZero:    make([]byte, ProgCap),
-		scratchZero: make([]byte, ScratchSize),
-	}
+	e := &Engine{Profile: profile, Native: native, Virt: virt}
 
 	mon, err := core.Attach(virt, core.Options{
 		FirmwareEntry: ProgBase,
@@ -135,8 +135,6 @@ func NewEngine(profile string) (*Engine, error) {
 		CSRs:       csrSpecs(e.VirtCfg),
 		HFence:     e.VirtCfg.HasH,
 	}
-
-	e.SetFastPath(DefaultFastPath)
 
 	// Baselines. The CLINT comparator resets to zero, which asserts MTIP
 	// immediately; silence it so the native machine sees no machine-timer
@@ -564,15 +562,8 @@ func (e *Engine) Run(tc *TestCase) (*Finding, int) {
 	e.Virt.Restore(e.virtBase)
 	e.Mon.ResetVirt(e.Ctx)
 
-	prog := make([]byte, 4*len(tc.Prog))
-	for i, w := range tc.Prog {
-		binary.LittleEndian.PutUint32(prog[4*i:], w)
-	}
-	for _, m := range []*hart.Machine{e.Native, e.Virt} {
-		m.LoadImage(ProgBase, e.progZero)
-		m.LoadImage(ScratchBase, e.scratchZero)
-		m.LoadImage(ProgBase, prog)
-	}
+	loadWindows(e.Native, tc.Prog)
+	loadWindows(e.Virt, tc.Prog)
 
 	e.installNative(s)
 	e.installVirt(s)

@@ -2,12 +2,15 @@ package fuzz
 
 import (
 	"flag"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
+	"govfm/internal/hart"
 	"govfm/internal/refmodel"
 )
 
@@ -19,9 +22,11 @@ var seedFlag = flag.Int64("seed", 1, "fuzzer seed (failures print the seed to re
 var lockstepProfiles = []string{"visionfive2", "p550"}
 
 // TestLockstepSmoke fuzzes both board profiles for a fixed step budget and
-// requires zero divergences.
+// requires zero divergences, the interpreter twin's included. Engines
+// alternate case by case, so the full budget runs at least 150 cases on
+// each profile.
 func TestLockstepSmoke(t *testing.T) {
-	budget := 20000
+	budget := 60000
 	if testing.Short() {
 		budget = 4000
 	}
@@ -37,8 +42,76 @@ func TestLockstepSmoke(t *testing.T) {
 		t.Fatalf("seed %d: %d divergences in %d cases / %d steps (rerun with -seed %d)",
 			*seedFlag, len(findings), f.Cases, f.Steps, *seedFlag)
 	}
+	if !testing.Short() && f.Cases < 2*150 {
+		t.Fatalf("seed %d: only %d cases across both profiles", *seedFlag, f.Cases)
+	}
 	t.Logf("seed %d: %d cases, %d lockstep steps, %d coverage keys, 0 divergences",
 		*seedFlag, f.Cases, f.Steps, f.Coverage())
+}
+
+// TestEquivalenceSmoke runs hypervisor-biased p550 cases (guest starting
+// states, hfence, VS CSR traffic) on an engine and its interpreter twin
+// and requires zero divergences, fast-vs-interp included: the unbiased
+// stream of TestLockstepSmoke seldom starts in a guest. The full-size run
+// is scripts/verify.sh's hext gate.
+func TestEquivalenceSmoke(t *testing.T) {
+	cases := 150
+	if testing.Short() {
+		cases = 20
+	}
+	f, err := NewFuzzer([]string{"p550"}, *seedFlag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Engines[0].HextBias = true
+	for _, fd := range f.RunCases(cases, 3) {
+		t.Errorf("seed %d: %s", *seedFlag, fd)
+	}
+	if f.GuestCases == 0 {
+		t.Fatalf("seed %d: none of %d cases started in a guest (V=1)", *seedFlag, f.Cases)
+	}
+	t.Logf("seed %d: %d cases (%d in a guest), %d lockstep steps, each also on the twin",
+		*seedFlag, f.Cases, f.GuestCases, f.Steps)
+}
+
+// TestTwinDiffNamesEachField runs one case on an engine and its twin, then
+// changes one field at a time on the twin and requires diffTwin to name
+// it: a cycle count, a register, a memory byte and a virtual CSR.
+func TestTwinDiffNamesEachField(t *testing.T) {
+	e, twin, err := newPair("p550")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := e.GenCase(rand.New(rand.NewSource(*seedFlag)))
+	flip := func(m *hart.Machine, addr uint64) {
+		b, err := m.Bus.ReadBytes(addr, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Bus.Store(addr, 1, uint64(^b[0]))
+	}
+	for _, c := range []struct {
+		field  string // the start of the first delta's Field
+		mutate func()
+	}{
+		{"native hart0 cycles:", func() { twin.Native.Harts[0].Cycles++ }},
+		{"virt hart0 cycles:", func() { twin.Virt.Harts[0].Cycles++ }},
+		{"native hart0 x7:", func() { twin.Native.Harts[0].Regs[7]++ }},
+		{"virt hart0 x7:", func() { twin.Virt.Harts[0].Regs[7]++ }},
+		{fmt.Sprintf("native memory at %#x:", ScratchBase+16), func() { flip(twin.Native, ScratchBase+16) }},
+		{fmt.Sprintf("virt memory at %#x:", ProgBase+8), func() { flip(twin.Virt, ProgBase+8) }},
+		{"virt-csr mscratch", func() { twin.Ctx.V.Mscratch++ }},
+		{"virt-csr hedeleg", func() { twin.Ctx.V.Hedeleg ^= 1 }},
+	} {
+		if f, _ := runPair(e, twin, tc); f != nil {
+			t.Fatalf("seed %d: the case diverges before any change: %s", *seedFlag, f)
+		}
+		c.mutate()
+		ds := diffTwin(e, twin)
+		if len(ds) == 0 || !strings.HasPrefix(ds[0].Field, c.field) {
+			t.Errorf("changing %s: diffTwin says %v", c.field, ds)
+		}
+	}
 }
 
 // TestEngineDeterministic re-runs one generated case and requires the
@@ -94,7 +167,7 @@ func TestCanonicalizeIdempotent(t *testing.T) {
 // TestReplayJSONRoundTrip serializes a case and replays it through the
 // public JSON entry point used by reproducer files.
 func TestReplayJSONRoundTrip(t *testing.T) {
-	e, err := cachedEngine("visionfive2")
+	e, _, err := cachedPair("visionfive2")
 	if err != nil {
 		t.Fatal(err)
 	}

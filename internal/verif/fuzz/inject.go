@@ -1,7 +1,6 @@
 package fuzz
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -73,13 +72,7 @@ func (e *Engine) runInjectCase(rng *rand.Rand, rep *InjectReport, n int) {
 	e.Mon.ResetVirt(e.Ctx)
 
 	tc := e.GenCase(rng)
-	prog := make([]byte, 4*len(tc.Prog))
-	for i, w := range tc.Prog {
-		binary.LittleEndian.PutUint32(prog[4*i:], w)
-	}
-	e.Virt.LoadImage(ProgBase, e.progZero)
-	e.Virt.LoadImage(ScratchBase, e.scratchZero)
-	e.Virt.LoadImage(ProgBase, prog)
+	loadWindows(e.Virt, tc.Prog)
 	e.installVirt(tc.State)
 
 	inj := inject.New(rng.Int63(), e.Mon)

@@ -11,10 +11,11 @@ import (
 	"govfm/internal/rv"
 )
 
-// Shared plumbing of the machine-level equivalence gates (sbequiv.go,
-// forkequiv.go). A case confines each hart by locked PMP to a program
-// window and a scratch window, starts it from a generated hartInit, and
-// compares finished machines with diffMachines.
+// Shared plumbing of the machine-level comparisons: the
+// machine-equivalence harness (machequiv.go) and the lockstep fuzzer's
+// interpreter twin (fuzz.go). A harness case confines each hart by locked
+// PMP to the program window and the scratch window, starts it from a
+// generated hartInit, and compares finished machines with diffMachines.
 
 // closedGenCSRs is the CSR surface generated programs may touch. All of it
 // is hart-local plumbing; interrupt-pending and translation CSRs stay off
@@ -36,21 +37,9 @@ var closedGenCSRs = []asm.GenCSR{
 	{CSR: rv.CSRMhartid, Forms: asm.FormsRead},
 }
 
-// progBase and scratchBase are hart i's windows when every hart gets its
-// own: program windows tile the firmware region, scratch windows the OS
-// region, and both strides keep NAPOT alignment.
-func progBase(i int) uint64    { return ProgBase + uint64(i)*ProgCap }
-func scratchBase(i int) uint64 { return ScratchBase + uint64(i)*ScratchSize }
-
-// ownWindows lists the program and scratch windows of n harts that each
-// get their own.
-func ownWindows(n int) [][2]uint64 {
-	var w [][2]uint64
-	for i := 0; i < n; i++ {
-		w = append(w, [2]uint64{progBase(i), ProgCap}, [2]uint64{scratchBase(i), ScratchSize})
-	}
-	return w
-}
+// caseWindows are the program and scratch windows, {base, size}: the
+// memory a case can write, and so the memory diffMachines compares.
+var caseWindows = [][2]uint64{{ProgBase, ProgCap}, {ScratchBase, ScratchSize}}
 
 // napotAddr encodes a pmpaddr NAPOT match over [base, base+size) — size a
 // power of two ≥ 8, base size-aligned.
@@ -79,27 +68,27 @@ var (
 	scrZero  = make([]byte, ScratchSize)
 )
 
-// loadWindows clears the program window at prog and the scratch window at
-// scr, then writes the program at prog.
-func loadWindows(m *hart.Machine, prog, scr uint64, words []uint32) {
+// loadWindows clears the program and scratch windows, then writes the
+// program at ProgBase.
+func loadWindows(m *hart.Machine, words []uint32) {
 	buf := make([]byte, 4*len(words))
 	for j, w := range words {
 		binary.LittleEndian.PutUint32(buf[4*j:], w)
 	}
-	m.LoadImage(prog, progZero)
-	m.LoadImage(scr, scrZero)
-	m.LoadImage(prog, buf)
+	m.LoadImage(ProgBase, progZero)
+	m.LoadImage(ScratchBase, scrZero)
+	m.LoadImage(ProgBase, buf)
 }
 
-// startHart puts h in M-mode at prog with the starting state in, confined
-// to its windows: PMP entry 0 grants the program window at prog, entry 1
-// the scratch window at scr, and entry 2 blankets the rest of the address
+// startHart puts h in M-mode at ProgBase with the starting state in,
+// confined to the case's windows: PMP entry 0 grants the program window,
+// entry 1 the scratch window, and entry 2 blankets the rest of the address
 // space with no permissions. All three are locked, so they bind M-mode
 // too and only a full reset clears them.
-func startHart(h *hart.Hart, in *hartInit, prog, scr uint64) {
+func startHart(h *hart.Hart, in *hartInit) {
 	h.Regs = in.Regs
 	h.Regs[0] = 0
-	h.PC = prog
+	h.PC = ProgBase
 	h.Mode = rv.ModeM
 	c := &h.CSR
 	c.WriteMstatus(in.Mstatus)
@@ -113,9 +102,9 @@ func startHart(h *hart.Hart, in *hartInit, prog, scr uint64) {
 
 	f := c.PMP
 	rwxNapot := uint8(pmp.CfgL | pmp.CfgR | pmp.CfgW | pmp.CfgX | pmp.ANapot<<3)
-	f.ForceAddr(0, napotAddr(prog, ProgCap))
+	f.ForceAddr(0, napotAddr(ProgBase, ProgCap))
 	f.ForceCfg(0, rwxNapot)
-	f.ForceAddr(1, napotAddr(scr, ScratchSize))
+	f.ForceAddr(1, napotAddr(ScratchBase, ScratchSize))
 	f.ForceCfg(1, rwxNapot)
 	f.ForceAddr(2, rv.Mask(54))
 	f.ForceCfg(2, pmp.CfgL|pmp.ANapot<<3)
@@ -124,9 +113,9 @@ func startHart(h *hart.Hart, in *hartInit, prog, scr uint64) {
 // diffMachines compares two finished machines and describes their first
 // difference, prefixed by label, or returns "". want is the oracle. It
 // checks the halt state, mtime and the UART transcript; then per hart the
-// counters, pc/mode/wfi/halt, the registers, the CSRs and the PMP
-// entries; then each memory window, given as {base, size}.
-func diffMachines(label string, want, got *hart.Machine, windows [][2]uint64) string {
+// counters, pc/mode/wfi/halt, V, the registers, the CSRs (hypervisor and
+// custom ones included) and the PMP entries; then caseWindows.
+func diffMachines(label string, want, got *hart.Machine) string {
 	diff := func(format string, args ...any) string {
 		return label + " " + fmt.Sprintf(format, args...)
 	}
@@ -146,7 +135,7 @@ func diffMachines(label string, want, got *hart.Machine, windows [][2]uint64) st
 			return diff("hart%d %s", i, d)
 		}
 	}
-	for _, r := range windows {
+	for _, r := range caseWindows {
 		bW, err1 := want.Bus.ReadBytes(r[0], int(r[1]))
 		bG, err2 := got.Bus.ReadBytes(r[0], int(r[1]))
 		if err1 != nil || err2 != nil {
@@ -178,6 +167,9 @@ func diffHarts(hW, hG *hart.Hart) string {
 			hW.PC, hW.Mode, hW.Waiting, hW.Halted,
 			hG.PC, hG.Mode, hG.Waiting, hG.Halted)
 	}
+	if hW.V != hG.V {
+		return fmt.Sprintf("v: want=%v got=%v", hW.V, hG.V)
+	}
 	for r := range hW.Regs {
 		if hW.Regs[r] != hG.Regs[r] {
 			return fmt.Sprintf("x%d: want=%#x got=%#x", r, hW.Regs[r], hG.Regs[r])
@@ -201,9 +193,26 @@ func diffHarts(hW, hG *hart.Hart) string {
 		{"stval", a.Stval, b.Stval}, {"satp", a.Satp, b.Satp},
 		{"stimecmp", a.Stimecmp, b.Stimecmp},
 		{"mip", a.Mip(0), b.Mip(0)},
+		{"hstatus", a.Hstatus, b.Hstatus}, {"hedeleg", a.Hedeleg, b.Hedeleg},
+		{"hideleg", a.Hideleg, b.Hideleg}, {"hie", a.Hie, b.Hie},
+		{"hip", a.Hip, b.Hip}, {"hvip", a.Hvip, b.Hvip},
+		{"hcounteren", a.Hcounteren, b.Hcounteren}, {"hgeie", a.Hgeie, b.Hgeie},
+		{"htval", a.Htval, b.Htval}, {"htinst", a.Htinst, b.Htinst},
+		{"hgatp", a.Hgatp, b.Hgatp}, {"henvcfg", a.Henvcfg, b.Henvcfg},
+		{"vsstatus", a.Vsstatus, b.Vsstatus}, {"vsie", a.Vsie, b.Vsie},
+		{"vstvec", a.Vstvec, b.Vstvec}, {"vsscratch", a.Vsscratch, b.Vsscratch},
+		{"vsepc", a.Vsepc, b.Vsepc}, {"vscause", a.Vscause, b.Vscause},
+		{"vstval", a.Vstval, b.Vstval}, {"vsip", a.Vsip, b.Vsip},
+		{"vsatp", a.Vsatp, b.Vsatp},
+		{"mtinst", a.Mtinst, b.Mtinst}, {"mtval2", a.Mtval2, b.Mtval2},
 	} {
 		if f.a != f.b {
 			return fmt.Sprintf("%s: want=%#x got=%#x", f.name, f.a, f.b)
+		}
+	}
+	for _, n := range hW.Cfg.CustomCSRs {
+		if a.Custom[n] != b.Custom[n] {
+			return fmt.Sprintf("csr%#x: want=%#x got=%#x", n, a.Custom[n], b.Custom[n])
 		}
 	}
 	for i := 0; i < a.PMP.NumEntries(); i++ {

@@ -11,10 +11,11 @@ import (
 )
 
 // TestDiffMachinesNamesEachField changes one compared field on the second
-// of two identical machines and requires diffMachines to name it.
+// of two identical machines and requires diffMachines to name it. The
+// hypervisor and custom CSRs are changed on p550, which has them.
 func TestDiffMachinesNamesEachField(t *testing.T) {
-	newMachine := func() *hart.Machine {
-		cfg := hart.VisionFive2()
+	newMachine := func(profile string) *hart.Machine {
+		cfg := hart.Profiles()[profile]()
 		cfg.Harts = 2
 		m, err := hart.NewMachine(cfg, core.DramSize)
 		if err != nil {
@@ -23,13 +24,13 @@ func TestDiffMachinesNamesEachField(t *testing.T) {
 		m.Reset(ProgBase)
 		return m
 	}
-	windows := ownWindows(2)
 	h := func(m *hart.Machine) *hart.Hart { return m.Harts[1] }
 	c := func(m *hart.Machine) *hart.CSRFile { return &m.Harts[1].CSR }
-	cases := []struct {
+	type row struct {
 		field  string // diffMachines' description after the label
 		mutate func(m *hart.Machine)
-	}{
+	}
+	vf2 := []row{
 		{"machine halt", func(m *hart.Machine) { m.Bus.Store(hart.ExitBase, 4, hart.ExitPass) }},
 		{"mtime", func(m *hart.Machine) { m.Clint.Advance(1) }},
 		{"uart", func(m *hart.Machine) { m.Bus.Store(hart.UartBase, 1, 'x') }},
@@ -66,23 +67,52 @@ func TestDiffMachinesNamesEachField(t *testing.T) {
 		{"hart1 mip", func(m *hart.Machine) { c(m).SetMip(1 << rv.IntSSoft) }},
 		{"hart1 pmp5", func(m *hart.Machine) { c(m).PMP.ForceAddr(5, 0x1234) }},
 		{"hart1 pmp5", func(m *hart.Machine) { c(m).PMP.ForceCfg(5, 0x1) }},
-		{fmt.Sprintf("memory at %#x", progBase(1)+8), func(m *hart.Machine) {
-			m.Bus.Store(progBase(1)+8, 1, 0xff)
+		{fmt.Sprintf("memory at %#x", ProgBase+8), func(m *hart.Machine) {
+			m.Bus.Store(ProgBase+8, 1, 0xff)
 		}},
-		{fmt.Sprintf("memory at %#x", scratchBase(1)+16), func(m *hart.Machine) {
-			m.Bus.Store(scratchBase(1)+16, 1, 0xff)
+		{fmt.Sprintf("memory at %#x", ScratchBase+16), func(m *hart.Machine) {
+			m.Bus.Store(ScratchBase+16, 1, 0xff)
 		}},
 	}
-	want := newMachine()
-	for _, tc := range cases {
-		got := newMachine()
-		if d := diffMachines("same", want, got, windows); d != "" {
-			t.Fatalf("identical machines differ: %s", d)
-		}
-		tc.mutate(got)
-		d := diffMachines("label", want, got, windows)
-		if !strings.HasPrefix(d, "label "+tc.field+":") {
-			t.Errorf("changing %s: diffMachines says %q", tc.field, d)
+	p550 := []row{
+		{"hart1 v", func(m *hart.Machine) { h(m).V = true }},
+		{"hart1 hstatus", func(m *hart.Machine) { c(m).Hstatus++ }},
+		{"hart1 hedeleg", func(m *hart.Machine) { c(m).Hedeleg++ }},
+		{"hart1 hideleg", func(m *hart.Machine) { c(m).Hideleg++ }},
+		{"hart1 hie", func(m *hart.Machine) { c(m).Hie++ }},
+		{"hart1 hip", func(m *hart.Machine) { c(m).Hip++ }},
+		{"hart1 hvip", func(m *hart.Machine) { c(m).Hvip++ }},
+		{"hart1 hcounteren", func(m *hart.Machine) { c(m).Hcounteren++ }},
+		{"hart1 hgeie", func(m *hart.Machine) { c(m).Hgeie++ }},
+		{"hart1 htval", func(m *hart.Machine) { c(m).Htval++ }},
+		{"hart1 htinst", func(m *hart.Machine) { c(m).Htinst++ }},
+		{"hart1 hgatp", func(m *hart.Machine) { c(m).Hgatp++ }},
+		{"hart1 henvcfg", func(m *hart.Machine) { c(m).Henvcfg++ }},
+		{"hart1 vsstatus", func(m *hart.Machine) { c(m).Vsstatus++ }},
+		{"hart1 vsie", func(m *hart.Machine) { c(m).Vsie++ }},
+		{"hart1 vstvec", func(m *hart.Machine) { c(m).Vstvec++ }},
+		{"hart1 vsscratch", func(m *hart.Machine) { c(m).Vsscratch++ }},
+		{"hart1 vsepc", func(m *hart.Machine) { c(m).Vsepc++ }},
+		{"hart1 vscause", func(m *hart.Machine) { c(m).Vscause++ }},
+		{"hart1 vstval", func(m *hart.Machine) { c(m).Vstval++ }},
+		{"hart1 vsip", func(m *hart.Machine) { c(m).Vsip++ }},
+		{"hart1 vsatp", func(m *hart.Machine) { c(m).Vsatp++ }},
+		{"hart1 mtinst", func(m *hart.Machine) { c(m).Mtinst++ }},
+		{"hart1 mtval2", func(m *hart.Machine) { c(m).Mtval2++ }},
+		{"hart1 csr0x7c2", func(m *hart.Machine) { c(m).Custom[0x7C2]++ }},
+	}
+	for profile, rows := range map[string][]row{"visionfive2": vf2, "p550": p550} {
+		want := newMachine(profile)
+		for _, tc := range rows {
+			got := newMachine(profile)
+			if d := diffMachines("same", want, got); d != "" {
+				t.Fatalf("%s: identical machines differ: %s", profile, d)
+			}
+			tc.mutate(got)
+			d := diffMachines("label", want, got)
+			if !strings.HasPrefix(d, "label "+tc.field+":") {
+				t.Errorf("%s: changing %s: diffMachines says %q", profile, tc.field, d)
+			}
 		}
 	}
 }

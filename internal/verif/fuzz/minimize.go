@@ -7,10 +7,12 @@ import "govfm/internal/refmodel"
 // different symptom of the same bug is just as useful and usually more
 // readable). It nops out instruction ranges by binary descent, then
 // simplifies the starting state field by field, iterating to a fixpoint.
-func Minimize(e *Engine, f *Finding) *Finding {
+// Every candidate runs on the engine and its twin (runPair), so a
+// fast-vs-interp finding shrinks like any other.
+func Minimize(e, twin *Engine, f *Finding) *Finding {
 	last := f
 	diverges := func(tc *TestCase) bool {
-		fd, _ := e.Run(tc)
+		fd, _ := runPair(e, twin, tc)
 		if fd != nil {
 			last = fd
 		}

@@ -9,40 +9,40 @@ import (
 	"sync"
 )
 
-// ReplayJSON decodes a serialized test case and re-runs it in lockstep,
-// returning the finding (nil when execution stays convergent). Engines are
-// cached per profile: reproducer tests replay many cases and engine
-// construction is the expensive part.
+// ReplayJSON decodes a serialized test case and re-runs it in lockstep on
+// an engine and its twin (runPair), returning the finding (nil when
+// execution stays convergent). Engines are cached per profile: reproducer
+// tests replay many cases and engine construction is the expensive part.
 func ReplayJSON(data []byte) (*Finding, error) {
 	var tc TestCase
 	if err := json.Unmarshal(data, &tc); err != nil {
 		return nil, fmt.Errorf("fuzz: bad test case: %w", err)
 	}
-	e, err := cachedEngine(tc.Profile)
+	e, twin, err := cachedPair(tc.Profile)
 	if err != nil {
 		return nil, err
 	}
-	f, _ := e.Run(&tc)
+	f, _ := runPair(e, twin, &tc)
 	return f, nil
 }
 
 var (
 	engineMu    sync.Mutex
-	engineCache = map[string]*Engine{}
+	engineCache = map[string][2]*Engine{}
 )
 
-func cachedEngine(profile string) (*Engine, error) {
+// cachedPair returns the profile's cached engine and twin (newPair).
+func cachedPair(profile string) (e, twin *Engine, err error) {
 	engineMu.Lock()
 	defer engineMu.Unlock()
-	if e, ok := engineCache[profile]; ok {
-		return e, nil
+	if p, ok := engineCache[profile]; ok {
+		return p[0], p[1], nil
 	}
-	e, err := NewEngine(profile)
-	if err != nil {
-		return nil, err
+	if e, twin, err = newPair(profile); err != nil {
+		return nil, nil, err
 	}
-	engineCache[profile] = e
-	return e, nil
+	engineCache[profile] = [2]*Engine{e, twin}
+	return e, twin, nil
 }
 
 // CaseHash returns a short content hash identifying a test case.
@@ -104,7 +104,7 @@ const reproCase_%s = %s%s%s
 func deltaComment(f *Finding) string {
 	s := ""
 	for _, d := range f.Deltas {
-		s += "//   " + d.String() + "\n"
+		s += "//   " + deltaString(d) + "\n"
 	}
 	if s != "" {
 		s = "// Deltas at divergence:\n" + s + "//\n"

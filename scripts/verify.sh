@@ -64,36 +64,31 @@ else
     run_gate race go test -race -short ./...
 fi
 
-echo "== fuzzdiff smoke"
+echo "== fuzzdiff smoke (lockstep; every case also on an interpreter twin)"
+# Three-way lockstep (native hart, monitor-virtualized hart, reference
+# model) over ~740 cases per profile. Every case runs a second time on a
+# twin engine with the host caches off, and the two must end in the same
+# state: both machines (registers, CSRs, memory, cycle counters) and the
+# monitor's virtual CSR file.
 run_gate fuzzdiff_smoke go run ./cmd/fuzzdiff -smoke
 
 echo "== hext lockstep (hypervisor-extension bias, state + cycles, 500 cases)"
-# Three-way lockstep with the generator biased into V=1 guest states:
-# hfence encodings, H CSR traffic, guest-page faults, and virtual
-# instructions all land in the differential window. Bit-identical
-# architectural state AND cycle counters, >= 400 cases, zero divergences.
-run_gate hext_lockstep go run ./cmd/fuzzdiff -hext -smoke
+# The same lockstep and twin, with the generator biased into V=1 guest
+# states: hfence encodings, H CSR traffic, guest-page faults, and virtual
+# instructions all land in the differential window.
+run_gate hext_lockstep go run ./cmd/fuzzdiff -hext 500
 
-echo "== fastpath equivalence (host caches on vs. off, state + cycles)"
-run_gate fastpath_equiv go run ./cmd/fuzzdiff -fastpath both -equiv-cases 400
-
-echo "== fork equivalence (COW fork vs. cold replay, state + cycles, 400 cases)"
-# Each case forks a parent mid-run and requires the child AND the
-# post-fork parent to match a cold replay bit-for-bit (cycle counters
-# included), swept so that every 12 cases cover each profile x {1, 2}
-# harts x {interpreter, fast path, fast path + superblocks} cell once.
-run_gate fork_equiv go run ./cmd/fuzzdiff -fork 200
-
-echo "== superblock equivalence (translation tier vs. fast path vs. interpreter)"
-# Three-machine differential gate for the superblock binary-translation
-# tier: every case runs on an interpreter-only, a caches-only, and a
-# full-stack machine under a live wall clock and must match bit-for-bit
-# (registers, CSRs, memory, cycle counters), swept across both profiles,
-# 1, 2 and 4 harts (multi-hart cases run block rounds), timer interrupts,
-# self-modifying code, PMP reprogramming, and looping programs. It also
-# fails when no case chained one block into another, or when the
+echo "== machine equivalence (fast path, superblocks, forks vs. the interpreter)"
+# Every case runs on an interpreter-only machine (the oracle), a
+# caches-only machine, a full-stack machine, and a parent that forks it
+# mid-run and a child spawned from the fork, under a live wall clock; all
+# must match the interpreter bit for bit (registers, CSRs, memory, mtime,
+# cycle counters). Cases sweep both profiles, 1, 2 and 4 harts (multi-hart
+# cases run block rounds), the fork's tier, timer interrupts,
+# self-modifying code, PMP reprogramming, and looping programs. The gate
+# also fails when no case chained one block into another, or when the
 # multi-hart cases never ran a round.
-run_gate superblock_equiv go run ./cmd/fuzzdiff -superblock both -equiv-cases 400
+run_gate equiv go run ./cmd/fuzzdiff -equiv 400
 
 echo "== repo benchmark tests (every workload, every fast tier vs. the interpreter oracle)"
 # benchmark/ is a nested module, so go test ./... above skips it. Its
