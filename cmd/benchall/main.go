@@ -1,52 +1,84 @@
 // Command benchall regenerates every table and figure of the paper's
 // evaluation section on the simulated platforms and prints them in order,
-// with the paper's reference numbers alongside for comparison. Expect a
-// few minutes of runtime for the full sweep.
+// with the paper's reference numbers alongside for comparison, then the
+// fork-latency table. The full sweep takes about 10 s.
 //
 // Usage:
 //
-//	benchall [-only fig3,table4,table5,fig10,fig11,fig12,fig13,fig14,boot,ablation,rva23,simhost]
-//	         [-simhost-out BENCH_simhost.json] [-cpuprofile f] [-memprofile f]
-//	         [-simhost-baseline BENCH_simhost.json] [-max-regress 30]
+//	benchall [-only fig3,table4,...] [-cpuprofile f] [-memprofile f]
 //
-// -simhost-baseline compares the measured simhost geomean speedup against
-// a checked-in baseline report and exits nonzero if it regressed by more
-// than -max-regress percent — the CI guard against silently losing the
-// host fast paths.
+// -h lists the -only keys. A key that names no experiment exits 2 having
+// run nothing. Host speed is the repo benchmark's (benchmark/), not
+// benchall's.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"govfm/internal/bench"
 	"govfm/internal/hart"
 )
 
-func main() {
-	only := flag.String("only", "", "comma-separated subset of experiments")
-	simhostOut := flag.String("simhost-out", "BENCH_simhost.json", "simhost JSON output path")
-	simhostBaseline := flag.String("simhost-baseline", "", "baseline simhost JSON to guard against regressions")
-	maxRegress := flag.Float64("max-regress", 30, "max %% geomean-speedup regression vs. the baseline")
-	superblock := flag.Bool("superblock", true, "enable the superblock translation tier in the full-stack simhost measurement")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+// experiments are benchall's -only keys, in the order the full sweep runs
+// them.
+var experiments = []struct {
+	key string
+	run func(w io.Writer) error
+}{
+	{"fig3", fig3}, {"table4", table4}, {"table5", table5},
+	{"fig10", fig10}, {"fig11", fig11}, {"fig12", fig12}, {"fig13", fig13},
+	{"fig14", fig14}, {"boot", boot}, {"ablation", ablation}, {"rva23", rva23},
+	{"fork", fork},
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole program; it returns the process exit code so tests can
+// drive it directly. 0 = every selected experiment ran, 1 = one failed,
+// 2 = usage error.
+func run(args []string, out, errw io.Writer) int {
+	keys := make([]string, len(experiments))
+	for i, e := range experiments {
+		keys[i] = e.key
+	}
+	fs := flag.NewFlagSet("benchall", flag.ContinueOnError)
+	fs.SetOutput(errw)
+	only := fs.String("only", "", "comma-separated subset of experiments: "+strings.Join(keys, ","))
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	want := map[string]bool{}
+	for _, s := range strings.Split(*only, ",") {
+		if s = strings.TrimSpace(s); s == "" {
+			continue
+		}
+		if !slices.Contains(keys, s) {
+			fmt.Fprintf(errw, "benchall: unknown experiment %q (want one of %s)\n", s, strings.Join(keys, ","))
+			return 2
+		}
+		want[s] = true
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(errw, "benchall: %v\n", err)
+			return 1
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(errw, "benchall: %v\n", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -54,268 +86,168 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchall: %v\n", err)
+				fmt.Fprintf(errw, "benchall: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "benchall: %v\n", err)
+				fmt.Fprintf(errw, "benchall: %v\n", err)
 			}
 		}()
 	}
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, s := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(s)] = true
+	for _, e := range experiments {
+		if len(want) > 0 && !want[e.key] {
+			continue
 		}
+		fmt.Fprintln(out, "================================================================")
+		if err := e.run(out); err != nil {
+			fmt.Fprintf(errw, "benchall: %s: %v\n", e.key, err)
+			return 1
+		}
+		fmt.Fprintln(out)
 	}
-	sel := func(name string) bool { return len(want) == 0 || want[name] }
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "benchall: %v\n", err)
-		os.Exit(1)
-	}
-
-	if sel("fig3") {
-		fmt.Println("================================================================")
-		res, err := bench.Fig3(hart.VisionFive2, 10_000)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(res.Format())
-		fmt.Printf("\ntotals:\n%s\n", res.Collector.Format())
-		fmt.Println("paper:    five causes 99.98%; 5500 traps/s; 1.17 world-switches/s")
-		fmt.Printf("measured: five causes %.2f%%; %.0f traps/s; %.2f world-switches/s\n",
-			100*res.TopShare, res.NativeTrapRate, res.WorldSwitchRate)
-		fmt.Println()
-	}
-
-	if sel("table4") {
-		fmt.Println("================================================================")
-		fmt.Println("Table 4: Overhead of Miralis operations in cycles")
-		fmt.Printf("%-14s %12s %14s\n", "platform", "emulation", "world switch")
-		for _, mk := range []func() *hart.Config{hart.VisionFive2, hart.PremierP550} {
-			r, err := bench.Table4(mk)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Printf("%-14s %12.0f %14.0f\n", r.Platform, r.EmulationCycles, r.WorldSwitchCycles)
-		}
-		fmt.Println("paper: VF2 483 / 2704; P550 271 / 4098")
-		fmt.Println()
-	}
-
-	if sel("table5") {
-		fmt.Println("================================================================")
-		fmt.Println("Table 5: Cost of timer read and IPI (ns)")
-		r, err := bench.Table5(hart.VisionFive2)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("%-20s %10s %10s\n", "", "read time", "IPI")
-		for _, mode := range bench.Modes {
-			fmt.Printf("%-20s %10.0f %10.0f\n", mode, r.ReadTime[mode], r.IPI[mode])
-		}
-		fmt.Println("paper (VF2): native 288ns/3.96µs; miralis 208ns/3.65µs; no-offload 7.26µs/39.8µs")
-		fmt.Println("(our IPI is a same-core round trip; the paper measures cross-core delivery)")
-		fmt.Println()
-	}
-
-	if sel("fig10") {
-		fmt.Println("================================================================")
-		res, err := bench.Fig10(hart.VisionFive2)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(res.Format())
-		fmt.Println("paper: miralis ≈ native; no-offload ≈ 1.9% average overhead")
-		fmt.Println()
-	}
-
-	if sel("fig11") {
-		fmt.Println("================================================================")
-		res, err := bench.Fig11(hart.VisionFive2)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(res.Format())
-		fmt.Println("paper: miralis ≥ native (write slightly better); no-offload ≈ 10.6% down")
-		fmt.Println()
-	}
-
-	if sel("fig12") {
-		fmt.Println("================================================================")
-		res, err := bench.Fig12(hart.VisionFive2)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(res.Format())
-		fmt.Println("paper: miralis ≤ native below p95 (263 vs 279 ns median); no-offload ≈ 2x")
-		fmt.Println()
-	}
-
-	if sel("fig13") {
-		fmt.Println("================================================================")
-		for _, mk := range []func() *hart.Config{hart.VisionFive2, hart.PremierP550} {
-			res, err := bench.Fig13(mk)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Print(res.Format())
-		}
-		fmt.Println("paper: miralis up to +7.6%/+1.2% (VF2/P550) on network loads;")
-		fmt.Println("       no-offload up to 259% overhead on Redis (P550)")
-		fmt.Println()
-	}
-
-	if sel("fig14") {
-		fmt.Println("================================================================")
-		res, err := bench.Fig14(hart.VisionFive2)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(res.Format())
-		fmt.Println("paper: ≈1% average enclave overhead on RV8")
-		fmt.Println()
-	}
-
-	if sel("boot") {
-		fmt.Println("================================================================")
-		res, err := bench.BootTime(hart.VisionFive2)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(res.Format())
-		fmt.Println("paper: 48.0s vs 47.5s native (≈1%); 61.3s without offload (≈29%)")
-		fmt.Println()
-	}
-
-	if sel("ablation") {
-		fmt.Println("================================================================")
-		res, err := bench.OffloadAblation(hart.VisionFive2)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(res.Format())
-		fmt.Println("each fast path contributes in proportion to its trap share (§3.4)")
-		fmt.Println()
-	}
-
-	if sel("rva23") {
-		fmt.Println("================================================================")
-		res, err := bench.RVA23Ablation()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(res.Format())
-		fmt.Println("paper (§3.4, §8.3): hardware time CSR + Sstc remove the need for")
-		fmt.Println("fast-path offloading on RVA23-class CPUs")
-		fmt.Println()
-	}
-
-	if sel("simhost") {
-		fmt.Println("================================================================")
-		fmt.Println("Simulator host throughput: interpreter vs. fast path vs. superblocks")
-		fmt.Printf("%-14s %-18s %10s %9s %9s %9s %8s %6s %6s %6s\n",
-			"platform", "workload", "instret", "MIPS-off", "MIPS-fast", "MIPS-on", "speedup", "tlb%", "dec%", "sb%")
-		var all []*bench.SimHostResult
-		for _, mk := range []func() *hart.Config{hart.VisionFive2, hart.PremierP550} {
-			res, err := bench.SimHost(mk, *superblock)
-			if err != nil {
-				fail(err)
-			}
-			for _, r := range res {
-				fmt.Printf("%-14s %-18s %10d %9.2f %9.2f %9.2f %7.2fx %5d%% %5d%% %5d%%\n",
-					r.Platform, r.Workload, r.Instret, r.MIPSOff, r.MIPSFast, r.MIPSOn, r.Speedup,
-					r.TLBHitPct, r.DecodeHitPct, r.SBRetiredPct)
-			}
-			all = append(all, res...)
-		}
-		geomean := bench.GeomeanSpeedup(all)
-		fmt.Printf("geomean speedup: %.2fx (simulated cycles bit-identical in every row)\n", geomean)
-
-		fmt.Println()
-		fmt.Println("Fork latency: COW spawn-from-snapshot vs. cold boot (200-case campaign)")
-		fmt.Printf("%-14s %6s %12s %12s %12s %8s\n",
-			"platform", "cases", "spawn-ns", "fork-c/s", "cold-c/s", "speedup")
-		fork, err := bench.ForkLatency(hart.VisionFive2, 200)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("%-14s %6d %12d %12.0f %12.0f %7.2fx\n",
-			fork.Platform, fork.Cases, fork.SpawnNsPerCase,
-			fork.ForkCasesPerSec, fork.ColdCasesPerSec, fork.Speedup)
-		fmt.Printf("(shared image %d pages; every case must still finish with guest-exit-pass)\n",
-			fork.ImagePages)
-
-		if err := writeSimHostJSON(*simhostOut, all, fork); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s\n", *simhostOut)
-		if *simhostBaseline != "" {
-			if err := checkSimHostBaseline(*simhostBaseline, geomean, *maxRegress); err != nil {
-				fail(err)
-			}
-		}
-		fmt.Println()
-	}
+	return 0
 }
 
-// checkSimHostBaseline fails if the measured geomean speedup fell more
-// than maxRegress percent below the checked-in baseline's.
-func checkSimHostBaseline(path string, geomean, maxRegress float64) error {
-	data, err := os.ReadFile(path)
+func fig3(w io.Writer) error {
+	res, err := bench.Fig3(hart.VisionFive2, 10_000)
 	if err != nil {
 		return err
 	}
-	var base struct {
-		GeomeanSpeedup float64 `json:"geomean_speedup"`
-	}
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	if base.GeomeanSpeedup <= 0 {
-		return fmt.Errorf("baseline %s: missing geomean_speedup", path)
-	}
-	floor := base.GeomeanSpeedup * (1 - maxRegress/100)
-	if geomean < floor {
-		return fmt.Errorf("simhost geomean speedup %.2fx regressed >%.0f%% vs. baseline %.2fx (floor %.2fx)",
-			geomean, maxRegress, base.GeomeanSpeedup, floor)
-	}
-	fmt.Printf("baseline check: %.2fx vs. baseline %.2fx (floor %.2fx) ok\n",
-		geomean, base.GeomeanSpeedup, floor)
+	fmt.Fprint(w, res.Format())
+	fmt.Fprintf(w, "\ntotals:\n%s\n", res.Collector.Format())
+	fmt.Fprintln(w, "paper:    five causes 99.98%; 5500 traps/s; 1.17 world-switches/s")
+	fmt.Fprintf(w, "measured: five causes %.2f%%; %.0f traps/s; %.2f world-switches/s\n",
+		100*res.TopShare, res.NativeTrapRate, res.WorldSwitchRate)
 	return nil
 }
 
-// writeSimHostJSON emits the simhost results as a JSON report for the
-// repository's BENCH_simhost.json artifact. The fork section is
-// informational and deliberately outside the geomean_speedup basis the
-// -simhost-baseline guard reads.
-func writeSimHostJSON(path string, results []*bench.SimHostResult, fork *bench.ForkLatencyResult) error {
-	report := struct {
-		Note           string                   `json:"note"`
-		GOOS           string                   `json:"goos"`
-		GOARCH         string                   `json:"goarch"`
-		NumCPU         int                      `json:"num_cpu"`
-		GeomeanSpeedup float64                  `json:"geomean_speedup"`
-		Results        []*bench.SimHostResult   `json:"results"`
-		Fork           *bench.ForkLatencyResult `json:"fork"`
-	}{
-		Note: "host throughput across three execution tiers: interpreter (off), " +
-			"acceleration caches (fast), and caches + superblock translation (on); " +
-			"cycles/instret are asserted bit-identical between all tiers; " +
-			"fork compares COW spawn-from-snapshot against cold boot per campaign case",
-		GOOS:           runtime.GOOS,
-		GOARCH:         runtime.GOARCH,
-		NumCPU:         runtime.NumCPU(),
-		GeomeanSpeedup: bench.GeomeanSpeedup(results),
-		Results:        results,
-		Fork:           fork,
+func table4(w io.Writer) error {
+	fmt.Fprintln(w, "Table 4: Overhead of Miralis operations in cycles")
+	fmt.Fprintf(w, "%-14s %12s %14s\n", "platform", "emulation", "world switch")
+	for _, mk := range []func() *hart.Config{hart.VisionFive2, hart.PremierP550} {
+		r, err := bench.Table4(mk)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-14s %12.0f %14.0f\n", r.Platform, r.EmulationCycles, r.WorldSwitchCycles)
 	}
-	data, err := json.MarshalIndent(&report, "", "  ")
+	fmt.Fprintln(w, "paper: VF2 483 / 2704; P550 271 / 4098")
+	return nil
+}
+
+func table5(w io.Writer) error {
+	fmt.Fprintln(w, "Table 5: Cost of timer read and IPI (ns)")
+	r, err := bench.Table5(hart.VisionFive2)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	fmt.Fprintf(w, "%-20s %10s %10s\n", "", "read time", "IPI")
+	for _, mode := range bench.Modes {
+		fmt.Fprintf(w, "%-20s %10.0f %10.0f\n", mode, r.ReadTime[mode], r.IPI[mode])
+	}
+	fmt.Fprintln(w, "paper (VF2): native 288ns/3.96µs; miralis 208ns/3.65µs; no-offload 7.26µs/39.8µs")
+	fmt.Fprintln(w, "(our IPI is a same-core round trip; the paper measures cross-core delivery)")
+	return nil
+}
+
+func fig10(w io.Writer) error {
+	res, err := bench.Fig10(hart.VisionFive2)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, res.Format())
+	fmt.Fprintln(w, "paper: miralis ≈ native; no-offload ≈ 1.9% average overhead")
+	return nil
+}
+
+func fig11(w io.Writer) error {
+	res, err := bench.Fig11(hart.VisionFive2)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, res.Format())
+	fmt.Fprintln(w, "paper: miralis ≥ native (write slightly better); no-offload ≈ 10.6% down")
+	return nil
+}
+
+func fig12(w io.Writer) error {
+	res, err := bench.Fig12(hart.VisionFive2)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, res.Format())
+	fmt.Fprintln(w, "paper: miralis ≤ native below p95 (263 vs 279 ns median); no-offload ≈ 2x")
+	return nil
+}
+
+func fig13(w io.Writer) error {
+	for _, mk := range []func() *hart.Config{hart.VisionFive2, hart.PremierP550} {
+		res, err := bench.Fig13(mk)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, res.Format())
+	}
+	fmt.Fprintln(w, "paper: miralis up to +7.6%/+1.2% (VF2/P550) on network loads;")
+	fmt.Fprintln(w, "       no-offload up to 259% overhead on Redis (P550)")
+	return nil
+}
+
+func fig14(w io.Writer) error {
+	res, err := bench.Fig14(hart.VisionFive2)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, res.Format())
+	fmt.Fprintln(w, "paper: ≈1% average enclave overhead on RV8")
+	return nil
+}
+
+func boot(w io.Writer) error {
+	res, err := bench.BootTime(hart.VisionFive2)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, res.Format())
+	fmt.Fprintln(w, "paper: 48.0s vs 47.5s native (≈1%); 61.3s without offload (≈29%)")
+	return nil
+}
+
+func ablation(w io.Writer) error {
+	res, err := bench.OffloadAblation(hart.VisionFive2)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, res.Format())
+	fmt.Fprintln(w, "each fast path contributes in proportion to its trap share (§3.4)")
+	return nil
+}
+
+func rva23(w io.Writer) error {
+	res, err := bench.RVA23Ablation()
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, res.Format())
+	fmt.Fprintln(w, "paper (§3.4, §8.3): hardware time CSR + Sstc remove the need for")
+	fmt.Fprintln(w, "fast-path offloading on RVA23-class CPUs")
+	return nil
+}
+
+func fork(w io.Writer) error {
+	fmt.Fprintln(w, "Fork latency: COW spawn-from-snapshot vs. cold boot (200-case campaign)")
+	fmt.Fprintf(w, "%-14s %6s %12s %12s %12s %8s\n",
+		"platform", "cases", "spawn-ns", "fork-c/s", "cold-c/s", "speedup")
+	r, err := bench.ForkLatency(hart.VisionFive2, 200)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%-14s %6d %12d %12.0f %12.0f %7.2fx\n",
+		r.Platform, r.Cases, r.SpawnNsPerCase, r.ForkCasesPerSec, r.ColdCasesPerSec, r.Speedup)
+	fmt.Fprintf(w, "(shared image %d pages; every case must still finish with guest-exit-pass)\n",
+		r.ImagePages)
+	return nil
 }

@@ -68,6 +68,10 @@ func run(args []string, out, errw io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *budget < 1 {
+		fmt.Fprintf(errw, "fuzzdiff: -budget %d runs no lockstep step (want at least 1)\n", *budget)
+		return 2
+	}
 
 	profiles, ok := profileAlias[*profile]
 	if !ok {

@@ -15,6 +15,11 @@ func TestRunExitCodes(t *testing.T) {
 	if code := run([]string{"-bad-flag"}, &out, &errw); code != 2 {
 		t.Errorf("bad flag: exit %d, want 2", code)
 	}
+	for _, b := range []string{"0", "-5"} {
+		if code := run([]string{"-budget", b}, &out, &errw); code != 2 {
+			t.Errorf("-budget %s: exit %d, want 2", b, code)
+		}
+	}
 
 	out.Reset()
 	code := run([]string{"-profile", "vf2", "-seed", "3", "-budget", "2000",

@@ -21,19 +21,19 @@ import (
 
 // ForkLatencyResult is the fork-vs-cold-boot comparison on one platform.
 type ForkLatencyResult struct {
-	Platform    string `json:"platform"`
-	Cases       int    `json:"cases"`
-	WarmupSteps uint64 `json:"warmup_steps"` // steps absorbed by the shared snapshot
-	CaseSteps   uint64 `json:"case_steps"`   // steps each case still simulates
-	ImagePages  int    `json:"image_pages"`  // 4 KiB pages in the shared image
+	Platform    string
+	Cases       int
+	WarmupSteps uint64 // steps absorbed by the shared snapshot
+	CaseSteps   uint64 // steps each case still simulates
+	ImagePages  int    // 4 KiB pages in the shared image
 
-	SpawnNsPerCase int64 `json:"spawn_ns_per_case"` // fork only: spawn+monitor-fork
-	ForkNsPerCase  int64 `json:"fork_ns_per_case"`  // fork: spawn + run tail
-	ColdNsPerCase  int64 `json:"cold_ns_per_case"`  // cold: build + warmup + run tail
+	SpawnNsPerCase int64 // fork only: spawn+monitor-fork
+	ForkNsPerCase  int64 // fork: spawn + run tail
+	ColdNsPerCase  int64 // cold: build + warmup + run tail
 
-	ForkCasesPerSec float64 `json:"fork_cases_per_sec"`
-	ColdCasesPerSec float64 `json:"cold_cases_per_sec"`
-	Speedup         float64 `json:"speedup"` // cold ns / fork ns per case
+	ForkCasesPerSec float64
+	ColdCasesPerSec float64
+	Speedup         float64 // cold ns / fork ns per case
 }
 
 // forkCampaignWorkload is the per-case guest: a CoreMark-Pro-class

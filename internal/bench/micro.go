@@ -126,8 +126,8 @@ func buildIPIKernel(base uint64, n int) []byte {
 
 // setupFirmwareImage builds a machine with a raw firmware image loaded
 // (no OS), booted through the monitor when virtualize is set, ready to run.
-// Construction is separated from execution so host-throughput measurements
-// can time the run loop alone.
+// Construction is separated from execution so a caller can pick the
+// machine's host tiers before it runs.
 func setupFirmwareImage(cfg *hart.Config, img []byte, virtualize bool) (*hart.Machine, error) {
 	cfg.Harts = 1
 	m, err := hart.NewMachine(cfg, core.DramSize)

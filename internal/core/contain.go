@@ -42,7 +42,6 @@ const degradedMedeleg = (uint64(1)<<rv.ExcInstrAddrMisaligned |
 // first (OnFirmwareMisbehavior), then the monitor's default containment
 // runs. Returns the PC execution resumes at.
 func (m *Monitor) misbehave(ctx *HartCtx, f *MonitorFault, fallback uint64) uint64 {
-	m.trace("misbehavior:"+f.Kind.String(), ctx)
 	if ctx.Degraded {
 		// Already degraded: the firmware is written off, so there is no
 		// containment left to fire. Whatever the policy answers, record the
@@ -106,7 +105,6 @@ func (m *Monitor) containFirmware(ctx *HartCtx, f *MonitorFault, fallback uint64
 	ctx.Stats.FirmwareRestarts++
 	f.Contained = true
 	m.recordFault(f)
-	m.trace("contain:"+f.Kind.String(), ctx)
 
 	// Reload the firmware image: the crash may have corrupted its text.
 	if m.bootFW != nil {
@@ -157,7 +155,6 @@ func (m *Monitor) containFirmware(ctx *HartCtx, f *MonitorFault, fallback uint64
 		ctx.fwEnterCycles = h.Cycles
 		m.installPhysCSRs(ctx, WorldFirmware)
 		m.installPMP(ctx, WorldFirmware)
-		m.trace("contain:restart", ctx)
 		m.observeContain(ctx, "contain:restart")
 		return m.Opts.FirmwareEntry
 	}
@@ -178,7 +175,6 @@ func (m *Monitor) containFirmware(ctx *HartCtx, f *MonitorFault, fallback uint64
 	// Re-arm the starvation clock for the recovered OS.
 	ctx.lastOSInstret = h.Instret
 	ctx.osProgressCycles = h.Cycles
-	m.trace("contain:degraded", ctx)
 	m.observeContain(ctx, "contain:degraded")
 	if fromWorld == WorldOS {
 		// No world switch will happen on resume (OS → OS), so push the

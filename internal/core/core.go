@@ -231,8 +231,6 @@ type Options struct {
 	VirtualizeIOPMP bool
 	// FirmwareEntry is the virtual firmware's entry point.
 	FirmwareEntry uint64
-	// Trace, when non-nil, receives monitor events.
-	Trace func(event string, c *HartCtx)
 	// Obs, when non-nil, receives the monitor's metrics (via registry
 	// collectors) and structured events (world spans, SBI instants,
 	// containment outcomes) on the simulated timeline. Purely
@@ -552,13 +550,6 @@ func (m *Monitor) Boot() {
 			ctx.fwEnterCycles = ctx.Hart.Cycles
 			ctx.Hart.Watchdog = m.watchdogHook(ctx)
 		}
-	}
-}
-
-// trace emits a monitor event if tracing is enabled.
-func (m *Monitor) trace(event string, ctx *HartCtx) {
-	if m.Opts.Trace != nil {
-		m.Opts.Trace(event, ctx)
 	}
 }
 

@@ -135,7 +135,6 @@ func (m *Monitor) Fork(child *hart.Machine) (*Monitor, error) {
 	opts := m.Opts
 	opts.Policy = pol
 	opts.Obs = nil
-	opts.Trace = nil
 	opts.OnEmulate = nil
 	opts.OnVirtTrap = nil
 	opts.OnWorldSwitch = nil

@@ -57,9 +57,6 @@ func (m *Monitor) switchWorld(ctx *HartCtx, to World) {
 	m.installPMP(ctx, to)
 	m.checkWallAfterSwitch(ctx)
 	ctx.Hart.ChargeCycles(ctx.Hart.Cfg.Cost.TLBFlush)
-	if m.Opts.Trace != nil { // skip building the event string when nobody listens
-		m.trace("world-switch:"+to.String(), ctx)
-	}
 }
 
 // saveOSState loads the physical S-mode CSRs into the virtual copies

@@ -231,7 +231,7 @@ func (h *Hart) tlbFill(acc mem.AccessType, vpn uint64, k mmu.Key, res *mmu.Resul
 		}
 		h.fast.ptePages[p] = struct{}{}
 	}
-	h.fast.tlb.InsertK(acc, vpn, k, res.PA&^4095)
+	h.fast.tlb.Insert(acc, vpn, k, res.PA&^4095)
 }
 
 // tlbKey bundles the current translation-validity state for priv. With
@@ -294,7 +294,7 @@ func (h *Hart) translate(va uint64, acc mem.AccessType, priv rv.Mode, virt bool)
 	}
 	vpn := va >> 12
 	k := h.tlbKey(priv, virt)
-	if paPage, ok := h.fast.tlb.LookupK(acc, vpn, k); ok {
+	if paPage, ok := h.fast.tlb.Lookup(acc, vpn, k); ok {
 		h.Perf.TLBHits++
 		return paPage | va&4095, nil
 	}

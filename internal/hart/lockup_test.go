@@ -80,3 +80,58 @@ func TestWFIBatchWakesOnHvip(t *testing.T) {
 		}
 	}
 }
+
+// TestWFIBatchFastForwardsIdleTail: a hart that waits in WFI for a timer
+// 100,000 ticks out reaches it in a few scheduler calls, not one call per
+// idle poll, and lands where per-instruction stepping does. Nothing else
+// sees a lost batch: the cycles come out the same, only slower.
+func TestWFIBatchFastForwardsIdleTail(t *testing.T) {
+	img := asm.New(DramBase)
+	img.Li(asm.S1, ClintBase+0xBFF8) // mtime
+	img.Ld(asm.T1, asm.S1, 0)
+	img.Li(asm.T2, 100_000)
+	img.Add(asm.T1, asm.T1, asm.T2)
+	img.Li(asm.S2, ClintBase+0x4000) // hart 0's mtimecmp
+	img.Sd(asm.T1, asm.S2, 0)
+	img.Li(asm.T2, 1<<rv.IntMTimer)
+	img.Csrw(rv.CSRMie, asm.T2)
+	img.Wfi()
+	exit(img)
+	boot := func() *Machine {
+		cfg := VisionFive2()
+		cfg.Harts = 1
+		m, err := NewMachine(cfg, 4<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.LoadImage(DramBase, img.MustAssemble()); err != nil {
+			t.Fatal(err)
+		}
+		m.Reset(DramBase)
+		return m
+	}
+
+	const maxSteps = 10_000_000
+	m := boot()
+	var steps, calls uint64
+	for steps < maxSteps && !m.halted {
+		steps += m.stepSeq(maxSteps - steps)
+		calls++
+	}
+	mustHalt(t, m)
+	t.Logf("%d steps in %d stepSeq calls", steps, calls)
+	if calls > 64 {
+		t.Errorf("%d stepSeq calls for %d steps: the idle polls were not batched", calls, steps)
+	}
+
+	ref := boot()
+	var refSteps uint64
+	for refSteps < maxSteps && !ref.halted {
+		ref.Step()
+		refSteps++
+	}
+	if refSteps != steps || ref.Harts[0].Cycles != m.Harts[0].Cycles || ref.Clint.Time() != m.Clint.Time() {
+		t.Errorf("batched: %d steps, %d cycles, mtime %d; per-instruction: %d, %d, %d",
+			steps, m.Harts[0].Cycles, m.Clint.Time(), refSteps, ref.Harts[0].Cycles, ref.Clint.Time())
+	}
+}

@@ -9,7 +9,8 @@ package hart
 // cycles. Like everything in hostfast.go this trades host time only — the
 // architectural state and cycle counters are bit-identical with the tier on
 // or off (enforced by the machine-equivalence fuzz gate in
-// internal/verif/fuzz and the three-tier assertion in bench.SimHost).
+// internal/verif/fuzz and by internal/bench's TestSimHostInvariance, which
+// runs monitored workloads on all three tiers).
 //
 // The safety argument has three legs (see DESIGN.md, "Superblock
 // translation vs. the simulated cycle model"):
@@ -384,7 +385,7 @@ func (h *Hart) sbTranslateData(va uint64, acc mem.AccessType) (uint64, bool) {
 		return va, true
 	}
 	vpn := va >> 12
-	if paPage, ok := h.fast.tlb.LookupK(acc, vpn, h.sb.key); ok {
+	if paPage, ok := h.fast.tlb.Lookup(acc, vpn, h.sb.key); ok {
 		h.Perf.TLBHits++
 		return paPage | va&4095, true
 	}

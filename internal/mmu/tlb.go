@@ -65,7 +65,7 @@ func (t *TLB) Flush() { t.gen++ }
 // Callers that perform many lookups under unchanged state (the superblock
 // tier hoists one Key per block dispatch — CSR writes, traps, and xrets are
 // all block terminators, so the state cannot change mid-block) build it
-// once and use LookupK/InsertK.
+// once.
 //
 // Under two-stage translation V is set, Satp holds vsatp, and Hgatp the
 // G-stage root: validity-by-comparison extends unchanged — an entry filled
@@ -82,8 +82,9 @@ type Key struct {
 	V     bool
 }
 
-// LookupK is Lookup with the validity state pre-bundled in a Key.
-func (t *TLB) LookupK(acc mem.AccessType, vpn uint64, k Key) (uint64, bool) {
+// Lookup returns the cached physical page for virtual page vpn (va>>12)
+// under the translation state k, if present.
+func (t *TLB) Lookup(acc mem.AccessType, vpn uint64, k Key) (uint64, bool) {
 	e := &t.sets[acc][vpn%tlbSets]
 	if e.valid && e.vpn == vpn && e.satp == k.Satp && e.hgatp == k.Hgatp &&
 		e.epoch == k.Epoch && e.gen == t.gen && e.priv == k.Priv &&
@@ -93,8 +94,8 @@ func (t *TLB) LookupK(acc mem.AccessType, vpn uint64, k Key) (uint64, bool) {
 	return 0, false
 }
 
-// InsertK is Insert with the validity state pre-bundled in a Key.
-func (t *TLB) InsertK(acc mem.AccessType, vpn uint64, k Key, paPage uint64) {
+// Insert caches a successful leaf translation made under k.
+func (t *TLB) Insert(acc mem.AccessType, vpn uint64, k Key, paPage uint64) {
 	t.sets[acc][vpn%tlbSets] = tlbEntry{
 		valid:  true,
 		priv:   k.Priv,
@@ -106,15 +107,4 @@ func (t *TLB) InsertK(acc mem.AccessType, vpn uint64, k Key, paPage uint64) {
 		gen:    t.gen,
 		paPage: paPage,
 	}
-}
-
-// Lookup returns the cached physical page for virtual page vpn (va>>12)
-// under the given single-stage translation state, if present.
-func (t *TLB) Lookup(acc mem.AccessType, vpn, satp, epoch uint64, priv rv.Mode, sum, mxr bool) (uint64, bool) {
-	return t.LookupK(acc, vpn, Key{Satp: satp, Epoch: epoch, Priv: priv, SUM: sum, MXR: mxr})
-}
-
-// Insert caches a successful single-stage leaf translation.
-func (t *TLB) Insert(acc mem.AccessType, vpn, satp, epoch uint64, priv rv.Mode, sum, mxr bool, paPage uint64) {
-	t.InsertK(acc, vpn, Key{Satp: satp, Epoch: epoch, Priv: priv, SUM: sum, MXR: mxr}, paPage)
 }

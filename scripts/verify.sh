@@ -97,9 +97,6 @@ echo "== repo benchmark tests (every workload, every fast tier vs. the interpret
 # monitor stats).
 run_gate benchmark_test go -C benchmark test .
 
-echo "== Table 4 host-throughput benchmark (compile-and-run gate)"
-run_gate bench_table4 go test ./internal/bench -run '^$' -bench BenchmarkTable4Operations -benchtime 1x
-
 echo "== chaos smoke"
 run_gate chaos_smoke go run ./cmd/chaos -smoke
 
