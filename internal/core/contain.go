@@ -153,6 +153,7 @@ func (m *Monitor) containFirmware(ctx *HartCtx, f *MonitorFault, fallback uint64
 		ctx.VirtMode = rv.ModeM
 		ctx.osLive = false // the reboot gets the boot-regime watchdog again
 		ctx.fwEnterCycles = h.Cycles
+		ctx.wall = wallVerdicts{} // and a wall probed afresh on every view
 		m.installPhysCSRs(ctx, WorldFirmware)
 		m.installPMP(ctx, WorldFirmware)
 		m.observeContain(ctx, "contain:restart")

@@ -288,6 +288,7 @@ type Stats struct {
 	DegradedCalls    uint64 // SBI calls answered by the degraded-mode fallback
 
 	WallChecks uint64 // Dorami-wall invariant checks passed after world switches
+	WallProbes uint64 // behavioural wall probes run by those checks (one per new PMP view)
 }
 
 // HartCtx is the monitor's per-hart state.
@@ -322,6 +323,10 @@ type HartCtx struct {
 	// every PMP install and consulted when the monitor performs accesses
 	// on the firmware's behalf (MPRV emulation).
 	protFile *pmp.File
+
+	// wall holds the PMP views the wall probe passed on; a world switch
+	// onto one of them checks only the wall entry's fields.
+	wall wallVerdicts
 
 	// resumeOverride, when set by a policy hook that returns ActHandled,
 	// replaces the default resume PC for the current trap.
@@ -532,6 +537,7 @@ func (m *Monitor) Boot() {
 		ctx.VirtMode = rv.ModeM
 		h.Mode = rv.ModeU
 		h.PC = m.Opts.FirmwareEntry
+		ctx.wall = wallVerdicts{} // a rebooted system probes every view afresh
 		m.installPhysCSRs(ctx, WorldFirmware)
 		m.installPMP(ctx, WorldFirmware)
 		m.installIOPMP(ctx)
@@ -579,6 +585,7 @@ func (m *Monitor) TotalStats() Stats {
 		t.WatchdogFires += c.Stats.WatchdogFires
 		t.DegradedCalls += c.Stats.DegradedCalls
 		t.WallChecks += c.Stats.WallChecks
+		t.WallProbes += c.Stats.WallProbes
 	}
 	return t
 }

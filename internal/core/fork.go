@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"govfm/internal/hart"
 	"govfm/internal/obs"
@@ -92,6 +93,10 @@ func (c *HartCtx) forkOnto(nm *Monitor, h *hart.Hart) *HartCtx {
 	if c.protFile != nil {
 		nc.protFile = c.protFile.Clone()
 	}
+	// The child's PMP file comes from the parent's image and shares its
+	// intern table, so the parent's wall verdicts hold for it; under any
+	// other table they vouch for nothing.
+	nc.wall = wallVerdicts{views: c.wall.views, ok: slices.Clone(c.wall.ok)}
 	if c.resumeOverride != nil {
 		pc := *c.resumeOverride
 		nc.resumeOverride = &pc

@@ -120,6 +120,7 @@ func (m *Monitor) attachObs(o *obs.Observer) {
 		emit("mon.os_traps", s.OSTraps)
 		emit("mon.emulations", s.Emulations)
 		emit("mon.world_switches", s.WorldSwitches)
+		emit("mon.wall_probes", s.WallProbes)
 		emit("mon.fastpath_hits", s.FastPathHits)
 		emit("mon.virt_interrupts", s.VirtInterrupts)
 		emit("mon.mmio_emulations", s.MMIOEmulations)

@@ -16,8 +16,9 @@ import (
 // M-mode too, so even a hosted firmware that somehow reached physical
 // M-mode privileges could not read or corrupt monitor state; only the
 // monitor's own Force* reprogramming path (the hardware reset analogue)
-// can touch the entry. CheckWall re-derives the invariant from the live
-// PMP file after every world switch; a breach means the monitor can no
+// can touch the entry. After every world switch the monitor re-checks the
+// entry's fields on the live PMP file, and probes its verdicts once per
+// PMP view (see checkWallAfterSwitch); a breach means the monitor can no
 // longer trust its own state and the machine is halted.
 
 // wallCfg is the exact cfg byte the wall entry must hold: locked, NAPOT
@@ -27,9 +28,18 @@ const wallCfg = pmp.CfgL | pmp.ANapot<<3
 // CheckWall asserts the Dorami-wall invariant on one hart's physical PMP
 // file: the self-protection entry is present, locked, correctly sized,
 // and actually denies access to monitor memory in every simulated mode.
-// Returns nil when the wall holds.
+// Returns nil when the wall holds. It always runs the full behavioural
+// probe; the world-switch path runs it once per view.
 func (m *Monitor) CheckWall(ctx *HartCtx) error {
 	phys := ctx.Hart.CSR.PMP
+	if err := wallFields(phys); err != nil {
+		return err
+	}
+	return wallProbe(phys)
+}
+
+// wallFields checks the wall entry's cfg and address.
+func wallFields(phys *pmp.File) error {
 	if phys.NumEntries() <= pmpSelf {
 		return fmt.Errorf("wall: PMP file has no entry %d", pmpSelf)
 	}
@@ -41,10 +51,15 @@ func (m *Monitor) CheckWall(ctx *HartCtx) error {
 		return fmt.Errorf("wall: entry %d addr=%#x, want %#x (Miralis region)",
 			pmpSelf, addr, pmp.NAPOTAddr(MiralisBase, MiralisSize))
 	}
-	// Behavioural probe: the cfg/addr fields could be right while a
-	// higher-priority artifact still grants access, so ask the file for
-	// actual verdicts at the region's edges and middle. A locked match
-	// constrains every mode, M included.
+	return nil
+}
+
+// wallProbe is the behavioural probe: the cfg/addr fields could be right
+// while a higher-priority artifact still grants access, so it asks the
+// file for actual verdicts at the region's edges and middle. A locked
+// match constrains every mode, M included. The verdicts depend on the
+// file's contents alone.
+func wallProbe(phys *pmp.File) error {
 	for _, addr := range []uint64{
 		MiralisBase,
 		MiralisBase + MiralisSize/2,
@@ -59,6 +74,31 @@ func (m *Monitor) CheckWall(ctx *HartCtx) error {
 		}
 	}
 	return nil
+}
+
+// wallVerdicts is the set of PMP views on which a hart's wall probe
+// passed. A view ID names contents only within the intern table that
+// issued it, so the set holds that table and vouches for nothing under
+// another.
+type wallVerdicts struct {
+	views *pmp.Views
+	ok    []uint64 // bit id set: the probe passed on view id
+}
+
+// vouches reports whether the probe passed on view id of views.
+func (w *wallVerdicts) vouches(views *pmp.Views, id uint64) bool {
+	return w.views == views && id>>6 < uint64(len(w.ok)) && w.ok[id>>6]&(1<<(id&63)) != 0
+}
+
+// add records a passing probe on view id of views.
+func (w *wallVerdicts) add(views *pmp.Views, id uint64) {
+	if w.views != views {
+		*w = wallVerdicts{views: views}
+	}
+	for id>>6 >= uint64(len(w.ok)) {
+		w.ok = append(w.ok, 0)
+	}
+	w.ok[id>>6] |= 1 << (id & 63)
 }
 
 // MonitorStateHash fingerprints the monitor state the Dorami wall
@@ -84,12 +124,21 @@ func (m *Monitor) MonitorStateHash() uint64 {
 	return fh.Sum64()
 }
 
-// checkWallAfterSwitch runs the wall invariant on the world-switch path.
-// A passing check bumps the per-hart counter (campaigns assert
-// WallChecks == WorldSwitches); a failing one records a FaultWallBreach
-// and halts the machine.
+// checkWallAfterSwitch runs the wall invariant on the world-switch path:
+// the entry's fields on every switch, and the behavioural probe on a view
+// the hart's verdicts do not vouch for yet. A passing check bumps the
+// per-hart counter (campaigns assert WallChecks == WorldSwitches); a
+// failing one records a FaultWallBreach and halts the machine.
 func (m *Monitor) checkWallAfterSwitch(ctx *HartCtx) {
-	if err := m.CheckWall(ctx); err != nil {
+	phys := ctx.Hart.CSR.PMP
+	err := wallFields(phys)
+	if views, id := phys.Views(), phys.View(); err == nil && !ctx.wall.vouches(views, id) {
+		ctx.Stats.WallProbes++
+		if err = wallProbe(phys); err == nil {
+			ctx.wall.add(views, id)
+		}
+	}
+	if err != nil {
 		f := m.newFault(ctx, FaultWallBreach, err.Error())
 		m.recordFault(f)
 		m.halt(ctx, "monitor wall breached: "+err.Error())

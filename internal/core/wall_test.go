@@ -15,6 +15,15 @@ import (
 // degraded-mode regressions exercise.
 func containScenario(t *testing.T, pol Policy) (*hart.Machine, *Monitor) {
 	t.Helper()
+	return containBoot(t, pol, false)
+}
+
+// containBoot is containScenario, with the kernel's Sv39 phase and the
+// superblock tier on when paged is set, so that every host cache fills.
+// A paged boot runs without the containment watchdog, which keeps blocks
+// off (see unwatch).
+func containBoot(t *testing.T, pol Policy, paged bool) (*hart.Machine, *Monitor) {
+	t.Helper()
 	cfg := hart.VisionFive2()
 	cfg.Harts = 1
 	m, err := hart.NewMachine(cfg, DramSize)
@@ -25,7 +34,7 @@ func containScenario(t *testing.T, pol Policy) (*hart.Machine, *Monitor) {
 		OSEntry: OSBase, Harts: 1, FirmwareSize: FirmwareSize,
 	})
 	kern := kernel.BuildBoot(OSBase, kernel.BootOptions{
-		Harts: 1, TimeReads: 5, TimerSets: 2, Misaligned: 3,
+		Harts: 1, TimeReads: 5, TimerSets: 2, Misaligned: 3, Paging: paged,
 	})
 	if err := m.LoadImage(FirmwareBase, fw.Bytes); err != nil {
 		t.Fatal(err)
@@ -43,7 +52,19 @@ func containScenario(t *testing.T, pol Policy) (*hart.Machine, *Monitor) {
 		t.Fatal(err)
 	}
 	mon.Boot()
+	if paged {
+		m.SetSuperblock(true)
+		unwatch(m)
+	}
 	return m, mon
+}
+
+// unwatch detaches the per-step watchdog that Boot attaches under
+// containment, so the superblock tier can run.
+func unwatch(m *hart.Machine) {
+	for _, h := range m.Harts {
+		h.Watchdog = nil
+	}
 }
 
 // TestWallHeldThroughBoot asserts the Dorami wall from boot to guest
@@ -92,14 +113,16 @@ func TestWallHeldThroughBoot(t *testing.T) {
 
 // TestBootRestartReprogramsWall is the boot → restart → reprogram
 // regression: a containment restart from the boot snapshot must come back
-// with the wall locked and the PMP epoch advanced (never rewound), and a
-// full power cycle (Machine.Reset, which legitimately clears locks) must
-// re-lock on the next Boot, still without rewinding the epoch.
+// with the wall locked, and a full power cycle (Machine.Reset, which
+// legitimately clears locks) must re-lock on the next Boot. Neither may
+// consult a host cache from before it: the first wall check after the
+// restart probes again, and the run after the power cycle walks page
+// tables, translates blocks and probes the wall exactly as a fresh
+// machine's run does.
 func TestBootRestartReprogramsWall(t *testing.T) {
-	m, mon := containScenario(t, nil)
+	m, mon := containBoot(t, nil, true)
 	ctx := mon.Ctx[0]
 	h := ctx.Hart
-	epochBoot := h.CSR.PMP.Epoch()
 
 	// Declare the firmware dead right out of Boot, before the OS launches:
 	// containment must restart it from the boot snapshot. (No Run first —
@@ -107,7 +130,8 @@ func TestBootRestartReprogramsWall(t *testing.T) {
 	if ctx.osLive {
 		t.Fatal("test premise: OS must not be live yet")
 	}
-	epochPre := h.CSR.PMP.Epoch()
+	mon.checkWallAfterSwitch(ctx) // a verdict on the boot view
+	probes := ctx.Stats.WallProbes
 	f := mon.newFault(ctx, FaultDoubleFault, "test-induced crash")
 	vpc := mon.misbehave(ctx, f, h.PC)
 	if vpc != FirmwareBase {
@@ -122,32 +146,53 @@ func TestBootRestartReprogramsWall(t *testing.T) {
 	if !h.CSR.PMP.Locked(pmpSelf) {
 		t.Error("restart must come back with the wall entry locked")
 	}
-	if e := h.CSR.PMP.Epoch(); e <= epochPre {
-		t.Errorf("snapshot restore must advance the epoch: %d -> %d", epochPre, e)
+	mon.checkWallAfterSwitch(ctx)
+	if got := ctx.Stats.WallProbes - probes; got != 1 {
+		t.Errorf("the first wall check after a restart ran %d probes, want 1", got)
 	}
 	// The restarted firmware must boot all the way to a passing guest.
 	runToExit(t, m, 3_000_000)
 
-	// Power cycle: Reset clears every PMP entry, locks included, per spec —
-	// but the epoch is host bookkeeping and keeps counting up.
-	epochRun := h.CSR.PMP.Epoch()
-	if epochRun <= epochBoot {
-		t.Fatalf("epoch did not advance across the run: %d -> %d", epochBoot, epochRun)
-	}
+	// Power cycle: Reset clears every PMP entry, locks included, per spec.
 	m.Reset(FirmwareBase)
 	if h.CSR.PMP.Cfg(pmpSelf) != 0 {
 		t.Error("power-on reset must clear the locked wall entry")
 	}
-	if e := h.CSR.PMP.Epoch(); e <= epochRun {
-		t.Errorf("Reset must advance, not rewind, the epoch: %d -> %d", epochRun, e)
-	}
-	epochReset := h.CSR.PMP.Epoch()
+	before := readHostCounts(mon)
 	mon.Boot()
+	unwatch(m)
 	if err := mon.CheckWall(mon.Ctx[0]); err != nil {
 		t.Errorf("Boot after Reset must re-lock the wall: %v", err)
 	}
-	if e := h.CSR.PMP.Epoch(); e <= epochReset {
-		t.Errorf("Boot must advance the epoch past the reset point: %d -> %d", epochReset, e)
+	runToExit(t, m, 3_000_000)
+	fm, fmon := containBoot(t, nil, true)
+	runToExit(t, fm, 3_000_000)
+	if got, want := readHostCounts(mon).since(before), readHostCounts(fmon); got != want {
+		t.Errorf("the run after Reset consulted caches from before it:\n got %+v\nwant %+v (a fresh machine)", got, want)
+	}
+}
+
+// hostCounts are the counters a host cache from before a reset would
+// lower: page walks, TLB and decode misses, block translations and wall
+// probes, beside the cycles and instructions that pin the run itself.
+type hostCounts struct {
+	cycles, instret, walks, tlbMisses, decodeMisses, translations, wallProbes uint64
+}
+
+func readHostCounts(mon *Monitor) hostCounts {
+	h := mon.Ctx[0].Hart
+	return hostCounts{
+		h.Cycles, h.Instret, h.Perf.PageWalks, h.Perf.TLBMisses,
+		h.Perf.DecodeMisses, h.Perf.SBTranslations, mon.TotalStats().WallProbes,
+	}
+}
+
+// since returns the counts accrued after b, cycles and instret excepted:
+// Reset zeroes those.
+func (c hostCounts) since(b hostCounts) hostCounts {
+	return hostCounts{
+		c.cycles, c.instret, c.walks - b.walks, c.tlbMisses - b.tlbMisses,
+		c.decodeMisses - b.decodeMisses, c.translations - b.translations, c.wallProbes - b.wallProbes,
 	}
 }
 
@@ -239,7 +284,7 @@ func TestDegradedReentryNoDoubleFire(t *testing.T) {
 }
 
 // TestForkPreservesWall is the fork-then-probe regression at the monitor
-// level: a forked monitor must carry the locked wall, the PMP epoch, and
+// level: a forked monitor must carry the locked wall, the PMP view, and
 // the protected-state fingerprint, and stay independent of the parent.
 func TestForkPreservesWall(t *testing.T) {
 	m, mon := containScenario(t, nil)
@@ -265,12 +310,11 @@ func TestForkPreservesWall(t *testing.T) {
 	if !fctx.Hart.CSR.PMP.Locked(pmpSelf) {
 		t.Error("fork lost the wall entry's lock bit")
 	}
-	// The child spawns from a normalized image, so its live epoch restarts
-	// low — what matters is that it is nonzero (caches key off it) and
-	// advances monotonically under the child's own execution.
-	childEpoch := fctx.Hart.CSR.PMP.Epoch()
-	if childEpoch == 0 {
-		t.Error("spawned child must start with a nonzero PMP epoch")
+	// The child's PMP file comes from the parent's image: the same
+	// contents in the same intern table, so the same view ID, which caches
+	// key off.
+	if v, pv := fctx.Hart.CSR.PMP.View(), ctx.Hart.CSR.PMP.View(); v == 0 || v != pv {
+		t.Errorf("spawned child has PMP view %d, parent %d: want the parent's nonzero view", v, pv)
 	}
 	if fmon.MonitorStateHash() != mon.MonitorStateHash() {
 		t.Error("fork changed the monitor-state fingerprint")
@@ -288,11 +332,6 @@ func TestForkPreservesWall(t *testing.T) {
 	runToExit(t, child, 3_000_000)
 	if err := fmon.CheckWall(fctx); err != nil {
 		t.Errorf("fork wall must hold at guest exit: %v", err)
-	}
-	// A clean guest run never reprograms PMP, so the epoch must not have
-	// moved backwards (monotonicity survives the spawn).
-	if e := fctx.Hart.CSR.PMP.Epoch(); e < childEpoch {
-		t.Errorf("child epoch moved backwards across its run: %d -> %d", childEpoch, e)
 	}
 	if got := fmon.TotalStats(); got.WallChecks != got.WorldSwitches {
 		t.Errorf("fork wall checked on %d of %d world switches", got.WallChecks, got.WorldSwitches)
@@ -318,5 +357,110 @@ func TestWallBreachHaltsAndRecords(t *testing.T) {
 	}
 	if mon.Faults[len(mon.Faults)-1].Contained {
 		t.Error("a wall breach is not containable")
+	}
+}
+
+// TestWallProbeOncePerView: a world-switch wall check onto a view the
+// probe already passed on checks the entry's fields only — none of the
+// probe's 27 PMP checks — yet still counts, while CheckWall, the entry
+// point of the chaos and TEE harnesses, always runs the full probe.
+func TestWallProbeOncePerView(t *testing.T) {
+	m, mon := containScenario(t, nil)
+	runToExit(t, m, 3_000_000)
+	ctx := mon.Ctx[0]
+	phys := ctx.Hart.CSR.PMP
+	st := ctx.Stats
+	if st.WallProbes == 0 || st.WallProbes >= st.WallChecks {
+		t.Fatalf("boot ran %d probes over %d wall checks; want one per view", st.WallProbes, st.WallChecks)
+	}
+	checks := phys.Perf.Checks
+	mon.checkWallAfterSwitch(ctx)
+	if n := phys.Perf.Checks - checks; n != 0 {
+		t.Errorf("a check onto a verified view ran %d PMP checks, want 0", n)
+	}
+	if ctx.Stats.WallChecks != st.WallChecks+1 || ctx.Stats.WallProbes != st.WallProbes {
+		t.Errorf("checks %d -> %d, probes %d -> %d: want one more check, no probe",
+			st.WallChecks, ctx.Stats.WallChecks, st.WallProbes, ctx.Stats.WallProbes)
+	}
+	checks = phys.Perf.Checks
+	if err := mon.CheckWall(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := phys.Perf.Checks - checks; n != 27 {
+		t.Errorf("CheckWall ran %d PMP checks, want the full probe's 27", n)
+	}
+}
+
+// TestWallProbesNewViews: after a power cycle, a snapshot restore and a
+// monitor fork, a view the hart's verdicts have not seen is probed, and an
+// overreach planted in the wall entry halts with a FaultWallBreach.
+func TestWallProbesNewViews(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(t *testing.T) *Monitor
+	}{
+		{"after Machine.Reset", func(t *testing.T) *Monitor {
+			m, mon := containScenario(t, nil)
+			runToExit(t, m, 3_000_000)
+			m.Reset(FirmwareBase)
+			mon.Boot()
+			return mon
+		}},
+		{"after Hart.Restore", func(t *testing.T) *Monitor {
+			m, mon := containScenario(t, nil)
+			snap := m.Checkpoint()
+			runToExit(t, m, 3_000_000)
+			m.Restore(snap)
+			return mon
+		}},
+		{"after Monitor.Fork", func(t *testing.T) *Monitor {
+			m, mon := containScenario(t, nil)
+			// Into the OS world and back: the parent has verified both views.
+			m.RunUntil(func() bool { return mon.Ctx[0].Stats.WorldSwitches >= 2 }, 3_000_000)
+			child, err := m.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmon, err := mon.Fork(child)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The parent's verdicts travel with the shared intern table: a
+			// switch onto a view the parent verified probes nothing.
+			probes := fmon.Ctx[0].Stats.WallProbes
+			fmon.checkWallAfterSwitch(fmon.Ctx[0])
+			if probes == 0 || fmon.Ctx[0].Stats.WallProbes != probes {
+				t.Errorf("the child re-probed its parent's view: %d -> %d probes",
+					probes, fmon.Ctx[0].Stats.WallProbes)
+			}
+			return fmon
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mon := tc.setup(t)
+			ctx := mon.Ctx[0]
+			phys := ctx.Hart.CSR.PMP
+			// A view no switch has installed: the all-memory entry moved.
+			last := phys.NumEntries() - 1
+			phys.ForceAddr(last, phys.Addr(last)^0x1000)
+			probes, checks := ctx.Stats.WallProbes, phys.Perf.Checks
+			mon.checkWallAfterSwitch(ctx)
+			if ctx.Stats.WallProbes != probes+1 || phys.Perf.Checks-checks != 27 {
+				t.Errorf("a new view ran %d probes and %d PMP checks, want 1 and 27",
+					ctx.Stats.WallProbes-probes, phys.Perf.Checks-checks)
+			}
+			h := ctx.Hart
+			if h.Halted {
+				t.Fatalf("a sound wall halted the hart: %q", h.HaltReason)
+			}
+			phys.ForceCfg(pmpSelf, wallCfg|pmp.CfgR)
+			mon.checkWallAfterSwitch(ctx)
+			if !h.Halted || !strings.Contains(h.HaltReason, "wall breached") {
+				t.Fatalf("a readable wall must halt with attribution, got halted=%v %q", h.Halted, h.HaltReason)
+			}
+			if len(mon.Faults) == 0 || mon.Faults[len(mon.Faults)-1].Kind != FaultWallBreach {
+				t.Error("the breach must leave a FaultWallBreach record")
+			}
+		})
 	}
 }

@@ -272,8 +272,7 @@ func TestFastPathPMPReconfigUnderMPRV(t *testing.T) {
 // TestFastPathSnapshotRestore checkpoints mid-run, finishes, restores, and
 // finishes again: both completions must be bit-identical even though the
 // first one patched code and remapped pages, which would poison a cache
-// that survived the restore (the PMP epoch also rewinds, the one case the
-// validity-by-comparison TLB cannot catch on its own).
+// that survived the restore.
 func TestFastPathSnapshotRestore(t *testing.T) {
 	patched := encodeOne(t, func(a *asm.Asm) { a.Addi(asm.A0, asm.A0, 100) })
 	a := asm.New(DramBase)

@@ -243,7 +243,7 @@ func (h *Hart) tlbKey(priv rv.Mode, virt bool) mmu.Key {
 		return mmu.Key{
 			Satp:  h.CSR.Vsatp,
 			Hgatp: h.CSR.Hgatp,
-			Epoch: h.CSR.PMP.Epoch(),
+			View:  h.CSR.PMP.View(),
 			Priv:  priv,
 			SUM:   rv.Bit(h.CSR.Vsstatus, rv.MstatusSUM) != 0,
 			MXR:   rv.Bit(h.CSR.Vsstatus, rv.MstatusMXR) != 0,
@@ -251,11 +251,11 @@ func (h *Hart) tlbKey(priv rv.Mode, virt bool) mmu.Key {
 		}
 	}
 	return mmu.Key{
-		Satp:  h.CSR.Satp,
-		Epoch: h.CSR.PMP.Epoch(),
-		Priv:  priv,
-		SUM:   rv.Bit(h.CSR.Mstatus, rv.MstatusSUM) != 0,
-		MXR:   rv.Bit(h.CSR.Mstatus, rv.MstatusMXR) != 0,
+		Satp: h.CSR.Satp,
+		View: h.CSR.PMP.View(),
+		Priv: priv,
+		SUM:  rv.Bit(h.CSR.Mstatus, rv.MstatusSUM) != 0,
+		MXR:  rv.Bit(h.CSR.Mstatus, rv.MstatusMXR) != 0,
 	}
 }
 

@@ -39,6 +39,9 @@ func (d *DMAEngine) Restore(s DMASnapshot) {
 // Monitor/Watchdog/Trace hooks all belong to a machine, not an image. A
 // spawned machine starts with cold caches that re-arm on first use, which
 // the machine-equivalence fuzz gate proves is invisible in simulated time.
+// The one host object an image shares is each hart's PMP view intern
+// table (pmp.Views): a spawned machine interns into its origin's, so a
+// view ID names the same contents on both.
 type Image struct {
 	Cfg      *Config
 	DramSize uint64

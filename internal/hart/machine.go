@@ -187,17 +187,15 @@ func (m *Machine) Reset(pc uint64) {
 		h.HaltReason = ""
 		h.Cycles, h.Instret, h.SInstret = 0, 0, 0
 		h.resValid, h.resAddr = false, 0
-		oldEpoch := h.CSR.PMP.Epoch()
+		views := h.CSR.PMP.Views()
 		h.CSR = newCSRFile(h.Cfg)
 		// Reset is a power cycle: PMP locks are legitimately cleared. The
-		// mutation epoch, however, must stay monotonic per hart — a fresh
-		// file restarts at zero, and external caches (TLB, decode) tag
-		// entries with fill-time epochs that a rewound counter could
-		// eventually re-validate.
-		h.CSR.PMP.AdvanceEpoch(oldEpoch + 1)
+		// hart keeps its view intern table, so an ID it issued before the
+		// reset still names the same contents after it.
+		h.CSR.PMP.SetViews(views)
 		h.sb.armed = false
 		// The fresh CSR file brings a fresh PMP: reapply the fast-path mode
-		// and drop every host cache keyed on the old file's epoch.
+		// and drop every host cache.
 		h.SetFastPath(h.fast.on)
 	}
 	m.halted = false

@@ -112,6 +112,7 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 			}
 			emit(pfx+"pmp.checks", h.CSR.PMP.Perf.Checks)
 			emit(pfx+"pmp.fast_hits", h.CSR.PMP.Perf.FastHits)
+			emit(pfx+"pmp.views", uint64(h.CSR.PMP.Views().Len()))
 			emit(pfx+"sb.translations", p.SBTranslations)
 			emit(pfx+"sb.hits", p.SBHits)
 			emit(pfx+"sb.chains", p.SBChains)

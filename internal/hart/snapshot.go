@@ -34,7 +34,7 @@ type Snapshot struct {
 func (c *CSRFile) clone() CSRFile {
 	t := *c
 	if c.PMP != nil {
-		t.PMP = c.PMP.CloneSnapshot()
+		t.PMP = c.PMP.Clone()
 	}
 	t.Custom = make(map[uint16]uint64, len(c.Custom))
 	for k, v := range c.Custom {
@@ -79,15 +79,12 @@ func (h *Hart) Restore(s *Snapshot) {
 	h.HaltReason = s.HaltReason
 	h.resValid = s.ResValid
 	h.resAddr = s.ResAddr
-	curEpoch := h.CSR.PMP.Epoch()
 	h.CSR = s.CSR.clone()
 	h.CSR.cfg = cfg
-	// The restored PMP clone carries the snapshot-time fast flag and a
-	// rewound mutation epoch. Advance the epoch past the pre-restore value
-	// so it stays monotonic per hart (stale cache entries tagged with a
-	// since-reused epoch can then never be re-validated), reapply the mode,
-	// and drop every host cache.
-	h.CSR.PMP.AdvanceEpoch(curEpoch + 1)
+	// The restored PMP clone carries the snapshot-time fast flag, and the
+	// intern table of the hart that took the snapshot (a machine spawned
+	// from an image shares its origin's). Reapply the mode and drop every
+	// host cache.
 	h.CSR.PMP.SetFast(h.fast.on)
 	h.flushDecode()
 	h.flushTLB()

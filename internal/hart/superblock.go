@@ -16,8 +16,10 @@ package hart
 // translation vs. the simulated cycle model"):
 //
 //  1. Entry guard. A block is only dispatched, or chained into, when its
-//     guard vector matches: privilege mode, satp, and PMP epoch (catch
-//     remapping and reprotection). Self-modifying code never reaches the
+//     guard vector matches: privilege mode, satp, and PMP view (catch
+//     remapping and reprotection). The view names the PMP contents
+//     (pmp.File.View), so a world switch out and back finds the block
+//     again; a guard miss drops it. Self-modifying code never reaches the
 //     guard: a write into any slot a block read drops the block from its
 //     decode page (decPage.write), and ends it if it is running
 //     (sbState.endAfter), as does a write to a page table a cached
@@ -77,11 +79,11 @@ type sbOp func(h *Hart) (uint64, bool)
 // i.e. by physical location, so aliased virtual mappings share it. ops is
 // nil for a sentinel recording an untranslatable entry point.
 type sblock struct {
-	span     uint8 // slots read from the entry on (<= sbMaxOps); a write to one drops the block
-	mode     rv.Mode
-	satp     uint64
-	pmpEpoch uint64
-	ops      []sbOp
+	span uint8 // slots read from the entry on (<= sbMaxOps); a write to one drops the block
+	mode rv.Mode
+	satp uint64
+	view uint64 // pmp.File.View at translation; never 0
+	ops  []sbOp
 }
 
 // sbCursor is where a multi-hart sequential round (Machine.seqRound)
@@ -182,17 +184,13 @@ func (h *Hart) sbTry() uint64 {
 		dp.hot[slot] = 0
 		sb = h.sbTranslate(dp, slot)
 	} else if !sb.guards(h) {
-		// Environment guard miss. The translation itself is still good —
-		// these fields only protect the translation-time per-op
-		// execute-permission checks (data accesses revalidate per
-		// dispatch via sb.key, and blocks are keyed physically so satp
-		// cannot change what they execute). Re-check the permissions under
-		// the current environment and refresh the guard instead of
-		// dropping the block: a monitor that swaps PMP views on every
-		// world switch would otherwise force a re-heat + retranslation
-		// per switch, costing far more than it saves.
-		h.Perf.SBGuardMisses++
-		if sb.ops == nil || !h.sbRevalidate(sb) {
+		// The guard reads the view without settling it, and a PMP write
+		// unsettles it even when a later one restores the contents (a world
+		// switch out and back): settle, then check again. A real miss drops
+		// the block, which re-heats under the new environment.
+		h.CSR.PMP.View()
+		if !sb.guards(h) {
+			h.Perf.SBGuardMisses++
 			dp.setBlock(slot, nil)
 			return 0
 		}
@@ -211,34 +209,18 @@ func (h *Hart) sbTry() uint64 {
 	return n
 }
 
-// sbRevalidate re-runs the translation-time execute-permission checks for
-// every op of sb under the hart's current mode and PMP state, refreshing
-// the guard vector on success. The fetch PA of the entry instruction is
-// authoritative: the dispatcher only calls this right after fetchFast
-// resolved the entry, and blocks never cross their 4KiB page.
-func (h *Hart) sbRevalidate(sb *sblock) bool {
-	pa := h.fast.fetchPA
-	for i := range sb.ops {
-		if !h.CSR.PMP.Check(pa+uint64(4*i), 4, mem.Exec, h.Mode) {
-			return false
-		}
-	}
-	sb.mode, sb.satp, sb.pmpEpoch = h.Mode, h.CSR.Satp, h.CSR.PMP.Epoch()
-	return true
-}
-
 // sbTranslate builds (and installs) the superblock entered at slot of dp.
 // The walk decodes forward from the fetch PA, reusing predecoded slots
 // where valid, and stops at the first ineligible or illegal instruction, a
 // block terminator (jal/jalr/branch), the page end, or sbMaxOps. Every
 // op's encoding is validated here, so the compiled ALU closures are
-// infallible; every op's PMP execute permission is checked here and
-// revalidated wholesale by the pmpEpoch guard.
+// infallible; every op's PMP execute permission is checked here, under
+// the view the guard then pins.
 func (h *Hart) sbTranslate(dp *decPage, slot int) *sblock {
 	sb := &sblock{
-		mode:     h.Mode,
-		satp:     h.CSR.Satp,
-		pmpEpoch: h.CSR.PMP.Epoch(),
+		mode: h.Mode,
+		satp: h.CSR.Satp,
+		view: h.CSR.PMP.View(),
 	}
 	dp.setBlock(slot, sb)
 	pageBase := h.fast.fetchPA &^ 4095
@@ -369,9 +351,10 @@ func (h *Hart) sbAbort(cyc0 uint64) {
 
 // guards reports whether sb's guard vector matches the hart's state: the
 // entry guard of a dispatch (sbTry) and of a chain (runBlock,
-// Machine.seqRound).
+// Machine.seqRound). It stays a few plain loads: an unsettled PMP view
+// reads 0, which no block carries.
 func (sb *sblock) guards(h *Hart) bool {
-	return sb.mode == h.Mode && sb.satp == h.CSR.Satp && sb.pmpEpoch == h.CSR.PMP.Epoch()
+	return sb.mode == h.Mode && sb.satp == h.CSR.Satp && sb.view == h.CSR.PMP.SettledView()
 }
 
 // sbTranslateData maps a data virtual address inside a block using the

@@ -6,6 +6,7 @@ import (
 
 	"govfm/internal/asm"
 	"govfm/internal/obs"
+	"govfm/internal/pmp"
 	"govfm/internal/rv"
 )
 
@@ -231,16 +232,17 @@ func TestSuperblockSv39Loop(t *testing.T) {
 }
 
 // TestSuperblockPMPEpochGuard reconfigures a PMP entry on every loop pass:
-// each reconfiguration bumps the PMP epoch, so every translated block's
-// entry guard goes stale immediately. End state must still be identical,
-// and guard misses must actually occur.
+// each reconfiguration moves the PMP file to contents it has never held, a
+// new view, so every translated block's entry guard goes stale
+// immediately. End state must still be identical, and guard misses must
+// actually occur.
 func TestSuperblockPMPEpochGuard(t *testing.T) {
 	body := func(a *asm.Asm) {
 		pmpOpen(a)
 		a.Li(asm.A0, 0)
 		a.Li(asm.S1, 200)
 		a.Label("loop")
-		a.Csrw(rv.CSRPmpaddr0+6, asm.S1) // entry 6 is OFF: inert, but bumps the epoch
+		a.Csrw(rv.CSRPmpaddr0+6, asm.S1) // entry 6 is OFF: inert, but a new view
 		a.Addi(asm.A0, asm.A0, 1)
 		a.Xor(asm.A2, asm.A0, asm.S1)
 		a.Addi(asm.S1, asm.S1, -1)
@@ -255,7 +257,86 @@ func TestSuperblockPMPEpochGuard(t *testing.T) {
 	mustHalt(t, full)
 	sbCompareEnd(t, interp, full)
 	if full.Harts[0].Perf.SBGuardMisses == 0 {
-		t.Fatalf("no guard misses despite per-pass PMP epoch bumps")
+		t.Fatalf("no guard misses despite a new PMP view every pass")
+	}
+}
+
+// TestPMPRoundTripKeepsCaches is the monitor's world switch in miniature:
+// an S-mode loop under Sv39 traps to an M-mode handler that reprograms
+// the PMP to a second view B, runs its own hot loop, restores view A and
+// returns. Once both legs are warm, a round trip A→B→A walks no page
+// table, translates no block and misses no guard: the return leg finds
+// A's TLB entries and blocks under A's view ID. A program of six round
+// trips must count exactly the walks, translations and guard misses of
+// one of three.
+func TestPMPRoundTripKeepsCaches(t *testing.T) {
+	cfgA := uint64(0x1F) << 56               // pmpOpen: entry 7, NAPOT RWX over everything
+	cfgB := cfgA | uint64(pmp.ANapot<<3)<<40 // and entry 5: a no-access page
+	addrB := pmp.NAPOTAddr(0x1000_0000, 4096)
+	body := func(rounds uint64) func(a *asm.Asm) {
+		return func(a *asm.Asm) {
+			sv39Prologue(a)
+			a.Label("smain")
+			a.Li(asm.S2, testVA)
+			a.Label("round")
+			a.Li(asm.S1, 40)
+			a.Label("xloop")
+			a.Ld(asm.T0, asm.S2, 0)
+			a.Add(asm.A0, asm.A0, asm.T0)
+			a.Addi(asm.S1, asm.S1, -1)
+			a.Bnez(asm.S1, "xloop")
+			a.Ecall() // the world switch
+			a.J("round")
+			a.Label("mtrap")
+			a.Li(asm.T0, addrB) // view B
+			a.Csrw(rv.CSRPmpaddr0+5, asm.T0)
+			a.Li(asm.T0, cfgB)
+			a.Csrw(rv.CSRPmpcfg0, asm.T0)
+			a.Li(asm.S1, 40)
+			a.Label("yloop")
+			a.Addi(asm.A1, asm.A1, 3)
+			a.Xor(asm.A2, asm.A1, asm.S1)
+			a.Addi(asm.S1, asm.S1, -1)
+			a.Bnez(asm.S1, "yloop")
+			a.Csrw(rv.CSRPmpaddr0+5, asm.X0) // back to view A
+			a.Li(asm.T0, cfgA)
+			a.Csrw(rv.CSRPmpcfg0, asm.T0)
+			a.Addi(asm.S3, asm.S3, 1)
+			a.Li(asm.T0, rounds)
+			a.Beq(asm.S3, asm.T0, "done")
+			a.Csrr(asm.T0, rv.CSRMepc)
+			a.Addi(asm.T0, asm.T0, 4)
+			a.Csrw(rv.CSRMepc, asm.T0)
+			a.Mret()
+			a.Label("done")
+			exit(a)
+		}
+	}
+	run := func(rounds uint64) *Hart {
+		interp := sbMachine(t, body(rounds), false, false)
+		full := sbMachine(t, body(rounds), true, true)
+		interp.Run(20_000)
+		full.Run(20_000)
+		mustHalt(t, interp)
+		mustHalt(t, full)
+		sbCompareEnd(t, interp, full)
+		return full.Harts[0]
+	}
+	short, long := run(3), run(6)
+	s, l := short.Perf, long.Perf
+	if s.SBTranslations == 0 || s.PageWalks == 0 {
+		t.Fatalf("the legs never warmed: %d translations, %d walks", s.SBTranslations, s.PageWalks)
+	}
+	if l.PageWalks != s.PageWalks || l.SBTranslations != s.SBTranslations ||
+		l.SBGuardMisses != s.SBGuardMisses {
+		t.Errorf("three more round trips moved walks %d -> %d, translations %d -> %d, guard misses %d -> %d",
+			s.PageWalks, l.PageWalks, s.SBTranslations, l.SBTranslations, s.SBGuardMisses, l.SBGuardMisses)
+	}
+	if l.SBRetired <= s.SBRetired || l.TLBHits <= s.TLBHits {
+		t.Errorf("three more round trips retired no block or hit no TLB entry: %+v vs %+v", l, s)
+	}
+	if n := long.CSR.PMP.Views().Len(); n != 2 {
+		t.Errorf("the hart interned %d views, want 2 (A and B)", n)
 	}
 }
 
@@ -858,10 +939,11 @@ func TestChainStopsAtMisalignedTarget(t *testing.T) {
 	}
 }
 
-// TestSentinelRetranslateAllocs: a PMP-epoch bump drops a sentinel at its
-// next dispatch, and once the entry has heated up again the translator
-// rebuilds it allocating nothing but the sentinel itself — the ops are
-// built in the hart's scratch array and a sentinel keeps none.
+// TestSentinelRetranslateAllocs: a PMP write that changes the view drops a
+// sentinel at its next dispatch, and once the entry has heated up again the
+// translator rebuilds it allocating nothing but the sentinel itself — the
+// ops are built in the hart's scratch array, a sentinel keeps none, and
+// settling onto a view the hart has interned before allocates nothing.
 func TestSentinelRetranslateAllocs(t *testing.T) {
 	m := sbMachine(t, func(a *asm.Asm) {
 		a.Csrr(asm.A0, rv.CSRMscratch) // not block-eligible: a sentinel entry
@@ -872,10 +954,18 @@ func TestSentinelRetranslateAllocs(t *testing.T) {
 		t.Fatalf("fetch: %+v", ei)
 	}
 	dp, slot := h.fast.fetchDP, h.fast.fetchSlot
+	// Entry 6 is OFF, so its address changes the view and nothing else;
+	// intern both of the views the loop alternates between up front.
+	pass := uint64(0)
+	for ; pass < 2; pass++ {
+		h.CSR.PMP.ForceAddr(6, pass)
+		h.CSR.PMP.View()
+	}
 	h.sbTranslate(dp, slot)
 	allocs := testing.AllocsPerRun(50, func() {
 		old := dp.block(slot)
-		h.CSR.PMP.AdvanceEpoch(h.CSR.PMP.Epoch() + 1)
+		h.CSR.PMP.ForceAddr(6, pass%2)
+		pass++
 		for i := 0; i < sbHotThreshold+2; i++ {
 			h.sbTry()
 		}

@@ -14,9 +14,11 @@ import (
 //
 // Validity is established by comparison rather than eager invalidation:
 // every entry is tagged with the satp value, effective privilege, SUM/MXR
-// bits, the PMP file's mutation epoch, and this TLB's flush generation. A
-// lookup under different state simply misses, so satp rewrites, privilege
+// bits, the PMP file's view ID, and this TLB's flush generation. A lookup
+// under different state simply misses, so satp rewrites, privilege
 // changes, mstatus edits, and PMP reprogramming all invalidate for free.
+// The view ID names the PMP contents (pmp.File.View), so a PMP round trip
+// — a world switch out and back — finds its entries again.
 // Explicit flushes (sfence.vma, snapshot restore) bump the generation —
 // O(1). Software edits of page-table memory are caught by the bus page
 // watch: the hart watches every page a cached walk read its PTEs from and
@@ -39,7 +41,7 @@ type tlbEntry struct {
 	vpn    uint64
 	satp   uint64
 	hgatp  uint64 // G-stage root at fill (zero for single-stage entries)
-	epoch  uint64 // pmp.File.Epoch at fill
+	view   uint64 // pmp.File.View at fill
 	gen    uint64
 	paPage uint64
 }
@@ -75,7 +77,7 @@ func (t *TLB) Flush() { t.gen++ }
 type Key struct {
 	Satp  uint64
 	Hgatp uint64 // zero unless V
-	Epoch uint64 // pmp.File.Epoch at lookup
+	View  uint64 // pmp.File.View at lookup; never 0
 	Priv  rv.Mode
 	SUM   bool
 	MXR   bool
@@ -87,7 +89,7 @@ type Key struct {
 func (t *TLB) Lookup(acc mem.AccessType, vpn uint64, k Key) (uint64, bool) {
 	e := &t.sets[acc][vpn%tlbSets]
 	if e.valid && e.vpn == vpn && e.satp == k.Satp && e.hgatp == k.Hgatp &&
-		e.epoch == k.Epoch && e.gen == t.gen && e.priv == k.Priv &&
+		e.view == k.View && e.gen == t.gen && e.priv == k.Priv &&
 		e.flags == tlbFlags(k.SUM, k.MXR, k.V) {
 		return e.paPage, true
 	}
@@ -103,7 +105,7 @@ func (t *TLB) Insert(acc mem.AccessType, vpn uint64, k Key, paPage uint64) {
 		vpn:    vpn,
 		satp:   k.Satp,
 		hgatp:  k.Hgatp,
-		epoch:  k.Epoch,
+		view:   k.View,
 		gen:    t.gen,
 		paPage: paPage,
 	}

@@ -109,24 +109,52 @@ func TestCheckFastAfterMutation(t *testing.T) {
 	}
 }
 
-// TestEpochAdvances checks that every mutator bumps the epoch so external
-// caches keyed on it (the hart's software TLB) observe PMP reprogramming.
-func TestEpochAdvances(t *testing.T) {
+// TestViewSettling checks the view's write contract: every mutator that
+// changes the contents unsettles the view (it reads 0 until View), and a
+// write that changes nothing — the monitor rewrites every entry on every
+// world switch — keeps the settled ID and the decode caches.
+func TestViewSettling(t *testing.T) {
 	f := NewFile(4)
-	e := f.Epoch()
+	f.SetFast(true)
+	zero := f.View()
 	step := func(name string, fn func()) {
+		t.Helper()
+		id := f.View()
+		f.Check(0x100, 4, mem.Read, rv.ModeS) // build the segment table
 		fn()
-		if f.Epoch() <= e {
-			t.Fatalf("%s did not advance epoch", name)
+		if got := f.SettledView(); got != 0 {
+			t.Fatalf("%s changed the contents but left view %d settled", name, got)
 		}
-		e = f.Epoch()
+		if f.View() == id {
+			t.Fatalf("%s changed the contents but kept view %d", name, id)
+		}
+		id = f.View()
+		f.Check(0x100, 4, mem.Read, rv.ModeS)
+		fn()
+		if got := f.SettledView(); got != id {
+			t.Fatalf("%s repeated with the same value: view %d, want %d", name, got, id)
+		}
+		if f.segDirty || f.regDirty {
+			t.Fatalf("%s repeated with the same value dirtied the decode caches", name)
+		}
 	}
 	step("SetAddr", func() { f.SetAddr(0, 0x100) })
 	step("SetCfg", func() { f.SetCfg(0, CfgR|ATor<<3) })
 	step("ForceAddr", func() { f.ForceAddr(1, 0x200) })
 	step("ForceCfg", func() { f.ForceCfg(1, CfgR|CfgW|ATor<<3) })
 	step("SetCfgReg", func() { f.SetCfgReg(0, 0x0f0f) })
-	step("Reset", func() { f.Reset() })
+	step("legalized SetCfg", func() { f.SetCfg(2, CfgW|CfgX|ANapot<<3) }) // W without R: W cleared
+	f.ForceCfg(3, CfgL|ANapot<<3)
+	id := f.View()
+	f.SetCfg(3, CfgR|ANapot<<3) // locked: ignored, as on hardware
+	f.SetAddr(3, 0x42)
+	if got := f.SettledView(); got != id {
+		t.Errorf("ignored writes to a locked entry unsettled the view: %d, want %d", got, id)
+	}
+	f.Reset()
+	if f.SettledView() != 0 || f.View() != zero {
+		t.Errorf("Reset: view %d, want the all-zero view %d", f.View(), zero)
+	}
 }
 
 // BenchmarkCheck compares the scan and flattened lookups on a file shaped

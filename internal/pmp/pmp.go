@@ -10,8 +10,10 @@
 package pmp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"govfm/internal/mem"
 	"govfm/internal/rv"
@@ -67,13 +69,16 @@ type File struct {
 	regOK    [MaxEntries]bool
 	regDirty bool
 
-	// epoch counts register mutations. External caches that embed a
-	// translation or permission decision derived from this file (the
-	// hart's software TLB) tag their entries with the epoch at fill time
-	// and treat any mismatch as a miss, which makes PMP reprogramming —
-	// including the monitor's ForceCfg/ForceAddr world-switch writes —
-	// an O(1) global invalidation with no explicit hook.
-	epoch uint64
+	// view is the ID views interned the current contents under, or 0 while
+	// a write that changed them is unsettled (see View). Host caches that
+	// embed a decision derived from this file — the hart's software TLB,
+	// its superblock guards, the monitor's wall verdicts — tag what they
+	// keep with the view and treat any mismatch as a miss. A world switch
+	// that reprograms the file and a later one that restores it land back
+	// on the same ID, so those caches survive the round trip; no cached
+	// entry ever carries 0.
+	view  uint64
+	views *Views
 
 	// Flattened-range cache: the address space partitioned into segments
 	// on which the "lowest-numbered matching entry" function is constant.
@@ -105,44 +110,90 @@ func NewFile(n int) *File {
 	if n < 0 || n > MaxEntries {
 		panic(fmt.Sprintf("pmp: invalid entry count %d", n))
 	}
-	return &File{n: n, regDirty: true, segDirty: true}
+	return &File{n: n, regDirty: true, segDirty: true, views: new(Views)}
+}
+
+// Views interns PMP contents — the cfg bytes and pmpaddr values of the
+// implemented entries — into view IDs: for the life of the table, equal
+// contents get one ID and different contents different IDs. IDs start at
+// 1 and are host state only; no simulated cycle depends on them. Every
+// clone of a file shares its table, and machines spawned from one image
+// share their origin's, so interning is locked: forks run concurrently.
+type Views struct {
+	mu  sync.Mutex
+	ids map[string]uint64
+}
+
+// Len returns the number of distinct contents interned.
+func (v *Views) Len() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return len(v.ids)
+}
+
+// intern returns the ID of key, issuing the next one to a new key.
+func (v *Views) intern(key []byte) uint64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	id, ok := v.ids[string(key)]
+	if !ok {
+		if v.ids == nil {
+			v.ids = make(map[string]uint64)
+		}
+		id = uint64(len(v.ids)) + 1
+		v.ids[string(key)] = id
+	}
+	return id
 }
 
 // markDirty records a register mutation: both decode caches go stale and
-// the epoch advances so external caches keyed on it miss.
+// the view is unsettled until the next View.
 func (f *File) markDirty() {
 	f.regDirty = true
 	f.segDirty = true
-	f.epoch++
+	f.view = 0
 }
 
-// Epoch returns the mutation counter. It increases on every cfg/addr
-// write (locked-entry writes that hardware ignores may still bump it;
-// spurious bumps only cost external caches a refill, never correctness).
-func (f *File) Epoch() uint64 { return f.epoch }
-
-// CloneSnapshot returns a deep copy with the mutation epoch cleared. The
-// epoch is host-cache bookkeeping, not architectural state: two snapshots
-// of the same architectural state must compare equal no matter when they
-// were taken, and Restore re-derives a monotonic epoch on the live file
-// (see AdvanceEpoch) rather than trusting a snapshot-time value.
-func (f *File) CloneSnapshot() *File {
-	c := *f
-	c.epoch = 0
-	return &c
-}
-
-// AdvanceEpoch raises the mutation counter to at least e. Machine reset
-// and snapshot restore replace or rewind a hart's PMP file; carrying the
-// epoch forward through those events keeps it monotonic per hart, so an
-// external cache entry tagged with an epoch value can never be
-// re-validated by a different (reset or restored) file that happens to
-// reuse the number. Raising the counter never invalidates anything
-// incorrectly — a mismatch is always just a refill.
-func (f *File) AdvanceEpoch(e uint64) {
-	if f.epoch < e {
-		f.epoch = e
+// View returns the ID of the file's current contents, interning them
+// first if a write changed them since the last call.
+func (f *File) View() uint64 {
+	if f.view == 0 {
+		f.settle()
 	}
+	return f.view
+}
+
+// SettledView returns the view without settling it: 0 while a write is
+// unsettled. It is a plain field load, for guards on hot paths, which
+// settle with View and re-check only on a miss.
+func (f *File) SettledView() uint64 { return f.view }
+
+// Views returns the intern table the file's view IDs come from.
+func (f *File) Views() *Views {
+	if f.views == nil {
+		f.views = new(Views)
+	}
+	return f.views
+}
+
+// SetViews moves the file into table v. A hart keeps one table across the
+// fresh file a reset builds, so every ID it ever issued keeps naming the
+// same contents.
+func (f *File) SetViews(v *Views) {
+	if f.views != v {
+		f.views, f.view = v, 0
+	}
+}
+
+// settle interns the implemented entries' contents.
+func (f *File) settle() {
+	var key [MaxEntries * 9]byte
+	n := f.n
+	copy(key[:n], f.cfg[:n])
+	for i, a := range f.addr[:n] {
+		binary.LittleEndian.PutUint64(key[n+8*i:], a)
+	}
+	f.view = f.Views().intern(key[:9*n])
 }
 
 // SetFast selects the flattened-range lookup (true) or the architectural
@@ -183,8 +234,7 @@ func (f *File) SetCfg(i int, v byte) {
 	if i < 0 || i >= f.n || f.Locked(i) {
 		return
 	}
-	f.cfg[i] = LegalizeCfg(v)
-	f.markDirty()
+	f.setCfg(i, v)
 }
 
 // ForceCfg writes entry i's cfg ignoring locks; this models machine reset
@@ -193,8 +243,17 @@ func (f *File) ForceCfg(i int, v byte) {
 	if i < 0 || i >= f.n {
 		return
 	}
-	f.cfg[i] = LegalizeCfg(v)
-	f.markDirty()
+	f.setCfg(i, v)
+}
+
+// setCfg stores a legalized cfg byte. A write that changes nothing leaves
+// the decode caches and the view in place: the monitor rewrites every
+// entry on every world switch.
+func (f *File) setCfg(i int, v byte) {
+	if v = LegalizeCfg(v); f.cfg[i] != v {
+		f.cfg[i] = v
+		f.markDirty()
+	}
 }
 
 // SetAddr writes pmpaddr[i]. The write is ignored if entry i is locked, or
@@ -208,8 +267,7 @@ func (f *File) SetAddr(i int, v uint64) {
 	if i+1 < f.n && f.Locked(i+1) && AMode(f.cfg[i+1]) == ATor {
 		return
 	}
-	f.addr[i] = v & rv.Mask(54)
-	f.markDirty()
+	f.setAddr(i, v)
 }
 
 // ForceAddr writes pmpaddr[i] ignoring locks (monitor/reset use only).
@@ -217,8 +275,15 @@ func (f *File) ForceAddr(i int, v uint64) {
 	if i < 0 || i >= f.n {
 		return
 	}
-	f.addr[i] = v & rv.Mask(54)
-	f.markDirty()
+	f.setAddr(i, v)
+}
+
+// setAddr stores a pmpaddr value; like setCfg, only a change dirties.
+func (f *File) setAddr(i int, v uint64) {
+	if v &= rv.Mask(54); f.addr[i] != v {
+		f.addr[i] = v
+		f.markDirty()
+	}
 }
 
 // CfgReg reads the packed pmpcfg register (reg must be even on RV64):
@@ -521,10 +586,10 @@ func (f *File) Snapshot() (cfg []byte, addr []uint64) {
 }
 
 // Clone returns an independent copy of the file: entries (locked ones
-// included), lock state, and every derived cache. All File state lives in
-// fixed arrays, so a value copy is self-contained; cloned files diverge
-// freely afterwards. Monitor forks use this to duplicate virtual PMP and
-// protection files onto a child machine.
+// included), lock state, every derived cache and the view. All register
+// and cache state lives in fixed arrays, so cloned files diverge freely
+// afterwards; they share the intern table, so equal contents keep one ID
+// across them. Snapshots and monitor forks copy PMP files with it.
 func (f *File) Clone() *File {
 	c := *f
 	return &c

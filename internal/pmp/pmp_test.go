@@ -1,6 +1,7 @@
 package pmp
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -321,59 +322,128 @@ func TestNewFilePanics(t *testing.T) {
 	NewFile(65)
 }
 
-// Epoch regression tests: the mutation epoch is host-cache bookkeeping and
-// must be monotonic on a live file across resets and restores, while
-// snapshot copies normalize it away so architectural comparisons stay
-// bit-exact.
+// View regression tests: a view ID names the file's contents within its
+// intern table, for as long as the table lives, so every host cache keyed
+// on it stays valid across a PMP round trip and never across a change.
 
-func TestEpochAdvanceIsMonotonic(t *testing.T) {
+// TestViewIDsNameContents: equal contents give equal IDs, different
+// contents different IDs, and a round trip A→B→A lands back on A's ID —
+// in one file, in a clone, and in a fresh file moved into the table.
+func TestViewIDsNameContents(t *testing.T) {
+	progA := func(f *File) {
+		f.ForceAddr(0, NAPOTAddr(0x8000_0000, 0x1000))
+		f.ForceCfg(0, CfgL|ANapot<<3)
+		f.ForceAddr(3, rv.Mask(54))
+		f.ForceCfg(3, CfgR|CfgW|CfgX|ANapot<<3)
+	}
+	progB := func(f *File) {
+		f.ForceAddr(3, NAPOTAddr(0x9000_0000, 0x1000)) // same cfg bytes as A, another address
+	}
 	f := NewFile(4)
-	if f.Epoch() != 0 {
-		t.Fatalf("fresh file epoch = %d", f.Epoch())
+	if f.SettledView() != 0 {
+		t.Fatalf("a fresh file must read unsettled, got view %d", f.SettledView())
 	}
-	f.SetCfg(0, CfgR|ANapot<<3)
-	f.SetAddr(0, 0x100)
-	e := f.Epoch()
-	if e == 0 {
-		t.Fatal("mutations must advance the epoch")
+	zero := f.View()
+	progA(f)
+	a := f.View()
+	progB(f)
+	b := f.View()
+	if zero == 0 || a == 0 || b == 0 {
+		t.Fatalf("settled views must be nonzero: %d %d %d", zero, a, b)
 	}
-	f.AdvanceEpoch(e - 1) // rewind attempt is a no-op
-	if f.Epoch() != e {
-		t.Errorf("AdvanceEpoch rewound the epoch: %d -> %d", e, f.Epoch())
+	if a == b || a == zero || b == zero {
+		t.Fatalf("different contents share an ID: zero=%d A=%d B=%d", zero, a, b)
 	}
-	f.AdvanceEpoch(e + 10)
-	if f.Epoch() != e+10 {
-		t.Errorf("AdvanceEpoch(%d) left epoch %d", e+10, f.Epoch())
+	progA(f)
+	if got := f.View(); got != a {
+		t.Errorf("A→B→A landed on view %d, want A's %d", got, a)
 	}
-	f.Reset()
-	if f.Epoch() <= e+10 {
-		t.Errorf("Reset must advance, not rewind, the epoch: %d", f.Epoch())
+	c := f.Clone()
+	progB(c)
+	if got := c.View(); got != b {
+		t.Errorf("a clone reprogrammed to B reads view %d, want %d", got, b)
+	}
+	g := NewFile(4)
+	g.SetViews(f.Views())
+	progA(g)
+	if got := g.View(); got != a {
+		t.Errorf("a fresh file in the same table programmed to A reads view %d, want %d", got, a)
+	}
+	if n := f.Views().Len(); n != 3 {
+		t.Errorf("table interned %d contents, want 3 (zero, A, B)", n)
+	}
+	// The ID covers the pmpaddr values too: cfg bytes alone cannot tell
+	// these apart.
+	h := NewFile(4)
+	h.SetViews(f.Views())
+	h.ForceAddr(1, 0x1234)
+	if got := h.View(); got == zero {
+		t.Errorf("a pmpaddr-only change kept the all-zero view %d", zero)
 	}
 }
 
-func TestCloneSnapshotNormalizesEpoch(t *testing.T) {
+// TestCloneSharesViewTable: Clone carries the view and the intern table,
+// deep-copies the registers, and a clone that diverges gets its own ID
+// without disturbing the original's.
+func TestCloneSharesViewTable(t *testing.T) {
 	f := NewFile(4)
 	f.SetCfg(0, CfgL|CfgR|ANapot<<3)
-	f.SetAddr(1, 0x42) // note: SetAddr before a locked cfg on the same entry
-	live := f.Epoch()
-	if live == 0 {
-		t.Fatal("expected nonzero live epoch")
+	f.SetAddr(1, 0x42)
+	live := f.View()
+	s := f.Clone()
+	if s.Views() != f.Views() || s.SettledView() != live {
+		t.Errorf("clone view %d in table %p, want %d in %p", s.SettledView(), s.Views(), live, f.Views())
 	}
-	s := f.CloneSnapshot()
-	if s.Epoch() != 0 {
-		t.Errorf("snapshot clone epoch = %d, want 0", s.Epoch())
-	}
-	if f.Epoch() != live {
-		t.Errorf("CloneSnapshot mutated the source epoch: %d -> %d", live, f.Epoch())
-	}
-	// Architectural state is still a deep copy.
 	if s.Cfg(0) != CfgL|CfgR|ANapot<<3 || s.Addr(1) != 0x42 {
-		t.Error("snapshot clone lost architectural state")
+		t.Error("clone lost architectural state")
+	}
+	s.ForceAddr(1, 0x43)
+	if s.View() == live {
+		t.Error("a diverged clone kept the original's view")
+	}
+	if f.SettledView() != live || f.Addr(1) != 0x42 {
+		t.Errorf("clone writes reached the original: view %d, addr %#x", f.SettledView(), f.Addr(1))
+	}
+}
+
+// TestViewsConcurrentClones interns from several goroutines through clones
+// of one file, as forked machines that share their origin's table do: the
+// race detector must stay quiet, and every goroutine must agree on the ID
+// of each contents.
+func TestViewsConcurrentClones(t *testing.T) {
+	const workers, rounds, kinds = 4, 200, 5
+	f := NewFile(8)
+	var wg sync.WaitGroup
+	ids := make([][kinds]uint64, workers)
+	for w := 0; w < workers; w++ {
+		c := f.Clone()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				k := (r + w) % kinds
+				c.ForceAddr(2, uint64(k)<<10)
+				id := c.View()
+				if prev := ids[w][k]; prev != 0 && prev != id {
+					t.Errorf("worker %d: contents %d interned as %d, then %d", w, k, prev, id)
+				}
+				ids[w][k] = id
+			}
+		}()
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		if ids[w] != ids[0] {
+			t.Errorf("worker %d IDs %v, worker 0 %v", w, ids[w], ids[0])
+		}
+	}
+	if n := f.Views().Len(); n != kinds {
+		t.Errorf("table interned %d contents, want %d", n, kinds)
 	}
 }
 
 // TestCloneForkThenProbe is the fork-then-probe regression: Clone must
-// carry lock bits, the epoch, and a coherent fast-path segment hint, and
+// carry lock bits, the view, and a coherent fast-path segment hint, and
 // the clone's verdicts must be independent of later parent mutations.
 func TestCloneForkThenProbe(t *testing.T) {
 	f := NewFile(8)
@@ -392,11 +462,11 @@ func TestCloneForkThenProbe(t *testing.T) {
 	if !f.Check(0x9000_0800, 8, mem.Read, rv.ModeS) {
 		t.Fatal("warmup check failed")
 	}
-	epoch := f.Epoch()
+	view := f.View()
 
 	c := f.Clone()
-	if c.Epoch() != epoch {
-		t.Errorf("clone epoch = %d, want %d (fork preserves the epoch)", c.Epoch(), epoch)
+	if c.View() != view {
+		t.Errorf("clone view = %d, want %d (fork preserves the view)", c.View(), view)
 	}
 	if !c.Locked(0) || c.Cfg(0) != CfgL|ANapot<<3 {
 		t.Errorf("clone lost the locked entry: cfg=%#x", c.Cfg(0))
@@ -417,8 +487,8 @@ func TestCloneForkThenProbe(t *testing.T) {
 	if !c.Check(0x1000, 8, mem.Exec, rv.ModeS) {
 		t.Error("clone must keep the background allow-all")
 	}
-	if c.Epoch() != epoch {
-		t.Errorf("probing mutated the clone epoch: %d", c.Epoch())
+	if c.View() != view {
+		t.Errorf("probing mutated the clone view: %d", c.View())
 	}
 	// And every clone verdict must agree with a scan-only file built from
 	// the same architectural state (fast-path hint coherence).

@@ -31,7 +31,7 @@ import (
 // self-modify code under translated blocks, and a shared-page slice aims
 // it at or before the program's end, so stores write data beside live
 // code on its page (and sometimes the code itself); others reach the PMP
-// config CSRs, so pmpEpoch guard misses occur organically. The generated
+// config CSRs, so PMP-view guard misses occur organically. The generated
 // programs already carry sfence.vma, fence.i, wfi, and world switches
 // (asm.genPriv), all of which must end or invalidate blocks correctly.
 //
@@ -58,8 +58,9 @@ var tierNames = []string{"interp", "fast", "fast+sb"}
 // sbGenCSRs extends the closed CSR surface with the PMP configuration
 // CSRs. Entries 0..2 are locked by install (writes to them
 // are ignored), and every address matches one of them, so writes to the
-// unlocked entries 3+ are architecturally inert — but they bump the PMP
-// epoch, forcing superblock entry-guard misses mid-program.
+// unlocked entries 3+ are architecturally inert — but a write of a new
+// value moves the file to a new PMP view, forcing superblock entry-guard
+// misses mid-program, and a write back lands on a view seen before.
 var sbGenCSRs = append(slices.Clone(closedGenCSRs),
 	asm.GenCSR{CSR: rv.CSRPmpcfg0, Forms: asm.FormsAll},
 	asm.GenCSR{CSR: rv.CSRPmpaddr0 + 5, Forms: asm.FormsAll},

@@ -19,7 +19,7 @@ const (
 	dev.clint.ipi_posts dev.clint.timer_programs dev.plic.claims
 	dev.plic.completes dev.uart.tx_bytes
 	hartN.cycles hartN.decode.hits hartN.decode.misses hartN.instret
-	hartN.pagewalks hartN.pmp.checks hartN.pmp.fast_hits
+	hartN.pagewalks hartN.pmp.checks hartN.pmp.fast_hits hartN.pmp.views
 	hartN.sb.aborts hartN.sb.chains hartN.sb.guard_misses hartN.sb.hits
 	hartN.sb.retired hartN.sb.rounds hartN.sb.translations
 	hartN.sinstret hartN.smc.code_invalidations hartN.smc.data_writes
@@ -37,7 +37,7 @@ const (
 	mon.fw_restarts mon.fw_traps mon.mmio_emulations mon.os_traps
 	mon.sbi.BASE mon.sbi.DBCN mon.sbi.HSM mon.sbi.IPI mon.sbi.RFNC
 	mon.sbi.SRST mon.sbi.TIME
-	mon.virt_interrupts mon.watchdog_fires mon.world_switches
+	mon.virt_interrupts mon.wall_probes mon.watchdog_fires mon.world_switches
 	sim.cycles sim.decode.hit_pct sim.decode.hits sim.decode.misses
 	sim.instret sim.pagewalks
 	sim.sb.aborts sim.sb.chains sim.sb.guard_misses sim.sb.hits
