@@ -44,9 +44,12 @@ const (
 )
 
 // GenCSR names one CSR the generator may access and the allowed forms.
+// Srcs, when set, are the registers its register-operand writes read, in
+// place of the data and base registers.
 type GenCSR struct {
 	CSR   uint16
 	Forms CSRForm
+	Srcs  []int
 }
 
 // GenCfg bounds what Generate may emit.
@@ -302,13 +305,19 @@ func genCSROp(rng *rand.Rand, cfg *GenCfg, _ int) uint32 {
 	form := forms[rng.Intn(len(forms))]
 	rd := dstReg(rng, cfg)
 	csrN := uint32(spec.CSR)
+	src := func() uint32 {
+		if len(spec.Srcs) > 0 {
+			return pick(rng, spec.Srcs)
+		}
+		return srcReg(rng, cfg)
+	}
 	switch form {
 	case FormCsrrw:
-		return csrN<<20 | srcReg(rng, cfg)<<15 | rv.F3Csrrw<<12 | rd<<7 | rv.OpSystem
+		return csrN<<20 | src()<<15 | rv.F3Csrrw<<12 | rd<<7 | rv.OpSystem
 	case FormCsrrs:
-		return csrN<<20 | srcReg(rng, cfg)<<15 | rv.F3Csrrs<<12 | rd<<7 | rv.OpSystem
+		return csrN<<20 | src()<<15 | rv.F3Csrrs<<12 | rd<<7 | rv.OpSystem
 	case FormCsrrc:
-		return csrN<<20 | srcReg(rng, cfg)<<15 | rv.F3Csrrc<<12 | rd<<7 | rv.OpSystem
+		return csrN<<20 | src()<<15 | rv.F3Csrrc<<12 | rd<<7 | rv.OpSystem
 	case FormCsrrwi:
 		return csrN<<20 | (rng.Uint32()&0x1F)<<15 | rv.F3Csrrwi<<12 | rd<<7 | rv.OpSystem
 	case FormCsrrsi:

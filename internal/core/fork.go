@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"govfm/internal/hart"
 	"govfm/internal/obs"
@@ -96,7 +95,7 @@ func (c *HartCtx) forkOnto(nm *Monitor, h *hart.Hart) *HartCtx {
 	// The child's PMP file comes from the parent's image and shares its
 	// intern table, so the parent's wall verdicts hold for it; under any
 	// other table they vouch for nothing.
-	nc.wall = wallVerdicts{views: c.wall.views, ok: slices.Clone(c.wall.ok)}
+	nc.wall = c.wall
 	if c.resumeOverride != nil {
 		pc := *c.resumeOverride
 		nc.resumeOverride = &pc

@@ -79,26 +79,34 @@ func wallProbe(phys *pmp.File) error {
 // wallVerdicts is the set of PMP views on which a hart's wall probe
 // passed. A view ID names contents only within the intern table that
 // issued it, so the set holds that table and vouches for nothing under
-// another.
+// another. It is indexed from the table's first live ID (pmp.Views.First)
+// and vouches for nothing once the table has been cleared since, so it
+// never holds more than pmp.ViewCap bits.
 type wallVerdicts struct {
 	views *pmp.Views
-	ok    []uint64 // bit id set: the probe passed on view id
+	first uint64                   // views.First when the set was started
+	ok    [pmp.ViewCap / 64]uint64 // bit id-first set: the probe passed on view id
 }
 
 // vouches reports whether the probe passed on view id of views.
 func (w *wallVerdicts) vouches(views *pmp.Views, id uint64) bool {
-	return w.views == views && id>>6 < uint64(len(w.ok)) && w.ok[id>>6]&(1<<(id&63)) != 0
+	if w.views != views || w.first != views.First() || id < w.first || id-w.first >= pmp.ViewCap {
+		return false
+	}
+	i := id - w.first
+	return w.ok[i>>6]&(1<<(i&63)) != 0
 }
 
 // add records a passing probe on view id of views.
 func (w *wallVerdicts) add(views *pmp.Views, id uint64) {
-	if w.views != views {
-		*w = wallVerdicts{views: views}
+	if first := views.First(); w.views != views || w.first != first {
+		*w = wallVerdicts{views: views, first: first}
 	}
-	for id>>6 >= uint64(len(w.ok)) {
-		w.ok = append(w.ok, 0)
+	if id < w.first || id-w.first >= pmp.ViewCap {
+		return // issued before a clear that has happened since
 	}
-	w.ok[id>>6] |= 1 << (id & 63)
+	i := id - w.first
+	w.ok[i>>6] |= 1 << (i & 63)
 }
 
 // MonitorStateHash fingerprints the monitor state the Dorami wall

@@ -464,3 +464,38 @@ func TestWallProbesNewViews(t *testing.T) {
 		})
 	}
 }
+
+// TestWallVerdictsFollowTableClears checks that the wall's verdicts stay
+// within the view table's cap: a verdict vouches for its view until the
+// table is cleared, and for nothing after, even though view IDs are never
+// reused.
+func TestWallVerdictsFollowTableClears(t *testing.T) {
+	f := pmp.NewFile(16)
+	views := f.Views()
+	var w wallVerdicts
+	f.SetAddr(3, 1)
+	old := f.View()
+	w.add(views, old)
+	if !w.vouches(views, old) || w.vouches(pmp.NewFile(16).Views(), old) {
+		t.Fatalf("a verdict must vouch for its view in its own table only")
+	}
+	for i := 0; i < pmp.ViewCap; i++ {
+		f.SetAddr(3, uint64(100+i))
+		f.View()
+	}
+	if views.First() <= old {
+		t.Fatalf("%d new views did not clear the table (first live ID %d)", pmp.ViewCap, views.First())
+	}
+	if w.vouches(views, old) {
+		t.Fatalf("a verdict vouched across a table clear")
+	}
+	f.SetAddr(3, 1)
+	id := f.View()
+	if id == old {
+		t.Fatalf("an ID was reused after a clear")
+	}
+	w.add(views, id)
+	if !w.vouches(views, id) || w.vouches(views, old) {
+		t.Fatalf("after the clear: vouches(new)=%v vouches(old)=%v", w.vouches(views, id), w.vouches(views, old))
+	}
+}

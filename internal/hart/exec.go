@@ -420,21 +420,21 @@ func (h *Hart) amo(raw, f3 uint32, f5 uint32, rs1, rs2 uint32) (uint64, *Exc) {
 		if ei != nil {
 			return 0, ei
 		}
-		h.resValid, h.resAddr = true, va
+		h.setRes(true, va)
 		if size == 4 {
 			v = rv.SignExtend(v, 32)
 		}
 		return v, nil
 	case 0x03: // sc
 		if !h.resValid || h.resAddr != va {
-			h.resValid = false
+			h.setRes(false, h.resAddr)
 			// Still must be a valid access; probe alignment.
 			if va%uint64(size) != 0 {
 				return 0, h.exc(rv.ExcStoreAddrMisaligned, va)
 			}
 			return 1, nil // failure
 		}
-		h.resValid = false
+		h.setRes(false, h.resAddr)
 		_, ei := h.MemAccess(va, size, mem.Write, h.Reg(rs2), true)
 		if ei != nil {
 			return 0, ei

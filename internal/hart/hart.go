@@ -100,9 +100,14 @@ type Hart struct {
 	// spans on this hart's track of the simulated timeline.
 	Trace *obs.Tracer
 
-	// LR/SC reservation.
-	resValid bool
-	resAddr  uint64
+	// LR/SC reservation. resHolders counts the harts of the machine that
+	// hold one (setRes keeps it), so a store skips the walk over its peers
+	// when no other hart does; a hart outside a machine counts in
+	// ownHolders.
+	resValid   bool
+	resAddr    uint64
+	resHolders *int
+	ownHolders int
 
 	// envCache is reused across memory accesses to keep the hot path
 	// allocation-free.
@@ -134,8 +139,10 @@ func New(id int, cfg *Config, bus *mem.Bus) *Hart {
 	h.TimeFn = func() uint64 { return 0 }
 	h.fast.pages = make(map[uint64]*decPage)
 	h.fast.ptePages = make(map[uint64]struct{})
+	h.resHolders = &h.ownHolders
 	if bus != nil {
 		bus.AddPageWatcher(h)
+		bus.AddHostHolder(h)
 		h.SetFastPath(true)
 		h.sb.on = true
 	}
@@ -585,8 +592,11 @@ func misalignedCause(acc mem.AccessType) uint64 {
 }
 
 func accessFaultCause(acc mem.AccessType) uint64 {
-	if acc == mem.Write {
+	switch acc {
+	case mem.Write:
 		return rv.ExcStoreAccessFault
+	case mem.Exec:
+		return rv.ExcInstrAccessFault
 	}
 	return rv.ExcLoadAccessFault
 }
@@ -596,29 +606,74 @@ func accessFaultCause(acc mem.AccessType) uint64 {
 // is stored and the returned value is 0. Exposed (capitalized) because the
 // monitor uses it to perform accesses on behalf of the firmware (MPRV
 // emulation) — with the *hart's* current state, exactly like hardware MPRV.
+//
+// With the fast path on, an access the TLB holds a host entry for is a
+// host load or store (see mmu.TLB); every other access resolves through
+// the TLB and the bus.
 func (h *Hart) MemAccess(va uint64, size int, acc mem.AccessType, value uint64, requireAligned bool) (uint64, *Exc) {
-	if va%uint64(size) != 0 {
+	if va&uint64(size-1) != 0 {
 		if requireAligned || !h.Cfg.HWMisaligned {
 			return 0, h.exc(misalignedCause(acc), va)
 		}
 	}
 	priv, virt := h.effectivePrivV()
-	pa, ei := h.translate(va, acc, priv, virt)
+	var ctx uint32
+	var translated bool
+	if h.fast.on {
+		ctx, translated = h.tlbCtx(priv, virt, false)
+	}
+	if ctx == 0 { // the fast path is off: walk, check and access in full
+		pa, ei := h.translate(va, acc, priv, virt)
+		if ei != nil {
+			return 0, ei
+		}
+		if !h.CSR.PMP.Check(pa, size, acc, priv) {
+			return 0, h.exc(accessFaultCause(acc), va)
+		}
+		h.charge(h.Cfg.Cost.MemAccess)
+		if acc == mem.Write {
+			if !h.Bus.Store(pa, size, value) {
+				return 0, h.exc(rv.ExcStoreAccessFault, va)
+			}
+			h.killReservations(pa)
+			return 0, nil
+		}
+		v, ok := h.Bus.Load(pa, size)
+		if !ok {
+			return 0, h.exc(rv.ExcLoadAccessFault, va)
+		}
+		return v, nil
+	}
+	need := uint64(hostLoad)
+	if acc == mem.Write {
+		need = hostStore
+	}
+	if e := h.fast.tlb.Probe(va>>12, ctx); e != nil && e.PA&need == need && inPage(va, size) {
+		if translated {
+			h.Perf.TLBHits++
+		}
+		h.Perf.HostHits++
+		h.charge(h.Cfg.Cost.MemAccess)
+		if acc == mem.Write {
+			mem.PageStore(e.Host, va&4095, size, value)
+			h.killReservations(e.Page() | va&4095)
+			return 0, nil
+		}
+		return mem.PageLoad(e.Host, va&4095, size), nil
+	}
+	e, pa, ei := h.resolve(va, size, acc, priv, virt, ctx, translated)
 	if ei != nil {
 		return 0, ei
 	}
-	if !h.CSR.PMP.Check(pa, size, acc, priv) {
-		return 0, h.exc(accessFaultCause(acc), va)
-	}
 	h.charge(h.Cfg.Cost.MemAccess)
 	if acc == mem.Write {
-		if !h.Bus.Store(pa, size, value) {
+		if !h.busStore(e, pa, size, value) {
 			return 0, h.exc(rv.ExcStoreAccessFault, va)
 		}
 		h.killReservations(pa)
 		return 0, nil
 	}
-	v, ok := h.Bus.Load(pa, size)
+	v, ok := h.busLoad(e, pa, size)
 	if !ok {
 		return 0, h.exc(rv.ExcLoadAccessFault, va)
 	}
@@ -628,8 +683,19 @@ func (h *Hart) MemAccess(va uint64, size int, acc mem.AccessType, value uint64, 
 // SetReservation registers an LR reservation at addr on behalf of the
 // hart. The monitor uses it when it emulates a trapped LR (MPRV or MMIO
 // window) so that a later, directly-executed SC still succeeds.
-func (h *Hart) SetReservation(addr uint64) {
-	h.resValid, h.resAddr = true, addr
+func (h *Hart) SetReservation(addr uint64) { h.setRes(true, addr) }
+
+// setRes sets or drops the hart's reservation, keeping the machine's
+// count of holders.
+func (h *Hart) setRes(valid bool, addr uint64) {
+	if valid != h.resValid {
+		if valid {
+			*h.resHolders++
+		} else {
+			*h.resHolders--
+		}
+	}
+	h.resValid, h.resAddr = valid, addr
 }
 
 // KillReservation invalidates the reservation if pa falls in its 8-byte
@@ -637,14 +703,22 @@ func (h *Hart) SetReservation(addr uint64) {
 // it after stores it performs on the hart's behalf.
 func (h *Hart) KillReservation(pa uint64) {
 	if h.resValid && pa&^7 == h.resAddr&^7 {
-		h.resValid = false
+		h.setRes(false, h.resAddr)
 	}
 }
 
 // killReservations applies a store at pa by this hart to every LR/SC
 // reservation on the machine: this hart's and each peer's die if they
-// cover pa's doubleword, as cache coherence would on real hardware.
+// cover pa's doubleword, as cache coherence would on real hardware. The
+// peers are visited only when one of them may hold a reservation.
 func (h *Hart) killReservations(pa uint64) {
+	switch n := *h.resHolders; {
+	case n == 0:
+		return
+	case n == 1 && h.resValid:
+		h.KillReservation(pa)
+		return
+	}
 	h.KillReservation(pa)
 	for _, p := range h.peers {
 		p.KillReservation(pa)

@@ -10,6 +10,7 @@ package hart
 import (
 	"govfm/internal/mem"
 	"govfm/internal/mmu"
+	"govfm/internal/pmp"
 	"govfm/internal/rv"
 )
 
@@ -116,8 +117,8 @@ func (dp *decPage) write(lo, hi int) (hit bool) {
 type fastState struct {
 	on bool
 
-	// tlb caches successful leaf translations (see mmu.TLB for the
-	// validity-by-comparison scheme).
+	// tlb caches translations, page PMP verdicts and host page bytes (see
+	// mmu.TLB for the validity-by-comparison scheme).
 	tlb mmu.TLB
 
 	// pages maps physical page base -> predecoded instructions, with a
@@ -218,45 +219,58 @@ func (h *Hart) flushTLB() {
 	clear(h.fast.ptePages)
 }
 
-// tlbFill caches a successful translation, first arming a write watch on
-// every page the walk read PTEs from so software page-table edits
-// invalidate it. PTE pages outside RAM cannot be watched; such walks stay
-// uncached. Arming happens after the walk so the walker's own A/D-bit
-// store does not immediately kill the entry.
-func (h *Hart) tlbFill(acc mem.AccessType, vpn uint64, k mmu.Key, res *mmu.Result) {
-	for i := 0; i < res.WalkLen; i++ {
-		p := res.Walk[i] &^ 4095
-		if !h.Bus.WatchPage(p) {
-			return
-		}
-		h.fast.ptePages[p] = struct{}{}
-	}
-	h.fast.tlb.Insert(acc, vpn, k, res.PA&^4095)
-}
+// RetireHostPages implements mem.HostHolder: the bus retires host bytes
+// the TLB holds (every pointer, or the write access into one page).
+func (h *Hart) RetireHostPages(page uint64, all bool) { h.fast.tlb.RetireHost(page, all) }
 
-// tlbKey bundles the current translation-validity state for priv. With
-// virt set the key carries the guest context (vsatp, hgatp, vsstatus
-// SUM/MXR, V) so two-stage fills can never satisfy host-context lookups
-// or vice versa — hgatp rewrites and V transitions miss by comparison.
-func (h *Hart) tlbKey(priv rv.Mode, virt bool) mmu.Key {
-	if virt {
-		return mmu.Key{
-			Satp:  h.CSR.Vsatp,
-			Hgatp: h.CSR.Hgatp,
-			View:  h.CSR.PMP.View(),
-			Priv:  priv,
-			SUM:   rv.Bit(h.CSR.Vsstatus, rv.MstatusSUM) != 0,
-			MXR:   rv.Bit(h.CSR.Vsstatus, rv.MstatusMXR) != 0,
-			V:     true,
+// Entry flags a host-tier hit needs, by access type: the translation, a
+// page verdict that permits the access, and the host bytes (fetches are
+// answered by the predecode cache, so they need no bytes).
+const (
+	hostLoad  = mmu.TransR | mmu.PermR | mmu.HostR
+	hostStore = mmu.TransW | mmu.PermW | mmu.HostW
+	hostFetch = mmu.TransX | mmu.PermX
+)
+
+// inPage reports whether size bytes at va stay on va's page.
+func inPage(va uint64, size int) bool { return va&4095+uint64(size) <= 4096 }
+
+// tlbCtx returns the TLB context ID of a (priv, virt) access context, and
+// whether it translates. The context's key carries the translation root
+// and, with virt, the guest context (vsatp, hgatp, vsstatus SUM/MXR, V),
+// so two-stage fills can never satisfy host-context lookups or vice versa
+// — hgatp rewrites and V transitions miss by comparison. Without
+// translation only the PMP view and the privilege matter, and a fetch
+// does not settle the view: M-mode code that reprograms the PMP entry by
+// entry runs between its writes with a view of 0, and such a fetch gets
+// ctx 0 and bypasses the TLB, so it interns none of the states it passes
+// through.
+func (h *Hart) tlbCtx(priv rv.Mode, virt, fetch bool) (ctx uint32, translated bool) {
+	k := mmu.Key{Mode: uint64(priv)}
+	if !h.translationActive(priv, virt) {
+		if k.View = h.CSR.PMP.SettledView(); k.View == 0 {
+			if fetch {
+				return 0, false
+			}
+			k.View = h.CSR.PMP.View()
 		}
+		return h.fast.tlb.Ctx(&k), false
 	}
-	return mmu.Key{
-		Satp: h.CSR.Satp,
-		View: h.CSR.PMP.View(),
-		Priv: priv,
-		SUM:  rv.Bit(h.CSR.Mstatus, rv.MstatusSUM) != 0,
-		MXR:  rv.Bit(h.CSR.Mstatus, rv.MstatusMXR) != 0,
+	status := h.CSR.Mstatus
+	if virt {
+		k.Satp, k.Hgatp, status = h.CSR.Vsatp, h.CSR.Hgatp, h.CSR.Vsstatus
+		k.Mode |= mmu.KeyV
+	} else {
+		k.Satp = h.CSR.Satp
 	}
+	if rv.Bit(status, rv.MstatusSUM) != 0 {
+		k.Mode |= mmu.KeySUM
+	}
+	if rv.Bit(status, rv.MstatusMXR) != 0 {
+		k.Mode |= mmu.KeyMXR
+	}
+	k.View = h.CSR.PMP.View()
+	return h.fast.tlb.Ctx(&k), true
 }
 
 // translationActive reports whether any translation stage applies for a
@@ -272,33 +286,155 @@ func (h *Hart) translationActive(priv rv.Mode, virt bool) bool {
 	return rv.SatpMode(h.CSR.Satp) == rv.SatpModeSv39
 }
 
+// resolve maps va for an access of size bytes and type acc in the context
+// (priv, virt), interned as ctx (translated: whether it translates), and
+// checks it against PMP — exactly the work of mmu.Translate and
+// pmp.File.Check, answered from the TLB where it can be. A translating
+// context looks its page up (counting the hit or the miss) and walks on a
+// miss; the entry then gains the walk (tlbFill), unless a page the walk
+// read cannot be watched, and e is nil. A context without translation
+// maps the page to itself. A PMP verdict cached for the whole page stands
+// in for the check of an access within it. Walks charge no simulated
+// cycles, and the entry only ever holds what a walk and a check produced,
+// keyed on all state they depend on, so hits change host time only.
+func (h *Hart) resolve(va uint64, size int, acc mem.AccessType, priv rv.Mode, virt bool, ctx uint32, translated bool) (e *mmu.Entry, pa uint64, ei *Exc) {
+	vpn := va >> 12
+	e = h.fast.tlb.Probe(vpn, ctx)
+	switch {
+	case e != nil && e.PA&(mmu.TransR<<acc) != 0:
+		if translated {
+			h.Perf.TLBHits++
+		}
+	case translated:
+		h.Perf.TLBMisses++
+		h.Perf.PageWalks++
+		res := mmu.Translate(h.mmuEnv(priv, virt), va, acc)
+		if !res.OK {
+			ei = h.exc(res.Cause, va)
+			ei.Gpa = res.GPA
+			return nil, 0, ei
+		}
+		if e = h.tlbFill(vpn, ctx, acc, &res); e == nil {
+			if !h.CSR.PMP.Check(res.PA, size, acc, priv) {
+				return nil, 0, h.exc(accessFaultCause(acc), va)
+			}
+			return nil, res.PA, nil
+		}
+	default:
+		e = h.fast.tlb.Insert(vpn, ctx, va&^4095, mmu.TransR|mmu.TransW|mmu.TransX)
+	}
+	pa = e.Page() | va&4095
+	if e.PA&mmu.Verdict == 0 {
+		h.pageVerdict(e, priv)
+	}
+	if e.PA&(mmu.PermR<<acc) == 0 || !inPage(va, size) {
+		if !h.CSR.PMP.Check(pa, size, acc, priv) {
+			return nil, 0, h.exc(accessFaultCause(acc), va)
+		}
+	}
+	return e, pa, nil
+}
+
+// tlbFill caches a successful translation for access type acc, first
+// arming a write watch on every page the walk read PTEs from so software
+// page-table edits invalidate it. PTE pages outside RAM cannot be
+// watched; such walks stay uncached (nil). Arming happens after the walk
+// so the walker's own A/D-bit store does not immediately kill the entry.
+func (h *Hart) tlbFill(vpn uint64, ctx uint32, acc mem.AccessType, res *mmu.Result) *mmu.Entry {
+	for i := 0; i < res.WalkLen; i++ {
+		p := res.Walk[i] &^ 4095
+		if !h.Bus.WatchPage(p) {
+			return nil
+		}
+		h.fast.ptePages[p] = struct{}{}
+	}
+	return h.fast.tlb.Insert(vpn, ctx, res.PA&^4095, mmu.TransR<<acc)
+}
+
+// pageVerdict caches in e the PMP verdict for its whole page under priv
+// (the context's privilege; its view is the file's). A page no single
+// decision covers keeps the per-access check and never gets host bytes.
+func (h *Hart) pageVerdict(e *mmu.Entry, priv rv.Mode) {
+	perm, ok := h.CSR.PMP.PageVerdict(e.Page(), priv)
+	if !ok {
+		h.Perf.HostSkipPMP++
+		e.PA |= mmu.Verdict | mmu.NoHost
+		return
+	}
+	e.PA |= mmu.Verdict | uint64(perm&(pmp.CfgR|pmp.CfgW|pmp.CfgX))*mmu.PermR
+}
+
+// fillHost gives e its page's host bytes when the bus lets the host keep
+// them (mem.Bus.HostPage): for reads and writes when the bus owns the
+// page and no watcher wants its writes, for reads alone when one does
+// (and the entry's stores then go through the bus without asking again).
+// It counts what it yielded for an access of type acc and returns the
+// bytes a read may use now, kept or not (nil: not RAM).
+func (h *Hart) fillHost(e *mmu.Entry, acc mem.AccessType) *[4096]byte {
+	p, st := h.Bus.HostPage(e.Page())
+	switch st {
+	case mem.PageWritable:
+		h.fast.tlb.SetHost(e, p, mmu.HostR|mmu.HostW)
+		h.Perf.HostFills++
+	case mem.PageWatched:
+		h.fast.tlb.SetHost(e, p, mmu.HostR|mmu.Watched)
+		if acc == mem.Write {
+			h.Perf.HostSkipWatched++
+		} else {
+			h.Perf.HostFills++
+		}
+	case mem.PageSealed:
+		h.Perf.HostSkipSealed++
+	case mem.PageUntouched:
+		h.Perf.HostSkipUntouched++
+	default:
+		e.PA |= mmu.NoHost
+		h.Perf.HostSkipMMIO++
+	}
+	return p
+}
+
+// busLoad reads size bytes at pa for an access resolved to e (nil when
+// uncached): through e's host bytes, filling them first if it has none,
+// or through the bus. The caller has checked PMP and charged the access.
+func (h *Hart) busLoad(e *mmu.Entry, pa uint64, size int) (uint64, bool) {
+	if e == nil || e.PA&mmu.NoHost != 0 || !inPage(pa, size) {
+		return h.Bus.Load(pa, size)
+	}
+	p := e.Host
+	if e.PA&mmu.HostR == 0 {
+		if p = h.fillHost(e, mem.Read); p == nil {
+			return h.Bus.Load(pa, size)
+		}
+	}
+	return mem.PageLoad(p, pa&4095, size), true
+}
+
+// busStore writes size bytes at pa for an access resolved to e (nil when
+// uncached): in place when e may write its host bytes, filling them first
+// if it has none, or through the bus, whose store funnel breaks sealed
+// pages off and tells the page's watchers.
+func (h *Hart) busStore(e *mmu.Entry, pa uint64, size int, v uint64) bool {
+	if e == nil || e.PA&mmu.NoHost != 0 || !inPage(pa, size) {
+		return h.Bus.Store(pa, size, v)
+	}
+	if e.PA&(mmu.HostW|mmu.Watched) == 0 {
+		h.fillHost(e, mem.Write)
+	}
+	if e.PA&mmu.HostW == 0 {
+		return h.Bus.Store(pa, size, v)
+	}
+	mem.PageStore(e.Host, pa&4095, size, v)
+	return true
+}
+
 // translate maps a virtual address for an access at the given effective
-// privilege and virtualization mode, using the TLB when the fast path is
-// on. Architecturally identical to calling mmu.Translate directly: the TLB
-// only ever caches what a full walk produced, keyed on all state the walk
-// depends on, and walks charge no simulated cycles, so hits change host
-// time only.
+// privilege and virtualization mode with a full walk: the data path with
+// the fast path off (resolve is its TLB counterpart).
 func (h *Hart) translate(va uint64, acc mem.AccessType, priv rv.Mode, virt bool) (uint64, *Exc) {
 	if !h.translationActive(priv, virt) {
 		return va, nil
 	}
-	if !h.fast.on {
-		h.Perf.PageWalks++
-		res := mmu.Translate(h.mmuEnv(priv, virt), va, acc)
-		if !res.OK {
-			ei := h.exc(res.Cause, va)
-			ei.Gpa = res.GPA
-			return 0, ei
-		}
-		return res.PA, nil
-	}
-	vpn := va >> 12
-	k := h.tlbKey(priv, virt)
-	if paPage, ok := h.fast.tlb.Lookup(acc, vpn, k); ok {
-		h.Perf.TLBHits++
-		return paPage | va&4095, nil
-	}
-	h.Perf.TLBMisses++
 	h.Perf.PageWalks++
 	res := mmu.Translate(h.mmuEnv(priv, virt), va, acc)
 	if !res.OK {
@@ -306,7 +442,6 @@ func (h *Hart) translate(va uint64, acc mem.AccessType, priv rv.Mode, virt bool)
 		ei.Gpa = res.GPA
 		return 0, ei
 	}
-	h.tlbFill(acc, vpn, k, &res)
 	return res.PA, nil
 }
 
@@ -319,12 +454,22 @@ func (h *Hart) fetchFast() (*rv.Decoded, *Exc) {
 		return nil, h.exc(rv.ExcInstrAddrMisaligned, h.PC)
 	}
 	// Fetch always uses the true privilege mode; MPRV affects data only.
-	pa, ei := h.translate(h.PC, mem.Exec, h.Mode, h.V)
-	if ei != nil {
-		return nil, ei
-	}
-	if !h.CSR.PMP.Check(pa, 4, mem.Exec, h.Mode) {
-		return nil, h.exc(rv.ExcInstrAccessFault, h.PC)
+	ctx, translated := h.tlbCtx(h.Mode, h.V, true)
+	pa := h.PC
+	if e := h.fast.tlb.Probe(h.PC>>12, ctx); e != nil && e.PA&hostFetch == hostFetch {
+		if translated {
+			h.Perf.TLBHits++
+		}
+		pa = e.Page() | h.PC&4095
+	} else if ctx == 0 {
+		if !h.CSR.PMP.Check(pa, 4, mem.Exec, h.Mode) {
+			return nil, h.exc(rv.ExcInstrAccessFault, h.PC)
+		}
+	} else {
+		var ei *Exc
+		if _, pa, ei = h.resolve(h.PC, 4, mem.Exec, h.Mode, h.V, ctx, translated); ei != nil {
+			return nil, ei
+		}
 	}
 	pageBase := pa &^ 4095
 	dp := h.fast.lastPage

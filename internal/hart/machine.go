@@ -70,6 +70,9 @@ type Machine struct {
 	haltReason string
 
 	timeRemainder uint64
+
+	// resHolders counts the harts holding an LR/SC reservation.
+	resHolders int
 }
 
 // NewMachine builds a platform from a profile with the given DRAM size.
@@ -113,13 +116,13 @@ func NewMachine(cfg *Config, dramSize uint64) (*Machine, error) {
 		m.Harts = append(m.Harts, h)
 	}
 	// Wire every hart to its peers so a store can kill their overlapping
-	// LR/SC reservations, as cache coherence does on real hardware.
-	if cfg.Harts > 1 {
-		for _, h := range m.Harts {
-			for _, p := range m.Harts {
-				if p != h {
-					h.peers = append(h.peers, p)
-				}
+	// LR/SC reservations, as cache coherence does on real hardware, and to
+	// the machine's count of reservation holders.
+	for _, h := range m.Harts {
+		h.resHolders = &m.resHolders
+		for _, p := range m.Harts {
+			if p != h {
+				h.peers = append(h.peers, p)
 			}
 		}
 	}
@@ -186,7 +189,7 @@ func (m *Machine) Reset(pc uint64) {
 		h.Halted = false
 		h.HaltReason = ""
 		h.Cycles, h.Instret, h.SInstret = 0, 0, 0
-		h.resValid, h.resAddr = false, 0
+		h.setRes(false, 0)
 		views := h.CSR.PMP.Views()
 		h.CSR = newCSRFile(h.Cfg)
 		// Reset is a power cycle: PMP locks are legitimately cleared. The

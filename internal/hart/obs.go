@@ -46,6 +46,30 @@ type PerfCounters struct {
 	// touched no live slot (data sharing a page with code).
 	CodeWriteInvalidations uint64
 	CodePageDataWrites     uint64
+	// Host tier (mmu.TLB host entries): data accesses answered by a host
+	// load or store, host-byte fills, and fill attempts that yielded no
+	// host bytes for the access, by reason: the page is not RAM, a PMP
+	// boundary cuts it, a store found it watched (reads stay in place),
+	// it was never written, or it is sealed (shared with a snapshot or an
+	// ancestor until a store breaks it off).
+	HostHits          uint64
+	HostFills         uint64
+	HostSkipMMIO      uint64
+	HostSkipPMP       uint64
+	HostSkipWatched   uint64
+	HostSkipUntouched uint64
+	HostSkipSealed    uint64
+}
+
+// hostNames names the host-tier counters, in hostCounts order, as metric
+// name suffixes.
+var hostNames = [...]string{"hits", "fills", "skip_mmio", "skip_pmp_partial",
+	"skip_watched", "skip_untouched", "skip_sealed"}
+
+// hostCounts returns the host-tier counters in hostNames order.
+func (p *PerfCounters) hostCounts() [len(hostNames)]uint64 {
+	return [...]uint64{p.HostHits, p.HostFills, p.HostSkipMMIO, p.HostSkipPMP,
+		p.HostSkipWatched, p.HostSkipUntouched, p.HostSkipSealed}
 }
 
 // trapCauseIndex maps an mcause value into TrapsByCause: exception codes
@@ -93,6 +117,7 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 	r.Collect(func(emit func(name string, value uint64)) {
 		var tlbH, tlbM, decH, decM, walks, traps, instret, cycles uint64
 		var sbT, sbH, sbC, sbR, sbG, sbA, sbRnd, smcI, smcD uint64
+		var host [len(hostNames)]uint64
 		for _, h := range m.Harts {
 			p := &h.Perf
 			pfx := fmt.Sprintf("hart%d.", h.ID)
@@ -122,6 +147,10 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 			emit(pfx+"sb.rounds", p.SBRounds)
 			emit(pfx+"smc.code_invalidations", p.CodeWriteInvalidations)
 			emit(pfx+"smc.data_writes", p.CodePageDataWrites)
+			for i, n := range p.hostCounts() {
+				emit(pfx+"host."+hostNames[i], n)
+				host[i] += n
+			}
 			tlbH += p.TLBHits
 			tlbM += p.TLBMisses
 			decH += p.DecodeHits
@@ -159,6 +188,9 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 		emit("sim.sb.rounds", sbRnd)
 		emit("sim.smc.code_invalidations", smcI)
 		emit("sim.smc.data_writes", smcD)
+		for i, n := range host {
+			emit("sim.host."+hostNames[i], n)
+		}
 		// Share of all retired instructions that ran inside superblocks.
 		// (Perf counters survive Machine.Reset while instret does not, so
 		// guard the subtraction across reboots.)

@@ -77,8 +77,7 @@ func (h *Hart) Restore(s *Snapshot) {
 	h.Stopped = s.Stopped
 	h.Halted = s.Halted
 	h.HaltReason = s.HaltReason
-	h.resValid = s.ResValid
-	h.resAddr = s.ResAddr
+	h.setRes(s.ResValid, s.ResAddr)
 	h.CSR = s.CSR.clone()
 	h.CSR.cfg = cfg
 	// The restored PMP clone carries the snapshot-time fast flag, and the

@@ -26,9 +26,9 @@ package hart
 //     translation read. The dispatch point itself sits after Step's
 //     pending-interrupt check, so a block never starts with a deliverable
 //     interrupt pending. Data accesses re-validate per access against a
-//     TLB key (mmu.Key) hoisted once per dispatch — sound because every
-//     instruction that could change it (CSR writes, xRET, traps) is a
-//     block terminator.
+//     TLB context (mmu.TLB.Ctx) hoisted once per dispatch — sound because
+//     every instruction that could change it (CSR writes, xRET, traps) is
+//     a block terminator.
 //
 //  2. Cycle-budget headroom. Blocks stop before the point where the
 //     per-instruction scheduler would have intervened: the distance to the
@@ -52,7 +52,6 @@ import (
 	"slices"
 
 	"govfm/internal/mem"
-	"govfm/internal/mmu"
 	"govfm/internal/rv"
 )
 
@@ -121,12 +120,12 @@ type sbState struct {
 	limitFn   func() uint64
 
 	// Per-dispatch hoisted data-access state: the effective privilege
-	// (MPRV honoured), whether translation is bare, and the TLB validity
-	// key. Invariant mid-block: CSR writes, traps, and xrets all
-	// terminate blocks.
-	priv rv.Mode
-	bare bool
-	key  mmu.Key
+	// (MPRV honoured), whether it translates, and its TLB context.
+	// Invariant mid-block: CSR writes, traps, and xrets all terminate
+	// blocks.
+	priv       rv.Mode
+	translated bool
+	ctx        uint32
 
 	// endAfter asks the running block (and its chain) to stop after the
 	// current op, where continuing could execute stale code or through a
@@ -279,10 +278,7 @@ func (h *Hart) sbTranslate(dp *decPage, slot int) *sblock {
 func (h *Hart) runBlock(dp *decPage, sb *sblock) uint64 {
 	priv := h.effectivePriv()
 	h.sb.priv = priv
-	h.sb.bare = priv == rv.ModeM || rv.SatpMode(h.CSR.Satp) != rv.SatpModeSv39
-	if !h.sb.bare {
-		h.sb.key = h.tlbKey(priv, false)
-	}
+	h.sb.ctx, h.sb.translated = h.tlbCtx(priv, false, false)
 	h.sb.endAfter = false
 	start := h.Cycles
 	limitC, limitS := h.sb.cycleLimit, h.sb.stepLimit
@@ -357,71 +353,58 @@ func (sb *sblock) guards(h *Hart) bool {
 	return sb.mode == h.Mode && sb.satp == h.CSR.Satp && sb.view == h.CSR.PMP.SettledView()
 }
 
-// sbTranslateData maps a data virtual address inside a block using the
-// hoisted per-dispatch key, falling back to a full walk on a TLB miss —
-// exactly translate()'s behaviour. A failed walk aborts the block (the
-// interpreter re-runs the op and raises the fault). A walk that stores
-// A/D bits into a page of live code ends the block through the bus watch,
-// as any other store does.
-func (h *Hart) sbTranslateData(va uint64, acc mem.AccessType) (uint64, bool) {
-	if h.sb.bare {
-		return va, true
-	}
-	vpn := va >> 12
-	if paPage, ok := h.fast.tlb.Lookup(acc, vpn, h.sb.key); ok {
-		h.Perf.TLBHits++
-		return paPage | va&4095, true
-	}
-	h.Perf.TLBMisses++
-	h.Perf.PageWalks++
-	res := mmu.Translate(h.mmuEnv(h.sb.priv, false), va, acc)
-	if !res.OK {
-		return 0, false
-	}
-	h.tlbFill(acc, vpn, h.sb.key, &res)
-	return res.PA, true
-}
-
-// sbLoad performs an in-block data load. All checks precede the access;
-// any failure aborts the block with nothing charged or written.
+// sbLoad performs an in-block data load. A host entry answers it with a
+// host load; otherwise it resolves as MemAccess does, under the hoisted
+// context. All checks precede the access; any failure aborts the block
+// with nothing charged or written (the interpreter re-runs the op and
+// raises the fault). A walk that stores A/D bits into a page of live code
+// ends the block through the bus watch, as any other store does.
 func (h *Hart) sbLoad(va uint64, size int) (uint64, bool) {
-	if va%uint64(size) != 0 && !h.Cfg.HWMisaligned {
+	if va&uint64(size-1) != 0 && !h.Cfg.HWMisaligned {
 		return 0, false
 	}
-	pa, ok := h.sbTranslateData(va, mem.Read)
-	if !ok {
-		return 0, false
+	if e := h.fast.tlb.Probe(va>>12, h.sb.ctx); e != nil && e.PA&hostLoad == hostLoad && inPage(va, size) {
+		if h.sb.translated {
+			h.Perf.TLBHits++
+		}
+		h.Perf.HostHits++
+		h.charge(h.Cfg.Cost.MemAccess)
+		return mem.PageLoad(e.Host, va&4095, size), true
 	}
-	if !h.CSR.PMP.Check(pa, size, mem.Read, h.sb.priv) {
-		return 0, false
-	}
-	if !h.Bus.IsRAM(pa, size) {
+	e, pa, ei := h.resolve(va, size, mem.Read, h.sb.priv, false, h.sb.ctx, h.sb.translated)
+	if ei != nil || !h.Bus.IsRAM(pa, size) {
 		return 0, false // MMIO: the interpreter performs the device access
 	}
 	h.charge(h.Cfg.Cost.MemAccess)
-	return h.Bus.Load(pa, size)
+	return h.busLoad(e, pa, size)
 }
 
 // sbStore performs an in-block data store, mirroring MemAccess(Write)
-// including the LR/SC reservation kills. A store that rewrites live code or a page table ends the
-// block after this op (InvalidatePhysPage sets endAfter), since the
-// interpreter refetches and retranslates from the next instruction on.
+// including the LR/SC reservation kills. A store that rewrites live code
+// or a page table ends the block after this op (InvalidatePhysPage sets
+// endAfter), since the interpreter refetches and retranslates from the
+// next instruction on; such pages are watched, so their stores never take
+// the host path.
 func (h *Hart) sbStore(va uint64, size int, value uint64) bool {
-	if va%uint64(size) != 0 && !h.Cfg.HWMisaligned {
+	if va&uint64(size-1) != 0 && !h.Cfg.HWMisaligned {
 		return false
 	}
-	pa, ok := h.sbTranslateData(va, mem.Write)
-	if !ok {
-		return false
+	if e := h.fast.tlb.Probe(va>>12, h.sb.ctx); e != nil && e.PA&hostStore == hostStore && inPage(va, size) {
+		if h.sb.translated {
+			h.Perf.TLBHits++
+		}
+		h.Perf.HostHits++
+		h.charge(h.Cfg.Cost.MemAccess)
+		mem.PageStore(e.Host, va&4095, size, value)
+		h.killReservations(e.Page() | va&4095)
+		return true
 	}
-	if !h.CSR.PMP.Check(pa, size, mem.Write, h.sb.priv) {
-		return false
-	}
-	if !h.Bus.IsRAM(pa, size) {
+	e, pa, ei := h.resolve(va, size, mem.Write, h.sb.priv, false, h.sb.ctx, h.sb.translated)
+	if ei != nil || !h.Bus.IsRAM(pa, size) {
 		return false
 	}
 	h.charge(h.Cfg.Cost.MemAccess)
-	if !h.Bus.Store(pa, size, value) {
+	if !h.busStore(e, pa, size, value) {
 		return false
 	}
 	h.killReservations(pa)

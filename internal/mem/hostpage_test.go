@@ -1,0 +1,78 @@
+package mem
+
+import "testing"
+
+// retireLog records the host-pointer retirements a bus announces.
+type retireLog struct {
+	pages []uint64
+	all   int
+}
+
+func (l *retireLog) RetireHostPages(page uint64, all bool) {
+	if all {
+		l.all++
+		return
+	}
+	l.pages = append(l.pages, page)
+}
+
+// TestHostPageStates walks one page through every state HostPage reports,
+// and checks which events retire host pointers: arming a clear watch bit
+// (write pointers into that page), Snapshot and LoadSnapshot (every one).
+func TestHostPageStates(t *testing.T) {
+	const base, page = 0x8000_0000, 0x8000_3000
+	b := NewBus()
+	if err := b.AddRAM(base, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDevice(0x1000_0000, 0x1000, &stubDev{name: "dev"}); err != nil {
+		t.Fatal(err)
+	}
+	log := &retireLog{}
+	b.AddHostHolder(log)
+	state := func() PageState {
+		_, st := b.HostPage(page + 8)
+		return st
+	}
+	if p, st := b.HostPage(0x1000_0000); st != PageMMIO || p != nil {
+		t.Fatalf("device page: %v, %p", st, p)
+	}
+	if p, st := b.HostPage(page); st != PageUntouched || p[0] != 0 {
+		t.Fatalf("untouched page: %v", st)
+	}
+	b.Store(page+16, 8, 0x1122)
+	p, st := b.HostPage(page)
+	if st != PageWritable || p[16] != 0x22 {
+		t.Fatalf("written page: %v", st)
+	}
+	p[24] = 0x33 // a host write lands in the bus's page
+	if v, _ := b.Load(page+24, 1); v != 0x33 {
+		t.Fatalf("host write not seen by Load: %#x", v)
+	}
+	b.WatchPage(page)
+	if st := state(); st != PageWatched || len(log.pages) != 1 || log.pages[0] != page {
+		t.Fatalf("armed watch: %v, retired %v", st, log.pages)
+	}
+	b.WatchPage(page) // already armed: nothing to retire
+	if len(log.pages) != 1 {
+		t.Fatalf("re-arming an armed bit retired again: %v", log.pages)
+	}
+	b.Store(page, 8, 1) // no watcher keeps the bit
+	if st := state(); st != PageWritable {
+		t.Fatalf("lapsed watch: %v", st)
+	}
+	snap := b.Snapshot()
+	if st := state(); st != PageSealed || log.all != 1 {
+		t.Fatalf("after Snapshot: %v, %d retire-alls", st, log.all)
+	}
+	b.Store(page, 8, 2) // breaks a private copy off
+	if st := state(); st != PageWritable {
+		t.Fatalf("after the break: %v", st)
+	}
+	if err := b.LoadSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if st := state(); st != PageSealed || log.all != 2 {
+		t.Fatalf("after LoadSnapshot: %v, %d retire-alls", st, log.all)
+	}
+}

@@ -12,7 +12,10 @@
 // mismatch breaks the page off the shared backing first. The break-off
 // check lives in the same write funnel (Store, WriteBytes) that fires the
 // page-watch notifications, so copy-on-first-write rides the exact choke
-// point the host fast paths already trust.
+// point the host fast paths already trust. The one path around it, a
+// hart's host write into a page through HostPage's bytes, is open only
+// for a page the bus owns and no watcher watches, which no break replaces
+// until a snapshot retires the pointer.
 package mem
 
 import (
@@ -146,29 +149,48 @@ func (r *Region) writablePage(off uint64) *ramPage {
 	return pg
 }
 
+// PageLoad reads size (1, 2, 4 or 8) little-endian bytes at offset off of
+// a page's bytes; the access must end on the page.
+func PageLoad(p *[pageSize]byte, off uint64, size int) uint64 {
+	switch size {
+	case 1:
+		return uint64(p[off])
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(p[off:]))
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(p[off:]))
+	}
+	return binary.LittleEndian.Uint64(p[off:])
+}
+
+// PageStore writes size (1, 2, 4 or 8) little-endian bytes at offset off
+// of a page's bytes; the access must end on the page.
+func PageStore(p *[pageSize]byte, off uint64, size int, v uint64) {
+	switch size {
+	case 1:
+		p[off] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(p[off:], uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(p[off:], uint32(v))
+	default:
+		binary.LittleEndian.PutUint64(p[off:], v)
+	}
+}
+
 // loadRAM reads size little-endian bytes at byte offset off of a RAM region.
 func (r *Region) loadRAM(off uint64, size int) (uint64, bool) {
 	if (off&pageMask)+uint64(size) <= pageSize {
-		pg := r.page(off)
-		if pg == nil {
-			switch size {
-			case 1, 2, 4, 8:
-				return 0, true
-			}
+		switch size {
+		case 1, 2, 4, 8:
+		default:
 			return 0, false
 		}
-		b := off & pageMask
-		switch size {
-		case 1:
-			return uint64(pg.data[b]), true
-		case 2:
-			return uint64(binary.LittleEndian.Uint16(pg.data[b:])), true
-		case 4:
-			return uint64(binary.LittleEndian.Uint32(pg.data[b:])), true
-		case 8:
-			return binary.LittleEndian.Uint64(pg.data[b:]), true
+		pg := r.page(off)
+		if pg == nil {
+			return 0, true
 		}
-		return 0, false
+		return PageLoad(&pg.data, off&pageMask, size), true
 	}
 	// Page-straddling access (hardware-handled misalignment): byte loop.
 	switch size {
@@ -190,24 +212,12 @@ func (r *Region) loadRAM(off uint64, size int) (uint64, bool) {
 // fire write watches; callers do.
 func (r *Region) storeRAM(off uint64, size int, value uint64) bool {
 	if (off&pageMask)+uint64(size) <= pageSize {
-		b := off & pageMask
-		var pg *ramPage
 		switch size {
 		case 1, 2, 4, 8:
-			pg = r.writablePage(off)
 		default:
 			return false
 		}
-		switch size {
-		case 1:
-			pg.data[b] = byte(value)
-		case 2:
-			binary.LittleEndian.PutUint16(pg.data[b:], uint16(value))
-		case 4:
-			binary.LittleEndian.PutUint32(pg.data[b:], uint32(value))
-		case 8:
-			binary.LittleEndian.PutUint64(pg.data[b:], value)
-		}
+		PageStore(&r.writablePage(off).data, off&pageMask, size, value)
 		return true
 	}
 	switch size {
@@ -243,6 +253,85 @@ type PageWatcher interface {
 	InvalidatePhysPage(pageBase uint64, lo, hi int) (keep bool)
 }
 
+// HostHolder keeps host pointers into RAM pages handed out by
+// Bus.HostPage, and must drop them when the bus retires them. A hart's
+// software TLB is one (internal/hart).
+//
+// RetireHostPages(page, false) retires the write pointers into the page
+// at page: a watcher armed its watch bit, so writes to it must go through
+// Store again to be seen. RetireHostPages(0, true) retires every pointer:
+// a Snapshot sealed every page, or a LoadSnapshot replaced them.
+type HostHolder interface {
+	RetireHostPages(page uint64, all bool)
+}
+
+// PageState says what HostPage's caller may do with a page's host bytes.
+type PageState uint8
+
+const (
+	// PageWritable: the bus owns the page at its current generation and
+	// no watcher wants its writes. Its bytes may be read and written in
+	// place until the bus retires the pointer.
+	PageWritable PageState = iota
+	// PageWatched: owned like PageWritable, but its watch bit is set, so
+	// writes must go through Store. Reads in place stay valid until the
+	// bus retires every pointer.
+	PageWatched
+	// PageSealed: the page is shared with a snapshot or an ancestor; a
+	// write will break a private copy off it. Its bytes are valid for a
+	// read now but must not be kept.
+	PageSealed
+	// PageUntouched: the page was never written and reads as zeros. The
+	// bytes returned are a shared zero page, valid for a read now only.
+	PageUntouched
+	// PageMMIO: the page is not wholly RAM (a device, or unmapped). No
+	// bytes.
+	PageMMIO
+)
+
+// zeroPage backs reads of untouched pages through HostPage; nothing ever
+// writes it.
+var zeroPage [pageSize]byte
+
+// HostPage returns the host bytes of the 4KiB page containing pa and what
+// the caller may do with them (see PageState).
+//
+// A pointer is only worth keeping for a page the bus owns: such a page
+// stays in the directory, and is written in place, until the next
+// Snapshot or LoadSnapshot, both of which retire every kept pointer
+// (HostHolder). A page the bus does not own is replaced in the directory
+// by the first write that breaks it, and an untouched one by the first
+// write that materializes it, so neither is handed out to keep.
+func (b *Bus) HostPage(pa uint64) (*[pageSize]byte, PageState) {
+	r := b.find(pa&^pageMask, pageSize)
+	if r == nil || r.Dev != nil {
+		return nil, PageMMIO
+	}
+	off := pa&^pageMask - r.Base
+	pg := r.page(off)
+	if pg == nil {
+		return &zeroPage, PageUntouched
+	}
+	if pg.owner != b.id || pg.gen != b.gen {
+		return &pg.data, PageSealed
+	}
+	if p := off >> pageShift; r.watch[p/64]&(1<<(p%64)) != 0 {
+		return &pg.data, PageWatched
+	}
+	return &pg.data, PageWritable
+}
+
+// AddHostHolder registers h to be told when host pointers retire.
+func (b *Bus) AddHostHolder(h HostHolder) { b.holders = append(b.holders, h) }
+
+// retireHost tells every holder that the pointers into page (every
+// pointer, with all) are stale.
+func (b *Bus) retireHost(page uint64, all bool) {
+	for _, h := range b.holders {
+		h.RetireHostPages(page, all)
+	}
+}
+
 // busIDs hands out a process-unique identity per Bus. Identities are never
 // reused, so a page tagged by a dead bus can never be mistaken for
 // writable by a live one.
@@ -263,6 +352,7 @@ type Bus struct {
 	last    *Region   // 1-entry find cache; most accesses hit one region
 
 	watchers []PageWatcher
+	holders  []HostHolder
 
 	// touched counts pages made writable since the last snapshot (the
 	// O(pages-touched) bound on the next Snapshot's sharing cost);
@@ -281,14 +371,19 @@ func (b *Bus) AddPageWatcher(w PageWatcher) { b.watchers = append(b.watchers, w)
 
 // WatchPage arms write notification for the 4KiB page containing pa. It
 // returns false when pa is not RAM-backed (MMIO contents cannot be watched
-// and must not be cached by callers).
+// and must not be cached by callers). Arming a clear bit retires every
+// host write pointer into the page: from now on its writes must reach
+// noteWrite.
 func (b *Bus) WatchPage(pa uint64) bool {
 	r := b.find(pa&^4095, 1)
 	if r == nil || r.Dev != nil {
 		return false
 	}
 	p := (pa - r.Base) >> 12
-	r.watch[p/64] |= 1 << (p % 64)
+	if word, bit := &r.watch[p/64], uint64(1)<<(p%64); *word&bit == 0 {
+		*word |= bit
+		b.retireHost(pa&^4095, false)
+	}
 	return true
 }
 

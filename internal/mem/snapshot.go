@@ -54,6 +54,7 @@ func (b *Bus) Snapshot() *RAMSnapshot {
 	}
 	b.gen++
 	b.touched = 0
+	b.retireHost(0, true)
 	return s
 }
 
@@ -61,8 +62,8 @@ func (b *Bus) Snapshot() *RAMSnapshot {
 // bus's RAM layout must match the snapshot's exactly. The installed pages
 // stay shared with every other holder of the snapshot — they carry foreign
 // tags, so this bus copy-on-writes them like a forked child. Watch bits
-// and host-side caches are NOT touched; callers that kept caches across
-// the load must flush them. Must be called between machine steps.
+// and host-side caches are NOT touched, but for the host pointers, which
+// retire; callers that kept other caches across the load must flush them. Must be called between machine steps.
 func (b *Bus) LoadSnapshot(s *RAMSnapshot) error {
 	i := 0
 	for _, r := range b.regions {
@@ -82,6 +83,7 @@ func (b *Bus) LoadSnapshot(s *RAMSnapshot) error {
 	}
 	b.gen++
 	b.touched = 0
+	b.retireHost(0, true)
 	return nil
 }
 

@@ -114,21 +114,40 @@ func NewFile(n int) *File {
 }
 
 // Views interns PMP contents — the cfg bytes and pmpaddr values of the
-// implemented entries — into view IDs: for the life of the table, equal
+// implemented entries — into view IDs: while the table holds them, equal
 // contents get one ID and different contents different IDs. IDs start at
-// 1 and are host state only; no simulated cycle depends on them. Every
-// clone of a file shares its table, and machines spawned from one image
-// share their origin's, so interning is locked: forks run concurrently.
+// 1, are never reused, and are host state only; no simulated cycle
+// depends on them. Every clone of a file shares its table, and machines
+// spawned from one image share their origin's, so interning is locked:
+// forks run concurrently.
+//
+// The table holds at most ViewCap contents. Interning a new one into a
+// full table clears it first, and the counter goes on, so every cache
+// entry that carries an ID issued before the clear simply misses: equal
+// contents interned again get a new ID.
 type Views struct {
-	mu  sync.Mutex
-	ids map[string]uint64
+	mu    sync.Mutex
+	ids   map[string]uint64
+	last  uint64 // the last ID issued
+	first uint64 // the first ID issued since the table was last cleared
 }
 
-// Len returns the number of distinct contents interned.
+// ViewCap bounds the contents a view table holds at once.
+const ViewCap = 64
+
+// Len returns the number of distinct contents the table holds.
 func (v *Views) Len() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return len(v.ids)
+}
+
+// First returns the lowest ID the table still holds: every live ID lies
+// in [First, First+ViewCap).
+func (v *Views) First() uint64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.first
 }
 
 // intern returns the ID of key, issuing the next one to a new key.
@@ -140,7 +159,14 @@ func (v *Views) intern(key []byte) uint64 {
 		if v.ids == nil {
 			v.ids = make(map[string]uint64)
 		}
-		id = uint64(len(v.ids)) + 1
+		if len(v.ids) >= ViewCap {
+			clear(v.ids)
+		}
+		v.last++
+		id = v.last
+		if len(v.ids) == 0 {
+			v.first = id
+		}
 		v.ids[string(key)] = id
 	}
 	return id
@@ -497,21 +523,9 @@ func (f *File) rebuildSegs() {
 	f.segDirty = false
 }
 
-// checkFast resolves the access via the flattened segment table. It returns
-// ok=false when it cannot decide (the access wraps the address space), in
-// which case the caller falls back to the architectural scan.
-//
-// The matching entry, per the spec, is the lowest-numbered entry covering
-// any byte of the access. Since each segment's owner is the lowest-numbered
-// entry covering that segment, that matching entry is exactly the minimum
-// owner over the segments the access spans (min over bytes of min over
-// entries = min over the per-segment minima). Partial match is then a
-// simple containment test of the access against that entry's region.
-func (f *File) checkFast(addr uint64, size int, acc mem.AccessType, mode rv.Mode) (allowed, ok bool) {
-	aLast := addr + uint64(size) - 1
-	if aLast < addr {
-		return false, false // wrap-around: let the scan handle it
-	}
+// owner returns the lowest-numbered entry matching any byte of
+// [addr, last], or -1, from the flattened segment table.
+func (f *File) owner(addr, last uint64) int {
 	if f.segDirty {
 		f.rebuildSegs()
 	}
@@ -535,12 +549,31 @@ func (f *File) checkFast(addr uint64, size int, acc mem.AccessType, mode rv.Mode
 		}
 		f.lastSeg = lo
 	}
-	m := -1 // lowest-numbered entry covering any byte of the access
-	for k := lo; k < f.nSeg && f.segBase[k] <= aLast; k++ {
+	m := -1
+	for k := lo; k < f.nSeg && f.segBase[k] <= last; k++ {
 		if o := int(f.segOwner[k]); o >= 0 && (m < 0 || o < m) {
 			m = o
 		}
 	}
+	return m
+}
+
+// checkFast resolves the access via the flattened segment table. It returns
+// ok=false when it cannot decide (the access wraps the address space), in
+// which case the caller falls back to the architectural scan.
+//
+// The matching entry, per the spec, is the lowest-numbered entry covering
+// any byte of the access. Since each segment's owner is the lowest-numbered
+// entry covering that segment, that matching entry is exactly the minimum
+// owner over the segments the access spans (min over bytes of min over
+// entries = min over the per-segment minima). Partial match is then a
+// simple containment test of the access against that entry's region.
+func (f *File) checkFast(addr uint64, size int, acc mem.AccessType, mode rv.Mode) (allowed, ok bool) {
+	aLast := addr + uint64(size) - 1
+	if aLast < addr {
+		return false, false // wrap-around: let the scan handle it
+	}
+	m := f.owner(addr, aLast)
 	if m < 0 {
 		if mode == rv.ModeM {
 			return true, true
@@ -563,6 +596,31 @@ func (f *File) checkFast(addr uint64, size int, acc mem.AccessType, mode rv.Mode
 		return cfg&CfgX != 0, true
 	}
 	return false, true
+}
+
+// PageVerdict returns the permissions (CfgR|CfgW|CfgX) that every access
+// lying wholly within the 4KiB page at base is granted in mode, with
+// ok=true, when one PMP decision covers the whole page: no entry matches
+// any byte of it, or the lowest-numbered entry that matches one contains
+// all of it. Every access in the page then resolves to that decision. A
+// page that an entry's boundary cuts (a NA4 entry, a TOR bound, a NAPOT
+// region smaller than the page) reports ok=false, and its accesses need
+// the per-access Check.
+func (f *File) PageVerdict(base uint64, mode rv.Mode) (perm byte, ok bool) {
+	const rwx = CfgR | CfgW | CfgX
+	last := base + 4095
+	m := f.owner(base, last)
+	switch {
+	case m < 0 && (mode == rv.ModeM || f.n == 0):
+		return rwx, true
+	case m < 0:
+		return 0, true
+	case base < f.regLo[m] || last > f.regLast[m]:
+		return 0, false
+	case mode == rv.ModeM && f.cfg[m]&CfgL == 0:
+		return rwx, true
+	}
+	return f.cfg[m] & rwx, true
 }
 
 // NAPOTAddr encodes the pmpaddr value covering the naturally aligned

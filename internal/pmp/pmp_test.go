@@ -508,3 +508,52 @@ func TestCloneForkThenProbe(t *testing.T) {
 		t.Error("parent lost its lock")
 	}
 }
+
+// TestPageVerdict checks the whole-page verdict against Check on every
+// word of the page: where PageVerdict reports one decision, every aligned
+// access in the page must get it; the pages an entry's boundary cuts (NA4,
+// a TOR bound, a NAPOT region smaller than the page) must report none.
+func TestPageVerdict(t *testing.T) {
+	const page = 0x8000_4000
+	f := NewFile(8)
+	f.SetFast(true)
+	f.SetAddr(7, ^uint64(0))
+	f.SetCfg(7, CfgR|ANapot<<3) // the rest of memory: read-only
+	for _, tc := range []struct {
+		name    string
+		addr    uint64
+		cfg     byte
+		uniform bool
+	}{
+		{"napot page", NAPOTAddr(page, 4096), CfgR | CfgW | ANapot<<3, true},
+		{"napot superset", NAPOTAddr(page&^0xFFFF, 1<<16), CfgW | CfgR | CfgX | ANapot<<3, true},
+		{"napot elsewhere", NAPOTAddr(page+4096, 4096), ANapot << 3, true},
+		{"napot half page", NAPOTAddr(page, 2048), CfgR | CfgW | ANapot<<3, false},
+		{"na4", (page + 0x100) >> 2, CfgR | CfgW | ANa4<<3, false},
+		{"tor bound inside", (page + 0x800) >> 2, CfgR | CfgW | ATor<<3, false},
+		{"tor bound at the page end", (page + 4096) >> 2, CfgR | CfgW | ATor<<3, true},
+		{"off", NAPOTAddr(page, 4096), CfgR | CfgW, true},
+	} {
+		f.SetAddr(0, tc.addr)
+		f.SetCfg(0, tc.cfg)
+		for _, mode := range []rv.Mode{rv.ModeM, rv.ModeS, rv.ModeU} {
+			perm, ok := f.PageVerdict(page, mode)
+			if ok != tc.uniform {
+				t.Errorf("%s, mode %v: uniform=%v, want %v", tc.name, mode, ok, tc.uniform)
+				continue
+			}
+			if !ok {
+				continue
+			}
+			for off := uint64(0); off < 4096; off += 4 {
+				for _, acc := range []mem.AccessType{mem.Read, mem.Write, mem.Exec} {
+					want := f.Check(page+off, 4, acc, mode)
+					if got := perm&(CfgR<<acc) != 0; got != want {
+						t.Fatalf("%s, mode %v, %v at +%#x: verdict %v, Check %v",
+							tc.name, mode, acc, off, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -37,9 +37,15 @@ var closedGenCSRs = []asm.GenCSR{
 	{CSR: rv.CSRMhartid, Forms: asm.FormsRead},
 }
 
-// caseWindows are the program and scratch windows, {base, size}: the
-// memory a case can write, and so the memory diffMachines compares.
-var caseWindows = [][2]uint64{{ProgBase, ProgCap}, {ScratchBase, ScratchSize}}
+// edgePage is the page just above the scratch window. It lies outside
+// the confinement, so only an unlocked PMP entry ahead of it (a churn
+// case's entry 0, machequiv.go) can grant any of it.
+const edgePage = ScratchBase + ScratchSize
+
+// caseWindows are the program and scratch windows and the edge page,
+// {base, size}: the memory a case can write, and so the memory
+// diffMachines compares.
+var caseWindows = [][2]uint64{{ProgBase, ProgCap}, {ScratchBase, ScratchSize}, {edgePage, 4096}}
 
 // napotAddr encodes a pmpaddr NAPOT match over [base, base+size) — size a
 // power of two ≥ 8, base size-aligned.
@@ -65,11 +71,11 @@ type hartInit struct {
 // are only ever read.
 var (
 	progZero = make([]byte, ProgCap)
-	scrZero  = make([]byte, ScratchSize)
+	scrZero  = make([]byte, ScratchSize+4096)
 )
 
-// loadWindows clears the program and scratch windows, then writes the
-// program at ProgBase.
+// loadWindows clears the program and scratch windows and the edge page,
+// then writes the program at ProgBase.
 func loadWindows(m *hart.Machine, words []uint32) {
 	buf := make([]byte, 4*len(words))
 	for j, w := range words {
@@ -100,14 +106,19 @@ func startHart(h *hart.Hart, in *hartInit) {
 	c.Mcause, c.Scause = in.Mcause, in.Scause
 	c.Mtval, c.Stval = in.Mtval, in.Stval
 
-	f := c.PMP
+	confine(c.PMP, 0)
+}
+
+// confine locks the case's confinement into PMP entries first..first+2:
+// the program window, the scratch window, and no access anywhere else.
+func confine(f *pmp.File, first int) {
 	rwxNapot := uint8(pmp.CfgL | pmp.CfgR | pmp.CfgW | pmp.CfgX | pmp.ANapot<<3)
-	f.ForceAddr(0, napotAddr(ProgBase, ProgCap))
-	f.ForceCfg(0, rwxNapot)
-	f.ForceAddr(1, napotAddr(ScratchBase, ScratchSize))
-	f.ForceCfg(1, rwxNapot)
-	f.ForceAddr(2, rv.Mask(54))
-	f.ForceCfg(2, pmp.CfgL|pmp.ANapot<<3)
+	f.ForceAddr(first, napotAddr(ProgBase, ProgCap))
+	f.ForceCfg(first, rwxNapot)
+	f.ForceAddr(first+1, napotAddr(ScratchBase, ScratchSize))
+	f.ForceCfg(first+1, rwxNapot)
+	f.ForceAddr(first+2, rv.Mask(54))
+	f.ForceCfg(first+2, pmp.CfgL|pmp.ANapot<<3)
 }
 
 // diffMachines compares two finished machines and describes their first

@@ -9,6 +9,8 @@ import (
 	"govfm/internal/asm"
 	"govfm/internal/core"
 	"govfm/internal/hart"
+	"govfm/internal/mmu"
+	"govfm/internal/pmp"
 	"govfm/internal/rv"
 )
 
@@ -56,7 +58,7 @@ const machStepBudget = 1024
 var tierNames = []string{"interp", "fast", "fast+sb"}
 
 // sbGenCSRs extends the closed CSR surface with the PMP configuration
-// CSRs. Entries 0..2 are locked by install (writes to them
+// CSRs. In most cases entries 0..2 are locked by install (writes to them
 // are ignored), and every address matches one of them, so writes to the
 // unlocked entries 3+ are architecturally inert — but a write of a new
 // value moves the file to a new PMP view, forcing superblock entry-guard
@@ -64,6 +66,39 @@ var tierNames = []string{"interp", "fast", "fast+sb"}
 var sbGenCSRs = append(slices.Clone(closedGenCSRs),
 	asm.GenCSR{CSR: rv.CSRPmpcfg0, Forms: asm.FormsAll},
 	asm.GenCSR{CSR: rv.CSRPmpaddr0 + 5, Forms: asm.FormsAll},
+)
+
+// remapRegs hold the leaf PTEs a remap case's prelude stores: data
+// registers, which the prelude reads before any generated op writes them.
+var remapRegs = []int{14, 15}
+
+// churnRegs hold a churn case's pmpaddr0 values. No generated instruction
+// but a random word writes them.
+var churnRegs = []int{19, 20, 21}
+
+// churnGenCSRs is the CSR surface of a churn case (machCase.Churn): the
+// PMP CSRs again, weighted toward entry 0, which sits unlocked ahead of
+// the confinement. Its pmpaddr0 writes move it among churnRegs' values and
+// its immediate pmpcfg0 writes set its R/W/X bits and address mode (zimm
+// covers exactly those five bits, and the locked bytes ignore the zeros).
+var churnGenCSRs = append(slices.Clone(sbGenCSRs),
+	asm.GenCSR{CSR: rv.CSRPmpaddr0, Forms: asm.FormCsrrw, Srcs: churnRegs},
+	asm.GenCSR{CSR: rv.CSRPmpaddr0, Forms: asm.FormCsrrw, Srcs: churnRegs},
+	asm.GenCSR{CSR: rv.CSRPmpaddr0, Forms: asm.FormCsrrw, Srcs: churnRegs},
+	asm.GenCSR{CSR: rv.CSRPmpcfg0, Forms: asm.FormsImm},
+	asm.GenCSR{CSR: rv.CSRPmpcfg0, Forms: asm.FormsImm},
+)
+
+// The Sv39 environment (machCase.Sv39): a three-level table in the top
+// pages of the scratch window that maps the program's 2 MiB megapage and
+// every scratch page (the tables' own pages included) to itself, the
+// scratch pages through 4 KiB leaves.
+const (
+	sv39Root = ScratchBase + ScratchSize - 3*4096
+	sv39L1   = sv39Root + 4096
+	sv39Leaf = sv39L1 + 4096 // the scratch window's leaf table
+
+	scratchPages = ScratchSize / 4096
 )
 
 // machCase is one machine-equivalence input.
@@ -77,15 +112,38 @@ type machCase struct {
 	SharedPage bool
 	// Loop: the last slot jumps back to slot 0 (sbLoopBack).
 	Loop bool
-	K1   uint64 // steps before the fork; K2 = machStepBudget - K1
-	Tier int    // the forked machine's tier, an index into tierNames
-	Prog []uint32
-	Init []hartInit // per hart
+	// Churn: PMP entry 0 is unlocked, ahead of the locked confinement in
+	// entries 1..3, so the program's PMP writes change verdicts. It starts
+	// at ChurnCfg over ChurnAddr[0]; churnRegs hold ChurnAddr: a program
+	// page, a scratch page a base register points into, and the middle of
+	// that page (a sub-page bound under NA4 or TOR).
+	Churn     bool
+	ChurnCfg  byte
+	ChurnAddr [3]uint64
+	// Sv39: every hart starts with satp on the Sv39 environment. Leaves
+	// are the scratch leaves' flag bits, ProgLeaf the program megapage's,
+	// and one base register points at the leaf table, so stores remap and
+	// reprotect pages under live TLB entries.
+	Sv39     bool
+	Leaves   [scratchPages]uint64
+	ProgLeaf uint64
+	// Remap: an Sv39 case that opens by rewriting the first base
+	// register's leaf to RemapPTE's two PTEs (held in remapRegs), storing
+	// through the page after each rewrite. The leaf table's own virtual
+	// page maps elsewhere (LeafAlias), so a hart with MPRV stores there
+	// while a hart without rewrites the table itself.
+	Remap     bool
+	RemapPTE  [2]uint64
+	LeafAlias uint64
+	K1        uint64 // steps before the fork; K2 = machStepBudget - K1
+	Tier      int    // the forked machine's tier, an index into tierNames
+	Prog      []uint32
+	Init      []hartInit // per hart
 }
 
 func (tc *machCase) String() string {
-	return fmt.Sprintf("case{%s, harts=%d, fork=%s@%d, timer=%v, smc=%v, shared-page=%v, loop=%v}",
-		tc.Profile, tc.Harts, tierNames[tc.Tier], tc.K1, tc.Timer, tc.SMC, tc.SharedPage, tc.Loop)
+	return fmt.Sprintf("case{%s, harts=%d, fork=%s@%d, timer=%v, smc=%v, shared-page=%v, loop=%v, churn=%v, sv39=%v}",
+		tc.Profile, tc.Harts, tierNames[tc.Tier], tc.K1, tc.Timer, tc.SMC, tc.SharedPage, tc.Loop, tc.Churn, tc.Sv39)
 }
 
 // sbLoopBack is "jal x0, slot 0" encoded for the program's last slot.
@@ -115,6 +173,14 @@ type MachineStats struct {
 	// COWBreaks counts the pages the forked parent and the child copied
 	// off the fork image during their K2 legs.
 	COWBreaks uint64
+	// Churn and Sv39 count the cases of each environment. VerdictChanges
+	// counts the interpreter steps after which a churn case's entry 0
+	// decoded differently on some hart: PMP writes that changed a
+	// verdict. TLBHits counts translated TLB hits, HostHits accesses the
+	// host tier answered.
+	Churn, Sv39       int
+	VerdictChanges    int
+	TLBHits, HostHits uint64
 	// Mismatches describes each divergence and its case.
 	Mismatches []string
 }
@@ -177,8 +243,18 @@ func (rig *machRig) genCase(rng *rand.Rand, t int) *machCase {
 		K1:      uint64(16 + rng.Intn(machStepBudget/2)),
 		Tier:    t,
 		Init:    make([]hartInit, rig.harts),
+		Churn:   rng.Intn(3) == 0,
+		Sv39:    rng.Intn(3) == 0,
+	}
+	if tc.Churn && rng.Intn(2) == 0 {
+		tc.Loop = true // churn that returns to the code it ran under
 	}
 	cfg := rig.genCfg
+	if tc.Sv39 {
+		// Offsets reach 32 PTEs past the leaf table's base, the scratch
+		// window's 16 among them.
+		cfg.BaseWindow = 256
+	}
 	if tc.Loop {
 		// Loop case: the last slot jumps back to slot 0, so the program
 		// runs round and round and chains re-enter translated blocks.
@@ -186,17 +262,28 @@ func (rig *machRig) genCase(rng *rand.Rand, t int) *machCase {
 		// case's stores overwrite code that runs again.
 		cfg.BaseWindow = 4 * Slots
 	}
+	if tc.Churn {
+		cfg.CSRs = churnGenCSRs
+	}
 	tc.Prog = asm.Generate(rng, &cfg)
 	if tc.Loop {
 		tc.Prog[Slots-1] = sbLoopBack
 	}
 	var bases [32]uint64
+	span := ScratchSize - 4096
+	if tc.Sv39 {
+		span = sv39Root - ScratchBase - 4096 // clear of the tables
+	}
 	for _, r := range rig.genCfg.BaseRegs {
-		base := ScratchBase + uint64(rng.Intn(ScratchSize-4096))&^7
+		base := ScratchBase + uint64(rng.Intn(span))&^7
 		if rng.Intn(6) == 0 {
 			base |= uint64(rng.Intn(8))
 		}
 		bases[r] = base
+	}
+	prelude := tc.Churn && rig.genChurn(rng, tc, &bases)
+	if tc.Sv39 {
+		rig.genSv39(rng, tc, &bases, !prelude)
 	}
 	last := rig.genCfg.BaseRegs[len(rig.genCfg.BaseRegs)-1]
 	switch rng.Intn(6) {
@@ -232,11 +319,27 @@ func (rig *machRig) genCase(rng *rand.Rand, t int) *machCase {
 		for _, r := range rig.genCfg.BaseRegs {
 			in.Regs[r] = bases[r]
 		}
+		if tc.Churn {
+			for j, r := range churnRegs {
+				in.Regs[r] = tc.ChurnAddr[j]
+			}
+		}
+		if tc.Remap {
+			for j, r := range remapRegs {
+				in.Regs[r] = tc.RemapPTE[j]
+			}
+		}
 		in.Mtvec = slot() | uint64(rng.Intn(2))
 		in.Stvec = slot() | uint64(rng.Intn(2))
 		in.Mepc, in.Sepc = slot(), slot()
 		in.Mstatus = rng.Uint64()&(uint64(1)<<1|1<<3|1<<5|1<<7|1<<8) |
 			[]uint64{0, 1, 3}[rng.Intn(3)]<<11
+		if tc.Churn && rng.Intn(4) != 0 || tc.Sv39 && rng.Intn(2) == 0 {
+			// MPRV with MPP = S or U: M-mode loads and stores, those
+			// between the PMP writes included, take S or U verdicts (and
+			// translation, under Sv39) until a trap or an mret ends it.
+			in.Mstatus = in.Mstatus&^(3<<11) | []uint64{0, 1}[rng.Intn(2)]<<11 | 1<<17
+		}
 		in.Mie = rng.Uint64() & 0xAAA
 		in.Medeleg = rng.Uint64() & 0xB3FF
 		in.Mscratch, in.Sscratch = rng.Uint64(), rng.Uint64()
@@ -249,18 +352,160 @@ func (rig *machRig) genCase(rng *rand.Rand, t int) *machCase {
 	return tc
 }
 
+// genChurn draws a churn case's PMP entry 0 and plants pmpaddr0 writes in
+// its program, each followed by a store or a load through the first base
+// register, whose page entry 0 moves onto or off. Half the cases open with
+// a prelude that moves it to all three addresses in turn (slots 0..6,
+// before the first trap ends MPRV); it reports whether it planted one.
+// The others get one to three such pairs anywhere. A third of the cases
+// point the base at the edge page, which nothing else grants, so a
+// sub-page bound there leaves the rest of the page denied.
+func (rig *machRig) genChurn(rng *rand.Rand, tc *machCase, bases *[32]uint64) (prelude bool) {
+	base := rig.genCfg.BaseRegs[0]
+	if rng.Intn(3) == 0 {
+		bases[base] = edgePage + 8*uint64(rng.Intn(256))
+	}
+	page := bases[base] &^ 4095
+	tc.ChurnAddr = [3]uint64{napotAddr(ProgBase, 4096), napotAddr(page, 4096), (page + 2048) >> 2}
+	rng.Shuffle(3, func(i, j int) { tc.ChurnAddr[i], tc.ChurnAddr[j] = tc.ChurnAddr[j], tc.ChurnAddr[i] })
+	tc.ChurnCfg = byte(rng.Intn(8)) | []byte{pmp.ANapot, pmp.ANapot, pmp.ANa4, pmp.ATor}[rng.Intn(4)]<<3
+
+	access := func(i int) {
+		data := uint32(rig.genCfg.DataRegs[rng.Intn(len(rig.genCfg.DataRegs))])
+		if rng.Intn(2) == 0 {
+			tc.Prog[i] = data<<20 | uint32(base)<<15 | 3<<12 | rv.OpStore // sd data, 0(base)
+		} else {
+			tc.Prog[i] = uint32(base)<<15 | 3<<12 | data<<7 | rv.OpLoad // ld data, 0(base)
+		}
+	}
+	move := func(i, r int) {
+		tc.Prog[i] = uint32(rv.CSRPmpaddr0)<<20 | uint32(r)<<15 | rv.F3Csrrw<<12 | rv.OpSystem
+	}
+	if rng.Intn(2) == 0 {
+		access(0)
+		for j, r := range churnRegs {
+			move(2*j+1, r)
+			access(2*j + 2)
+		}
+		return true
+	}
+	for n := 1 + rng.Intn(3); n > 0; n-- {
+		i := rng.Intn(Slots - 2)
+		move(i, churnRegs[rng.Intn(len(churnRegs))])
+		access(i + 1)
+	}
+	return false
+}
+
+// genSv39 draws an Sv39 case's leaves and points the second base register
+// at the leaf table. With remap allowed, half the cases open with a
+// prelude (slots 0..3) that remaps the first base register's page twice,
+// each time storing through the new mapping: a hart without MPRV rewrites
+// the leaf through its own host entry, and one with MPRV walks and stores
+// through the page, so one hart's rewrite must reach the other's TLB.
+func (rig *machRig) genSv39(rng *rand.Rand, tc *machCase, bases *[32]uint64, remap bool) {
+	bases[rig.genCfg.BaseRegs[1]] = sv39Leaf
+	for i := range tc.Leaves {
+		// Mostly plain read-write pages; the rest draw R/W/X, U, A and D
+		// at random (W without R is reserved, so it faults).
+		tc.Leaves[i] = mmu.PteV | mmu.PteR | mmu.PteW | mmu.PteA | mmu.PteD
+		if rng.Intn(4) == 0 {
+			tc.Leaves[i] = mmu.PteV | rng.Uint64()&(mmu.PteR|mmu.PteW|mmu.PteX|mmu.PteU|mmu.PteA|mmu.PteD)
+		}
+	}
+	tc.ProgLeaf = mmu.PteV | mmu.PteR | mmu.PteW | mmu.PteX | mmu.PteA | mmu.PteD
+	if rng.Intn(4) == 0 {
+		tc.ProgLeaf |= mmu.PteU // U-mode runs it, S-mode faults
+	}
+	if !remap || rng.Intn(2) != 0 {
+		return
+	}
+	tc.Remap = true
+	p := rng.Perm(int(sv39Root-ScratchBase) / 4096) // the pages below the tables
+	for j := range tc.RemapPTE {
+		pa := ScratchBase + 4096*uint64(p[j])
+		tc.RemapPTE[j] = pa>>12<<10 | mmu.PteV | mmu.PteR | mmu.PteW | mmu.PteA | mmu.PteD
+	}
+	tc.LeafAlias = ScratchBase + 4096*uint64(p[2])
+	off := uint32(bases[rig.genCfg.BaseRegs[0]]>>12&0x1FF) * 8
+	leaf, base := uint32(rig.genCfg.BaseRegs[1]), uint32(rig.genCfg.BaseRegs[0])
+	for j, r := range remapRegs {
+		tc.Prog[2*j] = uint32(r)<<20 | leaf<<15 | 3<<12 | (off&0x1F)<<7 | (off>>5)<<25 | rv.OpStore // sd r, off(leaf)
+		tc.Prog[2*j+1] = uint32(r)<<20 | base<<15 | 3<<12 | rv.OpStore                              // sd r, 0(base)
+	}
+}
+
 // install writes the case onto a machine: full reset, the program and
 // scratch images all harts share, and each hart's starting state and
-// locked-PMP confinement (startHart).
+// locked-PMP confinement (startHart), then the case's environments: the
+// unlocked PMP entry 0 of a churn case, and the Sv39 table and satp.
 func (rig *machRig) install(m *hart.Machine, tc *machCase) {
 	m.Reset(ProgBase)
 	loadWindows(m, tc.Prog)
+	if tc.Sv39 {
+		pte := func(pa, flags uint64) uint64 { return pa>>12<<10 | flags }
+		for _, w := range [][2]uint64{
+			{sv39Root + (ProgBase>>30&0x1FF)*8, pte(sv39L1, mmu.PteV)},
+			{sv39L1 + (ProgBase>>21&0x1FF)*8, pte(ProgBase&^(1<<21-1), tc.ProgLeaf)},
+			{sv39L1 + (ScratchBase>>21&0x1FF)*8, pte(sv39Leaf, mmu.PteV)},
+		} {
+			m.Bus.Store(w[0], 8, w[1])
+		}
+		for i, f := range tc.Leaves {
+			va, pa := ScratchBase+uint64(i)*4096, ScratchBase+uint64(i)*4096
+			if va == sv39Leaf && tc.Remap {
+				pa = tc.LeafAlias
+			}
+			m.Bus.Store(sv39Leaf+(va>>12&0x1FF)*8, 8, pte(pa, f))
+		}
+	}
 	for i, h := range m.Harts {
 		startHart(h, &tc.Init[i])
+		if tc.Churn {
+			confine(h.CSR.PMP, 1)
+			h.CSR.PMP.ForceAddr(0, tc.ChurnAddr[0])
+			h.CSR.PMP.ForceCfg(0, tc.ChurnCfg)
+		}
+		if tc.Sv39 {
+			h.CSR.WriteSatp(rv.SatpModeSv39<<60 | sv39Root>>12)
+		}
 		if tc.Timer {
 			m.Clint.SetMtimecmp(i, tc.Mtimecmp[i])
 		}
 	}
+}
+
+// pmpEntry0 is what PMP entry 0 decides: its range and permissions.
+type pmpEntry0 struct {
+	lo, last uint64
+	on       bool
+	perm     byte
+}
+
+func entry0(f *pmp.File) pmpEntry0 {
+	lo, last, on := f.Region(0)
+	return pmpEntry0{lo, last, on, f.Cfg(0) & (pmp.CfgL | pmp.CfgR | pmp.CfgW | pmp.CfgX)}
+}
+
+// runCountingChurn runs the interpreter machine m for n steps, as Run
+// would, and returns how many steps left some hart's entry 0 deciding
+// differently.
+func runCountingChurn(m *hart.Machine, n uint64) int {
+	prev := make([]pmpEntry0, len(m.Harts))
+	for i, h := range m.Harts {
+		prev[i] = entry0(h.CSR.PMP)
+	}
+	changes := 0
+	m.RunUntil(func() bool {
+		for i, h := range m.Harts {
+			if e := entry0(h.CSR.PMP); e != prev[i] {
+				prev[i] = e
+				changes++
+			}
+		}
+		return false
+	}, n)
+	return changes
 }
 
 // run executes one case on every machine of the rig, adds its post-fork
@@ -268,7 +513,16 @@ func (rig *machRig) install(m *hart.Machine, tc *machCase) {
 // interpreter, or returns "".
 func (rig *machRig) run(tc *machCase, st *MachineStats) (string, error) {
 	k2 := machStepBudget - tc.K1
-	for _, m := range []*hart.Machine{rig.interp, rig.fast, rig.sb} {
+	rig.install(rig.interp, tc)
+	if tc.Churn {
+		// The interpreter steps one at a time either way (it has no tier
+		// to batch steps with), so counting changes between them costs
+		// nothing in fidelity.
+		st.VerdictChanges += runCountingChurn(rig.interp, machStepBudget)
+	} else {
+		rig.interp.Run(machStepBudget)
+	}
+	for _, m := range []*hart.Machine{rig.fast, rig.sb} {
 		rig.install(m, tc)
 		m.Run(tc.K1)
 		m.Run(k2)
@@ -343,6 +597,12 @@ func RunMachineEquiv(profiles []string, seed int64, cases int) (*MachineStats, e
 		if rig.harts > 1 {
 			st.MultiHart++
 		}
+		if tc.Churn {
+			st.Churn++
+		}
+		if tc.Sv39 {
+			st.Sv39++
+		}
 		for _, h := range rig.interp.Harts {
 			st.Steps += int(h.Instret)
 		}
@@ -364,6 +624,8 @@ func RunMachineEquiv(profiles []string, seed int64, cases int) (*MachineStats, e
 				st.SBRounds += p.SBRounds
 				st.CodeInvalidations += p.CodeWriteInvalidations
 				st.CodePageDataWrites += p.CodePageDataWrites
+				st.TLBHits += p.TLBHits
+				st.HostHits += p.HostHits
 			}
 		}
 	}

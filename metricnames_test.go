@@ -18,7 +18,10 @@ const (
 	frozenValueNames = `
 	dev.clint.ipi_posts dev.clint.timer_programs dev.plic.claims
 	dev.plic.completes dev.uart.tx_bytes
-	hartN.cycles hartN.decode.hits hartN.decode.misses hartN.instret
+	hartN.cycles hartN.decode.hits hartN.decode.misses
+	hartN.host.fills hartN.host.hits hartN.host.skip_mmio
+	hartN.host.skip_pmp_partial hartN.host.skip_sealed
+	hartN.host.skip_untouched hartN.host.skip_watched hartN.instret
 	hartN.pagewalks hartN.pmp.checks hartN.pmp.fast_hits hartN.pmp.views
 	hartN.sb.aborts hartN.sb.chains hartN.sb.guard_misses hartN.sb.hits
 	hartN.sb.retired hartN.sb.rounds hartN.sb.translations
@@ -39,6 +42,9 @@ const (
 	mon.sbi.SRST mon.sbi.TIME
 	mon.virt_interrupts mon.wall_probes mon.watchdog_fires mon.world_switches
 	sim.cycles sim.decode.hit_pct sim.decode.hits sim.decode.misses
+	sim.host.fills sim.host.hits sim.host.skip_mmio
+	sim.host.skip_pmp_partial sim.host.skip_sealed
+	sim.host.skip_untouched sim.host.skip_watched
 	sim.instret sim.pagewalks
 	sim.sb.aborts sim.sb.chains sim.sb.guard_misses sim.sb.hits
 	sim.sb.retired sim.sb.retired_pct sim.sb.rounds sim.sb.translations
