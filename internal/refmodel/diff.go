@@ -26,8 +26,10 @@ func TakeException(c *Config, s *State, cause, tval uint64) Event {
 // The free-running counters (time, cycle, instret) are excluded: they are
 // timing artefacts, not architectural results, and differential harnesses
 // compare them separately if at all. Hypervisor CSRs are compared only
-// when the configuration implements them, PMP entries only up to
-// c.PMPCount, and custom CSRs only for the documented numbers.
+// when the configuration implements them, stimecmp only with Sstc, PMP
+// entries only up to c.PMPCount, and custom CSRs only for the documented
+// numbers. Field names are formatted only for fields that differ, so two
+// equal states cost no allocation.
 func Diff(c *Config, a, b *State) []Delta {
 	var ds []Delta
 	add := func(f string, x, y uint64) {
@@ -42,7 +44,9 @@ func Diff(c *Config, a, b *State) []Delta {
 		return 0
 	}
 	for i := 1; i < 32; i++ {
-		add(fmt.Sprintf("x%d", i), a.Regs[i], b.Regs[i])
+		if a.Regs[i] != b.Regs[i] {
+			add(fmt.Sprintf("x%d", i), a.Regs[i], b.Regs[i])
+		}
 	}
 	add("pc", a.PC, b.PC)
 	add("priv", uint64(a.Priv), uint64(b.Priv))
@@ -74,11 +78,17 @@ func Diff(c *Config, a, b *State) []Delta {
 	}
 	add("wfi", b2u(a.WFI), b2u(b.WFI))
 	for i := 0; i < c.PMPCount && i < len(a.PmpCfg); i++ {
-		add(fmt.Sprintf("pmpcfg[%d]", i), uint64(a.PmpCfg[i]), uint64(b.PmpCfg[i]))
-		add(fmt.Sprintf("pmpaddr[%d]", i), a.PmpAddr[i], b.PmpAddr[i])
+		if a.PmpCfg[i] != b.PmpCfg[i] {
+			add(fmt.Sprintf("pmpcfg[%d]", i), uint64(a.PmpCfg[i]), uint64(b.PmpCfg[i]))
+		}
+		if a.PmpAddr[i] != b.PmpAddr[i] {
+			add(fmt.Sprintf("pmpaddr[%d]", i), a.PmpAddr[i], b.PmpAddr[i])
+		}
 	}
 	for _, n := range c.CustomCSRs {
-		add(fmt.Sprintf("custom[%#x]", n), a.Custom[n], b.Custom[n])
+		if x, y := a.Custom[n], b.Custom[n]; x != y {
+			add(fmt.Sprintf("custom[%#x]", n), x, y)
+		}
 	}
 	if c.HasH {
 		add("v", b2u(a.V), b2u(b.V))

@@ -379,3 +379,33 @@ func TestCounterGatingModel(t *testing.T) {
 		t.Error("enabled time read must succeed")
 	}
 }
+
+// TestDiffEqualStatesDoNotAllocate: the lockstep fuzzer diffs three state
+// pairs per step, so Diff formats a field name only for a field that
+// differs. Equal states on an H configuration with 16 PMP entries and two
+// custom CSRs must not pay one allocation per register, PMP entry and
+// custom CSR; the bound of two leaves room for the compiler to move
+// Diff's closures to the heap.
+func TestDiffEqualStatesDoNotAllocate(t *testing.T) {
+	c := &Config{PMPCount: 16, HasH: true, HasSstc: true, CustomCSRs: []uint16{0x7C0, 0x7C1}}
+	a := NewState()
+	for i := range a.Regs {
+		a.Regs[i] = uint64(i)
+	}
+	for i := 0; i < c.PMPCount; i++ {
+		a.PmpAddr[i], a.PmpCfg[i] = uint64(i)<<8, uint8(i)
+	}
+	a.Custom[0x7C0], a.Custom[0x7C1] = 1, 2
+	b := a.Clone()
+	if n := testing.AllocsPerRun(100, func() {
+		if ds := Diff(c, a, b); ds != nil {
+			t.Fatalf("equal states differ: %v", ds)
+		}
+	}); n > 2 {
+		t.Fatalf("Diff of equal states: %.0f allocations per call, want <= 2", n)
+	}
+	b.Regs[5] = 9
+	if ds := Diff(c, a, b); len(ds) != 1 || ds[0].Field != "x5" {
+		t.Fatalf("Diff = %v, want one delta x5", ds)
+	}
+}

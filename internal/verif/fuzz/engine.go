@@ -11,6 +11,7 @@ import (
 	"govfm/internal/hart"
 	"govfm/internal/refmodel"
 	"govfm/internal/rv"
+	"govfm/internal/verif"
 )
 
 // Finding is one divergence between the three derivations of the
@@ -125,8 +126,8 @@ func NewEngine(profile string) (*Engine, error) {
 	e.Mon = mon
 	e.Ctx = mon.Ctx[0]
 
-	e.PhysCfg = refCfg(cfgN, cfgN.NumPMP, false)
-	e.VirtCfg = refCfg(cfgN, mon.NumVirtPMP(), true)
+	e.PhysCfg = verif.RefConfig(cfgN, cfgN.NumPMP, false)
+	e.VirtCfg = verif.RefConfig(cfgN, mon.NumVirtPMP(), true)
 	e.GenCfg = &asm.GenCfg{
 		Slots:      Slots,
 		DataRegs:   []int{10, 11, 12, 13, 14, 15},
@@ -167,21 +168,6 @@ func foldCause(cause uint64) uint64 {
 		c |= 0x40
 	}
 	return c
-}
-
-// refCfg derives a reference-model configuration from a hart profile.
-func refCfg(cfg *hart.Config, pmpCount int, midelegForced bool) *refmodel.Config {
-	return &refmodel.Config{
-		PMPCount:      pmpCount,
-		HasSstc:       cfg.HasSstc,
-		HasTimeCSR:    cfg.HasTimeCSR,
-		HasH:          cfg.HasH,
-		MidelegForced: midelegForced,
-		CustomCSRs:    append([]uint16(nil), cfg.CustomCSRs...),
-		Mvendorid:     cfg.Mvendorid,
-		Marchid:       cfg.Marchid,
-		Mimpid:        cfg.Mimpid,
-	}
 }
 
 // csrSpecs lists the CSRs the generator may access and in which forms.
@@ -321,17 +307,6 @@ func dataInRegion(addr uint64, size int) bool {
 		(addr >= ScratchBase && end <= ScratchBase+ScratchSize)
 }
 
-// isCounterCSR names the counters whose read values legitimately differ
-// between the machines (cycle accounting) and are resynchronized from the
-// native hart after each read.
-func isCounterCSR(n uint16) bool {
-	switch n {
-	case rv.CSRMcycle, rv.CSRMinstret, rv.CSRCycle, rv.CSRInstret:
-		return true
-	}
-	return false
-}
-
 func isCSROp(op refmodel.Op) bool {
 	switch op {
 	case refmodel.OpCSRRW, refmodel.OpCSRRS, refmodel.OpCSRRC,
@@ -397,71 +372,6 @@ func (e *Engine) installNative(s *refmodel.State) {
 	}
 }
 
-// installVirt writes the same canonical state into the monitor's virtual
-// CSR file and asks the monitor to project it onto the physical hart,
-// exactly as a world switch would.
-func (e *Engine) installVirt(s *refmodel.State) {
-	ctx := e.Ctx
-	h := ctx.Hart
-	v := ctx.V
-
-	v.Mstatus = s.Status.Bits()
-	v.Medeleg = s.Medeleg
-	v.Mideleg = s.Mideleg
-	v.Mie = s.Mie
-	v.Mtvec = s.Mtvec
-	v.Mcounteren = s.Mcounteren
-	v.Menvcfg = s.Menvcfg
-	v.Mcountinhibit = s.Mcountinhibit
-	v.Mscratch = s.Mscratch
-	v.Mepc = s.Mepc
-	v.Mcause = s.Mcause
-	v.Mtval = s.Mtval
-	v.Mseccfg = s.Mseccfg
-	v.Stvec = s.Stvec
-	v.Scounteren = s.Scounteren
-	v.Senvcfg = s.Senvcfg
-	v.Sscratch = s.Sscratch
-	v.Sepc = s.Sepc
-	v.Scause = s.Scause
-	v.Stval = s.Stval
-	v.Satp = s.Satp
-	v.Stimecmp = s.Stimecmp
-	v.MipSW = s.MipSW
-	if e.VirtCfg.HasH {
-		ctx.VirtV = s.V
-		v.Hstatus, v.Hedeleg, v.Hideleg = s.Hstatus, s.Hedeleg, s.Hideleg
-		v.Hie, v.Hcounteren, v.Hgeie = s.Hie, s.Hcounteren, s.Hgeie
-		v.Htval, v.Hip, v.Hvip = s.Htval, s.Hip, s.Hvip
-		v.Htinst, v.Hgatp, v.Henvcfg = s.Htinst, s.Hgatp, s.Henvcfg
-		v.Vsstatus, v.Vsie, v.Vstvec, v.Vsscratch = s.Vsstatus, s.Vsie, s.Vstvec, s.Vsscratch
-		v.Vsepc, v.Vscause, v.Vstval, v.Vsip, v.Vsatp = s.Vsepc, s.Vscause, s.Vstval, s.Vsip, s.Vsatp
-		v.Mtinst, v.Mtval2 = s.Mtinst, s.Mtval2
-	}
-	for _, n := range e.VirtCfg.CustomCSRs {
-		v.Custom[n] = s.Custom[n]
-	}
-	for i := 0; i < e.VirtCfg.PMPCount; i++ {
-		v.PMP.ForceAddr(i, s.PmpAddr[i])
-		v.PMP.ForceCfg(i, s.PmpCfg[i])
-	}
-
-	ctx.VirtMode = rv.Mode(s.Priv)
-	h.Regs = s.Regs
-	h.Regs[0] = 0
-	h.PC = s.PC
-	if s.Priv == refmodel.M {
-		h.Mode = rv.ModeU // vM runs deprivileged
-		h.V = false
-	} else {
-		// Direct execution: the guest's virtualization mode is the physical
-		// one.
-		h.Mode = rv.Mode(s.Priv)
-		h.V = s.V
-	}
-	e.Mon.VerifInstallState(ctx)
-}
-
 // nativeView captures the native hart as a reference-model state.
 func (e *Engine) nativeView() *refmodel.State {
 	h := e.Native.Harts[0]
@@ -502,54 +412,11 @@ func (e *Engine) nativeView() *refmodel.State {
 	return s
 }
 
-// virtView captures the virtualized machine's architectural virtual state.
+// virtView captures the virtualized machine's architectural virtual state,
+// after an idempotent physical→virtual copy in the OS world.
 func (e *Engine) virtView() *refmodel.State {
-	ctx := e.Ctx
-	e.Mon.VerifSyncVirtState(ctx) // idempotent physical→virtual copy in OS world
-	h := ctx.Hart
-	v := ctx.V
-	s := refmodel.NewState()
-	s.Regs = h.Regs
-	s.Regs[0] = 0
-	s.PC = h.PC
-	if ctx.VirtMode == rv.ModeM {
-		s.Priv = refmodel.M
-	} else {
-		// During direct execution the OS changes privilege without monitor
-		// involvement; the physical mode is the virtual mode.
-		s.Priv = uint8(h.Mode)
-	}
-	s.Status = refmodel.MstatusFromBits(v.Mstatus)
-	s.Medeleg, s.Mideleg, s.Mie = v.Medeleg, v.Mideleg, v.Mie
-	s.MipSW = v.MipSW
-	s.MipHW = e.Mon.VClint().VirtPending(0)
-	s.Mtvec, s.Mcounteren, s.Menvcfg = v.Mtvec, v.Mcounteren, v.Menvcfg
-	s.Mscratch, s.Mepc, s.Mcause, s.Mtval = v.Mscratch, v.Mepc, v.Mcause, v.Mtval
-	s.Mseccfg, s.Mcountinhibit = v.Mseccfg, v.Mcountinhibit
-	s.Stvec, s.Scounteren, s.Senvcfg = v.Stvec, v.Scounteren, v.Senvcfg
-	s.Sscratch, s.Sepc, s.Scause, s.Stval = v.Sscratch, v.Sepc, v.Scause, v.Stval
-	s.Satp, s.Stimecmp = v.Satp, v.Stimecmp
-	if e.VirtCfg.HasH {
-		if ctx.VirtMode != rv.ModeM {
-			s.V = h.V
-		}
-		s.Hstatus, s.Hedeleg, s.Hideleg = v.Hstatus, v.Hedeleg, v.Hideleg
-		s.Hie, s.Hcounteren, s.Hgeie = v.Hie, v.Hcounteren, v.Hgeie
-		s.Htval, s.Hip, s.Hvip = v.Htval, v.Hip, v.Hvip
-		s.Htinst, s.Hgatp, s.Henvcfg = v.Htinst, v.Hgatp, v.Henvcfg
-		s.Vsstatus, s.Vsie, s.Vstvec, s.Vsscratch = v.Vsstatus, v.Vsie, v.Vstvec, v.Vsscratch
-		s.Vsepc, s.Vscause, s.Vstval, s.Vsip, s.Vsatp = v.Vsepc, v.Vscause, v.Vstval, v.Vsip, v.Vsatp
-		s.Mtinst, s.Mtval2 = v.Mtinst, v.Mtval2
-	}
-	for _, n := range e.VirtCfg.CustomCSRs {
-		s.Custom[n] = v.Custom[n]
-	}
-	for i := 0; i < e.VirtCfg.PMPCount; i++ {
-		s.PmpCfg[i] = v.PMP.Cfg(i)
-		s.PmpAddr[i] = v.PMP.Addr(i)
-	}
-	s.WFI = ctx.VirtWaiting || h.Waiting
-	return s
+	e.Mon.VerifSyncVirtState(e.Ctx)
+	return verif.View(e.Mon, e.Ctx)
 }
 
 // Run executes one test case in lockstep and returns the first divergence
@@ -566,7 +433,7 @@ func (e *Engine) Run(tc *TestCase) (*Finding, int) {
 	loadWindows(e.Virt, tc.Prog)
 
 	e.installNative(s)
-	e.installVirt(s)
+	verif.Install(e.Mon, e.Ctx, s)
 
 	sp := s.Clone() // shadow of the native machine
 	sv := s.Clone() // shadow of the virtualized machine
@@ -633,7 +500,7 @@ func (e *Engine) Run(tc *TestCase) (*Finding, int) {
 		}
 		if op == 0x73 {
 			ins := refmodel.Decode(w)
-			if isCSROp(ins.Op) && isCounterCSR(ins.CSR) &&
+			if isCSROp(ins.Op) && verif.IsCounterCSR(ins.CSR) &&
 				!(ins.Op == refmodel.OpCSRRS && ins.Rs1 == 0) {
 				break // counter writes warp the native clock
 			}
@@ -687,7 +554,7 @@ func (e *Engine) Run(tc *TestCase) (*Finding, int) {
 		if modeled && nat == nil && op == 0x73 {
 			ins := refmodel.Decode(w)
 			if ins.Op == refmodel.OpCSRRS && ins.Rs1 == 0 && ins.Rd != 0 &&
-				isCounterCSR(ins.CSR) {
+				verif.IsCounterCSR(ins.CSR) {
 				val := e.Native.Harts[0].Regs[ins.Rd]
 				e.Virt.Harts[0].Regs[ins.Rd] = val
 				sp.Regs[ins.Rd] = val

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"govfm/internal/inject"
+	"govfm/internal/verif"
 )
 
 // InjectReport summarizes an injection-mode run: randomized machine states
@@ -73,7 +74,7 @@ func (e *Engine) runInjectCase(rng *rand.Rand, rep *InjectReport, n int) {
 
 	tc := e.GenCase(rng)
 	loadWindows(e.Virt, tc.Prog)
-	e.installVirt(tc.State)
+	verif.Install(e.Mon, e.Ctx, tc.State)
 
 	inj := inject.New(rng.Int63(), e.Mon)
 	rep.Cases++

@@ -27,6 +27,7 @@ import (
 	"govfm/internal/pmp"
 	"govfm/internal/refmodel"
 	"govfm/internal/rv"
+	"govfm/internal/verif"
 )
 
 const (
@@ -77,10 +78,6 @@ func legalizeTvec(v uint64) uint64 {
 	}
 	return v&^3 | mode
 }
-
-// hstatusWritable is the set of hstatus fields the platform implements
-// (GVA, SPV, SPVP, HU, VTVM, VTW, VTSR); VSXL is fixed at 64-bit.
-const hstatusWritable = uint64(1)<<6 | 1<<7 | 1<<8 | 1<<9 | 1<<20 | 1<<21 | 1<<22
 
 // canonicalize legalizes a test-case state in place so that it is exactly
 // representable on all three derivations (native CSR file, virtual CSR
@@ -158,7 +155,7 @@ func (e *Engine) canonicalize(tc *TestCase) {
 	if cfg.HasH {
 		// Mirror every hypervisor WARL mask so install routines can copy
 		// the values verbatim into all three derivations.
-		s.Hstatus = s.Hstatus&hstatusWritable | uint64(2)<<32
+		s.Hstatus = s.Hstatus&verif.HstatusWritable | uint64(2)<<32
 		s.Hedeleg &= 0xB1FF
 		s.Hideleg &= rv.VSIntMask
 		s.Hie &= rv.VSIntMask

@@ -25,6 +25,7 @@ import (
 
 	"govfm/internal/core"
 	"govfm/internal/hart"
+	"govfm/internal/pmp"
 	"govfm/internal/refmodel"
 	"govfm/internal/rv"
 )
@@ -55,312 +56,133 @@ func NewHarness(cfg *hart.Config) (*Harness, error) {
 		Machine: m,
 		Mon:     mon,
 		Ctx:     mon.Ctx[0],
-		RefCfg: &refmodel.Config{
-			PMPCount:      mon.NumVirtPMP(),
-			HasSstc:       cfg.HasSstc,
-			HasTimeCSR:    cfg.HasTimeCSR,
-			HasH:          cfg.HasH,
-			MidelegForced: true,
-			CustomCSRs:    cfg.CustomCSRs,
-			Mvendorid:     cfg.Mvendorid,
-			Marchid:       cfg.Marchid,
-			Mimpid:        cfg.Mimpid,
-			Mhartid:       0,
-		},
+		RefCfg:  RefConfig(cfg, mon.NumVirtPMP(), true),
 	}, nil
 }
 
-// hstatusWritable is the set of hstatus fields the platform implements
-// (GVA, SPV, SPVP, HU, VTVM, VTW, VTSR); VSXL is fixed at 64-bit.
-const hstatusWritable = uint64(1)<<rv.HstatusGVA | 1<<rv.HstatusSPV |
-	1<<rv.HstatusSPVP | 1<<rv.HstatusHU | 1<<rv.HstatusVTVM |
-	1<<rv.HstatusVTW | 1<<rv.HstatusVTSR
-
-// counterCSRs are free-running hardware counters whose read values are
-// inherently asynchronous between the two models; rd comparison is skipped
-// for reads of these (the paper's ≃ "implicitly takes into account
-// differences in internal representation").
-func isCounterCSR(n uint16) bool {
-	switch n {
-	case rv.CSRCycle, rv.CSRMcycle, rv.CSRInstret, rv.CSRMinstret, rv.CSRTime:
-		return true
-	}
-	return false
-}
-
-// GenState installs a pseudo-random but architecturally legal virtual
-// state into both the monitor's shadow (via h.Ctx) and a fresh reference
-// state, returning the latter. The two are field-for-field equivalent.
+// GenState draws a pseudo-random but architecturally legal virtual state
+// and installs it into the monitor (Install), returning it as the
+// reference state the checks advance.
 func (h *Harness) GenState(rng *rand.Rand) *refmodel.State {
-	v := h.Ctx.V
+	c := h.RefCfg
 	s := refmodel.NewState()
 
 	// GPRs are shared between the worlds: the hart's registers.
 	for i := 1; i < 32; i++ {
-		val := rng.Uint64()
-		h.Machine.Harts[0].Regs[i] = val
-		s.Regs[i] = val
+		s.Regs[i] = rng.Uint64()
 	}
 
 	// Virtual privilege mode (the firmware executes in vM; sret/mret need
-	// the other modes reachable too).
-	mode := []rv.Mode{rv.ModeM, rv.ModeM, rv.ModeM, rv.ModeS, rv.ModeU}[rng.Intn(5)]
-	h.Ctx.VirtMode = mode
-	s.Priv = uint8(mode)
-	// Virtualization mode: only guests (VS/VU) run with V=1; always
-	// reassign so a value from an earlier round cannot leak.
-	virtV := h.RefCfg.HasH && mode != rv.ModeM && rng.Intn(2) == 0
-	h.Ctx.VirtV = virtV
-	s.V = virtV
+	// the other modes reachable too). Only guests (VS/VU) run with V=1.
+	s.Priv = []uint8{refmodel.M, refmodel.M, refmodel.M, refmodel.S, refmodel.U}[rng.Intn(5)]
+	s.V = c.HasH && s.Priv != refmodel.M && rng.Intn(2) == 0
 
 	// mstatus: random writable fields, legal MPP.
 	mst := rng.Uint64() & (uint64(1)<<1 | 1<<3 | 1<<5 | 1<<7 | 1<<8 |
 		1<<17 | 1<<18 | 1<<19 | 1<<20 | 1<<21 | 1<<22)
 	mst |= []uint64{0, 1, 3}[rng.Intn(3)] << 11
-	mst |= uint64(2)<<32 | uint64(2)<<34
-	if h.RefCfg.HasH {
+	if c.HasH {
 		mst |= rng.Uint64() & (uint64(1)<<rv.MstatusGVA | 1<<rv.MstatusMPV)
 	}
-	v.Mstatus = mst
 	s.Status = refmodel.MstatusFromBits(mst)
 
-	set := func(dst *uint64, val uint64) uint64 {
-		*dst = val
-		return val
-	}
 	medelegMask := uint64(0xB3FF)
-	mideleg := uint64(0x222)
-	if h.RefCfg.HasH {
+	s.Mideleg = 0x222
+	if c.HasH {
 		medelegMask |= 1<<10 | 1<<20 | 1<<21 | 1<<22 | 1<<23
-		mideleg |= rv.VSIntMask // hardwired-delegated with H
+		s.Mideleg |= rv.VSIntMask // hardwired-delegated with H
 	}
-	s.Medeleg = set(&v.Medeleg, rng.Uint64()&medelegMask)
-	s.Mideleg = set(&v.Mideleg, mideleg)
-	s.Mie = set(&v.Mie, rng.Uint64()&0xAAA)
-	s.Mtvec = set(&v.Mtvec, rng.Uint64()&^3|uint64(rng.Intn(2))) // mode 0/1 only
-	s.Mcounteren = set(&v.Mcounteren, rng.Uint64()&0xFFFF_FFFF)
-	s.Mscratch = set(&v.Mscratch, rng.Uint64())
-	s.Mepc = set(&v.Mepc, rng.Uint64()&^3)
-	s.Mcause = set(&v.Mcause, rng.Uint64())
-	s.Mtval = set(&v.Mtval, rng.Uint64())
-	s.Mseccfg = set(&v.Mseccfg, rng.Uint64()&7)
-	s.Mcountinhibit = set(&v.Mcountinhibit, rng.Uint64()&0xFFFF_FFFD)
-	s.Stvec = set(&v.Stvec, rng.Uint64()&^3)
-	s.Scounteren = set(&v.Scounteren, rng.Uint64()&0xFFFF_FFFF)
-	s.Senvcfg = set(&v.Senvcfg, rng.Uint64()&1)
-	s.Sscratch = set(&v.Sscratch, rng.Uint64())
-	s.Sepc = set(&v.Sepc, rng.Uint64()&^3)
-	s.Scause = set(&v.Scause, rng.Uint64())
-	s.Stval = set(&v.Stval, rng.Uint64())
+	s.Medeleg = rng.Uint64() & medelegMask
+	s.Mie = rng.Uint64() & 0xAAA
+	s.Mtvec = rng.Uint64()&^3 | uint64(rng.Intn(2)) // mode 0/1 only
+	s.Mcounteren = rng.Uint64() & 0xFFFF_FFFF
+	s.Mscratch = rng.Uint64()
+	s.Mepc = rng.Uint64() &^ 3
+	s.Mcause = rng.Uint64()
+	s.Mtval = rng.Uint64()
+	s.Mseccfg = rng.Uint64() & 7
+	s.Mcountinhibit = rng.Uint64() & 0xFFFF_FFFD
+	s.Stvec = rng.Uint64() &^ 3
+	s.Scounteren = rng.Uint64() & 0xFFFF_FFFF
+	s.Senvcfg = rng.Uint64() & 1
+	s.Sscratch = rng.Uint64()
+	s.Sepc = rng.Uint64() &^ 3
+	s.Scause = rng.Uint64()
+	s.Stval = rng.Uint64()
 	if rng.Intn(2) == 0 {
-		s.Satp = set(&v.Satp, rv.SatpModeSv39<<60|rng.Uint64()&rv.Mask(44))
-	} else {
-		s.Satp = set(&v.Satp, 0)
+		s.Satp = rv.SatpModeSv39<<60 | rng.Uint64()&rv.Mask(44)
 	}
-	if h.RefCfg.HasSstc {
-		s.Menvcfg = set(&v.Menvcfg, rng.Uint64()&(1<<63))
-		s.Stimecmp = set(&v.Stimecmp, rng.Uint64())
-	} else {
-		s.Menvcfg = set(&v.Menvcfg, 0)
-		s.Stimecmp = set(&v.Stimecmp, 0)
+	if c.HasSstc {
+		s.Menvcfg = rng.Uint64() & (1 << 63)
+		s.Stimecmp = rng.Uint64()
 	}
-	// Hypervisor shadow state: randomized on H platforms, cleared
-	// otherwise (stale values from earlier rounds must not leak).
-	hGen := func(dst *uint64) uint64 {
-		if h.RefCfg.HasH {
-			return set(dst, rng.Uint64())
-		}
-		return set(dst, 0)
-	}
-	// Real (write-reachable) H registers carry their WARL-canonical forms;
-	// the inert raw fields (hip, hgeie, henvcfg, vsie, vsip) stay fully
-	// random — runtime writes never touch them on either side, so any
-	// shared value is preserved.
-	hMask := func(dst *uint64, mask uint64) uint64 {
-		if h.RefCfg.HasH {
-			return set(dst, rng.Uint64()&mask)
-		}
-		return set(dst, 0)
-	}
-	s.Mtinst = hGen(&v.Mtinst)
-	s.Mtval2 = hGen(&v.Mtval2)
-	if h.RefCfg.HasH {
-		s.Hstatus = set(&v.Hstatus, rng.Uint64()&hstatusWritable|uint64(2)<<32)
-		hg := rng.Uint64() &^ (uint64(0xF)<<60 | uint64(3)<<58 | 3)
+	// Hypervisor state: randomized on H platforms, zero otherwise. The
+	// write-reachable H registers carry their WARL-canonical forms; the
+	// inert raw fields (hip, hgeie, henvcfg, vsie, vsip) stay fully random,
+	// since runtime writes never touch them on either side.
+	if c.HasH {
+		s.Mtinst, s.Mtval2 = rng.Uint64(), rng.Uint64()
+		s.Hstatus = rng.Uint64()&HstatusWritable | uint64(2)<<32
+		s.Hgatp = rng.Uint64() &^ (uint64(0xF)<<60 | uint64(3)<<58 | 3)
 		if rng.Intn(2) == 0 {
-			hg |= uint64(rv.SatpModeSv39) << 60 // Sv39x4
+			s.Hgatp |= uint64(rv.SatpModeSv39) << 60 // Sv39x4
 		}
-		s.Hgatp = set(&v.Hgatp, hg)
-		vsst := rng.Uint64()&(uint64(1)<<1|1<<5|1<<8|1<<18|1<<19) | uint64(2)<<32
-		s.Vsstatus = set(&v.Vsstatus, vsst)
-		vsa := rng.Uint64() &^ (uint64(0xF) << 60)
+		s.Vsstatus = rng.Uint64()&(uint64(1)<<1|1<<5|1<<8|1<<18|1<<19) | uint64(2)<<32
+		s.Vsatp = rng.Uint64() &^ (uint64(0xF) << 60)
 		if rng.Intn(2) == 0 {
-			vsa |= uint64(rv.SatpModeSv39) << 60
+			s.Vsatp |= uint64(rv.SatpModeSv39) << 60
 		}
-		s.Vsatp = set(&v.Vsatp, vsa)
-	} else {
-		s.Hstatus = set(&v.Hstatus, 0)
-		s.Hgatp = set(&v.Hgatp, 0)
-		s.Vsstatus = set(&v.Vsstatus, 0)
-		s.Vsatp = set(&v.Vsatp, 0)
+		s.Hedeleg = rng.Uint64() & 0xB1FF
+		s.Hideleg = rng.Uint64() & rv.VSIntMask
+		s.Hie = rng.Uint64() & rv.VSIntMask
+		s.Hvip = rng.Uint64() & rv.VSIntMask
+		s.Hgeie, s.Htval, s.Hip = rng.Uint64(), rng.Uint64(), rng.Uint64()
+		s.Htinst, s.Henvcfg, s.Vsie = rng.Uint64(), rng.Uint64(), rng.Uint64()
+		s.Vsscratch, s.Vscause, s.Vstval = rng.Uint64(), rng.Uint64(), rng.Uint64()
+		s.Vsip = rng.Uint64()
+		s.Hcounteren = rng.Uint64() & 0xFFFF_FFFF
+		s.Vstvec = rng.Uint64()&^3 | uint64(rng.Intn(2))
+		s.Vsepc = rng.Uint64() &^ 3
 	}
-	s.Hedeleg = hMask(&v.Hedeleg, 0xB1FF)
-	s.Hideleg = hMask(&v.Hideleg, rv.VSIntMask)
-	s.Hie = hMask(&v.Hie, rv.VSIntMask)
-	s.Hvip = hMask(&v.Hvip, rv.VSIntMask)
-	s.Hgeie = hGen(&v.Hgeie)
-	s.Htval = hGen(&v.Htval)
-	s.Hip = hGen(&v.Hip)
-	s.Htinst = hGen(&v.Htinst)
-	s.Henvcfg = hGen(&v.Henvcfg)
-	s.Vsie = hGen(&v.Vsie)
-	s.Vsscratch = hGen(&v.Vsscratch)
-	s.Vscause = hGen(&v.Vscause)
-	s.Vstval = hGen(&v.Vstval)
-	s.Vsip = hGen(&v.Vsip)
-	if h.RefCfg.HasH {
-		s.Hcounteren = set(&v.Hcounteren, rng.Uint64()&0xFFFF_FFFF)
-		s.Vstvec = set(&v.Vstvec, rng.Uint64()&^3|uint64(rng.Intn(2)))
-		s.Vsepc = set(&v.Vsepc, rng.Uint64()&^3)
-	} else {
-		s.Hcounteren = set(&v.Hcounteren, 0)
-		s.Vstvec = set(&v.Vstvec, 0)
-		s.Vsepc = set(&v.Vsepc, 0)
-	}
-	for _, n := range h.RefCfg.CustomCSRs {
-		val := rng.Uint64()
-		v.Custom[n] = val
-		s.Custom[n] = val
+	for _, n := range c.CustomCSRs {
+		s.Custom[n] = rng.Uint64()
 	}
 
-	// Virtual PMP file: unlock everything first (earlier states may have
-	// locked entries), then write random values through the legalizing
-	// setters. The write-path legalization itself is verified separately
-	// by the CSR-instruction corpus.
-	for i := 0; i < h.RefCfg.PMPCount; i++ {
-		v.PMP.ForceCfg(i, 0)
-	}
-	for i := 0; i < h.RefCfg.PMPCount; i++ {
-		v.PMP.SetAddr(i, rng.Uint64())
-		v.PMP.SetCfg(i, uint8(rng.Uint32()))
-		s.PmpCfg[i] = v.PMP.Cfg(i)
-		s.PmpAddr[i] = v.PMP.Addr(i)
+	// Virtual PMP file: random values through the legalizing setters of a
+	// fresh file. The write-path legalization itself is verified
+	// separately by the CSR-instruction corpus.
+	f := pmp.NewFile(c.PMPCount)
+	for i := 0; i < c.PMPCount; i++ {
+		f.SetAddr(i, rng.Uint64())
+		f.SetCfg(i, uint8(rng.Uint32()))
+		s.PmpCfg[i], s.PmpAddr[i] = f.Cfg(i), f.Addr(i)
 	}
 
-	// Virtual interrupt state: software bits plus the virtual CLINT.
-	mipSW := rng.Uint64() & 0x222
-	v.MipSW = mipSW
-	s.MipSW = mipSW
-	vc := h.Mon.VClint()
-	now := h.Machine.Clint.Time()
+	// Virtual interrupt state: software bits plus the virtual CLINT lines.
+	s.MipSW = rng.Uint64() & 0x222
 	if rng.Intn(2) == 0 {
-		vc.SetVirtMtimecmp(0, now) // expired: vMTIP pending
-	} else {
-		vc.SetVirtMtimecmp(0, ^uint64(0))
+		s.MipHW |= 1 << rv.IntMTimer // expired virtual mtimecmp
 	}
-	vc.SetVirtMsip(0, rng.Intn(2) == 0)
-	s.MipHW = vc.VirtPending(0)
-	s.Time = now
+	if rng.Intn(2) == 0 {
+		s.MipHW |= 1 << rv.IntMSoft
+	}
+	s.Time = h.Machine.Clint.Time()
+	Install(h.Mon, h.Ctx, s)
 	return s
 }
 
-// Compare checks state equivalence after a transition. vpc is the monitor's
-// virtual PC; reads of free-running counters are excluded via skipRd.
+// Compare checks state equivalence after a transition: the monitor's view
+// (View, at virtual PC vpc) against the reference state s, through
+// refmodel.Diff. A free-running counter read into skipRd is adopted from
+// the monitor into s rather than compared.
 func (h *Harness) Compare(s *refmodel.State, vpc uint64, skipRd uint32) error {
-	v := h.Ctx.V
-	hh := h.Machine.Harts[0]
-	if uint8(h.Ctx.VirtMode) != s.Priv {
-		return fmt.Errorf("virtual mode: vfm=%v ref=%d", h.Ctx.VirtMode, s.Priv)
+	got := View(h.Mon, h.Ctx)
+	got.PC = vpc
+	if skipRd != 0 {
+		s.Regs[skipRd] = got.Regs[skipRd]
 	}
-	if h.Ctx.VirtV != s.V {
-		return fmt.Errorf("virtualization mode: vfm=%v ref=%v", h.Ctx.VirtV, s.V)
-	}
-	if vpc != s.PC {
-		return fmt.Errorf("pc: vfm=%#x ref=%#x", vpc, s.PC)
-	}
-	for i := uint32(1); i < 32; i++ {
-		if i == skipRd {
-			continue
-		}
-		if hh.Regs[i] != s.Regs[i] {
-			return fmt.Errorf("x%d: vfm=%#x ref=%#x", i, hh.Regs[i], s.Regs[i])
-		}
-	}
-	if v.Mstatus != s.Status.Bits() {
-		return fmt.Errorf("mstatus: vfm=%#x ref=%#x", v.Mstatus, s.Status.Bits())
-	}
-	type pair struct {
-		name     string
-		got, ref uint64
-	}
-	pairs := []pair{
-		{"medeleg", v.Medeleg, s.Medeleg},
-		{"mideleg", v.Mideleg, s.Mideleg},
-		{"mie", v.Mie, s.Mie},
-		{"mtvec", v.Mtvec, s.Mtvec},
-		{"mcounteren", v.Mcounteren, s.Mcounteren},
-		{"mscratch", v.Mscratch, s.Mscratch},
-		{"mepc", v.Mepc, s.Mepc},
-		{"mcause", v.Mcause, s.Mcause},
-		{"mtval", v.Mtval, s.Mtval},
-		{"mseccfg", v.Mseccfg, s.Mseccfg},
-		{"mcountinhibit", v.Mcountinhibit, s.Mcountinhibit},
-		{"menvcfg", v.Menvcfg, s.Menvcfg},
-		{"stvec", v.Stvec, s.Stvec},
-		{"scounteren", v.Scounteren, s.Scounteren},
-		{"senvcfg", v.Senvcfg, s.Senvcfg},
-		{"sscratch", v.Sscratch, s.Sscratch},
-		{"sepc", v.Sepc, s.Sepc},
-		{"scause", v.Scause, s.Scause},
-		{"stval", v.Stval, s.Stval},
-		{"satp", v.Satp, s.Satp},
-		{"stimecmp", v.Stimecmp, s.Stimecmp},
-		{"mip.sw", v.MipSW, s.MipSW},
-		{"mtinst", v.Mtinst, s.Mtinst},
-		{"mtval2", v.Mtval2, s.Mtval2},
-	}
-	if h.RefCfg.HasH {
-		pairs = append(pairs,
-			pair{"hstatus", v.Hstatus, s.Hstatus},
-			pair{"hedeleg", v.Hedeleg, s.Hedeleg},
-			pair{"hideleg", v.Hideleg, s.Hideleg},
-			pair{"hie", v.Hie, s.Hie},
-			pair{"hcounteren", v.Hcounteren, s.Hcounteren},
-			pair{"hgeie", v.Hgeie, s.Hgeie},
-			pair{"htval", v.Htval, s.Htval},
-			pair{"hip", v.Hip, s.Hip},
-			pair{"hvip", v.Hvip, s.Hvip},
-			pair{"htinst", v.Htinst, s.Htinst},
-			pair{"hgatp", v.Hgatp, s.Hgatp},
-			pair{"henvcfg", v.Henvcfg, s.Henvcfg},
-			pair{"vsstatus", v.Vsstatus, s.Vsstatus},
-			pair{"vsie", v.Vsie, s.Vsie},
-			pair{"vstvec", v.Vstvec, s.Vstvec},
-			pair{"vsscratch", v.Vsscratch, s.Vsscratch},
-			pair{"vsepc", v.Vsepc, s.Vsepc},
-			pair{"vscause", v.Vscause, s.Vscause},
-			pair{"vstval", v.Vstval, s.Vstval},
-			pair{"vsip", v.Vsip, s.Vsip},
-			pair{"vsatp", v.Vsatp, s.Vsatp},
-		)
-	}
-	for _, p := range pairs {
-		if p.got != p.ref {
-			return fmt.Errorf("%s: vfm=%#x ref=%#x", p.name, p.got, p.ref)
-		}
-	}
-	for i := 0; i < h.RefCfg.PMPCount; i++ {
-		if v.PMP.Cfg(i) != byte(s.PmpCfg[i]) {
-			return fmt.Errorf("pmpcfg[%d]: vfm=%#x ref=%#x", i, v.PMP.Cfg(i), s.PmpCfg[i])
-		}
-		if v.PMP.Addr(i) != s.PmpAddr[i] {
-			return fmt.Errorf("pmpaddr[%d]: vfm=%#x ref=%#x", i, v.PMP.Addr(i), s.PmpAddr[i])
-		}
-	}
-	for n, val := range s.Custom {
-		if v.Custom[n] != val {
-			return fmt.Errorf("custom %#x: vfm=%#x ref=%#x", n, v.Custom[n], val)
-		}
+	if ds := refmodel.Diff(h.RefCfg, got, s); len(ds) > 0 {
+		return fmt.Errorf("vfm vs ref: %v", ds)
 	}
 	return nil
 }
@@ -372,26 +194,21 @@ func (h *Harness) CheckEmulation(s *refmodel.State, raw uint32, epc uint64) erro
 	s.PC = epc
 	refmodel.HW(h.RefCfg, s, raw)
 
+	// A counter read returns the live clock, so Compare adopts its rd from
+	// the monitor rather than comparing it.
 	var skipRd uint32
 	ins := refmodel.Decode(raw)
 	switch ins.Op {
 	case refmodel.OpCSRRS, refmodel.OpCSRRC, refmodel.OpCSRRSI,
 		refmodel.OpCSRRCI, refmodel.OpCSRRW, refmodel.OpCSRRWI:
-		if isCounterCSR(ins.CSR) {
+		if IsCounterCSR(ins.CSR) {
 			skipRd = ins.Rd
-			// Also align the reference's rd with the monitor's, since the
-			// live counter value is unpredictable; the skip below prevents
-			// comparison, and this keeps later instructions consistent.
 		}
 	}
 
 	vpc := h.Mon.VerifEmulate(h.Ctx, raw, epc)
 	if err := h.Compare(s, vpc, skipRd); err != nil {
 		return fmt.Errorf("instr %#x (%s): %w", raw, describe(raw), err)
-	}
-	if skipRd != 0 {
-		// Resynchronize the skipped register for subsequent checks.
-		s.Regs[skipRd] = h.Machine.Harts[0].Regs[skipRd]
 	}
 	return nil
 }

@@ -162,14 +162,6 @@ func TestFaithfulEmulationPrivOps(t *testing.T) {
 						t.Fatalf("%s (mode %v, round %d): %v",
 							opName, h.Ctx.VirtMode, i, err)
 					}
-					if opName == "wfi" && h.Ctx.VirtMode == rv.ModeM {
-						if s.WFI != h.Ctx.VirtWaiting {
-							t.Fatalf("wfi wait state diverged: ref=%v vfm=%v",
-								s.WFI, h.Ctx.VirtWaiting)
-						}
-					}
-					h.Ctx.VirtWaiting = false
-					h.Machine.Harts[0].Waiting = false
 				}
 			}
 		})
@@ -180,22 +172,23 @@ func TestFaithfulEmulationPrivOps(t *testing.T) {
 // decoders via full emulation: agreement on illegality is part of the
 // criterion (an instruction one side decodes and the other rejects would
 // diverge in the resulting state).
+//
+// Plain loads and stores decode in the monitor (for MMIO/MPRV emulation)
+// but are not privileged instructions: the emulator must inject illegal
+// for them exactly as the reference does.
 func TestFaithfulEmulationDecoder(t *testing.T) {
-	h := newHarness(t, hart.VisionFive2())
-	rng := newRng(t, 3)
-	for i := 0; i < 30000; i++ {
-		s := h.GenState(rng)
-		raw := rng.Uint32()
-		if op := refmodel.Decode(raw).Op; op == refmodel.OpIllegal {
-			// Plain loads/stores decode in the monitor (for MMIO/MPRV
-			// emulation) but are not privileged instructions; the
-			// emulator must inject illegal for them exactly as the
-			// reference does. Nothing to skip.
-			_ = op
-		}
-		if err := h.CheckEmulation(s, raw, 0x3000); err != nil {
-			t.Fatalf("random instr %#x: %v", raw, err)
-		}
+	for name, mk := range platforms() {
+		t.Run(name, func(t *testing.T) {
+			h := newHarness(t, mk())
+			rng := newRng(t, 3)
+			for i := 0; i < 30000; i++ {
+				s := h.GenState(rng)
+				raw := rng.Uint32()
+				if err := h.CheckEmulation(s, raw, 0x3000); err != nil {
+					t.Fatalf("random instr %#x: %v", raw, err)
+				}
+			}
+		})
 	}
 }
 
@@ -217,10 +210,9 @@ func TestFaithfulEmulationVirtualInterrupts(t *testing.T) {
 }
 
 // TestFaithfulEmulationTrapEntry checks virtual trap re-injection against
-// the reference trap-entry function for every exception cause.
+// the reference trap-entry function (refmodel.TakeException) for every
+// exception cause, from every virtual mode, V=1 included.
 func TestFaithfulEmulationTrapEntry(t *testing.T) {
-	h := newHarness(t, hart.VisionFive2())
-	rng := newRng(t, 5)
 	causes := []uint64{
 		rv.ExcInstrAddrMisaligned, rv.ExcInstrAccessFault, rv.ExcIllegalInstr,
 		rv.ExcBreakpoint, rv.ExcLoadAddrMisaligned, rv.ExcLoadAccessFault,
@@ -228,79 +220,56 @@ func TestFaithfulEmulationTrapEntry(t *testing.T) {
 		rv.ExcEcallFromS, rv.ExcEcallFromM, rv.ExcInstrPageFault,
 		rv.ExcLoadPageFault, rv.ExcStorePageFault,
 	}
-	for _, cause := range causes {
-		for i := 0; i < 100; i++ {
-			s := h.GenState(rng)
-			tval := rng.Uint64()
-			epc := rng.Uint64() &^ 3
-			s.PC = epc
-			// Reference: raise the exception directly.
-			refTakeException(s, cause, tval)
-			got := h.Mon.VerifInjectTrap(h.Ctx, cause, tval, epc)
-			if err := h.Compare(s, got, 0); err != nil {
-				t.Fatalf("cause %d round %d: %v", cause, i, err)
+	for name, mk := range platforms() {
+		t.Run(name, func(t *testing.T) {
+			h := newHarness(t, mk())
+			rng := newRng(t, 5)
+			guest := 0
+			for _, cause := range causes {
+				for i := 0; i < 100; i++ {
+					s := h.GenState(rng)
+					if s.V {
+						guest++
+					}
+					tval := rng.Uint64()
+					epc := rng.Uint64() &^ 3
+					s.PC = epc
+					refmodel.TakeException(h.RefCfg, s, cause, tval)
+					got := h.Mon.VerifInjectTrap(h.Ctx, cause, tval, epc)
+					if err := h.Compare(s, got, 0); err != nil {
+						t.Fatalf("cause %d round %d: %v", cause, i, err)
+					}
+				}
 			}
-		}
+			t.Logf("%d trap entries checked, %d from V=1", len(causes)*100, guest)
+		})
 	}
 }
 
-// refTakeException mirrors refmodel's unexported takeException using its
-// public pieces: a synthetic instruction that raises the cause is not
-// always available, so replicate via ecall/HW where possible and via
-// TakeInterrupt-style entry otherwise. The refmodel exposes trap entry
-// through HW for ecall/ebreak/illegal; for the remaining causes the test
-// drives the same architectural entry computed here and cross-checked by
-// TestTrapEntryHelperAgreesWithHW.
-func refTakeException(s *refmodel.State, cause, tval uint64) {
-	deleg := s.Priv != refmodel.M && s.Medeleg>>cause&1 != 0
-	if deleg {
-		s.Scause = cause
-		s.Sepc = s.PC &^ 3
-		s.Stval = tval
-		s.Status.SPIE = s.Status.SIE
-		s.Status.SIE = false
-		s.Status.SPP = 0
-		if s.Priv == refmodel.S {
-			s.Status.SPP = 1
-		}
-		s.Priv = refmodel.S
-		s.PC = s.Stvec &^ 3
-		return
-	}
-	s.Mcause = cause
-	s.Mepc = s.PC &^ 3
-	s.Mtval = tval
-	s.Status.MPIE = s.Status.MIE
-	s.Status.MIE = false
-	s.Status.MPP = s.Priv
-	s.Priv = refmodel.M
-	s.PC = s.Mtvec &^ 3
-}
-
-// TestTrapEntryHelperAgreesWithHW anchors refTakeException to the real
-// reference model through the causes HW can raise directly.
+// TestTrapEntryHelperAgreesWithHW anchors refmodel.TakeException to the
+// reference model's own ecall on every profile: the cause follows the
+// privilege and V (ecall from VS raises cause 10).
 func TestTrapEntryHelperAgreesWithHW(t *testing.T) {
-	rng := newRng(t, 6)
-	h := newHarness(t, hart.VisionFive2())
-	for i := 0; i < 500; i++ {
-		s := h.GenState(rng)
-		s.PC = 0x8000
-		ref := s.Clone()
-		// ecall raises 8/9/11 depending on mode; tval 0.
-		refmodel.HW(h.RefCfg, s, rv.InstrEcall)
-		cause := uint64(rv.ExcEcallFromU)
-		switch ref.Priv {
-		case refmodel.S:
-			cause = rv.ExcEcallFromS
-		case refmodel.M:
-			cause = rv.ExcEcallFromM
-		}
-		refTakeException(ref, cause, 0)
-		if ref.Priv != s.Priv || ref.PC != s.PC || ref.Mcause != s.Mcause ||
-			ref.Scause != s.Scause || ref.Status != s.Status ||
-			ref.Mepc != s.Mepc || ref.Sepc != s.Sepc {
-			t.Fatalf("helper diverges from HW at round %d", i)
-		}
+	for name, mk := range platforms() {
+		t.Run(name, func(t *testing.T) {
+			rng := newRng(t, 6)
+			h := newHarness(t, mk())
+			for i := 0; i < 500; i++ {
+				s := h.GenState(rng)
+				s.PC = 0x8000
+				ref := s.Clone()
+				refmodel.HW(h.RefCfg, s, rv.InstrEcall)
+				cause := map[uint8]uint64{refmodel.U: rv.ExcEcallFromU,
+					refmodel.S: rv.ExcEcallFromS, refmodel.M: rv.ExcEcallFromM}[ref.Priv]
+				if ref.V && ref.Priv == refmodel.S {
+					cause = rv.ExcEcallFromVS
+				}
+				refmodel.TakeException(h.RefCfg, ref, cause, 0)
+				if ds := refmodel.Diff(h.RefCfg, ref, s); len(ds) > 0 {
+					t.Fatalf("TakeException diverges from HW's ecall at round %d: %v", i, ds)
+				}
+			}
+		})
 	}
 }
 
@@ -326,7 +295,6 @@ func TestFaithfulEmulationEndToEnd(t *testing.T) {
 					rd := uint32(rng.Intn(32))
 					rs1 := uint32(rng.Intn(32))
 					s := h.GenState(rng)
-					h.Machine.Harts[0].Waiting = false
 					if err := h.CheckEmulation(s, encodeCSROp(f3, rd, rs1, csr), 0x5000); err != nil {
 						t.Fatalf("%s: %v", rv.CSRName(csr), err)
 					}
@@ -334,7 +302,6 @@ func TestFaithfulEmulationEndToEnd(t *testing.T) {
 				}
 				for _, raw := range privOps {
 					s := h.GenState(rng)
-					h.Machine.Harts[0].Waiting = false
 					if err := h.CheckEmulation(s, raw, 0x6000); err != nil {
 						t.Fatalf("%#x: %v", raw, err)
 					}
