@@ -59,18 +59,14 @@ func (m *Monitor) ReinstallIOPMP(ctx *HartCtx) { m.installIOPMP(ctx) }
 
 // VerifSyncVirtState refreshes the virtual CSR file from the physical hart
 // when the hart is executing in the OS world, exactly as the world-switch
-// save path would, and resynchronizes the virtual mode and V from the
-// physical hart, as trap entry does. At a step boundary this is idempotent
-// (a pure physical→virtual copy), so differential harnesses may call it
-// after every retired instruction to obtain the architectural virtual
-// state.
+// save path would. At a step boundary the copy is idempotent, so
+// differential harnesses may call it after every retired instruction to
+// obtain the architectural virtual CSRs. Like the save path, it charges
+// the hart the CSR-transfer cycles. It leaves the virtual mode alone:
+// only trap entry resynchronizes that from the physical hart.
 func (m *Monitor) VerifSyncVirtState(ctx *HartCtx) {
 	if ctx.World() == WorldOS {
 		m.saveOSState(ctx)
-		ctx.VirtMode = ctx.Hart.Mode
-		if ctx.Hart.Cfg.HasH {
-			ctx.VirtV = ctx.Hart.V
-		}
 	}
 }
 

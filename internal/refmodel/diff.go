@@ -25,11 +25,11 @@ func TakeException(c *Config, s *State, cause, tval uint64) Event {
 // Diff compares two states field by field and returns every mismatch.
 // The free-running counters (time, cycle, instret) are excluded: they are
 // timing artefacts, not architectural results, and differential harnesses
-// compare them separately if at all. Hypervisor CSRs are compared only
-// when the configuration implements them, stimecmp only with Sstc, PMP
-// entries only up to c.PMPCount, and custom CSRs only for the documented
-// numbers. Field names are formatted only for fields that differ, so two
-// equal states cost no allocation.
+// compare them separately if at all. Hypervisor CSRs other than mtinst and
+// mtval2 are compared only when the configuration implements them,
+// stimecmp only with Sstc, PMP entries only up to c.PMPCount, and custom
+// CSRs only for the documented numbers. Field names are formatted only for
+// fields that differ, so two equal states cost no allocation.
 func Diff(c *Config, a, b *State) []Delta {
 	var ds []Delta
 	add := func(f string, x, y uint64) {
@@ -77,6 +77,10 @@ func Diff(c *Config, a, b *State) []Delta {
 		add("stimecmp", a.Stimecmp, b.Stimecmp)
 	}
 	add("wfi", b2u(a.WFI), b2u(b.WFI))
+	// M-mode trap entry writes mtinst and mtval2 only with H; without it
+	// they must stay zero on both sides, so they are compared everywhere.
+	add("mtinst", a.Mtinst, b.Mtinst)
+	add("mtval2", a.Mtval2, b.Mtval2)
 	for i := 0; i < c.PMPCount && i < len(a.PmpCfg); i++ {
 		if a.PmpCfg[i] != b.PmpCfg[i] {
 			add(fmt.Sprintf("pmpcfg[%d]", i), uint64(a.PmpCfg[i]), uint64(b.PmpCfg[i]))
@@ -104,8 +108,6 @@ func Diff(c *Config, a, b *State) []Delta {
 		add("htinst", a.Htinst, b.Htinst)
 		add("hgatp", a.Hgatp, b.Hgatp)
 		add("henvcfg", a.Henvcfg, b.Henvcfg)
-		add("mtinst", a.Mtinst, b.Mtinst)
-		add("mtval2", a.Mtval2, b.Mtval2)
 		add("vsstatus", a.Vsstatus, b.Vsstatus)
 		add("vsie", a.Vsie, b.Vsie)
 		add("vstvec", a.Vstvec, b.Vstvec)

@@ -101,10 +101,11 @@ func Install(mon *core.Monitor, ctx *core.HartCtx, s *refmodel.State) {
 
 // View reads ctx's virtual hart back as a reference state. It reads the
 // monitor's side only (Priv from ctx.VirtMode, V from ctx.VirtV) and never
-// syncs from the physical hart: a harness that direct-executes calls
-// Monitor.VerifSyncVirtState first, but after an emulated mret the
-// physical S-CSRs are stale until the world switch, so the Table 2
-// harness, which only emulates, must not sync.
+// syncs from the physical hart: after an emulated mret the physical S-CSRs
+// are stale until the world switch, so the Table 2 harness, which only
+// emulates, must not sync. The lockstep engine, which direct-executes,
+// calls Monitor.VerifSyncVirtState first and takes the mode from the
+// physical hart in the OS world.
 func View(mon *core.Monitor, ctx *core.HartCtx) *refmodel.State {
 	h, v := ctx.Hart, ctx.V
 	s := refmodel.NewState()

@@ -412,11 +412,19 @@ func (e *Engine) nativeView() *refmodel.State {
 	return s
 }
 
-// virtView captures the virtualized machine's architectural virtual state,
-// after an idempotent physical→virtual copy in the OS world.
+// virtView captures the virtualized machine's architectural virtual state:
+// the virtual CSRs after an idempotent physical→virtual copy in the OS
+// world, and there the mode and V the physical hart runs in, since the OS
+// changes privilege without monitor involvement. It only observes: the
+// monitor's own VirtMode/VirtV are left for its trap entry to resync.
 func (e *Engine) virtView() *refmodel.State {
 	e.Mon.VerifSyncVirtState(e.Ctx)
-	return verif.View(e.Mon, e.Ctx)
+	s := verif.View(e.Mon, e.Ctx)
+	if e.Ctx.World() == core.WorldOS {
+		h := e.Ctx.Hart
+		s.Priv, s.V = uint8(h.Mode), e.VirtCfg.HasH && h.V
+	}
+	return s
 }
 
 // Run executes one test case in lockstep and returns the first divergence

@@ -174,8 +174,13 @@ func (h *Harness) GenState(rng *rand.Rand) *refmodel.State {
 // Compare checks state equivalence after a transition: the monitor's view
 // (View, at virtual PC vpc) against the reference state s, through
 // refmodel.Diff. A free-running counter read into skipRd is adopted from
-// the monitor into s rather than compared.
+// the monitor into s rather than compared. The raw virtual mstatus is
+// checked first, since View keeps only the fields the model holds: a WARL
+// mask that let FS or SD through would otherwise pass.
 func (h *Harness) Compare(s *refmodel.State, vpc uint64, skipRd uint32) error {
+	if raw := h.Ctx.V.Mstatus; raw != s.Status.Bits() {
+		return fmt.Errorf("mstatus: vfm=%#x ref=%#x", raw, s.Status.Bits())
+	}
 	got := View(h.Mon, h.Ctx)
 	got.PC = vpc
 	if skipRd != 0 {
