@@ -202,9 +202,10 @@ func runInject(profiles []string, seed int64, cases int, out, errw io.Writer) in
 // sbMinChainCases is the run size from which the machine-equivalence mode
 // fails when no case chained one block into another, when that many
 // multi-hart cases never ran a multi-hart round, or when that many cases
-// never hit a translated TLB entry, never changed a PMP verdict, or never
-// had an access answered by the host tier: a run that large without one
-// of them proves nothing about it.
+// never hit a translated TLB entry, never changed a PMP verdict, never
+// had an access answered by the host tier or never stored through a host
+// entry beside watched lines: a run that large without one of them proves
+// nothing about it.
 const sbMinChainCases = 100
 
 // runEquiv drives the machine-equivalence mode: each randomized case runs
@@ -212,8 +213,9 @@ const sbMinChainCases = 100
 // superblock tier, and on a parent forked mid-run and its child, with a
 // live wall clock. Any divergence from the interpreter (cycle counters
 // included) is a failure, as is a run of sbMinChainCases or more cases that
-// never chained, hit a translated TLB entry, changed a PMP verdict or hit
-// a host entry, or of as many multi-hart cases that never ran a round.
+// never chained, hit a translated TLB entry, changed a PMP verdict, hit a
+// host entry or stored through one into a page with watched lines, or of
+// as many multi-hart cases that never ran a round.
 func runEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) int {
 	t0 := time.Now()
 	st, err := fuzz.RunMachineEquiv(profiles, seed, cases)
@@ -221,10 +223,10 @@ func runEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) int
 		fmt.Fprintf(errw, "fuzzdiff: %v\n", err)
 		return 2
 	}
-	fmt.Fprintf(out, "equiv: %d cases (%d multi-hart), %d interp steps, %d sb-retired, %d sb-chains, %d sb-rounds, %d code invalidations, %d code-page data writes, %d post-fork COW breaks, %d sv39 cases, %d tlb hits, %d host hits, %d pmp-churn cases, %d verdict changes, %d divergence(s) across %d profile(s) in %.1fs\n",
+	fmt.Fprintf(out, "equiv: %d cases (%d multi-hart), %d interp steps, %d sb-retired, %d sb-chains, %d sb-rounds, %d code invalidations, %d code-page data writes, %d post-fork COW breaks, %d sv39 cases, %d tlb hits, %d host hits, %d watched host stores, %d late-code cases, %d pmp-churn cases, %d verdict changes, %d divergence(s) across %d profile(s) in %.1fs\n",
 		st.Cases, st.MultiHart, st.Steps, st.SBRetired, st.SBChains, st.SBRounds,
 		st.CodeInvalidations, st.CodePageDataWrites, st.COWBreaks,
-		st.Sv39, st.TLBHits, st.HostHits, st.Churn, st.VerdictChanges,
+		st.Sv39, st.TLBHits, st.HostHits, st.HostWatchedHits, st.LateCode, st.Churn, st.VerdictChanges,
 		len(st.Mismatches), len(profiles), time.Since(t0).Seconds())
 	for _, m := range st.Mismatches {
 		fmt.Fprintf(out, "  DIVERGENCE %s\n", m)
@@ -247,6 +249,7 @@ func runEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) int
 		{st.TLBHits == 0, "NO PAGING in %d cases: no access hit a translated TLB entry\n"},
 		{st.VerdictChanges == 0, "NO VERDICT CHURN in %d cases: no PMP write changed a verdict\n"},
 		{st.HostHits == 0, "NO HOST HITS in %d cases: the host tier answered no access\n"},
+		{st.HostWatchedHits == 0, "NO WATCHED HOST STORES in %d cases: no host store landed beside watched lines\n"},
 	} {
 		if st.Cases >= sbMinChainCases && c.none {
 			fmt.Fprintf(out, "  "+c.what, st.Cases)

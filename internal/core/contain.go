@@ -92,6 +92,7 @@ func (m *Monitor) containFirmware(ctx *HartCtx, f *MonitorFault, fallback uint64
 		// the physical S CSRs are live and the virtual shadow is stale, so
 		// sync it before rebuilding around it.
 		m.saveOSState(ctx)
+		m.chargeCSRTransfer(ctx)
 	}
 	max := m.Opts.MaxRestarts
 	if max <= 0 {

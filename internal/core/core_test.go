@@ -162,3 +162,30 @@ func TestOffloadReducesWorldSwitches(t *testing.T) {
 		t.Errorf("offload must cut world switches dramatically: offload=%d no-offload=%d", w1, w2)
 	}
 }
+
+// TestVerifSyncKeepsTheClock: syncing the virtual CSR file from a hart in
+// the OS world, as the lockstep harness does after every step it checks,
+// copies the OS's supervisor state and charges the hart nothing, on a
+// profile without and one with the hypervisor extension.
+func TestVerifSyncKeepsTheClock(t *testing.T) {
+	for _, prof := range []string{"visionfive2", "p550"} {
+		t.Run(prof, func(t *testing.T) {
+			m, mon := scenario(t, hart.Profiles()[prof](), true, true, 1)
+			ctx := mon.Ctx[0]
+			if !m.RunUntil(func() bool { return ctx.World() == WorldOS }, 2_000_000) {
+				t.Fatal("the OS world never ran")
+			}
+			h := ctx.Hart
+			h.CSR.Sscratch = 0x5C5C
+			cycles := h.Cycles
+			mon.VerifSyncVirtState(ctx)
+			mon.VerifSyncVirtState(ctx)
+			if h.Cycles != cycles {
+				t.Errorf("two syncs moved the clock from %d to %d", cycles, h.Cycles)
+			}
+			if ctx.V.Sscratch != 0x5C5C {
+				t.Errorf("virtual sscratch %#x after the sync, want 0x5c5c", ctx.V.Sscratch)
+			}
+		})
+	}
+}

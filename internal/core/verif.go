@@ -61,9 +61,10 @@ func (m *Monitor) ReinstallIOPMP(ctx *HartCtx) { m.installIOPMP(ctx) }
 // when the hart is executing in the OS world, exactly as the world-switch
 // save path would. At a step boundary the copy is idempotent, so
 // differential harnesses may call it after every retired instruction to
-// obtain the architectural virtual CSRs. Like the save path, it charges
-// the hart the CSR-transfer cycles. It leaves the virtual mode alone:
-// only trap entry resynchronizes that from the physical hart.
+// obtain the architectural virtual CSRs. It charges no cycles (only a
+// world switch or containment pays for the transfer), so inspecting the
+// hart does not advance its clock. It leaves the virtual mode alone: only
+// trap entry resynchronizes that from the physical hart.
 func (m *Monitor) VerifSyncVirtState(ctx *HartCtx) {
 	if ctx.World() == WorldOS {
 		m.saveOSState(ctx)

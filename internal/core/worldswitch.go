@@ -32,6 +32,7 @@ func (m *Monitor) switchWorld(ctx *HartCtx, to World) {
 	}
 	if to == WorldFirmware {
 		m.saveOSState(ctx)
+		m.chargeCSRTransfer(ctx)
 		// Arm the watchdog budget and remember where the OS resumes if the
 		// firmware never comes back: the trap entry latched the OS PC in
 		// mepc and its mode in MPP.
@@ -63,7 +64,9 @@ func (m *Monitor) switchWorld(ctx *HartCtx, to World) {
 // (OS → firmware direction). While the firmware world runs, the virtual
 // shadow is the authoritative home of the OS's supervisor state, and the
 // firmware may access it through emulated CSR instructions exactly as
-// M-mode software could on hardware.
+// M-mode software could on hardware. It charges no cycles: its callers
+// that move the state on the hart's behalf (a world switch, containment)
+// charge the transfer with chargeCSRTransfer.
 func (m *Monitor) saveOSState(ctx *HartCtx) {
 	h, v := ctx.Hart, ctx.V
 	c := &h.CSR
@@ -92,7 +95,6 @@ func (m *Monitor) saveOSState(ctx *HartCtx) {
 	if h.Cfg.HasH {
 		m.saveHState(ctx)
 	}
-	m.chargeCSRTransfer(ctx)
 }
 
 // installPhysCSRs programs the physical registers for the target world.

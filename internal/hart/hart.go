@@ -608,8 +608,8 @@ func accessFaultCause(acc mem.AccessType) uint64 {
 // emulation) — with the *hart's* current state, exactly like hardware MPRV.
 //
 // With the fast path on, an access the TLB holds a host entry for is a
-// host load or store (see mmu.TLB); every other access resolves through
-// the TLB and the bus.
+// host load or store (see mmu.TLB), except a store into one of the page's
+// watched lines; every other access resolves through the TLB and the bus.
 func (h *Hart) MemAccess(va uint64, size int, acc mem.AccessType, value uint64, requireAligned bool) (uint64, *Exc) {
 	if va&uint64(size-1) != 0 {
 		if requireAligned || !h.Cfg.HWMisaligned {
@@ -648,7 +648,8 @@ func (h *Hart) MemAccess(va uint64, size int, acc mem.AccessType, value uint64, 
 	if acc == mem.Write {
 		need = hostStore
 	}
-	if e := h.fast.tlb.Probe(va>>12, ctx); e != nil && e.PA&need == need && inPage(va, size) {
+	if e := h.fast.tlb.Probe(va>>12, ctx); e != nil && e.PA&need == need && inPage(va, size) &&
+		(e.Lines == 0 || acc != mem.Write || h.hostLinesMiss(e, va, size)) {
 		if translated {
 			h.Perf.TLBHits++
 		}

@@ -20,9 +20,13 @@ import (
 // the written bytes (write): a store drops only the decodes and blocks
 // that read one of its slots, so data sharing a page with code — a
 // firmware stack next to its text, a hypervisor's trap frames next to its
-// handler — costs a bitmap test instead of a re-decode of the page. The
-// page lives until flushDecode, with its bus watch armed throughout
-// (InvalidatePhysPage keeps it).
+// handler — costs a bitmap test instead of a re-decode of the page, and
+// data outside the page's code lines costs nothing: every slot that live
+// state read has its line watched (mem.Bus.Watch: a decode miss arms its
+// slot's line, a translation the lines of every slot it read), and only a
+// write that touches a watched line is seen. The page lives until
+// flushDecode, with its lines armed throughout (InvalidatePhysPage keeps
+// them).
 type decPage struct {
 	// dec marks the slots whose ins entry holds a valid decode. code marks
 	// every slot some live state read: a decode, or a superblock that read
@@ -124,7 +128,7 @@ type fastState struct {
 	// pages maps physical page base -> predecoded instructions, with a
 	// 1-entry lookup cache in front (straight-line code stays on one
 	// page). Pages are cached only when the bus can watch them (RAM);
-	// any write into a cached page — this hart, another hart, DMA, the
+	// any write into a cached slot — this hart, another hart, DMA, the
 	// fault injector — drops the decodes and superblocks that read the
 	// written bytes via InvalidatePhysPage.
 	pages        map[uint64]*decPage
@@ -178,13 +182,13 @@ func (h *Hart) SetFastPath(on bool) {
 func (h *Hart) FastPathEnabled() bool { return h.fast.on }
 
 // InvalidatePhysPage implements mem.PageWatcher: bytes [lo, hi) of a
-// watched page were written. It drops the predecoded instructions and
-// superblocks that read them and, if a cached translation walked through
-// the page, the whole TLB, and keeps the watch while the page has a decode
-// page. A write that hit live code or a page table also ends the running
-// block after the current op: a block never refetches or retranslates its
-// PCs, while the interpreter fetches the new bytes, through the new
-// mapping, from the next instruction on.
+// page were written, touching a watched line. It drops the predecoded
+// instructions and superblocks that read them and, if a cached translation
+// walked through the page, the whole TLB, and keeps the page's lines while
+// it has a decode page. A write that hit live code or a page table also
+// ends the running block after the current op: a block never refetches or
+// retranslates its PCs, while the interpreter fetches the new bytes,
+// through the new mapping, from the next instruction on.
 func (h *Hart) InvalidatePhysPage(page uint64, lo, hi int) bool {
 	if _, ok := h.fast.ptePages[page]; ok {
 		h.flushTLB()
@@ -204,8 +208,8 @@ func (h *Hart) InvalidatePhysPage(page uint64, lo, hi int) bool {
 }
 
 // flushDecode drops every predecoded page (fence.i, snapshot restore,
-// fast-path toggle). The bus watch bits stay armed until the next write to
-// each page, which this hart then declines to keep.
+// fast-path toggle). The pages' watched lines stay armed until the next
+// write to one of them, which this hart then declines to keep.
 func (h *Hart) flushDecode() {
 	clear(h.fast.pages)
 	h.fast.lastPage, h.fast.lastPageBase = nil, 0
@@ -220,7 +224,8 @@ func (h *Hart) flushTLB() {
 }
 
 // RetireHostPages implements mem.HostHolder: the bus retires host bytes
-// the TLB holds (every pointer, or the write access into one page).
+// the TLB holds (every pointer, or the write access into one page whose
+// watched lines grew).
 func (h *Hart) RetireHostPages(page uint64, all bool) { h.fast.tlb.RetireHost(page, all) }
 
 // Entry flags a host-tier hit needs, by access type: the translation, a
@@ -336,14 +341,15 @@ func (h *Hart) resolve(va uint64, size int, acc mem.AccessType, priv rv.Mode, vi
 }
 
 // tlbFill caches a successful translation for access type acc, first
-// arming a write watch on every page the walk read PTEs from so software
-// page-table edits invalidate it. PTE pages outside RAM cannot be
-// watched; such walks stay uncached (nil). Arming happens after the walk
-// so the walker's own A/D-bit store does not immediately kill the entry.
+// arming a write watch on every line of every page the walk read PTEs
+// from so software page-table edits invalidate it. PTE pages outside RAM
+// cannot be watched; such walks stay uncached (nil). Arming happens after
+// the walk so the walker's own A/D-bit store does not immediately kill the
+// entry.
 func (h *Hart) tlbFill(vpn uint64, ctx uint32, acc mem.AccessType, res *mmu.Result) *mmu.Entry {
 	for i := 0; i < res.WalkLen; i++ {
 		p := res.Walk[i] &^ 4095
-		if !h.Bus.WatchPage(p) {
+		if !h.Bus.Watch(p, 4096) {
 			return nil
 		}
 		h.fast.ptePages[p] = struct{}{}
@@ -365,24 +371,15 @@ func (h *Hart) pageVerdict(e *mmu.Entry, priv rv.Mode) {
 }
 
 // fillHost gives e its page's host bytes when the bus lets the host keep
-// them (mem.Bus.HostPage): for reads and writes when the bus owns the
-// page and no watcher wants its writes, for reads alone when one does
-// (and the entry's stores then go through the bus without asking again).
-// It counts what it yielded for an access of type acc and returns the
-// bytes a read may use now, kept or not (nil: not RAM).
-func (h *Hart) fillHost(e *mmu.Entry, acc mem.AccessType) *[4096]byte {
-	p, st := h.Bus.HostPage(e.Page())
+// them (mem.Bus.HostPage): for reads, and for writes outside the page's
+// watched lines, when the bus owns the page. It returns the bytes a read
+// may use now, kept or not (nil: not RAM).
+func (h *Hart) fillHost(e *mmu.Entry) *[4096]byte {
+	p, st, lines := h.Bus.HostPage(e.Page())
 	switch st {
 	case mem.PageWritable:
-		h.fast.tlb.SetHost(e, p, mmu.HostR|mmu.HostW)
+		h.fast.tlb.SetHost(e, p, mmu.HostR|mmu.HostW, lines)
 		h.Perf.HostFills++
-	case mem.PageWatched:
-		h.fast.tlb.SetHost(e, p, mmu.HostR|mmu.Watched)
-		if acc == mem.Write {
-			h.Perf.HostSkipWatched++
-		} else {
-			h.Perf.HostFills++
-		}
 	case mem.PageSealed:
 		h.Perf.HostSkipSealed++
 	case mem.PageUntouched:
@@ -394,6 +391,17 @@ func (h *Hart) fillHost(e *mmu.Entry, acc mem.AccessType) *[4096]byte {
 	return p
 }
 
+// hostLinesMiss reports whether a store of size bytes at va, on a page
+// whose host entry e has watched lines, misses them and so may write the
+// host bytes in place; it counts such stores.
+func (h *Hart) hostLinesMiss(e *mmu.Entry, va uint64, size int) bool {
+	if e.Lines&mem.Lines(va&4095, size) != 0 {
+		return false
+	}
+	h.Perf.HostWatchedHits++
+	return true
+}
+
 // busLoad reads size bytes at pa for an access resolved to e (nil when
 // uncached): through e's host bytes, filling them first if it has none,
 // or through the bus. The caller has checked PMP and charged the access.
@@ -403,7 +411,7 @@ func (h *Hart) busLoad(e *mmu.Entry, pa uint64, size int) (uint64, bool) {
 	}
 	p := e.Host
 	if e.PA&mmu.HostR == 0 {
-		if p = h.fillHost(e, mem.Read); p == nil {
+		if p = h.fillHost(e); p == nil {
 			return h.Bus.Load(pa, size)
 		}
 	}
@@ -411,17 +419,22 @@ func (h *Hart) busLoad(e *mmu.Entry, pa uint64, size int) (uint64, bool) {
 }
 
 // busStore writes size bytes at pa for an access resolved to e (nil when
-// uncached): in place when e may write its host bytes, filling them first
-// if it has none, or through the bus, whose store funnel breaks sealed
-// pages off and tells the page's watchers.
+// uncached): in place when e may write its host bytes, filling them (and
+// the page's watched lines) first if it may not, or through the bus,
+// whose store funnel breaks sealed pages off and tells the page's
+// watchers. A store that touches a watched line always takes the bus.
 func (h *Hart) busStore(e *mmu.Entry, pa uint64, size int, v uint64) bool {
 	if e == nil || e.PA&mmu.NoHost != 0 || !inPage(pa, size) {
 		return h.Bus.Store(pa, size, v)
 	}
-	if e.PA&(mmu.HostW|mmu.Watched) == 0 {
-		h.fillHost(e, mem.Write)
+	if e.PA&mmu.HostW == 0 {
+		h.fillHost(e)
 	}
 	if e.PA&mmu.HostW == 0 {
+		return h.Bus.Store(pa, size, v)
+	}
+	if e.Lines != 0 && !h.hostLinesMiss(e, pa, size) {
+		h.Perf.HostSkipWatched++
 		return h.Bus.Store(pa, size, v)
 	}
 	mem.PageStore(e.Host, pa&4095, size, v)
@@ -476,7 +489,7 @@ func (h *Hart) fetchFast() (*rv.Decoded, *Exc) {
 	if dp == nil || h.fast.lastPageBase != pageBase {
 		dp = h.fast.pages[pageBase]
 		if dp == nil {
-			if !h.Bus.WatchPage(pageBase) {
+			if !h.Bus.IsRAM(pa, 4) {
 				// Not RAM: execute-in-place from a device; never cache.
 				h.Perf.DecodeMisses++
 				v, ok := h.Bus.Load(pa, 4)
@@ -487,7 +500,6 @@ func (h *Hart) fetchFast() (*rv.Decoded, *Exc) {
 				h.fast.fetchDP = nil // never translated into superblocks
 				return &h.fast.scratch, nil
 			}
-			// The watch armed above stays armed for the page's life.
 			dp = new(decPage)
 			h.fast.pages[pageBase] = dp
 		}
@@ -496,7 +508,10 @@ func (h *Hart) fetchFast() (*rv.Decoded, *Exc) {
 	i := int(pa&4095) >> 2
 	h.fast.fetchDP, h.fast.fetchSlot, h.fast.fetchPA = dp, i, pa
 	if !dp.decoded(i) {
+		// The slot's line stays armed for the decode page's life, so a
+		// write to the slot reaches InvalidatePhysPage.
 		h.Perf.DecodeMisses++
+		h.Bus.Watch(pa, 4)
 		v, ok := h.Bus.Load(pa, 4)
 		if !ok {
 			return nil, h.exc(rv.ExcInstrAccessFault, h.PC)

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"govfm/internal/asm"
+	"govfm/internal/mem"
+	"govfm/internal/mmu"
 	"govfm/internal/pmp"
 	"govfm/internal/rv"
 )
@@ -135,15 +137,20 @@ func TestHostReadEntryAfterCOWBreak(t *testing.T) {
 }
 
 // TestHostWriteEntryRetiresOnWatch writes code into a data page through
-// host write entries, runs it (the fetch arms the page's watch), patches
+// host write entries, runs it (the fetch arms its line's watch), patches
 // it and runs it again: the patch must reach the bus watch, so the second
-// run executes the new instruction. A write pointer kept after the watch
-// was armed would patch the page behind the decode cache's back.
+// run executes the new instruction. It then does the same on another line
+// of the now watched page, whose host stores the entry takes in place
+// until the fetch grows the page's lines. A write pointer kept after a
+// watch was armed, or after the lines grew, would patch the page behind
+// the decode cache's back. Last, with two harts holding write entries for
+// a page, growing its lines must retire both.
 func TestHostWriteEntryRetiresOnWatch(t *testing.T) {
 	addi := func(imm int64) uint64 {
 		return uint64(encodeOne(t, func(a *asm.Asm) { a.Addi(asm.A0, asm.X0, imm) }))
 	}
 	ret := uint64(encodeOne(t, func(a *asm.Asm) { a.Jalr(asm.X0, asm.RA, 0) }))
+	const far = 0x400 // line 8 of the page, away from the first routine
 	body := func(a *asm.Asm) {
 		a.Li(asm.S1, hostData)
 		a.Li(asm.S2, 40) // warm the page's host entry with plain stores
@@ -160,6 +167,17 @@ func TestHostWriteEntryRetiresOnWatch(t *testing.T) {
 		a.Li(asm.T0, addi(2))
 		a.Sw(asm.T0, asm.S1, 0)   // patch
 		a.Jalr(asm.RA, asm.S1, 0) // a0 = 2
+		a.Mv(asm.A2, asm.A0)
+		a.Addi(asm.S1, asm.S1, far)
+		a.Li(asm.T0, addi(3))
+		a.Sw(asm.T0, asm.S1, 0) // host stores beside the watched line
+		a.Li(asm.T0, ret)
+		a.Sw(asm.T0, asm.S1, 4)
+		a.Jalr(asm.RA, asm.S1, 0) // a0 = 3; the fetch grows the lines
+		a.Mv(asm.A3, asm.A0)
+		a.Li(asm.T0, addi(4))
+		a.Sw(asm.T0, asm.S1, 0)   // patch
+		a.Jalr(asm.RA, asm.S1, 0) // a0 = 4
 		exit(a)
 	}
 	interp := sbMachine(t, body, false, false)
@@ -169,8 +187,140 @@ func TestHostWriteEntryRetiresOnWatch(t *testing.T) {
 	mustHalt(t, interp)
 	mustHalt(t, full)
 	sbCompareEnd(t, interp, full)
-	if h := full.Harts[0]; h.Regs[asm.A1] != 1 || h.Regs[asm.A0] != 2 {
-		t.Fatalf("a1/a0 = %d/%d, want 1/2 (stale decode after the patch)", h.Regs[asm.A1], h.Regs[asm.A0])
+	h := full.Harts[0]
+	if r := h.Regs; r[asm.A1] != 1 || r[asm.A2] != 2 || r[asm.A3] != 3 || r[asm.A0] != 4 {
+		t.Fatalf("a1/a2/a3/a0 = %d/%d/%d/%d, want 1/2/3/4 (stale decode after a patch)",
+			r[asm.A1], r[asm.A2], r[asm.A3], r[asm.A0])
+	}
+	if h.Perf.HostWatchedHits == 0 {
+		t.Errorf("no host store into the watched page")
+	}
+
+	m := sbMachineN(t, 2, hostCountBody(1<<40), true, false)
+	m.Run(400)
+	entry := func(h *Hart) *mmu.Entry {
+		ctx, _ := h.tlbCtx(rv.ModeM, false, false)
+		return h.fast.tlb.Probe(hostData>>12, ctx)
+	}
+	for _, h := range m.Harts {
+		if e := entry(h); e == nil || e.PA&mmu.HostW == 0 {
+			t.Fatalf("precondition: hart%d holds no write entry for the page", h.ID)
+		}
+	}
+	m.Bus.Watch(hostData+far, 4)
+	for _, h := range m.Harts {
+		if e := entry(h); e.PA&mmu.HostW != 0 {
+			t.Errorf("hart%d kept its write entry after the page's lines grew", h.ID)
+		}
+	}
+	m.Run(400) // the next stores refill the entries with the new lines
+	for _, h := range m.Harts {
+		if e := entry(h); e == nil || e.PA&mmu.HostW == 0 || e.Lines != mem.Lines(far, 4) {
+			t.Fatalf("hart%d: no write entry with the page's line after the refill", h.ID)
+		}
+	}
+	m.Bus.Watch(hostData+far+4, 4) // the same line: nothing grows
+	for _, h := range m.Harts {
+		if e := entry(h); e.PA&mmu.HostW == 0 {
+			t.Errorf("hart%d lost its write entry to a watch that grew nothing", h.ID)
+		}
+	}
+}
+
+// TestDecodeMissArmsItsLine: a fetch that decodes a slot arms that slot's
+// line of the page and no other, and a store that ends in a code line
+// still drops its code when it starts in a line no code is in.
+func TestDecodeMissArmsItsLine(t *testing.T) {
+	const code = DramBase + 0x400 // line 8
+	body := func(a *asm.Asm) {
+		a.J("code")
+		for a.PC() < code {
+			a.Nop()
+		}
+		a.Label("code")
+		a.Addi(asm.A0, asm.A0, 1)
+		exit(a)
+	}
+	m := sbMachine(t, body, true, false)
+	m.Run(100)
+	mustHalt(t, m)
+	_, _, lines := m.Bus.HostPage(DramBase)
+	if want := mem.Lines(0, 4) | mem.Lines(0x400, 4*5); lines != want {
+		t.Fatalf("lines %#x, want %#x: line 0 for the jump, line 8 for the code", lines, want)
+	}
+	h := m.Harts[0]
+	dp := h.fast.pages[DramBase]
+	if !dp.decoded(0x400 >> 2) {
+		t.Fatal("precondition: the code's first slot is not cached")
+	}
+	m.Bus.Store(code-4, 8, 0) // line 7, no code, and the code's first slot
+	if dp.decoded(0x400>>2) || h.Perf.CodeWriteInvalidations != 1 {
+		t.Errorf("a store into line 7 and 8 kept the code in line 8: invalidations %d",
+			h.Perf.CodeWriteInvalidations)
+	}
+}
+
+// TestRawReadSlotsArmTheirLines translates a block whose entry is the last
+// slot of a line, before any of its other slots was fetched: the
+// translator reads them raw, from the next line, and must arm that line,
+// so that a store into one of them drops the block.
+func TestRawReadSlotsArmTheirLines(t *testing.T) {
+	const entry = DramBase + 0x7C // the last slot of line 0
+	patched := encodeOne(t, func(a *asm.Asm) { a.Addi(asm.A0, asm.A0, 100) })
+	body := func(a *asm.Asm) {
+		a.J("entry")
+		for a.PC() < entry {
+			a.Nop()
+		}
+		a.Label("entry")
+		for i := 0; i < 4; i++ {
+			a.Addi(asm.A0, asm.A0, 1)
+		}
+		exit(a)
+	}
+	m := sbMachine(t, body, true, true)
+	h := m.Harts[0]
+	m.Step() // the jump: single steps never dispatch a block
+	if _, ei := h.fetchFast(); ei != nil || h.PC != entry {
+		t.Fatalf("fetch at %#x: %v", h.PC, ei)
+	}
+	dp, slot := h.fast.fetchDP, h.fast.fetchSlot
+	sb := h.sbTranslate(dp, slot)
+	if sb.ops == nil || sb.span < 4 || dp.decoded(slot+1) {
+		t.Fatalf("precondition: no block read line 1 raw (span %d)", sb.span)
+	}
+	m.Bus.Store(entry+8, 4, uint64(patched))
+	if dp.block(slot) != nil || h.Perf.CodeWriteInvalidations != 1 {
+		t.Fatalf("a store into a raw-read slot kept the block: invalidations %d", h.Perf.CodeWriteInvalidations)
+	}
+	interp := sbMachine(t, body, false, false)
+	interp.Step()
+	interp.Bus.Store(entry+8, 4, uint64(patched))
+	interp.Run(100)
+	m.Run(100)
+	mustHalt(t, m)
+	sbCompareEnd(t, interp, m)
+}
+
+// TestPTEPageWatchesEveryLine: a cached walk watches every line of the
+// pages it read its PTEs from, since any PTE there may map a page the TLB
+// caches.
+func TestPTEPageWatchesEveryLine(t *testing.T) {
+	m := sbMachine(t, func(a *asm.Asm) {
+		sv39Prologue(a)
+		a.Label("smain")
+		a.Li(asm.S1, testVA)
+		a.Ld(asm.A0, asm.S1, 8)
+		a.Ecall()
+		a.Label("mtrap")
+		exit(a)
+	}, true, false)
+	m.Run(1000)
+	mustHalt(t, m)
+	for _, p := range []uint64{ptRoot, ptL1, ptL0} {
+		if _, _, lines := m.Bus.HostPage(p); lines != ^uint32(0) {
+			t.Errorf("page-table page %#x watches lines %#x", p, lines)
+		}
 	}
 }
 

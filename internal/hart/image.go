@@ -35,7 +35,7 @@ func (d *DMAEngine) Restore(s DMASnapshot) {
 // from one image and run concurrently with the origin.
 //
 // Host-side state deliberately travels outside the image: predecode/TLB
-// caches, PMP fast segments, watch bits, Perf counters, and the
+// caches, PMP fast segments, watched lines, Perf counters, and the
 // Monitor/Watchdog/Trace hooks all belong to a machine, not an image. A
 // spawned machine starts with cold caches that re-arm on first use, which
 // the machine-equivalence fuzz gate proves is invisible in simulated time.

@@ -47,11 +47,12 @@ type PerfCounters struct {
 	CodeWriteInvalidations uint64
 	CodePageDataWrites     uint64
 	// Host tier (mmu.TLB host entries): data accesses answered by a host
-	// load or store, host-byte fills, and fill attempts that yielded no
-	// host bytes for the access, by reason: the page is not RAM, a PMP
-	// boundary cuts it, a store found it watched (reads stay in place),
-	// it was never written, or it is sealed (shared with a snapshot or an
-	// ancestor until a store breaks it off).
+	// load or store, host-byte fills, and accesses that got no host bytes,
+	// by reason: the page is not RAM, a PMP boundary cuts it, a store
+	// touched one of the page's watched lines (the bus must see it), the
+	// page was never written, or it is sealed (shared with a snapshot or an
+	// ancestor until a store breaks it off). HostWatchedHits counts the
+	// host stores into a page with watched lines: data beside live code.
 	HostHits          uint64
 	HostFills         uint64
 	HostSkipMMIO      uint64
@@ -59,17 +60,18 @@ type PerfCounters struct {
 	HostSkipWatched   uint64
 	HostSkipUntouched uint64
 	HostSkipSealed    uint64
+	HostWatchedHits   uint64
 }
 
 // hostNames names the host-tier counters, in hostCounts order, as metric
 // name suffixes.
 var hostNames = [...]string{"hits", "fills", "skip_mmio", "skip_pmp_partial",
-	"skip_watched", "skip_untouched", "skip_sealed"}
+	"skip_watched", "skip_untouched", "skip_sealed", "watched_hits"}
 
 // hostCounts returns the host-tier counters in hostNames order.
 func (p *PerfCounters) hostCounts() [len(hostNames)]uint64 {
 	return [...]uint64{p.HostHits, p.HostFills, p.HostSkipMMIO, p.HostSkipPMP,
-		p.HostSkipWatched, p.HostSkipUntouched, p.HostSkipSealed}
+		p.HostSkipWatched, p.HostSkipUntouched, p.HostSkipSealed, p.HostWatchedHits}
 }
 
 // trapCauseIndex maps an mcause value into TrapsByCause: exception codes

@@ -250,11 +250,14 @@ func (h *Hart) sbTranslate(dp *decPage, slot int) *sblock {
 			break
 		}
 	}
-	// Raw reads leave no decode behind, so mark every slot read as code: a
-	// write to any of them must drop this block (sentinels included, so a
-	// patched entry gets another chance at translation).
+	// Raw reads leave no decode behind, so mark every slot read as code and
+	// arm its line: a write to any of them must drop this block (sentinels
+	// included, so a patched entry gets another chance at translation).
 	sb.span = uint8(read)
 	dp.markCode(slot, slot+read)
+	if read > 0 {
+		h.Bus.Watch(pageBase|uint64(slot)<<2, 4*read)
+	}
 	if len(ops) >= sbMinOps { // else a sentinel, whose ops stay nil
 		sb.ops = slices.Clone(ops)
 		h.Perf.SBTranslations++
@@ -383,13 +386,14 @@ func (h *Hart) sbLoad(va uint64, size int) (uint64, bool) {
 // including the LR/SC reservation kills. A store that rewrites live code
 // or a page table ends the block after this op (InvalidatePhysPage sets
 // endAfter), since the interpreter refetches and retranslates from the
-// next instruction on; such pages are watched, so their stores never take
-// the host path.
+// next instruction on; such bytes lie in watched lines, so their stores
+// never take the host path.
 func (h *Hart) sbStore(va uint64, size int, value uint64) bool {
 	if va&uint64(size-1) != 0 && !h.Cfg.HWMisaligned {
 		return false
 	}
-	if e := h.fast.tlb.Probe(va>>12, h.sb.ctx); e != nil && e.PA&hostStore == hostStore && inPage(va, size) {
+	if e := h.fast.tlb.Probe(va>>12, h.sb.ctx); e != nil && e.PA&hostStore == hostStore && inPage(va, size) &&
+		(e.Lines == 0 || h.hostLinesMiss(e, va, size)) {
 		if h.sb.translated {
 			h.Perf.TLBHits++
 		}

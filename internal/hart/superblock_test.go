@@ -485,17 +485,36 @@ func TestSuperblockImageRoundTrip(t *testing.T) {
 	}
 }
 
-// codePageData is a data word on the same 4 KiB page as the test
-// programs, whose code starts at DramBase and ends before it.
-const codePageData = DramBase + 0x800
+// codePageNear and codePageData are two doublewords of data on the same
+// 4 KiB page as the test programs, whose code starts at DramBase.
+// codePageNear sits inside the programs' first code line: codePageGap
+// jumps over it, so it is never executed. codePageData is lines away from
+// any code.
+const (
+	codePageNear = DramBase + 8
+	codePageData = DramBase + 0x800
+)
 
-// codePageDataBody is a hot loop that stores to data words on its own code
-// page every pass, the way a hypervisor saves trap frames next to its
-// handler. None of the stored words is ever executed.
-func codePageDataBody(iters uint64) func(a *asm.Asm) {
+// codePageGap opens a program with a jump over codePageNear's two words.
+func codePageGap(a *asm.Asm) {
+	a.J("start")
+	for a.PC() < codePageNear+16 {
+		a.Nop()
+	}
+	a.Label("start")
+}
+
+// codePageDataBody is a hot loop that stores to data words at data, on
+// its own code page, every pass, the way a hypervisor saves trap frames
+// next to its handler. None of the stored words is ever executed.
+func codePageDataBody(iters, data uint64) func(a *asm.Asm) {
 	return func(a *asm.Asm) {
-		a.Li(asm.T0, codePageData)
-		a.Li(asm.A0, 0)
+		// a0 is zero from reset. Zeroing it again would start the loop
+		// one step later, and the step budgets of the tests below would
+		// then stop runs at a loop offset that gets a second block
+		// translated.
+		codePageGap(a)
+		a.Li(asm.T0, data)
 		a.Li(asm.S1, iters)
 		a.Label("loop")
 		a.Sd(asm.S1, asm.T0, 0)
@@ -507,39 +526,64 @@ func codePageDataBody(iters uint64) func(a *asm.Asm) {
 	}
 }
 
+// codePageHalves are the two placements of a code page's data: inside a
+// code line, where every store reaches the bus watch, and lines away from
+// code, where stores are host stores the watch never sees.
+var codePageHalves = []struct {
+	name string
+	data uint64
+	near bool
+}{{"near-line", codePageNear, true}, {"far-line", codePageData, false}}
+
 // TestCodePageDataStoreKeepsCode: data stores to non-code words of a code
-// page drop no decode and no superblock, and the obs layer reports them
-// as data writes.
+// page drop no decode and no superblock. Inside a code line the obs layer
+// reports them as data writes; lines away from code they are host stores
+// into a watched page, which the watch never sees.
 func TestCodePageDataStoreKeepsCode(t *testing.T) {
 	const iters = 1 << 40 // never finishes within the budgets below
-	interp := sbMachine(t, codePageDataBody(iters), false, false)
-	full := sbMachine(t, codePageDataBody(iters), true, true)
-	o := obs.New(obs.Options{})
-	full.AttachObs(o)
-	interp.Run(2000)
-	full.Run(2000)
-	h := full.Harts[0]
-	warm := h.Perf
-	if warm.SBTranslations == 0 || warm.CodePageDataWrites == 0 {
-		t.Fatalf("precondition: loop untranslated or its stores unseen: %+v", warm)
-	}
-	interp.Run(5000)
-	full.Run(5000)
-	sbCompareEnd(t, interp, full)
-	p := h.Perf
-	if p.DecodeMisses != warm.DecodeMisses || p.SBTranslations != warm.SBTranslations {
-		t.Errorf("data stores cost code: decode misses %d -> %d, translations %d -> %d",
-			warm.DecodeMisses, p.DecodeMisses, warm.SBTranslations, p.SBTranslations)
-	}
-	if p.CodeWriteInvalidations != 0 || p.CodePageDataWrites <= warm.CodePageDataWrites ||
-		p.SBRetired <= warm.SBRetired {
-		t.Errorf("counters: %+v after warm-up %+v", p, warm)
-	}
-	v := o.Metrics.Snapshot().Values
-	if v["hart0.smc.data_writes"] != p.CodePageDataWrites || v["sim.smc.data_writes"] != p.CodePageDataWrites ||
-		v["sim.smc.code_invalidations"] != 0 {
-		t.Errorf("smc metrics %d/%d/%d, want %d/%d/0", v["hart0.smc.data_writes"],
-			v["sim.smc.data_writes"], v["sim.smc.code_invalidations"], p.CodePageDataWrites, p.CodePageDataWrites)
+	for _, half := range codePageHalves {
+		t.Run(half.name, func(t *testing.T) {
+			interp := sbMachine(t, codePageDataBody(iters, half.data), false, false)
+			full := sbMachine(t, codePageDataBody(iters, half.data), true, true)
+			o := obs.New(obs.Options{})
+			full.AttachObs(o)
+			interp.Run(2000)
+			full.Run(2000)
+			h := full.Harts[0]
+			warm := h.Perf
+			if warm.SBTranslations == 0 || half.near && warm.CodePageDataWrites == 0 ||
+				!half.near && warm.HostWatchedHits == 0 {
+				t.Fatalf("precondition: loop untranslated or its stores unseen: %+v", warm)
+			}
+			interp.Run(5000)
+			full.Run(5000)
+			sbCompareEnd(t, interp, full)
+			p := h.Perf
+			if p.DecodeMisses != warm.DecodeMisses || p.SBTranslations != warm.SBTranslations {
+				t.Errorf("data stores cost code: decode misses %d -> %d, translations %d -> %d",
+					warm.DecodeMisses, p.DecodeMisses, warm.SBTranslations, p.SBTranslations)
+			}
+			if p.CodeWriteInvalidations != 0 || p.SBRetired <= warm.SBRetired {
+				t.Errorf("counters: %+v after warm-up %+v", p, warm)
+			}
+			if half.near && p.CodePageDataWrites <= warm.CodePageDataWrites {
+				t.Errorf("near-line stores unseen: %+v after warm-up %+v", p, warm)
+			}
+			if !half.near && (p.CodePageDataWrites != 0 || p.HostHits <= warm.HostHits ||
+				p.HostWatchedHits <= warm.HostWatchedHits) {
+				t.Errorf("far-line stores missed the host tier: %+v after warm-up %+v", p, warm)
+			}
+			v := o.Metrics.Snapshot().Values
+			if v["hart0.smc.data_writes"] != p.CodePageDataWrites || v["sim.smc.data_writes"] != p.CodePageDataWrites ||
+				v["sim.smc.code_invalidations"] != 0 {
+				t.Errorf("smc metrics %d/%d/%d, want %d/%d/0", v["hart0.smc.data_writes"],
+					v["sim.smc.data_writes"], v["sim.smc.code_invalidations"], p.CodePageDataWrites, p.CodePageDataWrites)
+			}
+			if v["hart0.host.watched_hits"] != p.HostWatchedHits || v["sim.host.watched_hits"] != p.HostWatchedHits {
+				t.Errorf("watched-hit metrics %d/%d, want %d", v["hart0.host.watched_hits"],
+					v["sim.host.watched_hits"], p.HostWatchedHits)
+			}
+		})
 	}
 }
 
@@ -547,11 +591,14 @@ func TestCodePageDataStoreKeepsCode(t *testing.T) {
 // code store to the same page with no fetch in between must still drop the
 // stale code. A watch consumed by the first notification, and re-armed
 // only by a later fetch, would miss the second. Both stores come from
-// outside the hart, as a DMA engine or the monitor would issue them.
+// outside the hart, as a DMA engine or the monitor would issue them. The
+// near-line data store is seen and keeps the watch; the far-line one is
+// not seen at all.
 func TestCodePageDataThenCodeStore(t *testing.T) {
 	patched := encodeOne(t, func(a *asm.Asm) { a.Addi(asm.A0, asm.A0, 100) })
 	var target uint64
 	body := func(a *asm.Asm) {
+		codePageGap(a)
 		a.Li(asm.A0, 0)
 		a.Li(asm.S1, 100)
 		a.Label("loop")
@@ -561,22 +608,26 @@ func TestCodePageDataThenCodeStore(t *testing.T) {
 		a.Bnez(asm.S1, "loop")
 		exit(a)
 	}
-	interp := sbMachine(t, body, false, false)
-	full := sbMachine(t, body, true, true)
-	for _, m := range []*Machine{interp, full} {
-		m.Run(150) // mid-loop, with the loop translated on full
-		m.Bus.Store(codePageData, 8, 0xD00D)
-		m.Bus.Store(target, 4, uint64(patched))
-		m.Run(5000)
-		mustHalt(t, m)
-	}
-	sbCompareEnd(t, interp, full)
-	p := full.Harts[0].Perf
-	if p.CodePageDataWrites == 0 || p.CodeWriteInvalidations == 0 || p.SBRetired == 0 {
-		t.Errorf("counters: %+v", p)
-	}
-	if a0 := full.Harts[0].Regs[asm.A0]; a0 <= 100 {
-		t.Errorf("a0 = %d: the patched instruction never ran", a0)
+	for _, half := range codePageHalves {
+		t.Run(half.name, func(t *testing.T) {
+			interp := sbMachine(t, body, false, false)
+			full := sbMachine(t, body, true, true)
+			for _, m := range []*Machine{interp, full} {
+				m.Run(150) // mid-loop, with the loop translated on full
+				m.Bus.Store(half.data, 8, 0xD00D)
+				m.Bus.Store(target, 4, uint64(patched))
+				m.Run(5000)
+				mustHalt(t, m)
+			}
+			sbCompareEnd(t, interp, full)
+			p := full.Harts[0].Perf
+			if p.CodeWriteInvalidations == 0 || p.SBRetired == 0 || half.near != (p.CodePageDataWrites != 0) {
+				t.Errorf("counters: %+v", p)
+			}
+			if a0 := full.Harts[0].Regs[asm.A0]; a0 <= 100 {
+				t.Errorf("a0 = %d: the patched instruction never ran", a0)
+			}
+		})
 	}
 }
 
@@ -675,25 +726,32 @@ func TestStraddlingStoreInvalidatesBothPages(t *testing.T) {
 
 // TestCodePageDataStoreSeqPar: the data-on-code-page loop ends in the
 // same state on the full stack as on the interpreter, and the full stack
-// ends no block for its data stores, since none of them hits code.
+// ends no block for its data stores, since none of them hits code: near
+// a code line they reach the watch as data writes, and far from one they
+// are host stores.
 func TestCodePageDataStoreSeqPar(t *testing.T) {
-	// Unbounded loops, so both machines stop on the step budget rather
-	// than on the exit device.
-	interp := sbMachine(t, codePageDataBody(1<<40), false, false)
-	full := sbMachine(t, codePageDataBody(1<<40), true, true)
-	interp.Run(3000)
-	full.Run(3000)
-	sbCompareEnd(t, interp, full)
-	p := full.Harts[0].Perf
-	if p.SBRetired == 0 || p.CodeWriteInvalidations != 0 || p.CodePageDataWrites == 0 {
-		t.Errorf("counters %+v", p)
-	}
-	for off := uint64(0); off < 16; off += 8 {
-		wi, _ := interp.Bus.Load(codePageData+off, 8)
-		wf, _ := full.Bus.Load(codePageData+off, 8)
-		if wi != wf {
-			t.Errorf("data word +%d: interp %#x full %#x", off, wi, wf)
-		}
+	for _, half := range codePageHalves {
+		t.Run(half.name, func(t *testing.T) {
+			// Unbounded loops, so both machines stop on the step budget
+			// rather than on the exit device.
+			interp := sbMachine(t, codePageDataBody(1<<40, half.data), false, false)
+			full := sbMachine(t, codePageDataBody(1<<40, half.data), true, true)
+			interp.Run(3000)
+			full.Run(3000)
+			sbCompareEnd(t, interp, full)
+			p := full.Harts[0].Perf
+			if p.SBRetired == 0 || p.CodeWriteInvalidations != 0 || half.near != (p.CodePageDataWrites != 0) ||
+				half.near == (p.HostWatchedHits != 0) {
+				t.Errorf("counters %+v", p)
+			}
+			for off := uint64(0); off < 16; off += 8 {
+				wi, _ := interp.Bus.Load(half.data+off, 8)
+				wf, _ := full.Bus.Load(half.data+off, 8)
+				if wi != wf {
+					t.Errorf("data word +%d: interp %#x full %#x", off, wi, wf)
+				}
+			}
+		})
 	}
 }
 

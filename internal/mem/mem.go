@@ -14,8 +14,9 @@
 // page-watch notifications, so copy-on-first-write rides the exact choke
 // point the host fast paths already trust. The one path around it, a
 // hart's host write into a page through HostPage's bytes, is open only
-// for a page the bus owns and no watcher watches, which no break replaces
-// until a snapshot retires the pointer.
+// for a page the bus owns, which no break replaces until a snapshot
+// retires the pointer, and only outside the page's watched lines (see
+// Watch), whose writes must reach the funnel.
 package mem
 
 import (
@@ -69,6 +70,17 @@ const (
 	chunkPages = 1 << (chunkShift - pageShift)
 )
 
+// lineShift sizes the watch lines: a page is watched in 32 lines of 128
+// bytes, one bit each in a uint32.
+const lineShift = 7
+
+// Lines returns the watch lines of one page that the in-page byte range
+// [off, off+size) touches (size >= 1, off+size <= 4096).
+func Lines(off uint64, size int) uint32 {
+	first, last := off>>lineShift, (off+uint64(size)-1)>>lineShift
+	return uint32(uint64(2)<<last - uint64(1)<<first)
+}
+
 // ramPage is one 4 KiB page of RAM. The (owner, gen) tag records which bus
 // allocated it and during which snapshot generation; the page may be
 // written in place only by that bus while its generation is still current.
@@ -101,12 +113,12 @@ type Region struct {
 	dir []*ramChunk
 	bus *Bus
 
-	// watch is a per-4KiB-page bitmap of pages some PageWatcher has asked
-	// to be told about. A bit is set by WatchPage and cleared by a write
-	// none of the notified watchers keeps it through (see PageWatcher).
-	// Watch bits are host-cache state: they are per-bus and never travel
-	// with snapshots.
-	watch []uint64
+	// watch maps the index of each page some PageWatcher has asked to be
+	// told about to its watched lines (see Lines). Watch arms lines; a
+	// notified write that no watcher keeps the page through deletes the
+	// page's entry (see PageWatcher). Watches are host-cache state: they
+	// are per-bus and never travel with snapshots.
+	watch map[uint64]uint32
 }
 
 // page returns the page containing byte offset off, or nil for an
@@ -238,17 +250,20 @@ func (r *Region) Contains(addr uint64, size int) bool {
 	return addr >= r.Base && addr-r.Base+uint64(size) <= r.Size
 }
 
-// PageWatcher is notified when a watched RAM page is written. Harts
-// register as watchers to invalidate host-side caches (predecoded
+// PageWatcher is notified when a watched line of a RAM page is written.
+// Harts register as watchers to invalidate host-side caches (predecoded
 // instructions, TLB entries whose page tables live on the page) when
-// anything — another hart, DMA, a fault injector — mutates the page.
+// anything — another hart, DMA, a fault injector — mutates the bytes they
+// read.
 //
 // InvalidatePhysPage receives the written bytes as the in-page range
 // [lo, hi), 0 <= lo < hi <= 4096, so a watcher can drop exactly the state
-// that read them. It returns whether the watcher still holds state cached
-// from the page. The page's watch bit stays armed while any watcher keeps
-// it and is cleared once none does; a watcher that dropped everything
-// re-arms with WatchPage on its next fill.
+// that read them. It is called only for a write that touches one of the
+// page's watched lines, so a watcher must arm (Bus.Watch) every line it
+// caches state from. It returns whether the watcher still holds state
+// cached from the page. The page's lines stay armed while any watcher
+// keeps it and are all dropped once none does; a watcher that dropped
+// everything re-arms with Watch on its next fill.
 type PageWatcher interface {
 	InvalidatePhysPage(pageBase uint64, lo, hi int) (keep bool)
 }
@@ -258,9 +273,10 @@ type PageWatcher interface {
 // software TLB is one (internal/hart).
 //
 // RetireHostPages(page, false) retires the write pointers into the page
-// at page: a watcher armed its watch bit, so writes to it must go through
-// Store again to be seen. RetireHostPages(0, true) retires every pointer:
-// a Snapshot sealed every page, or a LoadSnapshot replaced them.
+// at page: a watcher armed a line of it that the pointers' holders were
+// not told about, so they must ask HostPage for the page's lines again
+// before writing it in place. RetireHostPages(0, true) retires every
+// pointer: a Snapshot sealed every page, or a LoadSnapshot replaced them.
 type HostHolder interface {
 	RetireHostPages(page uint64, all bool)
 }
@@ -269,14 +285,11 @@ type HostHolder interface {
 type PageState uint8
 
 const (
-	// PageWritable: the bus owns the page at its current generation and
-	// no watcher wants its writes. Its bytes may be read and written in
-	// place until the bus retires the pointer.
+	// PageWritable: the bus owns the page at its current generation. Its
+	// bytes may be read in place, and written in place outside its watched
+	// lines, until the bus retires the pointer; a write that touches a
+	// watched line must go through Store.
 	PageWritable PageState = iota
-	// PageWatched: owned like PageWritable, but its watch bit is set, so
-	// writes must go through Store. Reads in place stay valid until the
-	// bus retires every pointer.
-	PageWatched
 	// PageSealed: the page is shared with a snapshot or an ancestor; a
 	// write will break a private copy off it. Its bytes are valid for a
 	// read now but must not be kept.
@@ -293,8 +306,9 @@ const (
 // writes it.
 var zeroPage [pageSize]byte
 
-// HostPage returns the host bytes of the 4KiB page containing pa and what
-// the caller may do with them (see PageState).
+// HostPage returns the host bytes of the 4KiB page containing pa, what
+// the caller may do with them (see PageState) and, for a writable page,
+// its watched lines (see Lines), whose writes must go through Store.
 //
 // A pointer is only worth keeping for a page the bus owns: such a page
 // stays in the directory, and is written in place, until the next
@@ -302,23 +316,20 @@ var zeroPage [pageSize]byte
 // (HostHolder). A page the bus does not own is replaced in the directory
 // by the first write that breaks it, and an untouched one by the first
 // write that materializes it, so neither is handed out to keep.
-func (b *Bus) HostPage(pa uint64) (*[pageSize]byte, PageState) {
+func (b *Bus) HostPage(pa uint64) (p *[pageSize]byte, st PageState, lines uint32) {
 	r := b.find(pa&^pageMask, pageSize)
 	if r == nil || r.Dev != nil {
-		return nil, PageMMIO
+		return nil, PageMMIO, 0
 	}
 	off := pa&^pageMask - r.Base
 	pg := r.page(off)
 	if pg == nil {
-		return &zeroPage, PageUntouched
+		return &zeroPage, PageUntouched, 0
 	}
 	if pg.owner != b.id || pg.gen != b.gen {
-		return &pg.data, PageSealed
+		return &pg.data, PageSealed, 0
 	}
-	if p := off >> pageShift; r.watch[p/64]&(1<<(p%64)) != 0 {
-		return &pg.data, PageWatched
-	}
-	return &pg.data, PageWritable
+	return &pg.data, PageWritable, r.watch[off>>pageShift]
 }
 
 // AddHostHolder registers h to be told when host pointers retire.
@@ -366,23 +377,34 @@ type Bus struct {
 	failDev int
 }
 
-// AddPageWatcher registers w for watched-page write notifications.
+// AddPageWatcher registers w for watched-line write notifications.
 func (b *Bus) AddPageWatcher(w PageWatcher) { b.watchers = append(b.watchers, w) }
 
-// WatchPage arms write notification for the 4KiB page containing pa. It
-// returns false when pa is not RAM-backed (MMIO contents cannot be watched
-// and must not be cached by callers). Arming a clear bit retires every
-// host write pointer into the page: from now on its writes must reach
-// noteWrite.
-func (b *Bus) WatchPage(pa uint64) bool {
-	r := b.find(pa&^4095, 1)
+// Watch arms write notification for the lines (see Lines) that
+// [pa, pa+size) touches (size >= 1), on every page it spans. It returns
+// false when the range is not RAM-backed (MMIO contents cannot be watched
+// and must not be cached by callers). Arming a line a page lacked retires
+// every host write pointer into that page: from now on writes to the line
+// must reach noteWrite, and the pointers' holders only know the lines
+// armed when they took them. Only a page the bus owns can have such
+// pointers (HostPage hands out no other to keep, and a Snapshot retires
+// them all), so arming lines of any other page retires nothing.
+func (b *Bus) Watch(pa uint64, size int) bool {
+	r := b.find(pa, size)
 	if r == nil || r.Dev != nil {
 		return false
 	}
-	p := (pa - r.Base) >> 12
-	if word, bit := &r.watch[p/64], uint64(1)<<(p%64); *word&bit == 0 {
-		*word |= bit
-		b.retireHost(pa&^4095, false)
+	off, end := pa-r.Base, pa-r.Base+uint64(size)
+	for p := off >> pageShift; p<<pageShift < end; p++ {
+		base := p << pageShift
+		lo, hi := max(off, base)-base, min(end, base+pageSize)-base
+		want := Lines(lo, int(hi-lo))
+		if have := r.watch[p]; have|want != have {
+			r.watch[p] = have | want
+			if pg := r.page(base); pg != nil && pg.owner == b.id && pg.gen == b.gen {
+				b.retireHost(r.Base+base, false)
+			}
+		}
 	}
 	return true
 }
@@ -393,26 +415,29 @@ func (b *Bus) IsRAM(addr uint64, size int) bool {
 	return r != nil && r.Dev == nil
 }
 
-// noteWrite notifies the watchers of every watched page the write
-// [off, off+size) touches, passing the written range within that page. A
-// page's bit stays set while some watcher keeps state cached from it.
+// noteWrite notifies the watchers of every page whose watched lines the
+// write [off, off+size) touches, passing the written range within that
+// page. A page's lines stay armed while some watcher keeps state cached
+// from it.
 func (b *Bus) noteWrite(r *Region, off uint64, size int) {
+	if len(r.watch) == 0 {
+		return
+	}
 	end := off + uint64(size)
 	for p := off >> pageShift; p<<pageShift < end; p++ {
-		word, bit := &r.watch[p/64], uint64(1)<<(p%64)
-		if *word&bit == 0 {
+		base := p << pageShift
+		lo, hi := max(off, base)-base, min(end, base+pageSize)-base
+		if r.watch[p]&Lines(lo, int(hi-lo)) == 0 {
 			continue
 		}
-		base := p << pageShift
-		lo, hi := int(max(off, base)-base), int(min(end, base+pageSize)-base)
 		keep := false
 		for _, w := range b.watchers {
-			if w.InvalidatePhysPage(r.Base+base, lo, hi) {
+			if w.InvalidatePhysPage(r.Base+base, int(lo), int(hi)) {
 				keep = true
 			}
 		}
 		if !keep {
-			*word &^= bit
+			delete(r.watch, p)
 		}
 	}
 }
@@ -440,7 +465,7 @@ func (b *Bus) AddRAM(base, size uint64) error {
 	return b.add(&Region{
 		Base: base, Size: size,
 		dir:   make([]*ramChunk, (size+(1<<chunkShift)-1)>>chunkShift),
-		watch: make([]uint64, (size>>12)/64+1),
+		watch: make(map[uint64]uint32),
 	})
 }
 

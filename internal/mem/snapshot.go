@@ -61,9 +61,10 @@ func (b *Bus) Snapshot() *RAMSnapshot {
 // LoadSnapshot replaces the contents of the bus's RAM regions with s. The
 // bus's RAM layout must match the snapshot's exactly. The installed pages
 // stay shared with every other holder of the snapshot — they carry foreign
-// tags, so this bus copy-on-writes them like a forked child. Watch bits
-// and host-side caches are NOT touched, but for the host pointers, which
-// retire; callers that kept other caches across the load must flush them. Must be called between machine steps.
+// tags, so this bus copy-on-writes them like a forked child. Watched
+// lines and host-side caches are NOT touched, but for the host pointers,
+// which retire; callers that kept other caches across the load must flush
+// them. Must be called between machine steps.
 func (b *Bus) LoadSnapshot(s *RAMSnapshot) error {
 	i := 0
 	for _, r := range b.regions {

@@ -59,6 +59,9 @@ type Entry struct {
 	PA   uint64
 	Host *[4096]byte // the page's host bytes, when HostR is set
 	Ctx  uint32
+	// Lines are the page's watched lines (mem.Lines) when it got HostW: a
+	// store that touches one must go through the bus.
+	Lines uint32
 }
 
 // Entry flags. The per-access-type flags are indexed by mem.AccessType
@@ -75,13 +78,10 @@ const (
 	PermR
 	PermW
 	PermX
-	// HostR/HostW: Host may be read, or written, in place.
+	// HostR/HostW: Host may be read in place, or written in place
+	// outside Lines.
 	HostR
 	HostW
-	// Watched: the page's watch bit was set when the entry got its host
-	// bytes, so its stores go through the bus without asking again until
-	// the bytes retire.
-	Watched
 	// Verdict: the page verdict was computed, whether or not one decision
 	// covers the page.
 	Verdict
@@ -209,16 +209,17 @@ func (t *TLB) Insert(vpn uint64, ctx uint32, page, flags uint64) *Entry {
 }
 
 // SetHost gives e its page's host bytes with the access flags (HostR,
-// HostW, Watched).
-func (t *TLB) SetHost(e *Entry, p *[4096]byte, flags uint64) {
+// HostW) and the page's watched lines.
+func (t *TLB) SetHost(e *Entry, p *[4096]byte, flags uint64, lines uint32) {
 	e.Host = p
 	e.PA |= flags
+	e.Lines = lines
 	t.hosts = true
 }
 
 // RetireHost drops host bytes the bus no longer vouches for
 // (mem.HostHolder): with all, every entry's; otherwise the write access
-// into physical page page.
+// into physical page page, whose watched lines grew.
 func (t *TLB) RetireHost(page uint64, all bool) {
 	if !t.hosts {
 		return
@@ -229,10 +230,10 @@ func (t *TLB) RetireHost(page uint64, all bool) {
 			switch {
 			case e.Host == nil:
 			case all:
-				e.PA &^= HostR | HostW | Watched
+				e.PA &^= HostR | HostW
 				e.Host = nil
 			case e.Page() == page:
-				e.PA = e.PA&^HostW | Watched
+				e.PA &^= HostW
 			}
 		}
 	}

@@ -80,24 +80,27 @@ func TestTLBTwoWays(t *testing.T) {
 	}
 }
 
-// TestTLBRetireHost checks that a watch retires the write access of one
-// page's entries and a snapshot every entry's host bytes, translations
+// TestTLBRetireHost checks that a line watch retires the write access of
+// one page's entries and a snapshot every entry's host bytes, translations
 // and verdicts kept.
 func TestTLBRetireHost(t *testing.T) {
 	var tl TLB
 	var p, q [4096]byte
 	ctx := tl.Ctx(&Key{View: 1, Mode: uint64(rv.ModeM)})
 	e1 := tl.Insert(1, ctx, 0x1000, TransR|TransW|PermR|PermW|Verdict)
-	tl.SetHost(e1, &p, HostR|HostW)
+	tl.SetHost(e1, &p, HostR|HostW, 1<<3)
 	e2 := tl.Insert(2, ctx, 0x2000, TransR|TransW|PermR|PermW|Verdict)
-	tl.SetHost(e2, &q, HostR|HostW)
+	tl.SetHost(e2, &q, HostR|HostW, 0)
+	if e1.Lines != 1<<3 || e2.Lines != 0 {
+		t.Fatalf("lines %#x %#x", e1.Lines, e2.Lines)
+	}
 	tl.RetireHost(0x1000, false)
-	if e1.PA&(HostR|HostW|Watched) != HostR|Watched || e2.PA&(HostW|Watched) != HostW {
+	if e1.PA&(HostR|HostW) != HostR || e1.Host != &p || e2.PA&HostW != HostW {
 		t.Fatalf("watch retire: %#x %#x", e1.PA, e2.PA)
 	}
 	tl.RetireHost(0, true)
 	for _, e := range []*Entry{e1, e2} {
-		if e.PA&(HostR|HostW|Watched) != 0 || e.Host != nil || e.PA&(TransW|PermW|Verdict) != TransW|PermW|Verdict {
+		if e.PA&(HostR|HostW) != 0 || e.Host != nil || e.PA&(TransW|PermW|Verdict) != TransW|PermW|Verdict {
 			t.Fatalf("retire all: %#x %p", e.PA, e.Host)
 		}
 	}

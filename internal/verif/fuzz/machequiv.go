@@ -33,7 +33,11 @@ import (
 // self-modify code under translated blocks, and a shared-page slice aims
 // it at or before the program's end, so stores write data beside live
 // code on its page (and sometimes the code itself); others reach the PMP
-// config CSRs, so PMP-view guard misses occur organically. The generated
+// config CSRs, so PMP-view guard misses occur organically. A late-code
+// slice writes a stub onto a line of the code page that holds no code,
+// calls it, rewrites it and calls it again, so code appears where a host
+// store was just allowed to write in place, and in looping cases a block
+// translated from the stub is patched under it. The generated
 // programs already carry sfence.vma, fence.i, wfi, and world switches
 // (asm.genPriv), all of which must end or invalidate blocks correctly.
 //
@@ -75,6 +79,11 @@ var remapRegs = []int{14, 15}
 // churnRegs hold a churn case's pmpaddr0 values. No generated instruction
 // but a random word writes them.
 var churnRegs = []int{19, 20, 21}
+
+// lateRegs hold a late-code case's stub address, the stub's first word,
+// the two encodings of its second and the link register its calls set
+// (machCase.LateCode); like churnRegs, only a random word writes them.
+var lateRegs = []int{22, 23, 24, 25, 26}
 
 // churnGenCSRs is the CSR surface of a churn case (machCase.Churn): the
 // PMP CSRs again, weighted toward entry 0, which sits unlocked ahead of
@@ -135,15 +144,23 @@ type machCase struct {
 	Remap     bool
 	RemapPTE  [2]uint64
 	LeafAlias uint64
-	K1        uint64 // steps before the fork; K2 = machStepBudget - K1
-	Tier      int    // the forked machine's tier, an index into tierNames
-	Prog      []uint32
-	Init      []hartInit // per hart
+	// LateCode: slots 0..4 write a two-word stub at LateStub, on a line
+	// of the code page that no slot of the program lies in, call it,
+	// rewrite its second word and call it again. The first encoding
+	// returns to the slot after the call, the second skips that slot, so
+	// a hart that runs a stale decode or block of the stub retires a
+	// different instruction stream.
+	LateCode bool
+	LateStub uint64
+	K1       uint64 // steps before the fork; K2 = machStepBudget - K1
+	Tier     int    // the forked machine's tier, an index into tierNames
+	Prog     []uint32
+	Init     []hartInit // per hart
 }
 
 func (tc *machCase) String() string {
-	return fmt.Sprintf("case{%s, harts=%d, fork=%s@%d, timer=%v, smc=%v, shared-page=%v, loop=%v, churn=%v, sv39=%v}",
-		tc.Profile, tc.Harts, tierNames[tc.Tier], tc.K1, tc.Timer, tc.SMC, tc.SharedPage, tc.Loop, tc.Churn, tc.Sv39)
+	return fmt.Sprintf("case{%s, harts=%d, fork=%s@%d, timer=%v, smc=%v, shared-page=%v, loop=%v, churn=%v, sv39=%v, late-code=%v}",
+		tc.Profile, tc.Harts, tierNames[tc.Tier], tc.K1, tc.Timer, tc.SMC, tc.SharedPage, tc.Loop, tc.Churn, tc.Sv39, tc.LateCode)
 }
 
 // sbLoopBack is "jal x0, slot 0" encoded for the program's last slot.
@@ -173,14 +190,16 @@ type MachineStats struct {
 	// COWBreaks counts the pages the forked parent and the child copied
 	// off the fork image during their K2 legs.
 	COWBreaks uint64
-	// Churn and Sv39 count the cases of each environment. VerdictChanges
-	// counts the interpreter steps after which a churn case's entry 0
-	// decoded differently on some hart: PMP writes that changed a
-	// verdict. TLBHits counts translated TLB hits, HostHits accesses the
-	// host tier answered.
-	Churn, Sv39       int
-	VerdictChanges    int
-	TLBHits, HostHits uint64
+	// Churn, Sv39 and LateCode count the cases of each environment.
+	// VerdictChanges counts the interpreter steps after which a churn
+	// case's entry 0 decoded differently on some hart: PMP writes that
+	// changed a verdict. TLBHits counts translated TLB hits, HostHits
+	// accesses the host tier answered, HostWatchedHits host stores into a
+	// page with watched lines.
+	Churn, Sv39, LateCode int
+	VerdictChanges        int
+	TLBHits, HostHits     uint64
+	HostWatchedHits       uint64
 	// Mismatches describes each divergence and its case.
 	Mismatches []string
 }
@@ -285,6 +304,9 @@ func (rig *machRig) genCase(rng *rand.Rand, t int) *machCase {
 	if tc.Sv39 {
 		rig.genSv39(rng, tc, &bases, !prelude)
 	}
+	if !prelude && !tc.Remap && rng.Intn(3) == 0 {
+		genLateCode(rng, tc)
+	}
 	last := rig.genCfg.BaseRegs[len(rig.genCfg.BaseRegs)-1]
 	switch rng.Intn(6) {
 	case 0, 1:
@@ -328,6 +350,13 @@ func (rig *machRig) genCase(rng *rand.Rand, t int) *machCase {
 			for j, r := range remapRegs {
 				in.Regs[r] = tc.RemapPTE[j]
 			}
+		}
+		if tc.LateCode {
+			link := uint64(lateRegs[4]) << 15
+			in.Regs[lateRegs[0]] = tc.LateStub
+			in.Regs[lateRegs[1]] = uint64(rv.InstrNop)
+			in.Regs[lateRegs[2]] = link | uint64(rv.OpJalr)         // jalr x0, 0(link)
+			in.Regs[lateRegs[3]] = 4<<20 | link | uint64(rv.OpJalr) // jalr x0, 4(link)
 		}
 		in.Mtvec = slot() | uint64(rng.Intn(2))
 		in.Stvec = slot() | uint64(rng.Intn(2))
@@ -395,6 +424,25 @@ func (rig *machRig) genChurn(rng *rand.Rand, tc *machCase, bases *[32]uint64) (p
 		access(i + 1)
 	}
 	return false
+}
+
+// genLateCode plants a late-code case's five slots (machCase.LateCode) and
+// draws its stub's place: a doubleword of the program's first page past
+// the lines the program occupies. The first stores there meet a page
+// whose code lines are watched and whose stub line is not, so a host
+// entry may write them in place; the call then arms the stub's line,
+// after which the rewrite must reach the bus watch.
+func genLateCode(rng *rand.Rand, tc *machCase) {
+	tc.LateCode = true
+	first := (4*Slots + 127) &^ 127 // the first line past the program
+	tc.LateStub = ProgBase + uint64(first+8*rng.Intn((4096-first)/8))
+	stub, link := uint32(lateRegs[0]), uint32(lateRegs[4])
+	sw := func(r, off uint32) uint32 { return r<<20 | stub<<15 | 2<<12 | off<<7 | rv.OpStore } // sw r, off(stub)
+	call := stub<<15 | link<<7 | rv.OpJalr                                                     // jalr link, 0(stub)
+	copy(tc.Prog, []uint32{
+		sw(uint32(lateRegs[1]), 0), sw(uint32(lateRegs[2]), 4), call,
+		sw(uint32(lateRegs[3]), 4), call,
+	})
 }
 
 // genSv39 draws an Sv39 case's leaves and points the second base register
@@ -603,6 +651,9 @@ func RunMachineEquiv(profiles []string, seed int64, cases int) (*MachineStats, e
 		if tc.Sv39 {
 			st.Sv39++
 		}
+		if tc.LateCode {
+			st.LateCode++
+		}
 		for _, h := range rig.interp.Harts {
 			st.Steps += int(h.Instret)
 		}
@@ -626,6 +677,7 @@ func RunMachineEquiv(profiles []string, seed int64, cases int) (*MachineStats, e
 				st.CodePageDataWrites += p.CodePageDataWrites
 				st.TLBHits += p.TLBHits
 				st.HostHits += p.HostHits
+				st.HostWatchedHits += p.HostWatchedHits
 			}
 		}
 	}

@@ -21,7 +21,8 @@ const (
 	hartN.cycles hartN.decode.hits hartN.decode.misses
 	hartN.host.fills hartN.host.hits hartN.host.skip_mmio
 	hartN.host.skip_pmp_partial hartN.host.skip_sealed
-	hartN.host.skip_untouched hartN.host.skip_watched hartN.instret
+	hartN.host.skip_untouched hartN.host.skip_watched
+	hartN.host.watched_hits hartN.instret
 	hartN.pagewalks hartN.pmp.checks hartN.pmp.fast_hits hartN.pmp.views
 	hartN.sb.aborts hartN.sb.chains hartN.sb.guard_misses hartN.sb.hits
 	hartN.sb.retired hartN.sb.rounds hartN.sb.translations
@@ -44,7 +45,7 @@ const (
 	sim.cycles sim.decode.hit_pct sim.decode.hits sim.decode.misses
 	sim.host.fills sim.host.hits sim.host.skip_mmio
 	sim.host.skip_pmp_partial sim.host.skip_sealed
-	sim.host.skip_untouched sim.host.skip_watched
+	sim.host.skip_untouched sim.host.skip_watched sim.host.watched_hits
 	sim.instret sim.pagewalks
 	sim.sb.aborts sim.sb.chains sim.sb.guard_misses sim.sb.hits
 	sim.sb.retired sim.sb.retired_pct sim.sb.rounds sim.sb.translations

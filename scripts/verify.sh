@@ -85,12 +85,15 @@ echo "== machine equivalence (fast path, superblocks, forks vs. the interpreter)
 # must match the interpreter bit for bit (registers, CSRs, memory, mtime,
 # cycle counters). Cases sweep both profiles, 1, 2 and 4 harts (multi-hart
 # cases run block rounds), the fork's tier, timer interrupts,
-# self-modifying code, PMP reprogramming (with verdict-changing churn of
-# an unlocked entry), Sv39 paging, and looping programs. The gate also
-# fails when no case chained one block into another, when the multi-hart
-# cases never ran a round, or when no access hit a translated TLB entry
-# (NO PAGING), no PMP write changed a verdict (NO VERDICT CHURN) or no
-# access was answered by a host TLB entry (NO HOST HITS).
+# self-modifying code (late code included: a stub written beside live
+# code, run, rewritten and run again), PMP reprogramming (with
+# verdict-changing churn of an unlocked entry), Sv39 paging, and looping
+# programs. The gate also fails when no case chained one block into
+# another, when the multi-hart cases never ran a round, or when no access
+# hit a translated TLB entry (NO PAGING), no PMP write changed a verdict
+# (NO VERDICT CHURN), no access was answered by a host TLB entry (NO HOST
+# HITS) or no host store landed in a page with watched lines (NO WATCHED
+# HOST STORES).
 run_gate equiv go run ./cmd/fuzzdiff -equiv 400
 
 echo "== repo benchmark tests (every workload, every fast tier vs. the interpreter oracle)"
