@@ -6,10 +6,8 @@ import (
 	"strings"
 
 	"govfm/internal/core"
-	"govfm/internal/firmware"
 	"govfm/internal/hart"
 	"govfm/internal/kernel"
-	"govfm/internal/obs"
 	"govfm/internal/policy/keystone"
 	"govfm/internal/trace"
 )
@@ -222,47 +220,25 @@ func Fig14(newCfg func() *hart.Config) (*Fig14Result, error) {
 // runRV8 measures one RV8 kernel's cycles, either as a plain process
 // workload or inside an enclave, under Miralis + the Keystone policy.
 func runRV8(newCfg func() *hart.Config, w *WorkloadSpec, enclave bool) (uint64, error) {
-	cfg := newCfg()
-	cfg.Harts = 1
-	m, err := hart.NewMachine(cfg, core.DramSize)
-	if err != nil {
-		return 0, err
-	}
-	fw := firmware.BuildGosbi(core.FirmwareBase, firmware.Options{
-		OSEntry: core.OSBase, Harts: 1, FirmwareSize: core.FirmwareSize,
-	})
-	if err := m.LoadImage(core.FirmwareBase, fw.Bytes); err != nil {
-		return 0, err
-	}
-	pol := keystone.New()
-	mon, err := core.Attach(m, core.Options{
-		Policy: pol, Offload: true, FirmwareEntry: core.FirmwareBase,
-	})
-	if err != nil {
-		return 0, err
-	}
+	var kern []byte
+	var extra []image
 	if enclave {
-		host := kernel.BuildRV8Host(core.OSBase, kernel.EnclaveBase, kernel.EnclaveSize, 200)
+		kern = kernel.BuildRV8Host(core.OSBase, kernel.EnclaveBase, kernel.EnclaveSize, 200)
 		payload := kernel.BuildRV8Enclave(kernel.EnclaveBase, w.Iterations, w.ComputeN, w.MemN)
-		if err := m.LoadImage(core.OSBase, host); err != nil {
-			return 0, err
-		}
-		if err := m.LoadImage(kernel.EnclaveBase, payload); err != nil {
-			return 0, err
-		}
+		extra = []image{{kernel.EnclaveBase, payload}}
 	} else {
 		// The same compute as a plain process: a workload kernel with a
 		// matching periodic timer tick.
 		spec := *w
 		spec.TimerSetEvery = 13 // comparable preemption pressure
-		if err := m.LoadImage(core.OSBase, spec.BuildKernel(core.OSBase)); err != nil {
-			return 0, err
-		}
+		kern = spec.BuildKernel(core.OSBase)
 	}
-	mon.Boot()
-	m.Run(2_000_000_000)
-	if ok, reason := m.Halted(); !ok || reason != "guest-exit-pass" {
-		return 0, fmt.Errorf("rv8 %s (enclave=%v) failed: %v %q", w.Name, enclave, ok, reason)
+	m, _, err := bootGosbi(newCfg, kern, &core.Options{Policy: keystone.New(), Offload: true}, extra...)
+	if err != nil {
+		return 0, err
+	}
+	if err := runToPass(m, 2_000_000_000); err != nil {
+		return 0, fmt.Errorf("rv8 %s (enclave=%v): %w", w.Name, enclave, err)
 	}
 	return m.Harts[0].Cycles, nil
 }
@@ -315,62 +291,30 @@ func (f *Fig3Result) Format() string {
 // distribution, then again under Miralis with offload to measure the
 // residual world-switch rate.
 func Fig3(newCfg func() *hart.Config, windowTicks uint64) (*Fig3Result, error) {
-	cfg := newCfg()
-	cfg.Harts = 1
-	m, err := hart.NewMachine(cfg, core.DramSize)
+	m, _, err := bootGosbi(newCfg, BootWorkload(1), nil)
 	if err != nil {
 		return nil, err
 	}
-	fw := firmware.BuildGosbi(core.FirmwareBase, firmware.Options{
-		OSEntry: core.OSBase, Harts: 1, FirmwareSize: core.FirmwareSize,
-	})
-	if err := m.LoadImage(core.FirmwareBase, fw.Bytes); err != nil {
-		return nil, err
-	}
-	if err := m.LoadImage(core.OSBase, BootWorkload(1)); err != nil {
-		return nil, err
-	}
-	// Ride the observability event stream rather than the hart trap hook:
-	// a storeless tracer delivers every trap instant to the collector
-	// without paying for ring storage.
-	col := trace.NewCollector(windowTicks, m.Clint.Time)
-	evs := obs.NewTracer(0)
-	m.Harts[0].Trace = evs
-	col.AttachTracer(evs)
-	m.Reset(core.FirmwareBase)
-	m.Run(2_000_000_000)
-	if ok, reason := m.Halted(); !ok || reason != "guest-exit-pass" {
-		return nil, fmt.Errorf("boot trace failed: %v %q", ok, reason)
+	col := collectTraps(m, windowTicks)
+	if err := runToPass(m, 2_000_000_000); err != nil {
+		return nil, fmt.Errorf("boot trace: %w", err)
 	}
 	res := &Fig3Result{Collector: col, TopShare: col.TopShare(), BootTraps: col.TrapsToM}
-	if simTime := float64(m.Harts[0].Cycles) / (float64(cfg.FreqMHz) * 1e6); simTime > 0 {
+	if simTime := float64(m.Harts[0].Cycles) / (float64(m.Cfg.FreqMHz) * 1e6); simTime > 0 {
 		res.NativeTrapRate = float64(col.TrapsToM) / simTime
 	}
 
 	// Offloaded boot for the world-switch rate.
-	r := &Runner{NewConfig: newCfg}
-	cfg2 := newCfg()
-	cfg2.Harts = 1
-	m2, err := hart.NewMachine(cfg2, core.DramSize)
+	m2, mon, err := bootGosbi(newCfg, BootWorkload(1), monitorOptions(Miralis))
 	if err != nil {
 		return nil, err
 	}
-	_ = m2.LoadImage(core.FirmwareBase, fw.Bytes)
-	_ = m2.LoadImage(core.OSBase, BootWorkload(1))
-	mon, err := core.Attach(m2, core.Options{Offload: true, FirmwareEntry: core.FirmwareBase})
-	if err != nil {
-		return nil, err
+	if err := runToPass(m2, 2_000_000_000); err != nil {
+		return nil, fmt.Errorf("offloaded boot: %w", err)
 	}
-	mon.Boot()
-	m2.Run(2_000_000_000)
-	if ok, reason := m2.Halted(); !ok || reason != "guest-exit-pass" {
-		return nil, fmt.Errorf("offloaded boot failed: %v %q", ok, reason)
-	}
-	simTime := float64(m2.Harts[0].Cycles) / (float64(cfg2.FreqMHz) * 1e6)
-	if simTime > 0 {
+	if simTime := float64(m2.Harts[0].Cycles) / (float64(m2.Cfg.FreqMHz) * 1e6); simTime > 0 {
 		res.WorldSwitchRate = float64(mon.TotalStats().WorldSwitches) / simTime
 	}
-	_ = r
 	return res, nil
 }
 
@@ -523,31 +467,12 @@ func OffloadAblation(newCfg func() *hart.Config) (*OffloadAblationResult, error)
 // runMasked boots the workload under the monitor with a specific offload
 // mask and returns the cycle count.
 func runMasked(newCfg func() *hart.Config, w *WorkloadSpec, offload bool, mask core.OffloadOp) (uint64, error) {
-	cfg := newCfg()
-	cfg.Harts = 1
-	m, err := hart.NewMachine(cfg, core.DramSize)
+	m, _, err := bootGosbi(newCfg, w.BuildKernel(core.OSBase), &core.Options{Offload: offload, OffloadMask: mask})
 	if err != nil {
 		return 0, err
 	}
-	fw := firmware.BuildGosbi(core.FirmwareBase, firmware.Options{
-		OSEntry: core.OSBase, Harts: 1, FirmwareSize: core.FirmwareSize,
-	})
-	if err := m.LoadImage(core.FirmwareBase, fw.Bytes); err != nil {
-		return 0, err
-	}
-	if err := m.LoadImage(core.OSBase, w.BuildKernel(core.OSBase)); err != nil {
-		return 0, err
-	}
-	mon, err := core.Attach(m, core.Options{
-		Offload: offload, OffloadMask: mask, FirmwareEntry: core.FirmwareBase,
-	})
-	if err != nil {
-		return 0, err
-	}
-	mon.Boot()
-	m.Run(2_000_000_000)
-	if ok, reason := m.Halted(); !ok || reason != "guest-exit-pass" {
-		return 0, fmt.Errorf("ablation run (%v/%#x) failed: %v %q", offload, mask, ok, reason)
+	if err := runToPass(m, 2_000_000_000); err != nil {
+		return 0, fmt.Errorf("ablation run (%v/%#x): %w", offload, mask, err)
 	}
 	return m.Harts[0].Cycles, nil
 }

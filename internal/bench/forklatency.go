@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"govfm/internal/core"
-	"govfm/internal/firmware"
 	"govfm/internal/hart"
 )
 
@@ -55,28 +54,7 @@ func forkCampaignWorkload() *WorkloadSpec {
 // firmware plus the compute workload kernel, offload on (the paper's
 // default configuration), one hart.
 func forkBenchSystem(mk func() *hart.Config) (*hart.Machine, *core.Monitor, error) {
-	cfg := mk()
-	cfg.Harts = 1
-	m, err := hart.NewMachine(cfg, core.DramSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	fw := firmware.BuildGosbi(core.FirmwareBase, firmware.Options{
-		OSEntry: core.OSBase, Harts: 1, FirmwareSize: core.FirmwareSize,
-	})
-	if err := m.LoadImage(core.FirmwareBase, fw.Bytes); err != nil {
-		return nil, nil, err
-	}
-	kern := forkCampaignWorkload().BuildKernel(core.OSBase)
-	if err := m.LoadImage(core.OSBase, kern); err != nil {
-		return nil, nil, err
-	}
-	mon, err := core.Attach(m, core.Options{Offload: true, FirmwareEntry: core.FirmwareBase})
-	if err != nil {
-		return nil, nil, err
-	}
-	mon.Boot()
-	return m, mon, nil
+	return bootGosbi(mk, forkCampaignWorkload().BuildKernel(core.OSBase), monitorOptions(Miralis))
 }
 
 // forkBootSteps probes how many steps the scenario takes to halt.
@@ -155,9 +133,8 @@ func ForkLatency(mk func() *hart.Config, cases int) (*ForkLatencyResult, error) 
 			return nil, err
 		}
 		spawnNs += time.Since(t0).Nanoseconds()
-		child.Run(caseSteps)
-		if ok, reason := child.Halted(); !ok || reason != "guest-exit-pass" {
-			return nil, fmt.Errorf("fork case %d: halted=%v reason=%q", i, ok, reason)
+		if err := runToPass(child, caseSteps); err != nil {
+			return nil, fmt.Errorf("fork case %d: %w", i, err)
 		}
 	}
 	forkNs := time.Since(forkStart).Nanoseconds()
@@ -169,9 +146,8 @@ func ForkLatency(mk func() *hart.Config, cases int) (*ForkLatencyResult, error) 
 			return nil, err
 		}
 		m.Run(warmup)
-		m.Run(caseSteps)
-		if ok, reason := m.Halted(); !ok || reason != "guest-exit-pass" {
-			return nil, fmt.Errorf("cold case %d: halted=%v reason=%q", i, ok, reason)
+		if err := runToPass(m, caseSteps); err != nil {
+			return nil, fmt.Errorf("cold case %d: %w", i, err)
 		}
 	}
 	coldNs := time.Since(coldStart).Nanoseconds()

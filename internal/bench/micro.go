@@ -5,7 +5,6 @@ import (
 
 	"govfm/internal/asm"
 	"govfm/internal/core"
-	"govfm/internal/firmware"
 	"govfm/internal/hart"
 	"govfm/internal/rv"
 )
@@ -156,9 +155,8 @@ func runFirmwareImage(cfg *hart.Config, img []byte, virtualize bool) (uint64, er
 	if err != nil {
 		return 0, err
 	}
-	m.Run(500_000_000)
-	if ok, reason := m.Halted(); !ok || reason != "guest-exit-pass" {
-		return 0, fmt.Errorf("micro firmware run failed: %v %q", ok, reason)
+	if err := runToPass(m, 500_000_000); err != nil {
+		return 0, fmt.Errorf("micro firmware run: %w", err)
 	}
 	return m.Harts[0].Cycles, nil
 }
@@ -166,33 +164,8 @@ func runFirmwareImage(cfg *hart.Config, img []byte, virtualize bool) (uint64, er
 // setupKernelImage builds a machine with gosbi + a kernel image loaded in
 // the given mode, ready to run.
 func setupKernelImage(newCfg func() *hart.Config, kern []byte, mode Mode) (*hart.Machine, error) {
-	cfg := newCfg()
-	cfg.Harts = 1
-	m, err := hart.NewMachine(cfg, core.DramSize)
-	if err != nil {
-		return nil, err
-	}
-	fw := firmware.BuildGosbi(core.FirmwareBase, firmware.Options{
-		OSEntry: core.OSBase, Harts: 1, FirmwareSize: core.FirmwareSize,
-	})
-	if err := m.LoadImage(core.FirmwareBase, fw.Bytes); err != nil {
-		return nil, err
-	}
-	if err := m.LoadImage(core.OSBase, kern); err != nil {
-		return nil, err
-	}
-	if mode != Native {
-		mon, err := core.Attach(m, core.Options{
-			Offload: mode == Miralis, FirmwareEntry: core.FirmwareBase,
-		})
-		if err != nil {
-			return nil, err
-		}
-		mon.Boot()
-	} else {
-		m.Reset(core.FirmwareBase)
-	}
-	return m, nil
+	m, _, err := bootGosbi(newCfg, kern, monitorOptions(mode))
+	return m, err
 }
 
 // runKernelImage boots gosbi + a kernel image in the given mode and
@@ -202,9 +175,8 @@ func runKernelImage(newCfg func() *hart.Config, kern []byte, mode Mode) (uint64,
 	if err != nil {
 		return 0, err
 	}
-	m.Run(2_000_000_000)
-	if ok, reason := m.Halted(); !ok || reason != "guest-exit-pass" {
-		return 0, fmt.Errorf("micro kernel run failed: %v %q", ok, reason)
+	if err := runToPass(m, 2_000_000_000); err != nil {
+		return 0, fmt.Errorf("micro kernel run: %w", err)
 	}
 	return m.Harts[0].Cycles, nil
 }

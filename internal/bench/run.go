@@ -9,6 +9,7 @@ import (
 	"govfm/internal/firmware"
 	"govfm/internal/hart"
 	"govfm/internal/kernel"
+	"govfm/internal/obs"
 	"govfm/internal/policy/sandbox"
 	"govfm/internal/trace"
 )
@@ -74,58 +75,99 @@ type Runner struct {
 	MaxSteps uint64
 }
 
-// Run executes the workload in the given mode and returns its metrics.
-func (r *Runner) Run(w *WorkloadSpec, mode Mode) (*Metrics, error) {
-	cfg := r.NewConfig()
+// image is a binary to load into RAM at addr.
+type image struct {
+	addr  uint64
+	bytes []byte
+}
+
+// bootGosbi builds a one-hart machine from newCfg with gosbi at
+// core.FirmwareBase, kern at core.OSBase and the extra images at their
+// addresses, and boots it: under a monitor attached with opts, or
+// natively, with a nil monitor, when opts is nil.
+func bootGosbi(newCfg func() *hart.Config, kern []byte, opts *core.Options, extra ...image) (*hart.Machine, *core.Monitor, error) {
+	cfg := newCfg()
 	cfg.Harts = 1
 	m, err := hart.NewMachine(cfg, core.DramSize)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fw := firmware.BuildGosbi(core.FirmwareBase, firmware.Options{
 		OSEntry: core.OSBase, Harts: 1, FirmwareSize: core.FirmwareSize,
 	})
-	if err := m.LoadImage(core.FirmwareBase, fw.Bytes); err != nil {
-		return nil, err
+	for _, img := range append([]image{{core.FirmwareBase, fw.Bytes}, {core.OSBase, kern}}, extra...) {
+		if err := m.LoadImage(img.addr, img.bytes); err != nil {
+			return nil, nil, err
+		}
 	}
-	if err := m.LoadImage(core.OSBase, w.BuildKernel(core.OSBase)); err != nil {
-		return nil, err
-	}
-
-	col := trace.NewCollector(0, m.Clint.Time)
-	col.Attach(m.Harts[0])
-
-	var mon *core.Monitor
-	if mode != Native {
-		opts := core.Options{
-			Offload:       mode == Miralis,
-			FirmwareEntry: core.FirmwareBase,
-		}
-		if r.Sandbox {
-			opts.Policy = sandbox.New(sandbox.Options{})
-		}
-		mon, err = core.Attach(m, opts)
-		if err != nil {
-			return nil, err
-		}
-		mon.Boot()
-	} else {
+	if opts == nil {
 		m.Reset(core.FirmwareBase)
+		return m, nil, nil
 	}
+	o := *opts
+	o.FirmwareEntry = core.FirmwareBase
+	mon, err := core.Attach(m, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	mon.Boot()
+	return m, mon, nil
+}
+
+// monitorOptions returns the monitor options of mode, or nil for Native.
+func monitorOptions(mode Mode) *core.Options {
+	if mode == Native {
+		return nil
+	}
+	return &core.Options{Offload: mode == Miralis}
+}
+
+// runToPass runs m for up to steps steps and fails unless the guest
+// exited with guest-exit-pass.
+func runToPass(m *hart.Machine, steps uint64) error {
+	m.Run(steps)
+	if ok, reason := m.Halted(); !ok || reason != "guest-exit-pass" {
+		return fmt.Errorf("run did not complete cleanly: %v %q (pc=%#x)", ok, reason, m.Harts[0].PC)
+	}
+	return nil
+}
+
+// collectTraps classifies hart 0's traps into a Fig. 3 collector with the
+// given window length. It rides the observability event stream: a
+// storeless tracer delivers every trap instant to the collector without
+// paying for ring storage.
+func collectTraps(m *hart.Machine, windowTicks uint64) *trace.Collector {
+	col := trace.NewCollector(windowTicks, m.Clint.Time)
+	evs := obs.NewTracer(0)
+	m.Harts[0].Trace = evs
+	col.AttachTracer(evs)
+	return col
+}
+
+// Run executes the workload in the given mode and returns its metrics.
+func (r *Runner) Run(w *WorkloadSpec, mode Mode) (*Metrics, error) {
+	opts := monitorOptions(mode)
+	if opts != nil && r.Sandbox {
+		opts.Policy = sandbox.New(sandbox.Options{})
+	}
+	m, mon, err := bootGosbi(r.NewConfig, w.BuildKernel(core.OSBase), opts)
+	if err != nil {
+		return nil, err
+	}
+	col := collectTraps(m, 0)
 
 	maxSteps := r.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = 2_000_000_000
 	}
 	hostStart := time.Now()
-	m.Run(maxSteps)
+	err = runToPass(m, maxSteps)
 	hostNs := time.Since(hostStart).Nanoseconds()
-	if ok, reason := m.Halted(); !ok || reason != "guest-exit-pass" {
-		return nil, fmt.Errorf("bench %s/%s: run did not complete cleanly: %v %q (pc=%#x)",
-			w.Name, mode, ok, reason, m.Harts[0].PC)
+	if err != nil {
+		return nil, fmt.Errorf("bench %s/%s: %w", w.Name, mode, err)
 	}
 
-	h := m.Harts[0]
+	h, cfg := m.Harts[0], m.Cfg
 	met := &Metrics{
 		Workload:    w.Name,
 		Platform:    cfg.Name,

@@ -248,7 +248,8 @@ func TestFastPathPMPReconfigUnderMPRV(t *testing.T) {
 		a.Csrrs(asm.X0, rv.CSRMstatus, asm.T1) // MPRV := 1
 		a.Ld(asm.A0, asm.T0, 0)                // allowed by entry 0
 		// Revoke: entry 0 keeps matching but loses R|W, so the next load
-		// must fault — the flattened PMP cache has to rebuild mid-run.
+		// must fault — the page verdict the TLB cached must not outlive
+		// the write.
 		a.Li(asm.T1, 0x1F<<56|0x18)
 		a.Csrw(rv.CSRPmpcfg0, asm.T1)
 		a.Ld(asm.A1, asm.T0, 0) // traps: load access fault

@@ -173,7 +173,6 @@ func (h *Hart) exc(cause, tval uint64) *Exc {
 // them in both directions so stale state can never be consulted later.
 func (h *Hart) SetFastPath(on bool) {
 	h.fast.on = on
-	h.CSR.PMP.SetFast(on)
 	h.flushDecode()
 	h.flushTLB()
 }

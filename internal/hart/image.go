@@ -35,10 +35,11 @@ func (d *DMAEngine) Restore(s DMASnapshot) {
 // from one image and run concurrently with the origin.
 //
 // Host-side state deliberately travels outside the image: predecode/TLB
-// caches, PMP fast segments, watched lines, Perf counters, and the
-// Monitor/Watchdog/Trace hooks all belong to a machine, not an image. A
-// spawned machine starts with cold caches that re-arm on first use, which
-// the machine-equivalence fuzz gate proves is invisible in simulated time.
+// caches with the TLB's PMP page verdicts, watched lines, Perf counters,
+// and the Monitor/Watchdog/Trace hooks all belong to a machine, not an
+// image. A spawned machine starts with cold caches that re-arm on first
+// use, which the machine-equivalence fuzz gate proves is invisible in
+// simulated time.
 // The one host object an image shares is each hart's PMP view intern
 // table (pmp.Views): a spawned machine interns into its origin's, so a
 // view ID names the same contents on both.
@@ -108,7 +109,7 @@ func (m *Machine) LoadImageState(img *Image) error {
 		return err
 	}
 	for i, h := range m.Harts {
-		h.Restore(img.Harts[i]) // flushes predecode/TLB, reapplies PMP fast mode
+		h.Restore(img.Harts[i]) // flushes predecode and TLB
 	}
 	m.Clint.Restore(img.Clint)
 	m.Plic.Restore(img.Plic)

@@ -138,10 +138,11 @@ func (m *Machine) halt(reason string) {
 func (m *Machine) Halted() (bool, string) { return m.halted, m.haltReason }
 
 // SetFastPath toggles every host-side acceleration cache in the machine:
-// the harts' predecode/TLB/flattened-PMP caches and the PLIC's pending
-// memoization. Off reproduces the pre-acceleration simulator exactly; the
-// architectural results are identical either way (enforced by the lockstep
-// fuzzer's interpreter twin and the machine-equivalence gate).
+// the harts' predecode caches and TLBs (with their cached PMP page
+// verdicts) and the PLIC's pending memoization. Off reproduces the
+// pre-acceleration simulator exactly; the architectural results are
+// identical either way (enforced by the lockstep fuzzer's interpreter
+// twin and the machine-equivalence gate).
 func (m *Machine) SetFastPath(on bool) {
 	for _, h := range m.Harts {
 		h.SetFastPath(on)
@@ -197,9 +198,9 @@ func (m *Machine) Reset(pc uint64) {
 		// reset still names the same contents after it.
 		h.CSR.PMP.SetViews(views)
 		h.sb.armed = false
-		// The fresh CSR file brings a fresh PMP: reapply the fast-path mode
-		// and drop every host cache.
-		h.SetFastPath(h.fast.on)
+		// The fresh CSR file brings a fresh PMP: drop every host cache.
+		h.flushDecode()
+		h.flushTLB()
 	}
 	m.halted = false
 	m.haltReason = ""

@@ -80,11 +80,9 @@ func (h *Hart) Restore(s *Snapshot) {
 	h.setRes(s.ResValid, s.ResAddr)
 	h.CSR = s.CSR.clone()
 	h.CSR.cfg = cfg
-	// The restored PMP clone carries the snapshot-time fast flag, and the
-	// intern table of the hart that took the snapshot (a machine spawned
-	// from an image shares its origin's). Reapply the mode and drop every
-	// host cache.
-	h.CSR.PMP.SetFast(h.fast.on)
+	// The restored PMP clone carries the intern table of the hart that
+	// took the snapshot (a machine spawned from an image shares its
+	// origin's). Drop every host cache.
 	h.flushDecode()
 	h.flushTLB()
 }

@@ -7,7 +7,6 @@ import (
 
 	"govfm"
 	"govfm/internal/core"
-	"govfm/internal/hart"
 	"govfm/internal/obs"
 	"govfm/internal/policy/ace"
 	"govfm/internal/policy/sandbox"
@@ -45,14 +44,6 @@ type CampaignConfig struct {
 	// the ACE FSM's structural invariants hold, and the monitor-state
 	// fingerprint never changes.
 	TEE bool
-
-	// Fork makes every combo boot once: the post-warmup machine is
-	// snapshotted (copy-on-write, with the monitor and policy forked
-	// alongside), and every rebuild spawns from that image instead of
-	// re-booting and re-warming a fresh system. Behaviorally equivalent —
-	// the machine-equivalence gate checks forks — but rebuilds cost
-	// microseconds instead of a full simulated boot.
-	Fork bool
 }
 
 func (c *CampaignConfig) defaults() {
@@ -242,69 +233,6 @@ func buildCombo(cfg CampaignConfig, plat, fw, pol string) (*comboSystem, error) 
 	return cs, nil
 }
 
-// comboSource produces fresh systems for one campaign cell. In Fork mode
-// the first build cold-boots and captures a post-warmup image plus a
-// never-run fork template (machine + monitor clone) whose state matches
-// the image; every later build spawns from that pair in O(pages touched)
-// instead of re-simulating the boot.
-type comboSource struct {
-	cfg           CampaignConfig
-	plat, fw, pol string
-
-	img            *hart.Image
-	template       *govfm.System
-	osHash, vmHash uint64
-}
-
-func (s *comboSource) build() (*comboSystem, error) {
-	if !s.cfg.Fork {
-		return buildCombo(s.cfg, s.plat, s.fw, s.pol)
-	}
-	if s.img == nil {
-		cs, err := buildCombo(s.cfg, s.plat, s.fw, s.pol)
-		if err != nil {
-			return nil, err
-		}
-		img, err := cs.sys.Machine.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("post-warmup snapshot: %w", err)
-		}
-		tm, err := hart.SpawnFromImage(img)
-		if err != nil {
-			return nil, err
-		}
-		tmpl := &govfm.System{Machine: tm, Platform: cs.sys.Platform}
-		if cs.sys.Monitor != nil {
-			tmpl.Monitor, err = cs.sys.Monitor.Fork(tm)
-			if err != nil {
-				return nil, fmt.Errorf("monitor fork: %w", err)
-			}
-		}
-		s.img, s.template = img, tmpl
-		s.osHash, s.vmHash = cs.osHash, cs.vmHash
-		return cs, nil
-	}
-	child, err := hart.SpawnFromImage(s.img)
-	if err != nil {
-		return nil, err
-	}
-	cs := &comboSystem{
-		sys:    &govfm.System{Machine: child, Platform: s.template.Platform},
-		osHash: s.osHash,
-		vmHash: s.vmHash,
-	}
-	if s.template.Monitor != nil {
-		cs.sys.Monitor, err = s.template.Monitor.Fork(child)
-		if err != nil {
-			return nil, fmt.Errorf("monitor fork: %w", err)
-		}
-		if sb, ok := cs.sys.Monitor.Policy.(*sandbox.Policy); ok {
-			cs.sandbox = sb
-		}
-	}
-	return cs, nil
-}
-
 func osTextHash(sys *govfm.System) uint64 {
 	img, err := sys.Machine.Bus.ReadBytes(core.OSBase, hashWindow)
 	if err != nil {
@@ -342,8 +270,7 @@ func runCombo(cfg CampaignConfig, plat, fw, pol string, seed int64) (res *ComboR
 		}
 	}()
 
-	src := &comboSource{cfg: cfg, plat: plat, fw: fw, pol: pol}
-	cs, err := src.build()
+	cs, err := buildCombo(cfg, plat, fw, pol)
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +346,7 @@ func runCombo(cfg CampaignConfig, plat, fw, pol string, seed int64) (res *ComboR
 		finishCombo()
 		res.Rebuilds++
 		degradedRounds = 0
-		ncs, err := src.build()
+		ncs, err := buildCombo(cfg, plat, fw, pol)
 		if err != nil {
 			return err
 		}

@@ -47,7 +47,8 @@ var pmpModes = []struct {
 
 // checkPMPAgainstModel installs fuzz-chosen entries into both
 // implementations and compares every (probe, width, access, privilege)
-// verdict.
+// verdict, from Check and, for a probe within one page, from that page's
+// PageVerdict wherever it reports one decision.
 func checkPMPAgainstModel(t *testing.T, data []byte) {
 	t.Helper()
 	if len(data) < pmpInputLen {
@@ -86,6 +87,14 @@ func checkPMPAgainstModel(t *testing.T, data []byte) {
 					if got != want {
 						t.Fatalf("pmp.Check(%#x, %d, %v, %v) = %v, model says %v\ncfg=%v addr=%x",
 							pa, w, acc.m, mode.m, got, want, s.PmpCfg[:fuzzEntries], s.PmpAddr[:fuzzEntries])
+					}
+					page := pa &^ 4095
+					if (pa+uint64(w)-1)&^4095 != page {
+						continue // the access crosses a page boundary or wraps
+					}
+					if perm, ok := f.PageVerdict(page, mode.m); ok && (perm&(pmp.CfgR<<acc.m) != 0) != want {
+						t.Fatalf("pmp.PageVerdict(%#x, %v) = %03b, but the model says %v to %v of %d at %#x\ncfg=%v addr=%x",
+							page, mode.m, perm, want, acc.m, w, pa, s.PmpCfg[:fuzzEntries], s.PmpAddr[:fuzzEntries])
 					}
 				}
 			}

@@ -80,28 +80,12 @@ type File struct {
 	view  uint64
 	views *Views
 
-	// Flattened-range cache: the address space partitioned into segments
-	// on which the "lowest-numbered matching entry" function is constant.
-	// segBase[k] is the first address of segment k (segment k ends where
-	// segment k+1 begins, the last one at the top of the address space);
-	// segOwner[k] is the lowest-numbered entry covering that segment, or
-	// -1 when none does. An access's verdict is decided by the minimum
-	// owner over the segments it spans (see checkFast), replacing the
-	// linear TOR/NAPOT scan with a binary search. All state lives in
-	// fixed arrays so File copies (snapshot clone) stay self-contained.
-	fast     bool
-	segDirty bool
-	nSeg     int
-	lastSeg  int // hint: segment that resolved the previous check
-	segBase  [2*MaxEntries + 2]uint64
-	segOwner [2*MaxEntries + 2]int8
-
-	// Perf counts access checks. Plain counters: Check runs on every
-	// simulated access, single-goroutine per file, and metrics snapshots
-	// read them between steps. Never consulted by the check itself.
+	// Perf counts access checks. Plain counters: a file is checked from
+	// one goroutine, and metrics snapshots read them between steps. Never
+	// consulted by the check itself.
 	Perf struct {
 		Checks   uint64 // total Check calls
-		FastHits uint64 // resolved by the flattened-range lookup
+		FastHits uint64 // always 0; benchmark/ still reads it
 	}
 }
 
@@ -110,7 +94,7 @@ func NewFile(n int) *File {
 	if n < 0 || n > MaxEntries {
 		panic(fmt.Sprintf("pmp: invalid entry count %d", n))
 	}
-	return &File{n: n, regDirty: true, segDirty: true, views: new(Views)}
+	return &File{n: n, regDirty: true, views: new(Views)}
 }
 
 // Views interns PMP contents — the cfg bytes and pmpaddr values of the
@@ -172,11 +156,10 @@ func (v *Views) intern(key []byte) uint64 {
 	return id
 }
 
-// markDirty records a register mutation: both decode caches go stale and
-// the view is unsettled until the next View.
+// markDirty records a register mutation: the decoded regions go stale
+// and the view is unsettled until the next View.
 func (f *File) markDirty() {
 	f.regDirty = true
-	f.segDirty = true
 	f.view = 0
 }
 
@@ -222,15 +205,6 @@ func (f *File) settle() {
 	f.view = f.Views().intern(key[:9*n])
 }
 
-// SetFast selects the flattened-range lookup (true) or the architectural
-// linear scan (false) for Check. Both produce identical verdicts — the
-// differential fuzz gates run them against each other — so this only
-// trades host time.
-func (f *File) SetFast(on bool) { f.fast = on }
-
-// FastEnabled reports whether the flattened-range lookup is in use.
-func (f *File) FastEnabled() bool { return f.fast }
-
 // NumEntries returns the number of implemented entries.
 func (f *File) NumEntries() int { return f.n }
 
@@ -273,7 +247,7 @@ func (f *File) ForceCfg(i int, v byte) {
 }
 
 // setCfg stores a legalized cfg byte. A write that changes nothing leaves
-// the decode caches and the view in place: the monitor rewrites every
+// the decoded regions and the view in place: the monitor rewrites every
 // entry on every world switch.
 func (f *File) setCfg(i int, v byte) {
 	if v = LegalizeCfg(v); f.cfg[i] != v {
@@ -388,31 +362,57 @@ func (f *File) refreshRegions() {
 	f.regDirty = false
 }
 
-// matchEntry classifies an access of size bytes at addr against entry i.
-func (f *File) matchEntry(i int, addr uint64, size int) MatchResult {
-	if f.regDirty {
-		f.refreshRegions()
-	}
-	lo, last, ok := f.regLo[i], f.regLast[i], f.regOK[i]
+// matchEntry classifies the access [addr, last] against entry i's
+// decoded region; last < addr when the access wraps the address space.
+func (f *File) matchEntry(i int, addr, last uint64) MatchResult {
+	lo, hi, ok := f.regLo[i], f.regLast[i], f.regOK[i]
 	if !ok {
 		return NoMatch
 	}
-	aLast := addr + uint64(size) - 1
-	if aLast < addr {
+	if last < addr {
 		// The access itself wraps the address space: nothing sane matches
 		// fully, so any overlap is a faulting partial match.
-		if addr > last {
+		if addr > hi {
 			return NoMatch
 		}
 		return PartialMatch
 	}
-	if aLast < lo || addr > last {
+	if last < lo || addr > hi {
 		return NoMatch
 	}
-	if addr >= lo && aLast <= last {
+	if addr >= lo && last <= hi {
 		return FullMatch
 	}
 	return PartialMatch
+}
+
+// decide is the architectural priority scan behind Check and PageVerdict
+// (see Check for the rules). It returns the permissions (CfgR|CfgW|CfgX)
+// that an access of size bytes at addr is granted in mode, and ok=false
+// when the lowest-numbered entry matching any of its bytes matches only
+// some of them.
+func (f *File) decide(addr uint64, size int, mode rv.Mode) (perm byte, ok bool) {
+	const rwx = CfgR | CfgW | CfgX
+	if f.regDirty {
+		f.refreshRegions()
+	}
+	last := addr + uint64(size) - 1
+	for i := 0; i < f.n; i++ {
+		switch f.matchEntry(i, addr, last) {
+		case NoMatch:
+			continue
+		case PartialMatch:
+			return 0, false
+		}
+		if cfg := f.cfg[i]; mode != rv.ModeM || cfg&CfgL != 0 {
+			return cfg & rwx, true
+		}
+		return rwx, true
+	}
+	if mode == rv.ModeM || f.n == 0 {
+		return rwx, true
+	}
+	return 0, true
 }
 
 // Check performs the architectural PMP check for an access of size bytes at
@@ -429,173 +429,8 @@ func (f *File) matchEntry(i int, addr uint64, size int) MatchResult {
 //     entry is implemented.
 func (f *File) Check(addr uint64, size int, acc mem.AccessType, mode rv.Mode) bool {
 	f.Perf.Checks++
-	if f.fast {
-		if allowed, ok := f.checkFast(addr, size, acc, mode); ok {
-			f.Perf.FastHits++
-			return allowed
-		}
-	}
-	return f.checkScan(addr, size, acc, mode)
-}
-
-// checkScan is the architectural priority scan over all entries; it is the
-// reference Check implementation and the fallback for the rare access
-// shapes checkFast declines (wrap-around).
-func (f *File) checkScan(addr uint64, size int, acc mem.AccessType, mode rv.Mode) bool {
-	for i := 0; i < f.n; i++ {
-		switch f.matchEntry(i, addr, size) {
-		case NoMatch:
-			continue
-		case PartialMatch:
-			return false
-		case FullMatch:
-			cfg := f.cfg[i]
-			if mode == rv.ModeM && cfg&CfgL == 0 {
-				return true
-			}
-			switch acc {
-			case mem.Read:
-				return cfg&CfgR != 0
-			case mem.Write:
-				return cfg&CfgW != 0
-			case mem.Exec:
-				return cfg&CfgX != 0
-			}
-			return false
-		}
-	}
-	if mode == rv.ModeM {
-		return true
-	}
-	return f.n == 0
-}
-
-// rebuildSegs flattens the decoded regions into the sorted segment table.
-// Boundary points are each region's first address and the address just past
-// its last (omitted when the region reaches the top of the address space),
-// plus 0; the owner of each resulting segment is the lowest-numbered entry
-// covering it. With n ≤ 64 entries the point set is tiny, so a simple
-// insertion sort avoids any allocation.
-func (f *File) rebuildSegs() {
-	if f.regDirty {
-		f.refreshRegions()
-	}
-	var pts [2*MaxEntries + 2]uint64
-	np := 1 // pts[0] = 0
-	for i := 0; i < f.n; i++ {
-		if !f.regOK[i] {
-			continue
-		}
-		pts[np] = f.regLo[i]
-		np++
-		if f.regLast[i] != ^uint64(0) {
-			pts[np] = f.regLast[i] + 1
-			np++
-		}
-	}
-	for i := 1; i < np; i++ {
-		v := pts[i]
-		j := i - 1
-		for j >= 0 && pts[j] > v {
-			pts[j+1] = pts[j]
-			j--
-		}
-		pts[j+1] = v
-	}
-	f.nSeg = 0
-	for k := 0; k < np; k++ {
-		if k > 0 && pts[k] == pts[k-1] {
-			continue
-		}
-		s := pts[k]
-		owner := int8(-1)
-		for i := 0; i < f.n; i++ {
-			if f.regOK[i] && f.regLo[i] <= s && s <= f.regLast[i] {
-				owner = int8(i)
-				break
-			}
-		}
-		f.segBase[f.nSeg] = s
-		f.segOwner[f.nSeg] = owner
-		f.nSeg++
-	}
-	f.lastSeg = 0
-	f.segDirty = false
-}
-
-// owner returns the lowest-numbered entry matching any byte of
-// [addr, last], or -1, from the flattened segment table.
-func (f *File) owner(addr, last uint64) int {
-	if f.segDirty {
-		f.rebuildSegs()
-	}
-	// Find the segment containing addr: greatest k with segBase[k] <= addr
-	// (segment 0 starts at 0, so k is well-defined). Consecutive checks
-	// overwhelmingly land in the segment that answered the last one — the
-	// straight-line fetch stream, a superblock's data accesses — so a
-	// one-entry hint short-circuits the binary search.
-	lo := f.lastSeg
-	if lo >= f.nSeg || f.segBase[lo] > addr ||
-		(lo+1 < f.nSeg && f.segBase[lo+1] <= addr) {
-		hi := f.nSeg - 1
-		lo = 0
-		for lo < hi {
-			mid := (lo + hi + 1) / 2
-			if f.segBase[mid] <= addr {
-				lo = mid
-			} else {
-				hi = mid - 1
-			}
-		}
-		f.lastSeg = lo
-	}
-	m := -1
-	for k := lo; k < f.nSeg && f.segBase[k] <= last; k++ {
-		if o := int(f.segOwner[k]); o >= 0 && (m < 0 || o < m) {
-			m = o
-		}
-	}
-	return m
-}
-
-// checkFast resolves the access via the flattened segment table. It returns
-// ok=false when it cannot decide (the access wraps the address space), in
-// which case the caller falls back to the architectural scan.
-//
-// The matching entry, per the spec, is the lowest-numbered entry covering
-// any byte of the access. Since each segment's owner is the lowest-numbered
-// entry covering that segment, that matching entry is exactly the minimum
-// owner over the segments the access spans (min over bytes of min over
-// entries = min over the per-segment minima). Partial match is then a
-// simple containment test of the access against that entry's region.
-func (f *File) checkFast(addr uint64, size int, acc mem.AccessType, mode rv.Mode) (allowed, ok bool) {
-	aLast := addr + uint64(size) - 1
-	if aLast < addr {
-		return false, false // wrap-around: let the scan handle it
-	}
-	m := f.owner(addr, aLast)
-	if m < 0 {
-		if mode == rv.ModeM {
-			return true, true
-		}
-		return f.n == 0, true
-	}
-	if addr < f.regLo[m] || aLast > f.regLast[m] {
-		return false, true // partial match always faults
-	}
-	cfg := f.cfg[m]
-	if mode == rv.ModeM && cfg&CfgL == 0 {
-		return true, true
-	}
-	switch acc {
-	case mem.Read:
-		return cfg&CfgR != 0, true
-	case mem.Write:
-		return cfg&CfgW != 0, true
-	case mem.Exec:
-		return cfg&CfgX != 0, true
-	}
-	return false, true
+	perm, ok := f.decide(addr, size, mode)
+	return ok && perm&(CfgR<<acc) != 0
 }
 
 // PageVerdict returns the permissions (CfgR|CfgW|CfgX) that every access
@@ -607,20 +442,7 @@ func (f *File) checkFast(addr uint64, size int, acc mem.AccessType, mode rv.Mode
 // region smaller than the page) reports ok=false, and its accesses need
 // the per-access Check.
 func (f *File) PageVerdict(base uint64, mode rv.Mode) (perm byte, ok bool) {
-	const rwx = CfgR | CfgW | CfgX
-	last := base + 4095
-	m := f.owner(base, last)
-	switch {
-	case m < 0 && (mode == rv.ModeM || f.n == 0):
-		return rwx, true
-	case m < 0:
-		return 0, true
-	case base < f.regLo[m] || last > f.regLast[m]:
-		return 0, false
-	case mode == rv.ModeM && f.cfg[m]&CfgL == 0:
-		return rwx, true
-	}
-	return f.cfg[m] & rwx, true
+	return f.decide(base, 4096, mode)
 }
 
 // NAPOTAddr encodes the pmpaddr value covering the naturally aligned

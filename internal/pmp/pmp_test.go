@@ -443,11 +443,10 @@ func TestViewsConcurrentClones(t *testing.T) {
 }
 
 // TestCloneForkThenProbe is the fork-then-probe regression: Clone must
-// carry lock bits, the view, and a coherent fast-path segment hint, and
-// the clone's verdicts must be independent of later parent mutations.
+// carry lock bits, the view, and coherent decoded regions, and the
+// clone's verdicts must be independent of later parent mutations.
 func TestCloneForkThenProbe(t *testing.T) {
 	f := NewFile(8)
-	f.SetFast(true)
 	// Entry 0: the monitor-style locked deny-all region.
 	f.SetAddr(0, NAPOTAddr(0x8000_0000, 0x10_0000))
 	f.SetCfg(0, CfgL|ANapot<<3)
@@ -458,7 +457,7 @@ func TestCloneForkThenProbe(t *testing.T) {
 	f.SetAddr(7, rv.Mask(54))
 	f.SetCfg(7, CfgR|CfgW|CfgX|ANapot<<3)
 
-	// Warm the fast path so lastSeg points at a high segment.
+	// Warm the decoded regions, so the clone copies them.
 	if !f.Check(0x9000_0800, 8, mem.Read, rv.ModeS) {
 		t.Fatal("warmup check failed")
 	}
@@ -476,8 +475,7 @@ func TestCloneForkThenProbe(t *testing.T) {
 	f.SetAddr(1, NAPOTAddr(0xA000_0000, 0x1000))
 	f.SetCfg(7, ANapot<<3)
 
-	// The clone's verdicts must be the parent's pre-fork verdicts — probe
-	// low addresses first so a stale shared lastSeg hint would be exposed.
+	// The clone's verdicts must be the parent's pre-fork verdicts.
 	if c.Check(0x8000_0100, 8, mem.Read, rv.ModeM) {
 		t.Error("clone must keep denying M-mode access to the locked region")
 	}
@@ -490,15 +488,18 @@ func TestCloneForkThenProbe(t *testing.T) {
 	if c.View() != view {
 		t.Errorf("probing mutated the clone view: %d", c.View())
 	}
-	// And every clone verdict must agree with a scan-only file built from
-	// the same architectural state (fast-path hint coherence).
-	slow := c.Clone()
-	slow.SetFast(false)
+	// And every clone verdict must agree with a file that decodes its
+	// regions afresh from the clone's registers (cache coherence).
+	fresh := NewFile(c.NumEntries())
+	for i := 0; i < c.NumEntries(); i++ {
+		fresh.ForceAddr(i, c.Addr(i))
+		fresh.ForceCfg(i, c.Cfg(i))
+	}
 	for _, a := range []uint64{0x8000_0000, 0x8000_8000, 0x9000_0000, 0x9000_0FF8, 0x1000, 0xA000_0000} {
 		for _, acc := range []mem.AccessType{mem.Read, mem.Write, mem.Exec} {
 			for _, mode := range []rv.Mode{rv.ModeU, rv.ModeS, rv.ModeM} {
-				if got, want := c.Check(a, 8, acc, mode), slow.Check(a, 8, acc, mode); got != want {
-					t.Fatalf("fast/slow divergence at %#x %v %v: fast=%v scan=%v", a, acc, mode, got, want)
+				if got, want := c.Check(a, 8, acc, mode), fresh.Check(a, 8, acc, mode); got != want {
+					t.Fatalf("clone/fresh divergence at %#x %v %v: clone=%v fresh=%v", a, acc, mode, got, want)
 				}
 			}
 		}
@@ -516,7 +517,6 @@ func TestCloneForkThenProbe(t *testing.T) {
 func TestPageVerdict(t *testing.T) {
 	const page = 0x8000_4000
 	f := NewFile(8)
-	f.SetFast(true)
 	f.SetAddr(7, ^uint64(0))
 	f.SetCfg(7, CfgR|ANapot<<3) // the rest of memory: read-only
 	for _, tc := range []struct {

@@ -33,63 +33,72 @@ func randomFile(rng *rand.Rand, n int) *File {
 	return f
 }
 
-// TestCheckFastMatchesScan is the differential oracle for the flattened
-// segment lookup: on random register files and random accesses, the fast
-// path must agree with the architectural scan byte for byte.
-func TestCheckFastMatchesScan(t *testing.T) {
+// TestPageVerdictMatchesCheck is the differential oracle for the page
+// verdict: on random register files, wherever PageVerdict reports one
+// decision for a page, Check must reach it for every aligned 1-, 2-, 4-
+// and 8-byte access in that page, in every mode and for every access
+// type.
+func TestPageVerdictMatchesCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	accs := []mem.AccessType{mem.Read, mem.Write, mem.Exec}
 	modes := []rv.Mode{rv.ModeM, rv.ModeS, rv.ModeU}
-	sizes := []int{1, 2, 4, 8}
-	for trial := 0; trial < 400; trial++ {
+	trials := 120
+	if testing.Short() {
+		trials = 30
+	}
+	var uniform, cut int
+	for trial := 0; trial < trials; trial++ {
 		f := randomFile(rng, []int{0, 1, 4, 16, 64}[rng.Intn(5)])
-		f.SetFast(true)
-		for q := 0; q < 200; q++ {
-			var addr uint64
-			switch rng.Intn(4) {
-			case 0:
-				addr = rng.Uint64()
-			case 1:
-				addr = rng.Uint64() >> (rng.Intn(40) + 8) << 2
-			case 2:
-				// Land near a region boundary to stress partial matches.
-				i := rng.Intn(f.n + 1)
-				if i < f.n {
-					if lo, last, ok := f.Region(i); ok {
-						if rng.Intn(2) == 0 {
-							addr = lo - uint64(rng.Intn(8))
-						} else {
-							addr = last - uint64(rng.Intn(8))
+		var page uint64
+		switch rng.Intn(3) {
+		case 0:
+			page = rng.Uint64()
+		case 1:
+			page = 0x80000000 + uint64(rng.Intn(64))<<12
+		case 2:
+			// A page holding a region boundary, where verdicts split.
+			if i := rng.Intn(f.n + 1); i < f.n {
+				if lo, last, ok := f.Region(i); ok {
+					page = []uint64{lo, last}[rng.Intn(2)]
+				}
+			}
+		}
+		page &^= 4095
+		for _, mode := range modes {
+			perm, ok := f.PageVerdict(page, mode)
+			if !ok {
+				cut++
+				continue
+			}
+			uniform++
+			for _, size := range []int{1, 2, 4, 8} {
+				for off := uint64(0); off < 4096; off += uint64(size) {
+					for _, acc := range accs {
+						want := f.Check(page+off, size, acc, mode)
+						if got := perm&(CfgR<<acc) != 0; got != want {
+							t.Fatalf("trial %d: page %#x verdict %03b, mode %v: %v of %d at +%#x gets %v, Check %v\ncfg=%v\naddr=%v",
+								trial, page, perm, mode, acc, size, off, got, want, f.cfg[:f.n], f.addr[:f.n])
 						}
 					}
 				}
-			case 3:
-				addr = ^uint64(0) - uint64(rng.Intn(16)) // wrap-around shapes
-			}
-			size := sizes[rng.Intn(len(sizes))]
-			acc := accs[rng.Intn(len(accs))]
-			mode := modes[rng.Intn(len(modes))]
-			got := f.Check(addr, size, acc, mode)
-			want := f.checkScan(addr, size, acc, mode)
-			if got != want {
-				t.Fatalf("trial %d: Check(addr=%#x size=%d acc=%v mode=%v) fast=%v scan=%v\ncfg=%v\naddr=%v",
-					trial, addr, size, acc, mode, got, want, f.cfg[:f.n], f.addr[:f.n])
 			}
 		}
 	}
+	if uniform == 0 || cut == 0 {
+		t.Fatalf("generator made %d uniform and %d cut page verdicts, want both", uniform, cut)
+	}
 }
 
-// TestCheckFastAfterMutation verifies the segment table is invalidated by
-// every mutator, including the lock-ignoring Force variants and Reset.
+// TestCheckFastAfterMutation verifies the decoded regions are invalidated
+// by every mutator, including the lock-ignoring Force variants and Reset.
 func TestCheckFastAfterMutation(t *testing.T) {
 	f := NewFile(16)
-	f.SetFast(true)
 	f.ForceAddr(0, NAPOTAddr(0x80000000, 0x1000))
 	f.ForceCfg(0, CfgR|CfgW|CfgX|ANapot<<3)
 	if !f.Check(0x80000000, 8, mem.Read, rv.ModeS) {
 		t.Fatal("expected allow inside NAPOT region")
 	}
-	// Revoke read permission; the cached segments must not be consulted
+	// Revoke read permission; the decoded regions must not be consulted
 	// with stale permissions.
 	f.ForceCfg(0, CfgW|CfgR&0|ANapot<<3)
 	if f.Check(0x80000000, 8, mem.Read, rv.ModeS) {
@@ -115,12 +124,11 @@ func TestCheckFastAfterMutation(t *testing.T) {
 // world switch — keeps the settled ID and the decode caches.
 func TestViewSettling(t *testing.T) {
 	f := NewFile(4)
-	f.SetFast(true)
 	zero := f.View()
 	step := func(name string, fn func()) {
 		t.Helper()
 		id := f.View()
-		f.Check(0x100, 4, mem.Read, rv.ModeS) // build the segment table
+		f.Check(0x100, 4, mem.Read, rv.ModeS) // decode the regions
 		fn()
 		if got := f.SettledView(); got != 0 {
 			t.Fatalf("%s changed the contents but left view %d settled", name, got)
@@ -134,7 +142,7 @@ func TestViewSettling(t *testing.T) {
 		if got := f.SettledView(); got != id {
 			t.Fatalf("%s repeated with the same value: view %d, want %d", name, got, id)
 		}
-		if f.segDirty || f.regDirty {
+		if f.regDirty {
 			t.Fatalf("%s repeated with the same value dirtied the decode caches", name)
 		}
 	}
@@ -157,29 +165,21 @@ func TestViewSettling(t *testing.T) {
 	}
 }
 
-// BenchmarkCheck compares the scan and flattened lookups on a file shaped
-// like the monitor's world-switch PMP programming (a few active regions).
+// checkSink keeps BenchmarkCheck's verdicts live.
+var checkSink bool
+
+// BenchmarkCheck times the priority scan on a file shaped like the
+// monitor's world-switch PMP programming (a few active regions).
 func BenchmarkCheck(b *testing.B) {
-	build := func(fast bool) *File {
-		f := NewFile(16)
-		f.ForceAddr(0, NAPOTAddr(0x80000000, 0x40000))
-		f.ForceCfg(0, ANapot<<3) // deny firmware region to lower modes
-		f.ForceAddr(1, NAPOTAddr(0x80000000, 0x8000000))
-		f.ForceCfg(1, CfgR|CfgW|CfgX|ANapot<<3)
-		f.ForceAddr(2, ^uint64(0))
-		f.ForceCfg(2, CfgR|CfgW|ANapot<<3)
-		f.SetFast(fast)
-		return f
-	}
-	for _, cfg := range []struct {
-		name string
-		fast bool
-	}{{"scan", false}, {"fast", true}} {
-		f := build(cfg.fast)
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				f.Check(0x80100000+uint64(i%4096)*8, 8, mem.Read, rv.ModeS)
-			}
-		})
+	f := NewFile(16)
+	f.ForceAddr(0, NAPOTAddr(0x80000000, 0x40000))
+	f.ForceCfg(0, ANapot<<3) // deny firmware region to lower modes
+	f.ForceAddr(1, NAPOTAddr(0x80000000, 0x8000000))
+	f.ForceCfg(1, CfgR|CfgW|CfgX|ANapot<<3)
+	f.ForceAddr(2, ^uint64(0))
+	f.ForceCfg(2, CfgR|CfgW|ANapot<<3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		checkSink = f.Check(0x80100000+uint64(i%4096)*8, 8, mem.Read, rv.ModeS)
 	}
 }

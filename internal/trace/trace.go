@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 
-	"govfm/internal/hart"
 	"govfm/internal/obs"
 	"govfm/internal/rv"
 )
@@ -51,7 +50,8 @@ type Window struct {
 }
 
 // Collector classifies M-mode traps from the OS into Fig. 3 buckets.
-// It is attached to harts via Attach and bucketed by CLINT time.
+// It reads the trap instants of a tracer (AttachTracer) and buckets them
+// by CLINT time.
 type Collector struct {
 	WindowTicks uint64 // window length in mtime ticks
 	timeFn      func() uint64
@@ -74,26 +74,11 @@ func NewCollector(windowTicks uint64, timeFn func() uint64) *Collector {
 	}
 }
 
-// Attach hooks the collector into a hart's trap notification, classifying
-// traps from S/U into M by their cause and the trapping context.
-func (c *Collector) Attach(h *hart.Hart) {
-	prev := h.OnTrap
-	h.OnTrap = func(t hart.TrapInfo) {
-		if prev != nil {
-			prev(t)
-		}
-		if t.ToMode != rv.ModeM || t.FromMode == rv.ModeM {
-			return
-		}
-		c.record(Classify(t.Cause, t.Tval, h.Reg(17)))
-	}
-}
-
-// AttachTracer hooks the collector into an observability event stream
-// instead of hart trap hooks: it subscribes to the tracer and classifies
-// "trap:*" instants from the cause, tval, and SBI-extension args the hart
-// recorded at emission time. A storeless tracer (obs.NewTracer(0)) makes
-// this equivalent to Attach on every traced hart with zero ring cost.
+// AttachTracer hooks the collector into an observability event stream: it
+// subscribes to the tracer and classifies the "trap:*" instants of traps
+// from S/U into M from the cause, tval, and SBI-extension args the hart
+// recorded at emission time. A storeless tracer (obs.NewTracer(0)) set as
+// a hart's Trace feeds it every trap of that hart with zero ring cost.
 func (c *Collector) AttachTracer(t *obs.Tracer) {
 	t.Subscribe(func(e *obs.Event) {
 		if e.Kind != obs.KInstant || !strings.HasPrefix(e.Name, "trap:") {

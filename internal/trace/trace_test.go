@@ -4,52 +4,57 @@ import (
 	"strings"
 	"testing"
 
-	"govfm/internal/hart"
+	"govfm/internal/obs"
 	"govfm/internal/rv"
 )
 
-// fakeHart builds a hart whose traps we can synthesize.
-func fakeHart() *hart.Hart {
-	cfg := hart.VisionFive2()
-	return hart.New(0, cfg, nil)
+// traced returns a collector riding a storeless tracer, as a hart's Trace
+// would feed it.
+func traced(windowTicks uint64, timeFn func() uint64) (*Collector, *obs.Tracer) {
+	c := NewCollector(windowTicks, timeFn)
+	tr := obs.NewTracer(0)
+	c.AttachTracer(tr)
+	return c, tr
 }
 
-func fire(h *hart.Hart, cause, tval uint64, from rv.Mode) {
-	h.OnTrap(hart.TrapInfo{
-		Cause: cause, Tval: tval, FromMode: from, ToMode: rv.ModeM,
+// trap emits the instant a hart records for a trap from mode from into
+// mode to, with a7 the SBI extension register at the trap.
+func trap(tr *obs.Tracer, cause, tval, a7 uint64, from, to rv.Mode) {
+	tr.Emit(obs.Event{
+		Kind: obs.KInstant, Name: "trap:" + rv.CauseString(cause),
+		Args: [4]uint64{cause, tval, a7, uint64(from)<<8 | uint64(to)},
 	})
+}
+
+// fire emits a trap from from into M.
+func fire(tr *obs.Tracer, cause, tval, a7 uint64, from rv.Mode) {
+	trap(tr, cause, tval, a7, from, rv.ModeM)
 }
 
 func TestClassification(t *testing.T) {
 	var now uint64
-	c := NewCollector(0, func() uint64 { return now })
-	h := fakeHart()
-	c.Attach(h)
+	c, tr := traced(0, func() uint64 { return now })
 
 	// Time-CSR read: illegal instruction whose tval encodes csrr rd, time.
 	timeRead := uint64(uint32(rv.CSRTime)<<20 | rv.F3Csrrs<<12 | 10<<7 | rv.OpSystem)
-	fire(h, rv.ExcIllegalInstr, timeRead, rv.ModeS)
+	fire(tr, rv.ExcIllegalInstr, timeRead, 0, rv.ModeS)
 	// Other illegal instruction.
-	fire(h, rv.ExcIllegalInstr, 0xFFFF_FFFF, rv.ModeS)
+	fire(tr, rv.ExcIllegalInstr, 0xFFFF_FFFF, 0, rv.ModeS)
 	// Misaligned.
-	fire(h, rv.ExcLoadAddrMisaligned, 0x1001, rv.ModeS)
-	fire(h, rv.ExcStoreAddrMisaligned, 0x1001, rv.ModeS)
+	fire(tr, rv.ExcLoadAddrMisaligned, 0x1001, 0, rv.ModeS)
+	fire(tr, rv.ExcStoreAddrMisaligned, 0x1001, 0, rv.ModeS)
 	// SBI calls classified by a7.
-	h.Regs[17] = rv.SBIExtTimer
-	fire(h, rv.ExcEcallFromS, 0, rv.ModeS)
-	h.Regs[17] = rv.SBIExtIPI
-	fire(h, rv.ExcEcallFromS, 0, rv.ModeS)
-	h.Regs[17] = rv.SBIExtRfence
-	fire(h, rv.ExcEcallFromS, 0, rv.ModeS)
-	h.Regs[17] = rv.SBIExtDebug
-	fire(h, rv.ExcEcallFromS, 0, rv.ModeS)
+	fire(tr, rv.ExcEcallFromS, 0, rv.SBIExtTimer, rv.ModeS)
+	fire(tr, rv.ExcEcallFromS, 0, rv.SBIExtIPI, rv.ModeS)
+	fire(tr, rv.ExcEcallFromS, 0, rv.SBIExtRfence, rv.ModeS)
+	fire(tr, rv.ExcEcallFromS, 0, rv.SBIExtDebug, rv.ModeS)
 	// Interrupts.
-	fire(h, rv.Cause(rv.IntMSoft, true), 0, rv.ModeS)
-	fire(h, rv.Cause(rv.IntMTimer, true), 0, rv.ModeS)
-	fire(h, rv.Cause(rv.IntMExt, true), 0, rv.ModeS)
+	fire(tr, rv.Cause(rv.IntMSoft, true), 0, 0, rv.ModeS)
+	fire(tr, rv.Cause(rv.IntMTimer, true), 0, 0, rv.ModeS)
+	fire(tr, rv.Cause(rv.IntMExt, true), 0, 0, rv.ModeS)
 	// Traps already in M, or to S, are not counted.
-	fire(h, rv.ExcIllegalInstr, 0, rv.ModeM)
-	h.OnTrap(hart.TrapInfo{Cause: rv.ExcEcallFromU, FromMode: rv.ModeU, ToMode: rv.ModeS})
+	fire(tr, rv.ExcIllegalInstr, 0, 0, rv.ModeM)
+	trap(tr, rv.ExcEcallFromU, 0, 0, rv.ModeU, rv.ModeS)
 
 	want := map[string]uint64{
 		CauseReadTime:   1,
@@ -117,16 +122,14 @@ func TestClassifyHExtension(t *testing.T) {
 
 func TestWindows(t *testing.T) {
 	var now uint64
-	c := NewCollector(100, func() uint64 { return now })
-	h := fakeHart()
-	c.Attach(h)
-	fire(h, rv.ExcLoadAddrMisaligned, 0, rv.ModeS)
+	c, tr := traced(100, func() uint64 { return now })
+	fire(tr, rv.ExcLoadAddrMisaligned, 0, 0, rv.ModeS)
 	now = 50
-	fire(h, rv.ExcLoadAddrMisaligned, 0, rv.ModeS)
+	fire(tr, rv.ExcLoadAddrMisaligned, 0, 0, rv.ModeS)
 	now = 150
-	fire(h, rv.ExcStoreAddrMisaligned, 0, rv.ModeS)
+	fire(tr, rv.ExcStoreAddrMisaligned, 0, 0, rv.ModeS)
 	now = 310
-	fire(h, rv.ExcStoreAddrMisaligned, 0, rv.ModeS)
+	fire(tr, rv.ExcStoreAddrMisaligned, 0, 0, rv.ModeS)
 	if len(c.Windows) != 3 {
 		t.Fatalf("windows = %d, want 3", len(c.Windows))
 	}
@@ -141,26 +144,30 @@ func TestWindows(t *testing.T) {
 	}
 }
 
-func TestChainedOnTrap(t *testing.T) {
+// TestCollectorSharesTracer: the collector leaves the tracer's other
+// subscribers their events and counts only trap instants, not the
+// monitor's "m-trap" spans or other instants on the same stream.
+func TestCollectorSharesTracer(t *testing.T) {
 	var called int
-	h := fakeHart()
-	h.OnTrap = func(hart.TrapInfo) { called++ }
+	tr := obs.NewTracer(0)
+	tr.Subscribe(func(*obs.Event) { called++ })
 	c := NewCollector(0, func() uint64 { return 0 })
-	c.Attach(h)
-	fire(h, rv.ExcLoadAddrMisaligned, 0, rv.ModeS)
-	if called != 1 {
-		t.Error("existing OnTrap hook must still run")
+	c.AttachTracer(tr)
+	tr.Begin(0, 1, "m-trap")
+	fire(tr, rv.ExcLoadAddrMisaligned, 0, 0, rv.ModeS)
+	tr.End(0, 2)
+	tr.Instant(obs.MonitorTrack, 3, "inject:csr-flip")
+	if called != 4 {
+		t.Errorf("the existing subscriber saw %d events, want 4", called)
 	}
 	if c.TrapsToM != 1 {
-		t.Error("collector must also run")
+		t.Errorf("collector counted %d traps, want 1", c.TrapsToM)
 	}
 }
 
 func TestFormat(t *testing.T) {
-	c := NewCollector(0, func() uint64 { return 0 })
-	h := fakeHart()
-	c.Attach(h)
-	fire(h, rv.ExcLoadAddrMisaligned, 0, rv.ModeS)
+	c, tr := traced(0, func() uint64 { return 0 })
+	fire(tr, rv.ExcLoadAddrMisaligned, 0, 0, rv.ModeS)
 	out := c.Format()
 	if !strings.Contains(out, "misaligned") || !strings.Contains(out, "total") {
 		t.Errorf("format output: %q", out)

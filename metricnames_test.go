@@ -23,7 +23,7 @@ const (
 	hartN.host.skip_pmp_partial hartN.host.skip_sealed
 	hartN.host.skip_untouched hartN.host.skip_watched
 	hartN.host.watched_hits hartN.instret
-	hartN.pagewalks hartN.pmp.checks hartN.pmp.fast_hits hartN.pmp.views
+	hartN.pagewalks hartN.pmp.checks hartN.pmp.views
 	hartN.sb.aborts hartN.sb.chains hartN.sb.guard_misses hartN.sb.hits
 	hartN.sb.retired hartN.sb.rounds hartN.sb.translations
 	hartN.sinstret hartN.smc.code_invalidations hartN.smc.data_writes
