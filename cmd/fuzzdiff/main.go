@@ -18,6 +18,16 @@
 // profile, each on the interpreter, the fast path, the superblock tier and
 // a machine forked mid-run, all compared with the interpreter.
 //
+// With -chaos N the chaos campaign runs instead: N faults per platform ×
+// firmware × policy combo, under the classic fault deck and under the TEE
+// deck, checking after every fault that the guest makes progress or the
+// machine stops with a fault on record, and after every TEE-deck fault the
+// confidential-compute invariants (the Dorami wall on every hart, the ACE
+// FSM, the monitor-state fingerprint).
+//
+// The modes (-smoke, -hext, -equiv, -inject, -tee, -chaos) exclude each
+// other.
+//
 // Usage:
 //
 //	go run ./cmd/fuzzdiff -smoke                 # fixed-seed CI gate
@@ -26,6 +36,7 @@
 //	go run ./cmd/fuzzdiff -inject 50             # fault-injection mode
 //	go run ./cmd/fuzzdiff -hext 500              # hypervisor-extension lockstep gate
 //	go run ./cmd/fuzzdiff -equiv 400             # machine-equivalence gate
+//	go run ./cmd/fuzzdiff -chaos 12              # chaos campaign gate, both decks
 package main
 
 import (
@@ -33,8 +44,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
+	"govfm/internal/inject"
 	"govfm/internal/verif/fuzz"
 )
 
@@ -64,8 +77,20 @@ func run(args []string, out, errw io.Writer) int {
 		equivN  = fs.Int("equiv", 0, "machine-equivalence mode: run N cases per profile on the interpreter, the fast path, the superblock tier and a machine forked mid-run, swept across 1/2/4 harts and the fork's tier, and compare each with the interpreter")
 		hextN   = fs.Int("hext", 0, "hypervisor-extension mode: run N H-biased lockstep cases per profile on the H-capable profiles (guest V-states, hfence, VS CSRs)")
 		teeN    = fs.Int("tee", 0, "TEE lifecycle mode: run N shadow-model fuzz cases per profile over the ACE confidential-compute FSM instead of lockstep fuzzing")
+		chaosN  = fs.Int("chaos", 0, "chaos campaign mode: inject N faults into every platform x firmware x policy combo, under the classic and the TEE fault deck")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	var modes []string
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "smoke", "hext", "equiv", "inject", "tee", "chaos":
+			modes = append(modes, "-"+f.Name)
+		}
+	})
+	if len(modes) > 1 {
+		fmt.Fprintf(errw, "fuzzdiff: %s select different modes; pick one\n", strings.Join(modes, " and "))
 		return 2
 	}
 	if *budget < 1 {
@@ -82,6 +107,10 @@ func run(args []string, out, errw io.Writer) int {
 		*seed = 1
 		*budget = 135_000 // per profile: ~740 cases on each
 		profiles = profileAlias["all"]
+	}
+
+	if *chaosN > 0 {
+		return runChaos(profiles, *seed, *chaosN, out, errw)
 	}
 
 	if *teeN > 0 {
@@ -177,6 +206,36 @@ func runTEE(profiles []string, seed int64, cases int, out, errw io.Writer) int {
 	return 0
 }
 
+// runChaos drives the chaos campaign over every combo of the chosen
+// profiles, under both fault decks.
+func runChaos(profiles []string, seed int64, faults int, out, errw io.Writer) int {
+	t0 := time.Now()
+	rep, err := inject.RunCampaign(inject.CampaignConfig{
+		Seed:           seed,
+		Platforms:      profiles,
+		FaultsPerCombo: faults,
+	})
+	if err != nil {
+		fmt.Fprintf(errw, "fuzzdiff: %v\n", err)
+		return 2
+	}
+	fmt.Fprint(out, rep.Format())
+	fmt.Fprintf(out, "campaign: %d combos in %.1fs\n", len(rep.Results), time.Since(t0).Seconds())
+	code := 0
+	for _, r := range rep.Results {
+		combo := strings.Join([]string{r.Deck, r.Platform, r.Firmware, r.Policy}, "/")
+		for _, f := range r.Failures {
+			fmt.Fprintf(out, "FAILURE %s: %s\n", combo, f)
+			code = 1
+		}
+		if !r.HashIntact {
+			fmt.Fprintf(out, "FAILURE %s: sandbox integrity hash changed\n", combo)
+			code = 1
+		}
+	}
+	return code
+}
+
 // runInject drives the fault-injection mode across the chosen profiles.
 func runInject(profiles []string, seed int64, cases int, out, errw io.Writer) int {
 	failed := false
@@ -223,10 +282,10 @@ func runEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) int
 		fmt.Fprintf(errw, "fuzzdiff: %v\n", err)
 		return 2
 	}
-	fmt.Fprintf(out, "equiv: %d cases (%d multi-hart), %d interp steps, %d sb-retired, %d sb-chains, %d sb-rounds, %d code invalidations, %d code-page data writes, %d post-fork COW breaks, %d sv39 cases, %d tlb hits, %d host hits, %d watched host stores, %d late-code cases, %d pmp-churn cases, %d verdict changes, %d divergence(s) across %d profile(s) in %.1fs\n",
+	fmt.Fprintf(out, "equiv: %d cases (%d multi-hart), %d interp steps, %d sb-retired, %d sb-chains, %d sb-rounds, %d code invalidations, %d code-page data writes, %d post-fork COW breaks, %d sv39 cases, %d tlb hits, %d host hits, %d watched host stores, %d late-code cases, %d pmp-churn cases, %d verdict changes, %d model probes, %d divergence(s) across %d profile(s) in %.1fs\n",
 		st.Cases, st.MultiHart, st.Steps, st.SBRetired, st.SBChains, st.SBRounds,
 		st.CodeInvalidations, st.CodePageDataWrites, st.COWBreaks,
-		st.Sv39, st.TLBHits, st.HostHits, st.HostWatchedHits, st.LateCode, st.Churn, st.VerdictChanges,
+		st.Sv39, st.TLBHits, st.HostHits, st.HostWatchedHits, st.LateCode, st.Churn, st.VerdictChanges, st.ModelProbes,
 		len(st.Mismatches), len(profiles), time.Since(t0).Seconds())
 	for _, m := range st.Mismatches {
 		fmt.Fprintf(out, "  DIVERGENCE %s\n", m)

@@ -20,6 +20,18 @@ func TestRunExitCodes(t *testing.T) {
 			t.Errorf("-budget %s: exit %d, want 2", b, code)
 		}
 	}
+	// Two modes at once run neither: the error names both flags.
+	for _, args := range [][]string{{"-equiv", "9", "-tee", "5"}, {"-smoke", "-chaos", "1"}} {
+		errw.Reset()
+		if code := run(args, &out, &errw); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		for _, a := range args {
+			if strings.HasPrefix(a, "-") && !strings.Contains(errw.String(), a) {
+				t.Errorf("%v: message does not name %s: %q", args, a, errw.String())
+			}
+		}
+	}
 
 	out.Reset()
 	code := run([]string{"-profile", "vf2", "-seed", "3", "-budget", "2000",
@@ -51,5 +63,28 @@ func TestRunEquivMode(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "equiv: 9 cases (6 multi-hart)") {
 		t.Errorf("equiv summary missing: %s", out.String())
+	}
+}
+
+func TestRunChaosMode(t *testing.T) {
+	var out, errw bytes.Buffer
+	code := run([]string{"-profile", "vf2", "-chaos", "1"}, &out, &errw)
+	if code != 0 {
+		t.Errorf("chaos mode: exit %d, want 0\n%s%s", code, out.String(), errw.String())
+	}
+	// Eight combos on one platform (rtos x sandbox is rejected) per deck.
+	for _, deck := range []string{"classic", "tee"} {
+		rows := 0
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, deck+" ") && strings.Contains(line, "inj=1 ") {
+				rows++
+			}
+		}
+		if rows != 8 {
+			t.Errorf("%d %s rows, want 8:\n%s", rows, deck, out.String())
+		}
+		if !strings.Contains(out.String(), deck+" total: 8 injected") {
+			t.Errorf("%s total missing: %s", deck, out.String())
+		}
 	}
 }

@@ -27,7 +27,7 @@ var (
 	docPath = regexp.MustCompile(`(?:^|[^\w/-])(?:\./)?((?:cmd|internal|scripts|examples)/[\w./-]*)`)
 	// docCmd matches a mention of one of the cmd/ tools in a document;
 	// goRunCmd matches a script line that runs one.
-	docCmd   = regexp.MustCompile(`\b(rvsim|fuzzdiff|benchall|chaos)\b`)
+	docCmd   = regexp.MustCompile(`\b(rvsim|fuzzdiff|benchall)\b`)
 	goRunCmd = regexp.MustCompile(`go run \./cmd/([\w-]+)`)
 	// cliFlag matches a whole token that is a flag, with or without a value.
 	cliFlag = regexp.MustCompile(`^--?([a-zA-Z][\w-]*)(?:=.*)?$`)
@@ -121,7 +121,7 @@ func checkFlags(t *testing.T, file, text string, cmd *regexp.Regexp) {
 				rest = rest[:i]
 			}
 			if rest == "" || (rest[0] != ' ' && rest[0] != '\t') {
-				continue // cmd/rvsim/main.go, rvsim's, chaos-mode
+				continue // cmd/rvsim/main.go, rvsim's, fuzzdiff-mode
 			}
 			src := cmdSource(t, name)
 			if src == "" {

@@ -112,7 +112,7 @@ func (w *wallVerdicts) add(views *pmp.Views, id uint64) {
 // MonitorStateHash fingerprints the monitor state the Dorami wall
 // protects: the boot firmware image copy and the per-hart boot snapshots
 // containment restarts from. Nothing the hosted firmware or OS does may
-// ever change this value; the TEE chaos campaign compares it before and
+// ever change this value; the chaos campaign's TEE deck compares it before and
 // after every fault sweep. (The fault ring is deliberately excluded — it
 // legitimately grows as faults are recorded.)
 func (m *Monitor) MonitorStateHash() uint64 {

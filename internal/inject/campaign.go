@@ -7,18 +7,37 @@ import (
 
 	"govfm"
 	"govfm/internal/core"
-	"govfm/internal/obs"
 	"govfm/internal/policy/ace"
 	"govfm/internal/policy/sandbox"
 )
 
 // The chaos campaign: for every firmware × policy × platform combination,
-// boot a monitored system with containment and the watchdog enabled, let
-// it reach steady state, then repeatedly inject faults and verify the
-// recovery contract — after every fault the guest resumes forward progress
-// (retired instructions keep increasing), or the machine stops with a
-// structured MonitorFault on record. A fault that wedges the machine with
-// neither is a containment failure.
+// under each fault deck, boot a monitored system with containment and the
+// watchdog enabled, let it reach steady state, then repeatedly inject
+// faults and verify the recovery contract — after every fault the guest
+// resumes forward progress (retired instructions keep increasing), or the
+// machine stops with a structured MonitorFault on record. A fault that
+// wedges the machine with neither is a containment failure.
+
+// decks are the fault decks a campaign runs every combo under, in order.
+// The classic deck draws from every kind. The TEE deck draws only from
+// TEEDeck (forged lifecycle hypercalls, wall probes), and after every
+// fault its combos also check the confidential-compute invariants: the
+// Dorami wall holds on every hart, the ACE FSM's structural invariants
+// hold, and the monitor-state fingerprint never changes.
+var decks = []string{"classic", "tee"}
+
+// The campaign's pacing: the steps run between injections, the progress
+// window after a fault, and the firmware's watchdog cycle budget. The
+// budget lies well above the longest legitimate firmware residency
+// (gosbi's full boot is ~140k cycles), and the window comfortably exceeds
+// it in steps: a starved OS only resumes after the budget expires, and
+// the campaign has to keep running long enough to see it.
+const (
+	gapSteps       = 500
+	recoverySteps  = 1_000_000
+	watchdogBudget = 400_000
+)
 
 // CampaignConfig parameterizes a chaos campaign. Zero values select the
 // standard sweep.
@@ -28,22 +47,6 @@ type CampaignConfig struct {
 	Firmwares      []string // default: gosbi, minsbi, rtos
 	Policies       []string // default: sandbox, keystone, ace
 	FaultsPerCombo int      // default 12
-	GapSteps       uint64   // steps between injections (default 500)
-	RecoverySteps  uint64   // progress window after a fault (default 400k)
-	WatchdogBudget uint64   // firmware cycle budget (default 2M)
-
-	// Obs, when non-nil, receives an "inject:<kind>" instant for every
-	// injection on the trace. Detection metrics live in the Report (the
-	// campaign rebuilds injectors, so per-injector collectors would
-	// shadow each other); cmd/chaos surfaces them into the registry.
-	Obs *obs.Observer
-
-	// TEE restricts the injector to the TEE fault deck (forged lifecycle
-	// hypercalls, wall probes) and adds the confidential-compute
-	// invariants after every fault: the Dorami wall holds on every hart,
-	// the ACE FSM's structural invariants hold, and the monitor-state
-	// fingerprint never changes.
-	TEE bool
 }
 
 func (c *CampaignConfig) defaults() {
@@ -62,25 +65,12 @@ func (c *CampaignConfig) defaults() {
 	if c.FaultsPerCombo == 0 {
 		c.FaultsPerCombo = 12
 	}
-	if c.GapSteps == 0 {
-		c.GapSteps = 500
-	}
-	if c.RecoverySteps == 0 {
-		// Must comfortably exceed the watchdog budget in steps: a starved
-		// OS only resumes after the budget expires, and the campaign has to
-		// keep running long enough to see it.
-		c.RecoverySteps = 1_000_000
-	}
-	if c.WatchdogBudget == 0 {
-		// Well above the longest legitimate firmware residency (gosbi's
-		// full boot is ~140k cycles) and well below RecoverySteps.
-		c.WatchdogBudget = 400_000
-	}
 }
 
-// ComboResult is the outcome of one firmware × policy × platform cell.
+// ComboResult is the outcome of one firmware × policy × platform cell
+// under one deck.
 type ComboResult struct {
-	Platform, Firmware, Policy string
+	Deck, Platform, Firmware, Policy string
 
 	Injected  int // faults applied
 	Contained int // fault records with Contained=true
@@ -111,59 +101,73 @@ type ComboResult struct {
 }
 
 func (r *ComboResult) String() string {
-	return fmt.Sprintf("%-12s %-7s %-9s inj=%-3d contained=%-3d reported=%-3d wdog=%-2d restarts=%-2d degraded=%-3d rebuilds=%-2d wall=%-4d fail=%d",
-		r.Platform, r.Firmware, r.Policy, r.Injected, r.Contained, r.Reported,
+	return fmt.Sprintf("%-7s %-12s %-7s %-9s inj=%-3d contained=%-3d reported=%-3d wdog=%-2d restarts=%-2d degraded=%-3d rebuilds=%-2d wall=%-4d fail=%d",
+		r.Deck, r.Platform, r.Firmware, r.Policy, r.Injected, r.Contained, r.Reported,
 		r.WatchdogFires, r.FirmwareRestarts, r.DegradedCalls, r.Rebuilds,
 		r.WallChecks, len(r.Failures))
 }
 
-// Report aggregates a campaign.
+// Report aggregates a campaign: one result per deck × combo, deck by
+// deck.
 type Report struct {
 	Results []ComboResult
 
-	TotalInjected  int
-	TotalContained int
-	TotalReported  int
-	TotalFailures  int
-
-	// ByKind is the campaign-wide injection breakdown.
-	ByKind [NumKinds]int
+	TotalInjected int // across both decks
 }
 
-// Format renders the campaign as an aligned table.
+// Format renders the campaign as an aligned table, then each deck's
+// totals and its injections by kind.
 func (r *Report) Format() string {
 	var b strings.Builder
 	for i := range r.Results {
 		fmt.Fprintln(&b, r.Results[i].String())
 	}
-	fmt.Fprintf(&b, "total: %d injected, %d contained, %d reported, %d failure(s)\n",
-		r.TotalInjected, r.TotalContained, r.TotalReported, r.TotalFailures)
+	for _, deck := range decks {
+		var t ComboResult
+		for _, res := range r.Results {
+			if res.Deck != deck {
+				continue
+			}
+			t.Injected += res.Injected
+			t.Contained += res.Contained
+			t.Reported += res.Reported
+			t.Failures = append(t.Failures, res.Failures...)
+			for k, n := range res.ByKind {
+				t.ByKind[k] += n
+			}
+		}
+		fmt.Fprintf(&b, "%s total: %d injected, %d contained, %d reported, %d failure(s); by kind:",
+			deck, t.Injected, t.Contained, t.Reported, len(t.Failures))
+		for k, n := range t.ByKind {
+			if n > 0 {
+				fmt.Fprintf(&b, " %s=%d", Kind(k), n)
+			}
+		}
+		fmt.Fprintln(&b)
+	}
 	return b.String()
 }
 
-// RunCampaign executes the full sweep.
+// RunCampaign executes the full sweep under every deck. Each deck seeds
+// its combos alike, from the seed and the combo's place in the sweep.
 func RunCampaign(cfg CampaignConfig) (*Report, error) {
 	cfg.defaults()
 	rep := &Report{}
-	combo := int64(0)
-	for _, plat := range cfg.Platforms {
-		for _, fw := range cfg.Firmwares {
-			for _, pol := range cfg.Policies {
-				combo++
-				if fw == "rtos" && pol == "sandbox" {
-					continue // govfm.New rejects the pair: the RTOS's app runs from the range the sandbox revokes
-				}
-				res, err := runCombo(cfg, plat, fw, pol, cfg.Seed*1000+combo)
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s/%s: %w", plat, fw, pol, err)
-				}
-				rep.Results = append(rep.Results, *res)
-				rep.TotalInjected += res.Injected
-				rep.TotalContained += res.Contained
-				rep.TotalReported += res.Reported
-				rep.TotalFailures += len(res.Failures)
-				for k := 0; k < NumKinds; k++ {
-					rep.ByKind[k] += res.ByKind[k]
+	for _, deck := range decks {
+		combo := int64(0)
+		for _, plat := range cfg.Platforms {
+			for _, fw := range cfg.Firmwares {
+				for _, pol := range cfg.Policies {
+					combo++
+					if fw == "rtos" && pol == "sandbox" {
+						continue // govfm.New rejects the pair: the RTOS's app runs from the range the sandbox revokes
+					}
+					res, err := runCombo(cfg, deck, plat, fw, pol, cfg.Seed*1000+combo)
+					if err != nil {
+						return nil, fmt.Errorf("%s/%s/%s/%s: %w", deck, plat, fw, pol, err)
+					}
+					rep.Results = append(rep.Results, *res)
+					rep.TotalInjected += res.Injected
 				}
 			}
 		}
@@ -183,7 +187,7 @@ type comboSystem struct {
 // integrity invariant — the text the boot kernel executes from.
 const hashWindow = 1024
 
-func buildCombo(cfg CampaignConfig, plat, fw, pol string) (*comboSystem, error) {
+func buildCombo(plat, fw, pol string) (*comboSystem, error) {
 	cs := &comboSystem{}
 	var policy govfm.Policy
 	switch pol {
@@ -211,7 +215,7 @@ func buildCombo(cfg CampaignConfig, plat, fw, pol string) (*comboSystem, error) 
 		Virtualize:     true,
 		Policy:         policy,
 		Containment:    true,
-		WatchdogBudget: cfg.WatchdogBudget,
+		WatchdogBudget: watchdogBudget,
 	})
 	if err != nil {
 		return nil, err
@@ -258,8 +262,9 @@ func progress(cs *comboSystem, fw string) uint64 {
 // guest being alive again after a fault.
 const progressThreshold = 16
 
-func runCombo(cfg CampaignConfig, plat, fw, pol string, seed int64) (res *ComboResult, err error) {
-	res = &ComboResult{Platform: plat, Firmware: fw, Policy: pol, HashIntact: true}
+func runCombo(cfg CampaignConfig, deck, plat, fw, pol string, seed int64) (res *ComboResult, err error) {
+	res = &ComboResult{Deck: deck, Platform: plat, Firmware: fw, Policy: pol, HashIntact: true}
+	tee := deck == "tee"
 	defer func() {
 		if r := recover(); r != nil {
 			// The acceptance bar is zero process panics: anything that
@@ -270,18 +275,22 @@ func runCombo(cfg CampaignConfig, plat, fw, pol string, seed int64) (res *ComboR
 		}
 	}()
 
-	cs, err := buildCombo(cfg, plat, fw, pol)
+	cs, err := buildCombo(plat, fw, pol)
 	if err != nil {
 		return nil, err
 	}
-	inj := New(seed, cs.sys.Monitor)
-	if cfg.Obs != nil {
-		inj.AttachTracer(cfg.Obs.Trace)
+	var inj *Injector
+	var monHash uint64
+	// arm points a fresh injector, seeded with s, at cs's system and
+	// takes its monitor-state fingerprint.
+	arm := func(s int64) {
+		inj = New(s, cs.sys.Monitor)
+		if tee {
+			inj.SetDeck(TEEDeck)
+		}
+		monHash = cs.sys.Monitor.MonitorStateHash()
 	}
-	if cfg.TEE {
-		inj.SetDeck(TEEDeck)
-	}
-	monHash := cs.sys.Monitor.MonitorStateHash()
+	arm(seed)
 	degradedRounds := 0
 
 	// teeCheck asserts the confidential-compute invariants on the live
@@ -337,7 +346,7 @@ func runCombo(cfg CampaignConfig, plat, fw, pol string, seed int64) (res *ComboR
 				res.HashIntact = false
 			}
 		}
-		if cfg.TEE {
+		if tee {
 			teeCheck("combo finish")
 		}
 	}
@@ -346,19 +355,12 @@ func runCombo(cfg CampaignConfig, plat, fw, pol string, seed int64) (res *ComboR
 		finishCombo()
 		res.Rebuilds++
 		degradedRounds = 0
-		ncs, err := buildCombo(cfg, plat, fw, pol)
+		ncs, err := buildCombo(plat, fw, pol)
 		if err != nil {
 			return err
 		}
 		cs = ncs
-		inj = New(seed+int64(res.Rebuilds), cs.sys.Monitor)
-		if cfg.Obs != nil {
-			inj.AttachTracer(cfg.Obs.Trace)
-		}
-		if cfg.TEE {
-			inj.SetDeck(TEEDeck)
-		}
-		monHash = cs.sys.Monitor.MonitorStateHash()
+		arm(seed + int64(res.Rebuilds))
 		return nil
 	}
 
@@ -369,7 +371,7 @@ func runCombo(cfg CampaignConfig, plat, fw, pol string, seed int64) (res *ComboR
 			}
 		}
 
-		cs.sys.Machine.Run(cfg.GapSteps)
+		cs.sys.Machine.Run(gapSteps)
 		mon := cs.sys.Monitor
 		preFaults := mon.FaultCount
 		f := inj.Inject()
@@ -378,7 +380,7 @@ func runCombo(cfg CampaignConfig, plat, fw, pol string, seed int64) (res *ComboR
 		base := progress(cs, fw)
 		progressed := cs.sys.Machine.RunUntil(func() bool {
 			return progress(cs, fw) > base+progressThreshold
-		}, cfg.RecoverySteps)
+		}, recoverySteps)
 		halted, reason := cs.sys.Machine.Halted()
 
 		switch {
@@ -402,7 +404,7 @@ func runCombo(cfg CampaignConfig, plat, fw, pol string, seed int64) (res *ComboR
 			}
 		}
 
-		if cfg.TEE {
+		if tee {
 			teeCheck(f.String())
 		}
 

@@ -37,10 +37,10 @@ func warmup(t *testing.T, sys *govfm.System) {
 	}
 }
 
-// TestChaosSmoke is the in-process version of `cmd/chaos -smoke`: a seeded
-// sweep over every firmware × policy combination on one platform, asserting
-// the containment contract — every fault is absorbed, contained, or ends in
-// a reported halt; none wedges the machine.
+// TestChaosSmoke is the in-process version of `fuzzdiff -chaos`: a seeded
+// sweep over every firmware × policy combination on one platform, under
+// both decks, asserting the containment contract — every fault is
+// absorbed, contained, or ends in a reported halt; none wedges the machine.
 func TestChaosSmoke(t *testing.T) {
 	rep, err := RunCampaign(CampaignConfig{
 		Seed:           7,
@@ -50,17 +50,17 @@ func TestChaosSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Eight combinations: rtos × sandbox is skipped, since govfm.New
-	// rejects it.
-	if want := 4 * 8; rep.TotalInjected != want {
+	// Eight combinations per deck: rtos × sandbox is skipped, since
+	// govfm.New rejects it.
+	if want := 4 * 8 * 2; rep.TotalInjected != want {
 		t.Errorf("injected %d faults, want %d", rep.TotalInjected, want)
 	}
 	for _, r := range rep.Results {
 		for _, f := range r.Failures {
-			t.Errorf("%s/%s/%s: %s", r.Platform, r.Firmware, r.Policy, f)
+			t.Errorf("%s/%s/%s/%s: %s", r.Deck, r.Platform, r.Firmware, r.Policy, f)
 		}
 		if !r.HashIntact {
-			t.Errorf("%s/%s/%s: integrity hash changed", r.Platform, r.Firmware, r.Policy)
+			t.Errorf("%s/%s/%s/%s: integrity hash changed", r.Deck, r.Platform, r.Firmware, r.Policy)
 		}
 	}
 }

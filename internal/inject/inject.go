@@ -15,7 +15,6 @@ import (
 
 	"govfm/internal/core"
 	"govfm/internal/hart"
-	"govfm/internal/obs"
 )
 
 // Kind classifies an injectable fault.
@@ -83,8 +82,8 @@ const (
 	NumKinds int = iota
 )
 
-// TEEDeck lists the confidential-compute fault kinds, for campaigns that
-// sweep only the TEE boundary.
+// TEEDeck lists the confidential-compute fault kinds: the campaign's TEE
+// deck, which sweeps only the TEE boundary.
 var TEEDeck = []Kind{TEEForgedSteal, TEEForgedReturn, TEEDoubleDonate,
 	TEEReclaimStorm, TEEWallProbe}
 
@@ -177,8 +176,7 @@ type Injector struct {
 	rng  *rand.Rand
 	mon  *core.Monitor
 	m    *hart.Machine
-	tr   *obs.Tracer // nil unless observability is attached (obs.go)
-	deck []Kind      // nil: all kinds; otherwise Inject draws from this set
+	deck []Kind // nil: all kinds; otherwise Inject draws from this set
 
 	// Total counts all injected faults; Counts breaks them down by kind.
 	Total  int
@@ -315,6 +313,5 @@ func (in *Injector) InjectKind(ctx *core.HartCtx, k Kind) Fault {
 
 	in.Total++
 	in.Counts[k]++
-	in.observe(k, h.ID, h.PC, h.Cycles, uint64(ctx.World()))
 	return Fault{Kind: k, Hart: h.ID, Cycles: h.Cycles, World: ctx.World(), Detail: detail}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // Counter is a monotonically increasing metric. Increments are atomic so
-// concurrent harnesses (the chaos campaign, parallel benchmarks) can share
+// concurrent harnesses (parallel benchmarks) can share
 // one registry; all methods tolerate a nil receiver so disabled
 // instruments cost one branch.
 type Counter struct {

@@ -580,7 +580,7 @@ func (p *Policy) Measurement(id int) uint64 {
 }
 
 // CheckInvariants re-derives the FSM's structural invariants from the
-// live state. The TEE chaos campaign and fuzzdiff -tee call it after
+// live state. The chaos campaign's TEE deck and fuzzdiff -tee call it after
 // every injected fault and lifecycle operation: any violation means a
 // forged or ill-ordered transition corrupted confidential-domain state.
 func (p *Policy) CheckInvariants() error {

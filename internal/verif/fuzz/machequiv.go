@@ -9,8 +9,10 @@ import (
 	"govfm/internal/asm"
 	"govfm/internal/core"
 	"govfm/internal/hart"
+	"govfm/internal/mem"
 	"govfm/internal/mmu"
 	"govfm/internal/pmp"
+	"govfm/internal/refmodel"
 	"govfm/internal/rv"
 )
 
@@ -193,13 +195,14 @@ type MachineStats struct {
 	// Churn, Sv39 and LateCode count the cases of each environment.
 	// VerdictChanges counts the interpreter steps after which a churn
 	// case's entry 0 decoded differently on some hart: PMP writes that
-	// changed a verdict. TLBHits counts translated TLB hits, HostHits
-	// accesses the host tier answered, HostWatchedHits host stores into a
-	// page with watched lines.
-	Churn, Sv39, LateCode int
-	VerdictChanges        int
-	TLBHits, HostHits     uint64
-	HostWatchedHits       uint64
+	// changed a verdict. ModelProbes counts the checks of the changed
+	// file against the reference model (probeEntry0). TLBHits counts
+	// translated TLB hits, HostHits accesses the host tier answered,
+	// HostWatchedHits host stores into a page with watched lines.
+	Churn, Sv39, LateCode       int
+	VerdictChanges, ModelProbes int
+	TLBHits, HostHits           uint64
+	HostWatchedHits             uint64
 	// Mismatches describes each divergence and its case.
 	Mismatches []string
 }
@@ -535,25 +538,64 @@ func entry0(f *pmp.File) pmpEntry0 {
 	return pmpEntry0{lo, last, on, f.Cfg(0) & (pmp.CfgL | pmp.CfgR | pmp.CfgW | pmp.CfgX)}
 }
 
-// runCountingChurn runs the interpreter machine m for n steps, as Run
-// would, and returns how many steps left some hart's entry 0 deciding
-// differently.
-func runCountingChurn(m *hart.Machine, n uint64) int {
+// runCountingChurn runs the interpreter machine m for up to n steps, as
+// Run would. Each step that leaves some hart's entry 0 deciding
+// differently counts a verdict change in st, and that hart's file is held
+// to the reference model (probeEntry0). Every tier decides PMP accesses
+// through the same pmp.File scan, so only the model can see a wrong
+// decision. The run stops at the first disagreement, which it describes;
+// it returns "" when there is none.
+func runCountingChurn(m *hart.Machine, n uint64, st *MachineStats) string {
 	prev := make([]pmpEntry0, len(m.Harts))
 	for i, h := range m.Harts {
 		prev[i] = entry0(h.CSR.PMP)
 	}
-	changes := 0
+	bad := ""
 	m.RunUntil(func() bool {
 		for i, h := range m.Harts {
 			if e := entry0(h.CSR.PMP); e != prev[i] {
 				prev[i] = e
-				changes++
+				st.VerdictChanges++
+				if d := probeEntry0(h.CSR.PMP, e, &st.ModelProbes); d != "" && bad == "" {
+					bad = fmt.Sprintf("interp-pmp-vs-model: hart%d: %s", h.ID, d)
+				}
 			}
 		}
-		return false
+		return bad != ""
 	}, n)
-	return changes
+	return bad
+}
+
+// probeEntry0 compares f.Check with refmodel.PMPCheck over f's registers
+// at entry 0's bounds (the byte below it, its first and last byte and the
+// byte past it), at widths 1 and 8, for every access type and mode. It
+// adds the probes it makes to *probes and describes the first
+// disagreement, or returns "".
+func probeEntry0(f *pmp.File, e pmpEntry0, probes *int) string {
+	if !e.on {
+		return ""
+	}
+	c := &refmodel.Config{PMPCount: f.NumEntries()}
+	var s refmodel.State
+	for i := 0; i < f.NumEntries(); i++ {
+		s.PmpCfg[i], s.PmpAddr[i] = f.Cfg(i), f.Addr(i)
+	}
+	for _, a := range [...]uint64{e.lo - 1, e.lo, e.last, e.last + 1} {
+		for _, w := range [...]int{1, 8} {
+			for acc := mem.Read; acc <= mem.Exec; acc++ {
+				for _, mode := range [...]rv.Mode{rv.ModeU, rv.ModeS, rv.ModeM} {
+					*probes++
+					// mem.AccessType and rv.Mode share the model's encodings.
+					got := f.Check(a, w, acc, mode)
+					if want := refmodel.PMPCheck(c, &s, a, w, int(acc), uint8(mode)); got != want {
+						return fmt.Sprintf("pmp.File.Check(%#x, %d, %v, %v) = %v, refmodel.PMPCheck says %v (pmpcfg0=%#x pmpaddr0=%#x)",
+							a, w, acc, mode, got, want, f.Cfg(0), f.Addr(0))
+					}
+				}
+			}
+		}
+	}
+	return ""
 }
 
 // run executes one case on every machine of the rig, adds its post-fork
@@ -564,9 +606,12 @@ func (rig *machRig) run(tc *machCase, st *MachineStats) (string, error) {
 	rig.install(rig.interp, tc)
 	if tc.Churn {
 		// The interpreter steps one at a time either way (it has no tier
-		// to batch steps with), so counting changes between them costs
-		// nothing in fidelity.
-		st.VerdictChanges += runCountingChurn(rig.interp, machStepBudget)
+		// to batch steps with), so checking its PMP between steps costs
+		// nothing in fidelity. A wrong decision makes the interpreter no
+		// oracle for the other tiers.
+		if d := runCountingChurn(rig.interp, machStepBudget, st); d != "" {
+			return d, nil
+		}
 	} else {
 		rig.interp.Run(machStepBudget)
 	}

@@ -103,17 +103,23 @@ echo "== repo benchmark tests (every workload, every fast tier vs. the interpret
 # monitor stats).
 run_gate benchmark_test go -C benchmark test .
 
-echo "== chaos smoke"
-run_gate chaos_smoke go run ./cmd/chaos -smoke
+echo "== chaos campaign (classic and TEE fault decks, 12 faults per combo)"
+# Every platform x firmware x policy combo, under each deck, must absorb
+# or contain every fault: the guest makes progress again or the machine
+# stops with a fault on record. The classic deck draws from every fault
+# kind (bit flips, rogue firmware, interrupt storms, MMIO errors). The
+# TEE deck draws from forged confidential-compute lifecycle hypercalls,
+# double-donations, reclaim storms and probes at the Dorami monitor wall,
+# and after every TEE-deck fault the locked-PMP wall must hold on every
+# hart, the ACE lifecycle FSM must be structurally intact, and the
+# monitor's protected-state fingerprint must not have changed.
+run_gate chaos go run ./cmd/fuzzdiff -chaos 12
 
-echo "== TEE chaos smoke (TEE fault deck; wall + lifecycle invariants)"
-# Restricts injection to the TEE deck — forged confidential-compute
-# lifecycle hypercalls, double-donations, reclaim storms, probes at the
-# Dorami monitor wall — across all three policies, asserting after every
-# fault that the locked-PMP wall holds on every hart, the ACE lifecycle
-# FSM is structurally intact, and the monitor's protected-state
-# fingerprint never changed.
-run_gate tee_chaos go run ./cmd/chaos -tee -smoke
+echo "== fault injection into fuzzed cases (200 cases per profile)"
+# Randomized lockstep-generator cases run with containment armed while
+# faults are injected: no panic may escape, and every monitor halt must
+# leave a fault record.
+run_gate inject go run ./cmd/fuzzdiff -inject 200
 
 echo "== TEE lifecycle fuzz (shadow-model FSM sweep, 40 cases per profile)"
 # Randomized enclave lifecycle programs against an independent shadow
