@@ -26,7 +26,9 @@
 // FSM, the monitor-state fingerprint).
 //
 // The modes (-smoke, -hext, -equiv, -inject, -tee, -chaos) exclude each
-// other.
+// other, and a mode's count must be at least 1. A flag the chosen mode
+// would not read is an error too: -budget outside lockstep fuzzing,
+// -repros outside the lockstep modes, and -seed or -profile with -smoke.
 //
 // Usage:
 //
@@ -44,12 +46,25 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"govfm/internal/inject"
 	"govfm/internal/verif/fuzz"
 )
+
+// modeFlags lists the flags each mode reads beside its own; "" is lockstep
+// fuzzing. -smoke pins the seed, the budget and both profiles.
+var modeFlags = map[string][]string{
+	"":       {"seed", "budget", "profile", "repros"},
+	"smoke":  {"repros"},
+	"hext":   {"seed", "profile", "repros"},
+	"equiv":  {"seed", "profile"},
+	"inject": {"seed", "profile"},
+	"tee":    {"seed", "profile"},
+	"chaos":  {"seed", "profile"},
+}
 
 var profileAlias = map[string][]string{
 	"vf2":  {"visionfive2"},
@@ -82,15 +97,35 @@ func run(args []string, out, errw io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// counts holds each counted mode's flag; -smoke is the one bool mode.
+	counts := map[string]*int{"hext": hextN, "equiv": equivN, "inject": injectN, "tee": teeN, "chaos": chaosN}
 	var modes []string
 	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "smoke", "hext", "equiv", "inject", "tee", "chaos":
+		if _, counted := counts[f.Name]; counted || f.Name == "smoke" && *smoke {
 			modes = append(modes, "-"+f.Name)
 		}
 	})
 	if len(modes) > 1 {
 		fmt.Fprintf(errw, "fuzzdiff: %s select different modes; pick one\n", strings.Join(modes, " and "))
+		return 2
+	}
+	mode, what := "", "lockstep fuzzing"
+	if len(modes) == 1 {
+		mode, what = modes[0][1:], modes[0]
+	}
+	if n, counted := counts[mode]; counted && *n < 1 {
+		fmt.Fprintf(errw, "fuzzdiff: -%s %d runs nothing (want at least 1)\n", mode, *n)
+		return 2
+	}
+	// A flag the mode does not read would be ignored without a word.
+	var stray []string
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name != mode && !slices.Contains(modeFlags[mode], f.Name) {
+			stray = append(stray, "-"+f.Name)
+		}
+	})
+	if len(stray) > 0 {
+		fmt.Fprintf(errw, "fuzzdiff: %s does not read %s\n", what, strings.Join(stray, " "))
 		return 2
 	}
 	if *budget < 1 {
@@ -103,29 +138,20 @@ func run(args []string, out, errw io.Writer) int {
 		fmt.Fprintf(errw, "fuzzdiff: unknown profile %q (want vf2, p550, or all)\n", *profile)
 		return 2
 	}
-	if *smoke {
-		*seed = 1
-		*budget = 135_000 // per profile: ~740 cases on each
-		profiles = profileAlias["all"]
-	}
-
-	if *chaosN > 0 {
+	switch mode {
+	case "smoke":
+		*budget = 135_000 // per profile: ~740 cases on each, seed 1
+	case "chaos":
 		return runChaos(profiles, *seed, *chaosN, out, errw)
-	}
-
-	if *teeN > 0 {
+	case "tee":
 		return runTEE(profiles, *seed, *teeN, out, errw)
-	}
-
-	if *equivN > 0 {
+	case "equiv":
 		return runEquiv(profiles, *seed, *equivN, out, errw)
-	}
-
-	if *injectN > 0 {
+	case "inject":
 		return runInject(profiles, *seed, *injectN, out, errw)
 	}
 
-	if *hextN > 0 && *profile == "all" {
+	if mode == "hext" && *profile == "all" {
 		profiles = []string{"p550"} // the H-capable profile
 	}
 	rawFindings := 0
@@ -139,7 +165,7 @@ func run(args []string, out, errw io.Writer) int {
 		}
 		t0 := time.Now()
 		var findings []*fuzz.Finding
-		if *hextN > 0 {
+		if mode == "hext" {
 			// Hypervisor-extension mode: case-denominated, with the
 			// generator biased toward the H surface — guest (V=1) starting
 			// states, hfence, VS CSR traffic, dense hedeleg/hvip delegation.
@@ -282,10 +308,10 @@ func runEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) int
 		fmt.Fprintf(errw, "fuzzdiff: %v\n", err)
 		return 2
 	}
-	fmt.Fprintf(out, "equiv: %d cases (%d multi-hart), %d interp steps, %d sb-retired, %d sb-chains, %d sb-rounds, %d code invalidations, %d code-page data writes, %d post-fork COW breaks, %d sv39 cases, %d tlb hits, %d host hits, %d watched host stores, %d late-code cases, %d pmp-churn cases, %d verdict changes, %d model probes, %d divergence(s) across %d profile(s) in %.1fs\n",
+	fmt.Fprintf(out, "equiv: %d cases (%d multi-hart), %d interp steps, %d sb-retired, %d sb-chains, %d sb-rounds, %d code invalidations, %d code-page data writes, %d post-fork COW breaks, %d sv39 cases, %d tlb hits, %d host hits, %d watched host stores, %d late-code cases, %d relink cases, %d aimed timers, %d pmp-churn cases, %d verdict changes, %d model probes, %d divergence(s) across %d profile(s) in %.1fs\n",
 		st.Cases, st.MultiHart, st.Steps, st.SBRetired, st.SBChains, st.SBRounds,
 		st.CodeInvalidations, st.CodePageDataWrites, st.COWBreaks,
-		st.Sv39, st.TLBHits, st.HostHits, st.HostWatchedHits, st.LateCode, st.Churn, st.VerdictChanges, st.ModelProbes,
+		st.Sv39, st.TLBHits, st.HostHits, st.HostWatchedHits, st.LateCode, st.Relink, st.AimedTimers, st.Churn, st.VerdictChanges, st.ModelProbes,
 		len(st.Mismatches), len(profiles), time.Since(t0).Seconds())
 	for _, m := range st.Mismatches {
 		fmt.Fprintf(out, "  DIVERGENCE %s\n", m)

@@ -33,6 +33,28 @@ func TestRunExitCodes(t *testing.T) {
 		}
 	}
 
+	// A flag the mode would ignore, a count that runs nothing, and -smoke
+	// with the seed or profile it pins: each exits 2, naming the flag.
+	for _, tc := range []struct {
+		args []string
+		name string
+	}{
+		{[]string{"-equiv", "9", "-budget", "5"}, "-budget"},
+		{[]string{"-hext", "5", "-repros", t.TempDir(), "-budget", "9"}, "-budget"},
+		{[]string{"-chaos", "-3"}, "-chaos -3"},
+		{[]string{"-equiv", "0"}, "-equiv 0"},
+		{[]string{"-smoke", "-seed", "3"}, "-seed"},
+		{[]string{"-smoke", "-profile", "vf2"}, "-profile"},
+	} {
+		errw.Reset()
+		if code := run(tc.args, &out, &errw); code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(errw.String(), tc.name) {
+			t.Errorf("%v: message does not name %s: %q", tc.args, tc.name, errw.String())
+		}
+	}
+
 	out.Reset()
 	code := run([]string{"-profile", "vf2", "-seed", "3", "-budget", "2000",
 		"-repros", t.TempDir()}, &out, &errw)

@@ -70,12 +70,18 @@ func (dp *decPage) block(i int) *sblock {
 	return nil
 }
 
-// setBlock installs sb as the superblock entered at slot i.
+// setBlock installs sb as the superblock entered at slot i. The block it
+// replaces or drops dies: links to it fall back to the lookup (sbNext), and
+// its own links go, so a dead block keeps no other alive.
 func (dp *decPage) setBlock(i int, sb *sblock) {
 	c := dp.blocks[i>>6]
 	if c == nil {
 		c = new([64]*sblock)
 		dp.blocks[i>>6] = c
+	}
+	if old := c[i&63]; old != nil {
+		old.dead = true
+		old.taken, old.fall = nil, nil
 	}
 	c[i&63] = sb
 }

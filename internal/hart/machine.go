@@ -321,10 +321,11 @@ func (m *Machine) stepHart(h *Hart) uint64 {
 // step's clock charge.
 //
 // Each further step runs, in hart-ID order, one op per hart from its cursor
-// — chaining into a same-page successor under the entry guard — or charges
-// an idle hart its poll, then adds the step's largest charge to the clock.
-// That is the interpreter's own interleaving, so cross-hart stores, code
-// patches and reservation kills land between the same two instructions.
+// — chaining into a same-page successor by runBlock's rule (Hart.sbNext) —
+// or charges an idle hart its poll, then adds the step's largest charge to
+// the clock. That is the interpreter's own interleaving, so cross-hart
+// stores, code patches and reservation kills land between the same two
+// instructions.
 // What the skipped latches, interrupt checks and fetches would read cannot
 // change within the round: ops touch only RAM, so device state and the
 // latched lines stay put, and the round stops at a step boundary before
@@ -357,31 +358,28 @@ func (m *Machine) seqRound(budget, consumed uint64) uint64 {
 			}
 			before := h.Cycles
 			if !h.sb.endAfter {
-				h.Cycles += h.Cfg.Cost.Instr
-				next, ok := c.sb.ops[c.op](h)
-				if ok {
-					h.sbCommit(next, h.Mode == rv.ModeS)
+				next, ok := c.sb.ops[c.op](h, h.PC)
+				k := 1
+				if !ok {
+					k, next = h.sbStop(0, h.PC, next)
+				}
+				if k == 1 {
+					// Retired; a write that ended the block ends the round
+					// at this hart's next turn.
+					h.PC = next
+					h.sbRetire(1)
 					h.Perf.SBRetired++
 					if c.op++; c.op == len(c.sb.ops) {
 						c.op = 0
-						// Chain as runBlock does: an aligned PC on the
-						// entry page, holding a real block guarded for
-						// the hart.
-						next, pc := (*sblock)(nil), h.PC
-						if pc&3 == 0 && pc&^4095 == c.page {
-							next = c.dp.block(int(pc&4095) >> 2)
-						}
-						if next != nil && next.ops != nil && next.guards(h) {
-							c.sb = next
+						if c.sb = h.sbNext(c.dp, c.sb, c.page); c.sb != nil {
 							h.Perf.SBChains++
 						} else {
-							c.sb, ended = nil, true
+							ended = true
 						}
 					}
 					maxC = max(maxC, h.Cycles-before)
 					continue
 				}
-				h.sbAbort(before)
 			}
 			// The op aborted or a write ended the block: bring the clock
 			// current and let the interpreter finish the step.

@@ -31,8 +31,10 @@ type PerfCounters struct {
 	// dispatches that retired at least one instruction, block-to-block
 	// transfers within one dispatch or round, instructions retired inside
 	// blocks, entry-guard misses, in-block op aborts that fell back to the
-	// interpreter, and multi-hart sequential rounds (Machine.seqRound) the
-	// hart ran block ops in past their first step.
+	// interpreter, multi-hart sequential rounds (Machine.seqRound) the
+	// hart ran block ops in past their first step, and blocks that ran op
+	// by op because they did not fit the step budget or the timer headroom
+	// (every multi-hart dispatch among them).
 	SBTranslations uint64
 	SBHits         uint64
 	SBChains       uint64
@@ -40,6 +42,7 @@ type PerfCounters struct {
 	SBGuardMisses  uint64
 	SBAborts       uint64
 	SBRounds       uint64
+	SBChecked      uint64
 	// Outcomes of writes into pages this hart caches decodes for
 	// (InvalidatePhysPage): writes that dropped a live decode or
 	// superblock (self-modifying or reloaded code), and writes that
@@ -118,7 +121,7 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 	}
 	r.Collect(func(emit func(name string, value uint64)) {
 		var tlbH, tlbM, decH, decM, walks, traps, instret, cycles uint64
-		var sbT, sbH, sbC, sbR, sbG, sbA, sbRnd, smcI, smcD uint64
+		var sbT, sbH, sbC, sbR, sbG, sbA, sbRnd, sbChk, smcI, smcD uint64
 		var host [len(hostNames)]uint64
 		for _, h := range m.Harts {
 			p := &h.Perf
@@ -146,6 +149,7 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 			emit(pfx+"sb.guard_misses", p.SBGuardMisses)
 			emit(pfx+"sb.aborts", p.SBAborts)
 			emit(pfx+"sb.rounds", p.SBRounds)
+			emit(pfx+"sb.checked", p.SBChecked)
 			emit(pfx+"smc.code_invalidations", p.CodeWriteInvalidations)
 			emit(pfx+"smc.data_writes", p.CodePageDataWrites)
 			for i, n := range p.hostCounts() {
@@ -167,6 +171,7 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 			sbG += p.SBGuardMisses
 			sbA += p.SBAborts
 			sbRnd += p.SBRounds
+			sbChk += p.SBChecked
 			smcI += p.CodeWriteInvalidations
 			smcD += p.CodePageDataWrites
 		}
@@ -187,6 +192,7 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 		emit("sim.sb.guard_misses", sbG)
 		emit("sim.sb.aborts", sbA)
 		emit("sim.sb.rounds", sbRnd)
+		emit("sim.sb.checked", sbChk)
 		emit("sim.smc.code_invalidations", smcI)
 		emit("sim.smc.data_writes", smcD)
 		for i, n := range host {

@@ -1059,3 +1059,131 @@ func TestSentinelRetranslateAllocs(t *testing.T) {
 		t.Errorf("re-translating a sentinel allocated %.0f times, want at most its sblock", allocs)
 	}
 }
+
+// TestLinkToDroppedSuccessorFallsBack: a two-block loop runs hot, so each
+// block links the other. A store then rewrites only the second block, and
+// the loop runs again: the first block, still live, must not follow its
+// link into the dropped second one but find the new code, as the
+// interpreter does.
+func TestLinkToDroppedSuccessorFallsBack(t *testing.T) {
+	patched := encodeOne(t, func(a *asm.Asm) { a.Addi(asm.A1, asm.A1, 100) })
+	full := sbRunPair(t, func(a *asm.Asm) {
+		a.La(asm.T0, "second")
+		a.Li(asm.T1, uint64(patched))
+		a.Li(asm.S2, 2)
+		a.Label("outer")
+		a.Li(asm.S1, 40)
+		a.Label("first")
+		a.Addi(asm.A0, asm.A0, 1)
+		a.Addi(asm.S1, asm.S1, -1)
+		a.J("second")
+		a.Label("second")
+		a.Addi(asm.A1, asm.A1, 1)
+		a.Bnez(asm.S1, "first")
+		a.Sw(asm.T1, asm.T0, 0)
+		a.Addi(asm.S2, asm.S2, -1)
+		a.Bnez(asm.S2, "outer")
+		exit(a)
+	})
+	h := full.Harts[0]
+	if a1 := h.Regs[asm.A1]; a1 != 40+40*100 {
+		t.Errorf("a1 = %d, want %d (the first block ran a dropped successor?)", a1, 40+40*100)
+	}
+	if h.Perf.SBChains < 40 {
+		t.Errorf("chains = %d: the loop never ran as a chain", h.Perf.SBChains)
+	}
+}
+
+// TestBlockBoundMeetsHeadroom pins a block's bound, the largest cycle
+// charge its ops can make, for every op class the translator compiles:
+// with the timer comparator exactly the bound away from the dispatch the
+// block must run checked (the fit test wants the bound strictly below the
+// headroom), and one cycle further it must run unchecked. A bound that left
+// out a taken transfer's, a memory access's or an M op's extra charge would
+// let the first case run unchecked.
+func TestBlockBoundMeetsHeadroom(t *testing.T) {
+	cost := VisionFive2().Cost
+	mulw := 1<<25 | uint32(asm.A2)<<20 | uint32(asm.A1)<<15 | uint32(asm.A3)<<7 | rv.OpReg32
+	for _, tc := range []struct {
+		name  string
+		op    func(a *asm.Asm)
+		extra uint64 // the op's largest charge beyond Instr
+		term  bool   // the op ends the block
+	}{
+		{"lui", func(a *asm.Asm) { a.Lui(asm.A3, 0x12) }, 0, false},
+		{"auipc", func(a *asm.Asm) { a.Auipc(asm.A3, 0x12) }, 0, false},
+		{"op-imm", func(a *asm.Asm) { a.Xori(asm.A3, asm.A1, 7) }, 0, false},
+		{"op-imm32", func(a *asm.Asm) { a.Addiw(asm.A3, asm.A1, 7) }, 0, false},
+		{"op", func(a *asm.Asm) { a.Sub(asm.A3, asm.A1, asm.A2) }, 0, false},
+		{"op32", func(a *asm.Asm) { a.Addw(asm.A3, asm.A1, asm.A2) }, 0, false},
+		{"mul", func(a *asm.Asm) { a.Mul(asm.A3, asm.A1, asm.A2) }, cost.MulDiv, false},
+		{"mulw", func(a *asm.Asm) { a.Word(mulw) }, cost.MulDiv, false},
+		{"load", func(a *asm.Asm) { a.Ld(asm.A3, asm.S0, 0) }, cost.MemAccess, false},
+		{"store", func(a *asm.Asm) { a.Sd(asm.A1, asm.S0, 8) }, cost.MemAccess, false},
+		{"branch", func(a *asm.Asm) { a.Beq(asm.A1, asm.A1, "end") }, cost.Branch, true},
+		{"jal", func(a *asm.Asm) { a.J("end") }, cost.Branch, true},
+		{"jalr", func(a *asm.Asm) { a.Jr(asm.S1) }, cost.Branch, true},
+	} {
+		bound := cost.Instr + cost.Instr + tc.extra // addi, then the op
+		if !tc.term {
+			bound += cost.Instr + cost.Branch // the closing jal
+		}
+		body := func(a *asm.Asm) {
+			a.Li(asm.S0, DramBase+0x2000)
+			a.La(asm.S1, "end")
+			a.Li(asm.A1, 3)
+			a.Li(asm.A2, 5)
+			a.Label("entry")
+			a.Addi(asm.A4, asm.A4, 1)
+			tc.op(a)
+			if !tc.term {
+				a.J("end")
+			}
+			a.Label("end")
+			exit(a)
+		}
+		entry := func() uint64 {
+			a := asm.New(DramBase)
+			body(a)
+			a.MustAssemble()
+			return a.Addr("entry")
+		}()
+		for _, headroom := range []uint64{bound, bound + 1} {
+			t.Run(fmt.Sprintf("%s/headroom-%d", tc.name, headroom), func(t *testing.T) {
+				var ms [2]*Machine
+				for i, tier := range []bool{false, true} {
+					m := sbMachine(t, body, tier, tier)
+					m.Cfg.CyclesPerTick = 1 // the headroom in cycles is the comparator's distance
+					h := m.Harts[0]
+					for h.PC != entry {
+						m.Step()
+					}
+					if tier {
+						if _, ei := h.fetchFast(); ei != nil {
+							t.Fatalf("fetch: %+v", ei)
+						}
+						if sb := h.sbTranslate(h.fast.fetchDP, h.fast.fetchSlot); sb.ops == nil {
+							t.Fatal("the block did not translate")
+						}
+					}
+					m.Clint.SetMtimecmp(0, m.Clint.Time()+headroom)
+					m.Run(1000)
+					mustHalt(t, m)
+					ms[i] = m
+				}
+				sbCompareEnd(t, ms[0], ms[1])
+				p := &ms[1].Harts[0].Perf
+				want := uint64(0)
+				if headroom == bound {
+					want = 1
+				}
+				if p.SBChecked != want {
+					t.Errorf("checked runs = %d with a bound of %d, want %d", p.SBChecked, bound, want)
+				}
+				if p.SBRetired == 0 {
+					t.Errorf("the block never ran: %+v", p)
+				}
+			})
+		}
+	}
+}

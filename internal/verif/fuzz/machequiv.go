@@ -30,18 +30,25 @@ import (
 // headroom (machine.go, sbSeqHeadroom) exists precisely so a block never
 // retires an instruction the interpreter would have preempted with a timer
 // interrupt, and only a moving clock can falsify it; a fork must carry the
-// mtime remainder exactly. A slice of cases also aims a store base
-// register at the hart's own program window, so generated stores
-// self-modify code under translated blocks, and a shared-page slice aims
-// it at or before the program's end, so stores write data beside live
-// code on its page (and sometimes the code itself); others reach the PMP
-// config CSRs, so PMP-view guard misses occur organically. A late-code
+// mtime remainder exactly. Three quarters of the timer cases try to aim
+// the comparator at a tick that crosses in hot code with the interrupt
+// enabled (aimTimer), and about two in five find one: there blocks run,
+// and a crossing they overran would be taken late. A slice of cases also
+// aims a store base register at the hart's own program window, so
+// generated stores self-modify code under translated blocks, and a
+// shared-page slice aims it at or before the program's end, so stores
+// write data beside live code on its page (and sometimes the code itself);
+// others reach the PMP config CSRs, so PMP-view guard misses occur
+// organically. A late-code
 // slice writes a stub onto a line of the code page that holds no code,
 // calls it, rewrites it and calls it again, so code appears where a host
 // store was just allowed to write in place, and in looping cases a block
-// translated from the stub is patched under it. The generated
-// programs already carry sfence.vma, fence.i, wfi, and world switches
-// (asm.genPriv), all of which must end or invalidate blocks correctly.
+// translated from the stub is patched under it. A relink slice runs a
+// two-block loop until each block links the other, then rewrites the
+// second block only, so a chain from the first must not follow its link.
+// The generated programs already carry sfence.vma, fence.i, wfi, and world
+// switches (asm.genPriv), all of which must end or invalidate blocks
+// correctly.
 //
 // Each profile's rigs cover one, two and four harts (machHartCounts); on
 // two or four the full stack runs multi-hart rounds (hart.Machine's
@@ -84,8 +91,32 @@ var churnRegs = []int{19, 20, 21}
 
 // lateRegs hold a late-code case's stub address, the stub's first word,
 // the two encodings of its second and the link register its calls set
-// (machCase.LateCode); like churnRegs, only a random word writes them.
+// (machCase.LateCode). A relink case (machCase.Relink), which excludes late
+// code, holds its loop count, its sum, the second block's new word and the
+// program base in the first four. Like churnRegs, only a random word
+// writes them.
 var lateRegs = []int{22, 23, 24, 25, 26}
+
+// relinkCode is a relink case's slots 0..4 (machCase.Relink), and
+// relinkWord the word its store writes over slot 2.
+var relinkCode, relinkWord = func() ([]uint32, uint32) {
+	n, sum, word, base := lateRegs[0], lateRegs[1], lateRegs[2], lateRegs[3]
+	a := asm.New(ProgBase)
+	a.Label("first")
+	a.Addi(n, n, -1)
+	a.J("second")
+	a.Label("second")
+	a.Addi(sum, sum, 1)
+	a.Blt(asm.X0, n, "first")
+	a.Sw(word, base, 8)
+	a.Addi(sum, sum, 3)
+	img := a.MustAssemble()
+	code := make([]uint32, len(img)/4)
+	for i := range code {
+		code[i] = binary.LittleEndian.Uint32(img[4*i:])
+	}
+	return code[:5], code[5]
+}()
 
 // churnGenCSRs is the CSR surface of a churn case (machCase.Churn): the
 // PMP CSRs again, weighted toward entry 0, which sits unlocked ahead of
@@ -118,6 +149,7 @@ type machCase struct {
 	Harts    int
 	Timer    bool     // program mtimecmp so the comparators cross mid-run
 	Mtimecmp []uint64 // per-hart comparator values when Timer is set
+	Aimed    bool     // aimTimer aimed the comparators
 	SMC      bool     // one base register points into the program window
 	// SharedPage: one base register points at or before the program's end.
 	SharedPage bool
@@ -154,15 +186,22 @@ type machCase struct {
 	// different instruction stream.
 	LateCode bool
 	LateStub uint64
-	K1       uint64 // steps before the fork; K2 = machStepBudget - K1
-	Tier     int    // the forked machine's tier, an index into tierNames
-	Prog     []uint32
-	Init     []hartInit // per hart
+	// Relink: slots 0..4 loop RelinkIters times through two blocks, the
+	// first ending in a jump to the second and the second branching back,
+	// then rewrite the second block's first word ("addi sum, sum, 1"
+	// becomes "addi sum, sum, 3"). A relink case loops, so the hart comes
+	// back to the first block, which no write dropped.
+	Relink      bool
+	RelinkIters uint64
+	K1          uint64 // steps before the fork; K2 = machStepBudget - K1
+	Tier        int    // the forked machine's tier, an index into tierNames
+	Prog        []uint32
+	Init        []hartInit // per hart
 }
 
 func (tc *machCase) String() string {
-	return fmt.Sprintf("case{%s, harts=%d, fork=%s@%d, timer=%v, smc=%v, shared-page=%v, loop=%v, churn=%v, sv39=%v, late-code=%v}",
-		tc.Profile, tc.Harts, tierNames[tc.Tier], tc.K1, tc.Timer, tc.SMC, tc.SharedPage, tc.Loop, tc.Churn, tc.Sv39, tc.LateCode)
+	return fmt.Sprintf("case{%s, harts=%d, fork=%s@%d, timer=%v, smc=%v, shared-page=%v, loop=%v, churn=%v, sv39=%v, late-code=%v, relink=%v}",
+		tc.Profile, tc.Harts, tierNames[tc.Tier], tc.K1, tc.Timer, tc.SMC, tc.SharedPage, tc.Loop, tc.Churn, tc.Sv39, tc.LateCode, tc.Relink)
 }
 
 // sbLoopBack is "jal x0, slot 0" encoded for the program's last slot.
@@ -192,7 +231,8 @@ type MachineStats struct {
 	// COWBreaks counts the pages the forked parent and the child copied
 	// off the fork image during their K2 legs.
 	COWBreaks uint64
-	// Churn, Sv39 and LateCode count the cases of each environment.
+	// Churn, Sv39, LateCode and Relink count the cases of each
+	// environment, AimedTimers the timer cases aimTimer aimed.
 	// VerdictChanges counts the interpreter steps after which a churn
 	// case's entry 0 decoded differently on some hart: PMP writes that
 	// changed a verdict. ModelProbes counts the checks of the changed
@@ -200,6 +240,7 @@ type MachineStats struct {
 	// translated TLB hits, HostHits accesses the host tier answered,
 	// HostWatchedHits host stores into a page with watched lines.
 	Churn, Sv39, LateCode       int
+	Relink, AimedTimers         int
 	VerdictChanges, ModelProbes int
 	TLBHits, HostHits           uint64
 	HostWatchedHits             uint64
@@ -271,6 +312,10 @@ func (rig *machRig) genCase(rng *rand.Rand, t int) *machCase {
 	if tc.Churn && rng.Intn(2) == 0 {
 		tc.Loop = true // churn that returns to the code it ran under
 	}
+	relink := rng.Intn(5) == 0
+	if relink {
+		tc.Loop = true // the loop back brings the hart to the first block again
+	}
 	cfg := rig.genCfg
 	if tc.Sv39 {
 		// Offsets reach 32 PTEs past the leaf table's base, the scratch
@@ -307,8 +352,15 @@ func (rig *machRig) genCase(rng *rand.Rand, t int) *machCase {
 	if tc.Sv39 {
 		rig.genSv39(rng, tc, &bases, !prelude)
 	}
-	if !prelude && !tc.Remap && rng.Intn(3) == 0 {
-		genLateCode(rng, tc)
+	if !prelude && !tc.Remap {
+		switch {
+		case relink:
+			tc.Relink = true
+			tc.RelinkIters = uint64(32 + rng.Intn(96))
+			copy(tc.Prog, relinkCode)
+		case rng.Intn(3) == 0:
+			genLateCode(rng, tc)
+		}
 	}
 	last := rig.genCfg.BaseRegs[len(rig.genCfg.BaseRegs)-1]
 	switch rng.Intn(6) {
@@ -361,6 +413,11 @@ func (rig *machRig) genCase(rng *rand.Rand, t int) *machCase {
 			in.Regs[lateRegs[2]] = link | uint64(rv.OpJalr)         // jalr x0, 0(link)
 			in.Regs[lateRegs[3]] = 4<<20 | link | uint64(rv.OpJalr) // jalr x0, 4(link)
 		}
+		if tc.Relink {
+			in.Regs[lateRegs[0]] = tc.RelinkIters
+			in.Regs[lateRegs[2]] = uint64(relinkWord)
+			in.Regs[lateRegs[3]] = ProgBase
+		}
 		in.Mtvec = slot() | uint64(rng.Intn(2))
 		in.Stvec = slot() | uint64(rng.Intn(2))
 		in.Mepc, in.Sepc = slot(), slot()
@@ -381,7 +438,54 @@ func (rig *machRig) genCase(rng *rand.Rand, t int) *machCase {
 			tc.Mtimecmp = append(tc.Mtimecmp, uint64(rng.Intn(48)))
 		}
 	}
+	if tc.Timer && rng.Intn(4) != 0 {
+		rig.aimTimer(tc)
+	}
 	return tc
+}
+
+// aimTimerHeat is how many times hart 0 must have run an instruction of the
+// program before aimTimer takes a crossing there: twice the heat at which
+// an entry translates, so blocks are running there.
+const aimTimerHeat = 32
+
+// aimTimer enables the machine timer interrupt on every hart of a timer
+// case (mie.MTIE and mstatus.MIE) and aims its comparators at the first
+// tick that crosses while hart 0 runs hot code with the interrupt
+// deliverable: the interpreter runs the case without the timer, a run the
+// timed one matches up to the crossing, and each step that moves mtime is
+// a candidate. The full stack runs such code in chained blocks, and a
+// block that overran the headroom would take the interrupt late. Without
+// such a tick the drawn comparators stand.
+func (rig *machRig) aimTimer(tc *machCase) {
+	for i := range tc.Init {
+		tc.Init[i].Mie |= 1 << rv.IntMTimer
+		tc.Init[i].Mstatus |= 1 << rv.MstatusMIE
+	}
+	m := rig.interp
+	tc.Timer = false
+	rig.install(m, tc)
+	tc.Timer = true
+	var runs [Slots]int
+	h := m.Harts[0]
+	for step := 0; step < machStepBudget && !h.Halted; step++ {
+		now := m.Clint.Time()
+		m.Step()
+		off := h.PC - ProgBase
+		if off >= 4*Slots {
+			continue
+		}
+		if runs[off/4]++; runs[off/4] < aimTimerHeat || m.Clint.Time() == now {
+			continue
+		}
+		if h.CSR.Mie&(1<<rv.IntMTimer) != 0 && (h.Mode != rv.ModeM || h.CSR.Mstatus&(1<<rv.MstatusMIE) != 0) {
+			for i := range tc.Mtimecmp {
+				tc.Mtimecmp[i] = m.Clint.Time()
+			}
+			tc.Aimed = true
+			return
+		}
+	}
 }
 
 // genChurn draws a churn case's PMP entry 0 and plants pmpaddr0 writes in
@@ -698,6 +802,12 @@ func RunMachineEquiv(profiles []string, seed int64, cases int) (*MachineStats, e
 		}
 		if tc.LateCode {
 			st.LateCode++
+		}
+		if tc.Relink {
+			st.Relink++
+		}
+		if tc.Aimed {
+			st.AimedTimers++
 		}
 		for _, h := range rig.interp.Harts {
 			st.Steps += int(h.Instret)

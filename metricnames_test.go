@@ -24,7 +24,7 @@ const (
 	hartN.host.skip_untouched hartN.host.skip_watched
 	hartN.host.watched_hits hartN.instret
 	hartN.pagewalks hartN.pmp.checks hartN.pmp.views
-	hartN.sb.aborts hartN.sb.chains hartN.sb.guard_misses hartN.sb.hits
+	hartN.sb.aborts hartN.sb.chains hartN.sb.checked hartN.sb.guard_misses hartN.sb.hits
 	hartN.sb.retired hartN.sb.rounds hartN.sb.translations
 	hartN.sinstret hartN.smc.code_invalidations hartN.smc.data_writes
 	hartN.tlb.hits hartN.tlb.misses
@@ -47,7 +47,7 @@ const (
 	sim.host.skip_pmp_partial sim.host.skip_sealed
 	sim.host.skip_untouched sim.host.skip_watched sim.host.watched_hits
 	sim.instret sim.pagewalks
-	sim.sb.aborts sim.sb.chains sim.sb.guard_misses sim.sb.hits
+	sim.sb.aborts sim.sb.chains sim.sb.checked sim.sb.guard_misses sim.sb.hits
 	sim.sb.retired sim.sb.retired_pct sim.sb.rounds sim.sb.translations
 	sim.smc.code_invalidations sim.smc.data_writes sim.tlb.hit_pct
 	sim.tlb.hits sim.tlb.misses sim.traps

@@ -84,11 +84,13 @@ echo "== machine equivalence (fast path, superblocks, forks vs. the interpreter)
 # mid-run and a child spawned from the fork, under a live wall clock; all
 # must match the interpreter bit for bit (registers, CSRs, memory, mtime,
 # cycle counters). Cases sweep both profiles, 1, 2 and 4 harts (multi-hart
-# cases run block rounds), the fork's tier, timer interrupts,
+# cases run block rounds), the fork's tier, timer interrupts (most aimed
+# at a tick that crosses in hot code with the interrupt enabled),
 # self-modifying code (late code included: a stub written beside live
-# code, run, rewritten and run again), PMP reprogramming (with
-# verdict-changing churn of an unlocked entry), Sv39 paging, and looping
-# programs. The gate also fails when no case chained one block into
+# code, run, rewritten and run again; and relinked blocks: a two-block
+# loop whose second block is rewritten while the first stays live), PMP
+# reprogramming (with verdict-changing churn of an unlocked entry), Sv39
+# paging, and looping programs. The gate also fails when no case chained one block into
 # another, when the multi-hart cases never ran a round, or when no access
 # hit a translated TLB entry (NO PAGING), no PMP write changed a verdict
 # (NO VERDICT CHURN), no access was answered by a host TLB entry (NO HOST
