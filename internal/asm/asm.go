@@ -10,6 +10,7 @@ package asm
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"govfm/internal/rv"
 )
@@ -443,6 +444,7 @@ func (a *Asm) AmoaddW(rd, rs1, rs2 int)  { a.amo(0x00, 4, rd, rs1, rs2) }
 func (a *Asm) AmoswapD(rd, rs1, rs2 int) { a.amo(0x01, 8, rd, rs1, rs2) }
 func (a *Asm) AmoswapW(rd, rs1, rs2 int) { a.amo(0x01, 4, rd, rs1, rs2) }
 func (a *Asm) AmoorD(rd, rs1, rs2 int)   { a.amo(0x08, 8, rd, rs1, rs2) }
+func (a *Asm) AmoorW(rd, rs1, rs2 int)   { a.amo(0x08, 4, rd, rs1, rs2) }
 func (a *Asm) AmoandD(rd, rs1, rs2 int)  { a.amo(0x0C, 8, rd, rs1, rs2) }
 
 // --- Zicsr ---
@@ -536,6 +538,44 @@ func (a *Asm) HfenceGVMA(rs1, rs2 int) {
 	checkReg(a, rs1, rs2)
 	a.Word(encR(rv.HfenceGVMAFunct7, uint32(rs2), uint32(rs1), 0, 0, rv.OpSystem))
 }
+
+// hlsv emits a hypervisor load or store of size bytes: funct7 carries the
+// width and the store bit, and a load's rs2 field its variant (rv.HLSVDecode).
+func (a *Asm) hlsv(size int, store bool, variant, rd, rs1, rs2 int) {
+	checkReg(a, rd, rs1, rs2)
+	var w uint32
+	switch size {
+	case 1, 2, 4, 8:
+		w = uint32(bits.TrailingZeros(uint(size)))
+	default:
+		a.errorf("hlv/hsv size %d", size)
+	}
+	f7 := 0x30 | w<<1
+	if store {
+		f7 |= 1
+	} else {
+		rs2 = variant
+	}
+	a.Word(encR(f7, uint32(rs2), uint32(rs1), rv.F3HLSV, uint32(rd), rv.OpSystem))
+}
+
+// Hlv emits hlv.b/h/w/d rd, (rs1), or with unsigned hlv.bu/hu/wu (there
+// is no hlv.du): a load in the guest's two-stage context (H extension).
+func (a *Asm) Hlv(rd, rs1, size int, unsigned bool) {
+	variant := 0
+	if unsigned {
+		variant = 1
+	}
+	a.hlsv(size, false, variant, rd, rs1, X0)
+}
+
+// Hlvx emits hlvx.hu/wu rd, (rs1): an Hlv that needs execute permission
+// at the VS stage in place of read.
+func (a *Asm) Hlvx(rd, rs1, size int) { a.hlsv(size, false, 3, rd, rs1, X0) }
+
+// Hsv emits hsv.b/h/w/d rs2, (rs1): a store in the guest's two-stage
+// context.
+func (a *Asm) Hsv(rs2, rs1, size int) { a.hlsv(size, true, 0, X0, rs1, rs2) }
 
 // --- Pseudo-instructions ---
 

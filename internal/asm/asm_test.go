@@ -274,3 +274,44 @@ func TestSpace(t *testing.T) {
 		t.Error("Space must require a multiple of 4")
 	}
 }
+
+// TestHLSVEncodings round-trips every hypervisor load and store through
+// rv.HLSVDecode.
+func TestHLSVEncodings(t *testing.T) {
+	type want struct {
+		store        bool
+		size         int
+		signed, hlvx bool
+	}
+	a := New(0)
+	var wants []want
+	for _, size := range []int{1, 2, 4, 8} {
+		a.Hlv(T1, T0, size, false)
+		wants = append(wants, want{size: size, signed: true})
+		if size < 8 {
+			a.Hlv(T1, T0, size, true)
+			wants = append(wants, want{size: size})
+		}
+		if size == 2 || size == 4 {
+			a.Hlvx(T1, T0, size)
+			wants = append(wants, want{size: size, hlvx: true})
+		}
+		a.Hsv(T1, T0, size)
+		wants = append(wants, want{store: true, size: size})
+	}
+	img := a.MustAssemble()
+	for i, w := range wants {
+		raw := word(t, img, i)
+		store, size, signed, hlvx, ok := rv.HLSVDecode(raw)
+		if !ok || rv.OpcodeOf(raw) != rv.OpSystem || rv.Funct3Of(raw) != rv.F3HLSV {
+			t.Fatalf("instr %d: %#08x does not decode as hlv/hsv", i, raw)
+		}
+		if got := (want{store, size, signed, hlvx}); got != w {
+			t.Errorf("instr %d: %#08x decodes %+v, want %+v", i, raw, got, w)
+		}
+		if rv.Rs1Of(raw) != T0 || store && (rv.Rs2Of(raw) != T1 || rv.RdOf(raw) != 0) ||
+			!store && rv.RdOf(raw) != T1 {
+			t.Errorf("instr %d: %#08x register fields", i, raw)
+		}
+	}
+}

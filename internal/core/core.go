@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"govfm/internal/hart"
+	"govfm/internal/mmu"
 	"govfm/internal/obs"
 	"govfm/internal/pmp"
 	"govfm/internal/rv"
@@ -281,7 +282,7 @@ type Stats struct {
 	WorldSwitches  uint64 // world-switch transitions (each direction counts)
 	FastPathHits   uint64 // traps absorbed by the fast path
 	VirtInterrupts uint64 // virtual interrupts injected into vM-mode
-	MMIOEmulations uint64 // virtual CLINT accesses emulated
+	MMIOEmulations uint64 // device-window accesses emulated (CLINT, PLIC, IOPMP)
 
 	FirmwareRestarts uint64 // containment-driven firmware reinitializations
 	WatchdogFires    uint64 // watchdog budget exhaustions
@@ -320,9 +321,12 @@ type HartCtx struct {
 
 	// protFile holds only the monitor's and policy's protections (self,
 	// virtual devices, policy slots, then allow-all); it is rebuilt with
-	// every PMP install and consulted when the monitor performs accesses
-	// on the firmware's behalf (MPRV emulation).
+	// every PMP install and consulted when the monitor performs a memory
+	// access on the firmware's behalf (MPRV, hlv/hsv).
 	protFile *pmp.File
+
+	// env is the reused translation env of those accesses.
+	env mmu.Env
 
 	// wall holds the PMP views the wall probe passed on; a world switch
 	// onto one of them checks only the wall entry's fields.

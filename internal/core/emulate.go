@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"govfm/internal/mem"
-	"govfm/internal/mmu"
 	"govfm/internal/rv"
 )
 
@@ -83,7 +81,28 @@ func (m *Monitor) emulateInstr(ctx *HartCtx, raw uint32, epc uint64) uint64 {
 		h.ChargeCycles(h.Cfg.Cost.TLBFlush)
 		return epc + 4
 	case EmuHLSV:
-		return m.emulateHLSV(ctx, ins, epc)
+		// hlv/hlvx/hsv: Hart.hlsv's gating against the shadow CSRs, then
+		// one access in the virtual machine's two-stage context at the
+		// privilege the virtual hstatus.SPVP selects.
+		store, size, signed, hlvx, ok := rv.HLSVDecode(raw)
+		switch {
+		case !ok || !h.Cfg.HasH:
+			return m.injectVirtTrap(ctx, rv.ExcIllegalInstr, uint64(raw), epc)
+		case ctx.VirtV:
+			return m.injectVirtTrap(ctx, rv.ExcVirtualInstr, uint64(raw), epc)
+		case ctx.VirtMode == rv.ModeU && rv.Bit(ctx.V.Hstatus, rv.HstatusHU) == 0:
+			return m.injectVirtTrap(ctx, rv.ExcIllegalInstr, uint64(raw), epc)
+		}
+		ins.Op, ins.Size, ins.Signed = EmuLoad, size, signed
+		if store {
+			ins.Op = EmuStore
+		}
+		a := emuAccess{ins: ins, va: h.Reg(ins.Rs1), priv: rv.ModeU,
+			virt: true, hlvx: hlvx, xlate: true, each: 1}
+		if rv.Bit(ctx.V.Hstatus, rv.HstatusSPVP) != 0 {
+			a.priv = rv.ModeS
+		}
+		return m.emulateAccess(ctx, &a, epc)
 	case EmuFENCE, EmuFENCEI:
 		return epc + 4
 	case EmuCSRRW, EmuCSRRS, EmuCSRRC, EmuCSRRWI, EmuCSRRSI, EmuCSRRCI:
@@ -258,77 +277,6 @@ func (m *Monitor) emulateCSR(ctx *HartCtx, ins EmuInstr, epc uint64) uint64 {
 	if wantRead {
 		h.SetReg(ins.Rd, old)
 	}
-	return epc + 4
-}
-
-// emulateHLSV executes a virtual hlv/hlvx/hsv: a single guest memory
-// access performed with the virtual machine's two-stage translation
-// context (virtual vsatp + hgatp) at the privilege selected by the
-// virtual hstatus.SPVP, mirroring Hart.hlsv against the shadow CSRs.
-func (m *Monitor) emulateHLSV(ctx *HartCtx, ins EmuInstr, epc uint64) uint64 {
-	h := ctx.Hart
-	v := ctx.V
-	raw := ins.Raw
-	store, size, signed, hlvx, ok := rv.HLSVDecode(raw)
-	if !ok || !h.Cfg.HasH {
-		return m.injectVirtTrap(ctx, rv.ExcIllegalInstr, uint64(raw), epc)
-	}
-	if ctx.VirtV {
-		return m.injectVirtTrap(ctx, rv.ExcVirtualInstr, uint64(raw), epc)
-	}
-	if ctx.VirtMode == rv.ModeU && rv.Bit(v.Hstatus, rv.HstatusHU) == 0 {
-		return m.injectVirtTrap(ctx, rv.ExcIllegalInstr, uint64(raw), epc)
-	}
-	priv := rv.ModeU
-	if rv.Bit(v.Hstatus, rv.HstatusSPVP) != 0 {
-		priv = rv.ModeS
-	}
-	acc := mem.Read
-	faultCause := rv.ExcLoadAccessFault
-	misCause := rv.ExcLoadAddrMisaligned
-	if store {
-		acc = mem.Write
-		faultCause = rv.ExcStoreAccessFault
-		misCause = rv.ExcStoreAddrMisaligned
-	}
-	va := h.Reg(ins.Rs1)
-	if va%uint64(size) != 0 && !h.Cfg.HWMisaligned {
-		return m.injectVirtTrap(ctx, misCause, va, epc)
-	}
-	env := &mmu.Env{
-		Bus:   h.Bus,
-		PMP:   v.PMP,
-		Satp:  v.Vsatp,
-		Priv:  priv,
-		SUM:   rv.Bit(v.Vsstatus, rv.MstatusSUM) != 0,
-		MXR:   rv.Bit(v.Vsstatus, rv.MstatusMXR) != 0,
-		V:     true,
-		Hgatp: v.Hgatp,
-		HLVX:  hlvx,
-	}
-	res := mmu.Translate(env, va, acc)
-	if !res.OK {
-		return m.injectVirtTrapG(ctx, res.Cause, va, res.GPA>>2, epc)
-	}
-	if !v.PMP.Check(res.PA, size, acc, priv) {
-		return m.injectVirtTrap(ctx, faultCause, va, epc)
-	}
-	h.ChargeCycles(h.Cfg.Cost.MemAccess)
-	if store {
-		if !h.Bus.Store(res.PA, size, h.Reg(ins.Rs2)) {
-			return m.injectVirtTrap(ctx, rv.ExcStoreAccessFault, va, epc)
-		}
-		h.KillReservation(res.PA)
-		return epc + 4
-	}
-	val, loaded := h.Bus.Load(res.PA, size)
-	if !loaded {
-		return m.injectVirtTrap(ctx, rv.ExcLoadAccessFault, va, epc)
-	}
-	if signed {
-		val = rv.SignExtend(val, uint(8*size))
-	}
-	h.SetReg(ins.Rd, val)
 	return epc + 4
 }
 
@@ -807,252 +755,6 @@ func (m *Monitor) vcsrWrite(ctx *HartCtx, csr uint16, val uint64) bool {
 func (m *Monitor) syncPMPIfNeeded(ctx *HartCtx) {
 	m.installPMP(ctx, ctx.World())
 	ctx.Hart.ChargeCycles(ctx.Hart.Cfg.Cost.TLBFlush)
-}
-
-// emulateMemTrap handles a load/store access fault from vM-mode: either a
-// virtual-device (CLINT) access or an MPRV-window access. Returns the next
-// virtual PC and whether the trap was consumed.
-func (m *Monitor) emulateMemTrap(ctx *HartCtx, code, addr, epc uint64) (uint64, bool) {
-	h := ctx.Hart
-	raw := m.fetchGuestInstr(ctx, epc)
-	ins := decode(raw)
-	if ins.Op != EmuLoad && ins.Op != EmuStore && ins.Op != EmuAmo {
-		return 0, false
-	}
-	h.ChargeCycles(h.Cfg.Cost.EmuOp)
-
-	// Virtual CLINT MMIO?
-	if addr >= clintBase && addr < clintBase+clintSize {
-		ctx.Stats.MMIOEmulations++
-		off := addr - clintBase
-		switch ins.Op {
-		case EmuLoad:
-			val, ok := m.vclint.Load(h.ID, off, ins.Size)
-			if !ok {
-				return m.injectVirtTrap(ctx, code, addr, epc), true
-			}
-			if ins.Signed {
-				val = rv.SignExtend(val, uint(8*ins.Size))
-			}
-			h.SetReg(ins.Rd, val)
-		case EmuStore:
-			if !m.vclint.Store(h.ID, off, ins.Size, h.Reg(ins.Rs2)) {
-				return m.injectVirtTrap(ctx, code, addr, epc), true
-			}
-			m.unmaskMTimer(ctx)
-		default: // EmuAmo
-			return m.emulateClintAmo(ctx, ins, off, code, addr, epc)
-		}
-		return epc + 4, true
-	}
-
-	// Virtual IOPMP window (§4.3)?
-	if addr >= iopmpBase && addr < iopmpBase+iopmpSize {
-		if vpc, ok := m.emulateIOPMPTrap(ctx, ins, addr, epc); ok {
-			return vpc, true
-		}
-		return m.injectVirtTrap(ctx, code, addr, epc), true
-	}
-
-	// Virtual PLIC window (experimental, §4.3)?
-	if addr >= plicBase && addr < plicBase+plicSize {
-		if vpc, ok := m.emulatePlicTrap(ctx, ins, addr, epc); ok {
-			return vpc, true
-		}
-		return m.injectVirtTrap(ctx, code, addr, epc), true
-	}
-
-	// MPRV emulation (paper §4.2): perform the access with the firmware's
-	// virtual privilege and page tables.
-	if ctx.mprvActive && ctx.mprvEmulationActive() {
-		return m.emulateMPRVAccess(ctx, ins, addr, epc)
-	}
-	return 0, false
-}
-
-// emulateMPRVAccess performs a load/store on behalf of the firmware with
-// MPRV semantics: the effective privilege is the virtual MPP, using the
-// virtual satp for translation — the monitor "installs the page tables and
-// performs the access on behalf of the firmware using MPRV itself"; here
-// the software page-table walk makes the equivalence explicit.
-func (m *Monitor) emulateMPRVAccess(ctx *HartCtx, ins EmuInstr, addr, epc uint64) (uint64, bool) {
-	h := ctx.Hart
-	v := ctx.V
-	env := &mmu.Env{
-		Bus:  h.Bus,
-		PMP:  v.PMP, // the *virtual* protections govern the firmware
-		Satp: v.Satp,
-		Priv: v.MPP(),
-		SUM:  v.Mstatus&(1<<rv.MstatusSUM) != 0,
-		MXR:  v.Mstatus&(1<<rv.MstatusMXR) != 0,
-	}
-	if ins.Op == EmuAmo {
-		return m.emulateMPRVAmo(ctx, env, ins, addr, epc)
-	}
-	acc := mem.Read
-	if ins.Op == EmuStore {
-		acc = mem.Write
-	}
-	pa, vpc, done := m.mprvCheck(ctx, env, addr, ins.Size, acc, epc)
-	if done {
-		return vpc, true
-	}
-	h.ChargeCycles(3 * h.Cfg.Cost.MemAccess) // walk + access
-	if acc == mem.Write {
-		if !h.Bus.Store(pa, ins.Size, h.Reg(ins.Rs2)) {
-			return m.injectVirtTrap(ctx, rv.ExcStoreAccessFault, addr, epc), true
-		}
-		h.KillReservation(pa)
-		return epc + 4, true
-	}
-	val, ok := h.Bus.Load(pa, ins.Size)
-	if !ok {
-		return m.injectVirtTrap(ctx, rv.ExcLoadAccessFault, addr, epc), true
-	}
-	if ins.Signed {
-		val = rv.SignExtend(val, uint(8*ins.Size))
-	}
-	h.SetReg(ins.Rd, val)
-	return epc + 4, true
-}
-
-// mprvCheck translates and permission-checks one access made on the
-// firmware's behalf. On a fault it injects the virtual trap (or halts per
-// policy) and reports done=true with the next virtual PC.
-func (m *Monitor) mprvCheck(ctx *HartCtx, env *mmu.Env, addr uint64, size int, acc mem.AccessType, epc uint64) (pa, vpc uint64, done bool) {
-	v := ctx.V
-	res := mmu.Translate(env, addr, acc)
-	if !res.OK {
-		return 0, m.injectVirtTrap(ctx, res.Cause, addr, epc), true
-	}
-	cause := rv.ExcLoadAccessFault
-	if acc == mem.Write {
-		cause = rv.ExcStoreAccessFault
-	}
-	if !v.PMP.Check(res.PA, size, acc, v.MPP()) {
-		return 0, m.injectVirtTrap(ctx, cause, addr, epc), true
-	}
-	// Policy PMP and self-protection still bind: the protection-only view
-	// excludes the MPRV trap window itself (on hardware the monitor would
-	// perform the access with its PMP reconfigured for exactly this).
-	if ctx.protFile != nil && !ctx.protFile.Check(res.PA, size, acc, v.MPP()) {
-		if m.Policy.OnFirmwareTrap(ctx, cause, addr) == ActBlock {
-			m.halt(ctx, fmt.Sprintf("policy blocked MPRV access to %#x", res.PA))
-			return 0, epc, true
-		}
-		return 0, m.injectVirtTrap(ctx, cause, addr, epc), true
-	}
-	return res.PA, 0, false
-}
-
-// emulateMPRVAmo mirrors Hart.amo for a trapped A-extension access: read
-// check + load, compute, write check + store, with LR/SC reservation
-// bookkeeping forwarded to the physical hart so mixed direct/emulated
-// sequences behave exactly as they would on bare hardware.
-func (m *Monitor) emulateMPRVAmo(ctx *HartCtx, env *mmu.Env, ins EmuInstr, addr, epc uint64) (uint64, bool) {
-	h := ctx.Hart
-	f5 := ins.Raw >> 27
-	switch f5 {
-	case rv.AmoLr: // load and acquire the reservation
-		pa, vpc, done := m.mprvCheck(ctx, env, addr, ins.Size, mem.Read, epc)
-		if done {
-			return vpc, true
-		}
-		h.ChargeCycles(3 * h.Cfg.Cost.MemAccess)
-		val, ok := h.Bus.Load(pa, ins.Size)
-		if !ok {
-			return m.injectVirtTrap(ctx, rv.ExcLoadAccessFault, addr, epc), true
-		}
-		h.SetReservation(addr)
-		if ins.Size == 4 {
-			val = rv.SignExtend(val, 32)
-		}
-		h.SetReg(ins.Rd, val)
-		return epc + 4, true
-	case rv.AmoSc:
-		// The hart only traps an SC whose reservation was valid (and it
-		// consumed the reservation on the way out), so the store proceeds.
-		pa, vpc, done := m.mprvCheck(ctx, env, addr, ins.Size, mem.Write, epc)
-		if done {
-			return vpc, true
-		}
-		h.ChargeCycles(3 * h.Cfg.Cost.MemAccess)
-		if !h.Bus.Store(pa, ins.Size, h.Reg(ins.Rs2)) {
-			return m.injectVirtTrap(ctx, rv.ExcStoreAccessFault, addr, epc), true
-		}
-		h.SetReg(ins.Rd, 0)
-		return epc + 4, true
-	}
-	// Read-modify-write AMO: read side first, as the hart does.
-	if _, ok := rv.AmoCompute(f5, ins.Size, 0, 0); !ok {
-		return 0, false // not an AMO the hart could have executed
-	}
-	pa, vpc, done := m.mprvCheck(ctx, env, addr, ins.Size, mem.Read, epc)
-	if done {
-		return vpc, true
-	}
-	old, ok := h.Bus.Load(pa, ins.Size)
-	if !ok {
-		return m.injectVirtTrap(ctx, rv.ExcLoadAccessFault, addr, epc), true
-	}
-	newVal, _ := rv.AmoCompute(f5, ins.Size, old, h.Reg(ins.Rs2))
-	wpa, vpc, done := m.mprvCheck(ctx, env, addr, ins.Size, mem.Write, epc)
-	if done {
-		return vpc, true
-	}
-	h.ChargeCycles(4 * h.Cfg.Cost.MemAccess)
-	if !h.Bus.Store(wpa, ins.Size, newVal) {
-		return m.injectVirtTrap(ctx, rv.ExcStoreAccessFault, addr, epc), true
-	}
-	h.KillReservation(wpa)
-	if ins.Size == 4 {
-		old = rv.SignExtend(old, 32)
-	}
-	h.SetReg(ins.Rd, old)
-	return epc + 4, true
-}
-
-// emulateClintAmo performs a trapped A-extension access to the virtual
-// CLINT, mirroring what the hart would do against the physical device.
-func (m *Monitor) emulateClintAmo(ctx *HartCtx, ins EmuInstr, off, code, addr, epc uint64) (uint64, bool) {
-	h := ctx.Hart
-	f5 := ins.Raw >> 27
-	switch f5 {
-	case rv.AmoLr:
-		val, ok := m.vclint.Load(h.ID, off, ins.Size)
-		if !ok {
-			return m.injectVirtTrap(ctx, code, addr, epc), true
-		}
-		h.SetReservation(addr)
-		if ins.Size == 4 {
-			val = rv.SignExtend(val, 32)
-		}
-		h.SetReg(ins.Rd, val)
-	case rv.AmoSc: // reservation validated and consumed by the hart
-		if !m.vclint.Store(h.ID, off, ins.Size, h.Reg(ins.Rs2)) {
-			return m.injectVirtTrap(ctx, code, addr, epc), true
-		}
-		m.unmaskMTimer(ctx)
-		h.SetReg(ins.Rd, 0)
-	default:
-		old, ok := m.vclint.Load(h.ID, off, ins.Size)
-		if !ok {
-			return m.injectVirtTrap(ctx, code, addr, epc), true
-		}
-		newVal, okc := rv.AmoCompute(f5, ins.Size, old, h.Reg(ins.Rs2))
-		if !okc {
-			return 0, false
-		}
-		if !m.vclint.Store(h.ID, off, ins.Size, newVal) {
-			return m.injectVirtTrap(ctx, code, addr, epc), true
-		}
-		m.unmaskMTimer(ctx)
-		if ins.Size == 4 {
-			old = rv.SignExtend(old, 32)
-		}
-		h.SetReg(ins.Rd, old)
-	}
-	return epc + 4, true
 }
 
 // unmaskMTimer re-enables the machine timer interception after the

@@ -220,7 +220,7 @@ func (m *Monitor) fetchOSInstr(ctx *HartCtx, pc uint64) uint32 {
 	h := ctx.Hart
 	h.ChargeCycles(2 * h.Cfg.Cost.MemAccess)
 	// Translate with the OS's privilege (the mode stacked in MPP).
-	pa, ei := h.Translate(pc, mem.Exec, rv.MPP(h.CSR.Mstatus))
+	pa, ei := h.TranslateV(pc, mem.Exec, rv.MPP(h.CSR.Mstatus), false)
 	if ei != nil {
 		return 0
 	}

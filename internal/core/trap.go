@@ -71,8 +71,8 @@ func (m *Monitor) handleFirmwareTrap(ctx *HartCtx, code, tval, epc uint64) uint6
 		}
 		return m.emulate(ctx, raw, epc)
 	case rv.ExcLoadAccessFault, rv.ExcStoreAccessFault:
-		// A PMP-trapped access: virtual MMIO window or MPRV emulation.
-		if vpc, ok := m.emulateMemTrap(ctx, code, tval, epc); ok {
+		// A PMP-trapped access: virtual device window or MPRV emulation.
+		if vpc, ok := m.emulateMemTrap(ctx, tval, epc); ok {
 			return vpc
 		}
 		switch m.Policy.OnFirmwareTrap(ctx, code, tval) {

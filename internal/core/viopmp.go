@@ -135,27 +135,3 @@ func (m *Monitor) installIOPMP(ctx *HartCtx) {
 	f.ForceCfg(last, pmp.CfgR|pmp.CfgW|pmp.ANapot<<3)
 	ctx.Hart.ChargeCycles(uint64(f.NumEntries()) * ctx.Hart.Cfg.Cost.PMPWrite)
 }
-
-// emulateIOPMPTrap handles a firmware load/store that hit the IOPMP
-// window.
-func (m *Monitor) emulateIOPMPTrap(ctx *HartCtx, ins EmuInstr, addr, epc uint64) (uint64, bool) {
-	if m.viopmp == nil {
-		return 0, false
-	}
-	h := ctx.Hart
-	off := addr - iopmpBase
-	ctx.Stats.MMIOEmulations++
-	if ins.Op == EmuLoad {
-		val, ok := m.viopmp.load(off, ins.Size)
-		if !ok {
-			return 0, false
-		}
-		h.SetReg(ins.Rd, val)
-	} else {
-		if !m.viopmp.store(off, ins.Size, h.Reg(ins.Rs2)) {
-			return 0, false
-		}
-		m.installIOPMP(ctx)
-	}
-	return epc + 4, true
-}

@@ -63,31 +63,3 @@ func (v *VirtPlic) Store(hartID int, off uint64, size int, val uint64) bool {
 	}
 	return v.phys.Store(off, size, val)
 }
-
-// emulatePlicTrap handles a firmware load/store that hit the PLIC window.
-func (m *Monitor) emulatePlicTrap(ctx *HartCtx, ins EmuInstr, addr, epc uint64) (uint64, bool) {
-	if m.vplic == nil {
-		return 0, false
-	}
-	h := ctx.Hart
-	off := addr - plicBase
-	ctx.Stats.MMIOEmulations++
-	if ins.Op == EmuLoad {
-		val, ok := m.vplic.Load(h.ID, off, ins.Size)
-		if !ok {
-			return 0, false
-		}
-		if ins.Signed {
-			val = rv.SignExtend(val, uint(8*ins.Size))
-		}
-		h.SetReg(ins.Rd, val)
-	} else {
-		if !m.vplic.Store(h.ID, off, ins.Size, h.Reg(ins.Rs2)) {
-			return 0, false
-		}
-		// The firmware may have re-routed or completed an interrupt:
-		// re-enable external-interrupt interception.
-		h.CSR.Mie |= 1 << rv.IntMExt
-	}
-	return epc + 4, true
-}

@@ -4,10 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"govfm/internal/asm"
 	"govfm/internal/firmware"
 	"govfm/internal/hart"
 	"govfm/internal/kernel"
 	"govfm/internal/pmp"
+	"govfm/internal/rv"
 )
 
 // containScenario boots gosbi + the boot kernel under the monitor with
@@ -497,5 +499,85 @@ func TestWallVerdictsFollowTableClears(t *testing.T) {
 	w.add(views, id)
 	if !w.vouches(views, id) || w.vouches(views, old) {
 		t.Fatalf("after the clear: vouches(new)=%v vouches(old)=%v", w.vouches(views, id), w.vouches(views, old))
+	}
+}
+
+// wallAttacks are the four emulated accesses a firmware can aim at memory
+// the monitor protects: each loads from or stores 0x5a5a to the address in
+// T1, at S-level (SPVP=1, or MPRV with MPP=S).
+var wallAttacks = []struct {
+	name  string
+	store bool
+	emit  func(a *asm.Asm)
+}{
+	{"hlv.d", false, func(a *asm.Asm) {
+		a.Li(asm.T0, 1<<rv.HstatusSPVP)
+		a.Csrrs(asm.X0, rv.CSRHstatus, asm.T0)
+		a.Hlv(asm.S1, asm.T1, 8, false)
+	}},
+	{"hsv.d", true, func(a *asm.Asm) {
+		a.Li(asm.T0, 1<<rv.HstatusSPVP)
+		a.Csrrs(asm.X0, rv.CSRHstatus, asm.T0)
+		a.Li(asm.T2, 0x5a5a)
+		a.Hsv(asm.T2, asm.T1, 8)
+	}},
+	{"mprv-ld", false, func(a *asm.Asm) {
+		setMPRV(a, rv.ModeS, false)
+		a.Ld(asm.S1, asm.T1, 0)
+	}},
+	{"mprv-sd", true, func(a *asm.Asm) {
+		setMPRV(a, rv.ModeS, false)
+		a.Li(asm.T2, 0x5a5a)
+		a.Sd(asm.T2, asm.T1, 0)
+	}},
+}
+
+// TestEmulatedAccessesHoldTheWall aims hlv.d, hsv.d, an MPRV ld and an
+// MPRV sd at the monitor's own carve-out on p550: each must reach the
+// firmware as an access fault on the target, and no byte of it may change.
+func TestEmulatedAccessesHoldTheWall(t *testing.T) {
+	const target = MiralisBase + 0x100
+	for _, at := range wallAttacks {
+		t.Run(at.name, func(t *testing.T) {
+			cfg := hart.PremierP550()
+			cfg.Harts = 1
+			m, err := hart.NewMachine(cfg, DramSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img, results := accessFirmware(true, func(a *asm.Asm) {
+				a.Li(asm.T1, target)
+				at.emit(a)
+			})
+			if err := m.LoadImage(FirmwareBase, img); err != nil {
+				t.Fatal(err)
+			}
+			mon, err := Attach(m, Options{FirmwareEntry: FirmwareBase})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mon.Boot()
+			const secret = 0x5ec2e7
+			m.Bus.Store(target, 8, secret)
+			m.Run(1_000_000)
+			if ok, reason := m.Halted(); !ok || reason != "guest-exit-pass" {
+				t.Fatalf("halted=%v %q", ok, reason)
+			}
+			cause := uint64(rv.ExcLoadAccessFault)
+			if at.store {
+				cause = rv.ExcStoreAccessFault
+			}
+			mcause, _ := m.Bus.Load(results+8*4, 8)
+			mtval, _ := m.Bus.Load(results+8*5, 8)
+			if mcause != cause || mtval != target {
+				t.Errorf("firmware saw mcause %#x mtval %#x, want %#x at %#x", mcause, mtval, cause, uint64(target))
+			}
+			if v, _ := m.Bus.Load(target, 8); v != secret {
+				t.Errorf("carve-out word %#x, want %#x", v, secret)
+			}
+			if s1, _ := m.Bus.Load(results, 8); s1 == secret {
+				t.Error("the carve-out's word reached the firmware")
+			}
+		})
 	}
 }

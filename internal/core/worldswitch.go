@@ -335,7 +335,8 @@ func (m *Monitor) installPMP(ctx *HartCtx, to World) {
 // with an effective privilege below M, requiring the trap-everything
 // window.
 func (c *HartCtx) mprvEmulationActive() bool {
-	return c.V.Mstatus&(1<<rv.MstatusMPRV) != 0 && c.V.MPP() != rv.ModeM
+	priv, _ := rv.DataPriv(c.V.Mstatus, rv.ModeM, false, false)
+	return priv != rv.ModeM
 }
 
 // Device location constants (mirrors hart's memory map without importing

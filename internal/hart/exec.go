@@ -632,9 +632,7 @@ func (h *Hart) hlsv(raw uint32, rd, rs1, rs2 uint32, next uint64) (uint64, *Exc)
 	if va%uint64(size) != 0 && !h.Cfg.HWMisaligned {
 		return next, h.exc(misalignedCause(acc), va)
 	}
-	env := h.mmuEnv(priv, true)
-	env.HLVX = hlvx
-	res := mmu.Translate(env, va, acc)
+	res := mmu.Translate(h.mmuEnv(priv, true, hlvx), va, acc)
 	if !res.OK {
 		ei := h.exc(res.Cause, va)
 		ei.Gpa = res.GPA
@@ -648,7 +646,7 @@ func (h *Hart) hlsv(raw uint32, rd, rs1, rs2 uint32, next uint64) (uint64, *Exc)
 		if !h.Bus.Store(res.PA, size, h.Reg(rs2)) {
 			return next, h.exc(rv.ExcStoreAccessFault, va)
 		}
-		h.killReservations(res.PA)
+		h.KillReservations(res.PA)
 		return next, nil
 	}
 	v, loaded := h.Bus.Load(res.PA, size)

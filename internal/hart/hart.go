@@ -520,8 +520,7 @@ func (h *Hart) fetch() (uint32, *Exc) {
 		return 0, h.exc(rv.ExcInstrAddrMisaligned, h.PC)
 	}
 	// Fetch always uses the true privilege mode; MPRV affects data only.
-	env := h.mmuEnv(h.Mode, h.V)
-	res := mmu.Translate(env, h.PC, mem.Exec)
+	res := mmu.Translate(h.mmuEnv(h.Mode, h.V, false), h.PC, mem.Exec)
 	if !res.OK {
 		ei := h.exc(res.Cause, h.PC)
 		ei.Gpa = res.GPA
@@ -537,50 +536,20 @@ func (h *Hart) fetch() (uint32, *Exc) {
 	return uint32(v), nil
 }
 
-func (h *Hart) mmuEnv(priv rv.Mode, virt bool) *mmu.Env {
-	e := &h.envCache
-	e.Bus = h.Bus
-	e.PMP = h.CSR.PMP
-	e.Priv = priv
-	e.HLVX = false
-	if virt {
-		// Guest context: VS-stage translation under vsatp with the guest's
-		// SUM/MXR, composed with the G-stage under hgatp.
-		e.Satp = h.CSR.Vsatp
-		e.V = true
-		e.Hgatp = h.CSR.Hgatp
-		e.SUM = rv.Bit(h.CSR.Vsstatus, rv.MstatusSUM) != 0
-		e.MXR = rv.Bit(h.CSR.Vsstatus, rv.MstatusMXR) != 0
-		return e
-	}
-	e.Satp = h.CSR.Satp
-	e.V = false
-	e.Hgatp = 0
-	e.SUM = rv.Bit(h.CSR.Mstatus, rv.MstatusSUM) != 0
-	e.MXR = rv.Bit(h.CSR.Mstatus, rv.MstatusMXR) != 0
-	return e
-}
-
-// effectivePriv returns the privilege mode governing a data access,
-// honouring mstatus.MPRV.
-func (h *Hart) effectivePriv() rv.Mode {
-	if rv.Bit(h.CSR.Mstatus, rv.MstatusMPRV) != 0 {
-		return rv.MPP(h.CSR.Mstatus)
-	}
-	return h.Mode
+// mmuEnv returns the translation env of an access at (priv, virt) over
+// the hart's CSRs (hlvx as for mmu.Env.Set), in the reused envCache.
+func (h *Hart) mmuEnv(priv rv.Mode, virt, hlvx bool) *mmu.Env {
+	c := &h.CSR
+	return h.envCache.Set(h.Bus, c.PMP, mmu.Regs{
+		Satp: c.Satp, Vsatp: c.Vsatp, Hgatp: c.Hgatp,
+		Mstatus: c.Mstatus, Vsstatus: c.Vsstatus,
+	}, priv, virt, hlvx)
 }
 
 // effectivePrivV returns the privilege mode and virtualization mode
-// governing a data access: MPRV substitutes MPP (and, with the hypervisor
-// extension, MPV unless MPP is M); otherwise the hart's current pair.
+// governing a data access (rv.DataPriv over the hart's state).
 func (h *Hart) effectivePrivV() (rv.Mode, bool) {
-	if rv.Bit(h.CSR.Mstatus, rv.MstatusMPRV) != 0 {
-		mpp := rv.MPP(h.CSR.Mstatus)
-		virt := h.Cfg.HasH && mpp != rv.ModeM &&
-			rv.Bit(h.CSR.Mstatus, rv.MstatusMPV) != 0
-		return mpp, virt
-	}
-	return h.Mode, h.V
+	return rv.DataPriv(h.CSR.Mstatus, h.Mode, h.V, h.Cfg.HasH)
 }
 
 // misalignedCause maps an access type to its misaligned-exception cause.
@@ -604,8 +573,9 @@ func accessFaultCause(acc mem.AccessType) uint64 {
 // MemAccess performs a data access at virtual address va with full
 // architectural checking (alignment, translation, PMP). For writes, value
 // is stored and the returned value is 0. Exposed (capitalized) because the
-// monitor uses it to perform accesses on behalf of the firmware (MPRV
-// emulation) — with the *hart's* current state, exactly like hardware MPRV.
+// monitor's misaligned fast path (fastPathMisaligned) performs the OS's
+// byte accesses through it, with the *hart's* current state, exactly as the
+// firmware's MPRV-based handler would.
 //
 // With the fast path on, an access the TLB holds a host entry for is a
 // host load or store (see mmu.TLB), except a store into one of the page's
@@ -635,7 +605,7 @@ func (h *Hart) MemAccess(va uint64, size int, acc mem.AccessType, value uint64, 
 			if !h.Bus.Store(pa, size, value) {
 				return 0, h.exc(rv.ExcStoreAccessFault, va)
 			}
-			h.killReservations(pa)
+			h.KillReservations(pa)
 			return 0, nil
 		}
 		v, ok := h.Bus.Load(pa, size)
@@ -657,7 +627,7 @@ func (h *Hart) MemAccess(va uint64, size int, acc mem.AccessType, value uint64, 
 		h.charge(h.Cfg.Cost.MemAccess)
 		if acc == mem.Write {
 			mem.PageStore(e.Host, va&4095, size, value)
-			h.killReservations(e.Page() | va&4095)
+			h.KillReservations(e.Page() | va&4095)
 			return 0, nil
 		}
 		return mem.PageLoad(e.Host, va&4095, size), nil
@@ -671,7 +641,7 @@ func (h *Hart) MemAccess(va uint64, size int, acc mem.AccessType, value uint64, 
 		if !h.busStore(e, pa, size, value) {
 			return 0, h.exc(rv.ExcStoreAccessFault, va)
 		}
-		h.killReservations(pa)
+		h.KillReservations(pa)
 		return 0, nil
 	}
 	v, ok := h.busLoad(e, pa, size)
@@ -682,7 +652,7 @@ func (h *Hart) MemAccess(va uint64, size int, acc mem.AccessType, value uint64, 
 }
 
 // SetReservation registers an LR reservation at addr on behalf of the
-// hart. The monitor uses it when it emulates a trapped LR (MPRV or MMIO
+// hart. The monitor uses it when it emulates a trapped LR (MPRV or device
 // window) so that a later, directly-executed SC still succeeds.
 func (h *Hart) SetReservation(addr uint64) { h.setRes(true, addr) }
 
@@ -699,45 +669,39 @@ func (h *Hart) setRes(valid bool, addr uint64) {
 	h.resValid, h.resAddr = valid, addr
 }
 
-// KillReservation invalidates the reservation if pa falls in its 8-byte
-// region, mirroring what a store through MemAccess does. The monitor calls
-// it after stores it performs on the hart's behalf.
-func (h *Hart) KillReservation(pa uint64) {
+// killReservation invalidates the hart's own reservation if pa falls in
+// its 8-byte region.
+func (h *Hart) killReservation(pa uint64) {
 	if h.resValid && pa&^7 == h.resAddr&^7 {
 		h.setRes(false, h.resAddr)
 	}
 }
 
-// killReservations applies a store at pa by this hart to every LR/SC
+// KillReservations applies a store at pa by this hart to every LR/SC
 // reservation on the machine: this hart's and each peer's die if they
 // cover pa's doubleword, as cache coherence would on real hardware. The
-// peers are visited only when one of them may hold a reservation.
-func (h *Hart) killReservations(pa uint64) {
+// peers are visited only when one of them may hold a reservation. The
+// monitor calls it after every store it performs on the hart's behalf.
+func (h *Hart) KillReservations(pa uint64) {
 	switch n := *h.resHolders; {
 	case n == 0:
 		return
 	case n == 1 && h.resValid:
-		h.KillReservation(pa)
+		h.killReservation(pa)
 		return
 	}
-	h.KillReservation(pa)
+	h.killReservation(pa)
 	for _, p := range h.peers {
-		p.KillReservation(pa)
+		p.killReservation(pa)
 	}
 }
 
-// Translate exposes address translation with the hart's current state; the
-// monitor uses it for MPRV emulation (software page-table walk on behalf of
-// the firmware).
-func (h *Hart) Translate(va uint64, acc mem.AccessType, priv rv.Mode) (uint64, *Exc) {
-	return h.TranslateV(va, acc, priv, false)
-}
-
-// TranslateV is Translate with an explicit virtualization mode: with virt
-// set the walk runs in the guest's two-stage context (vsatp + hgatp).
+// TranslateV exposes address translation with the hart's current state at
+// (priv, virt): with virt set the walk runs in the guest's two-stage
+// context (vsatp + hgatp). The monitor uses it to fetch a trapping OS
+// instruction.
 func (h *Hart) TranslateV(va uint64, acc mem.AccessType, priv rv.Mode, virt bool) (uint64, *Exc) {
-	env := h.mmuEnv(priv, virt)
-	res := mmu.Translate(env, va, acc)
+	res := mmu.Translate(h.mmuEnv(priv, virt, false), va, acc)
 	if !res.OK {
 		ei := h.exc(res.Cause, va)
 		ei.Gpa = res.GPA

@@ -257,7 +257,7 @@ func inPage(va uint64, size int) bool { return va&4095+uint64(size) <= 4096 }
 // through.
 func (h *Hart) tlbCtx(priv rv.Mode, virt, fetch bool) (ctx uint32, translated bool) {
 	k := mmu.Key{Mode: uint64(priv)}
-	if !h.translationActive(priv, virt) {
+	if !mmu.Active(priv, virt, h.CSR.Satp, h.CSR.Vsatp, h.CSR.Hgatp) {
 		if k.View = h.CSR.PMP.SettledView(); k.View == 0 {
 			if fetch {
 				return 0, false
@@ -283,19 +283,6 @@ func (h *Hart) tlbCtx(priv rv.Mode, virt, fetch bool) (ctx uint32, translated bo
 	return h.fast.tlb.Ctx(&k), true
 }
 
-// translationActive reports whether any translation stage applies for a
-// (priv, virt) access context.
-func (h *Hart) translationActive(priv rv.Mode, virt bool) bool {
-	if priv == rv.ModeM {
-		return false
-	}
-	if virt {
-		return rv.SatpMode(h.CSR.Vsatp) == rv.SatpModeSv39 ||
-			rv.SatpMode(h.CSR.Hgatp) == rv.HgatpModeSv39x4
-	}
-	return rv.SatpMode(h.CSR.Satp) == rv.SatpModeSv39
-}
-
 // resolve maps va for an access of size bytes and type acc in the context
 // (priv, virt), interned as ctx (translated: whether it translates), and
 // checks it against PMP — exactly the work of mmu.Translate and
@@ -318,7 +305,7 @@ func (h *Hart) resolve(va uint64, size int, acc mem.AccessType, priv rv.Mode, vi
 	case translated:
 		h.Perf.TLBMisses++
 		h.Perf.PageWalks++
-		res := mmu.Translate(h.mmuEnv(priv, virt), va, acc)
+		res := mmu.Translate(h.mmuEnv(priv, virt, false), va, acc)
 		if !res.OK {
 			ei = h.exc(res.Cause, va)
 			ei.Gpa = res.GPA
@@ -450,11 +437,11 @@ func (h *Hart) busStore(e *mmu.Entry, pa uint64, size int, v uint64) bool {
 // privilege and virtualization mode with a full walk: the data path with
 // the fast path off (resolve is its TLB counterpart).
 func (h *Hart) translate(va uint64, acc mem.AccessType, priv rv.Mode, virt bool) (uint64, *Exc) {
-	if !h.translationActive(priv, virt) {
+	if !mmu.Active(priv, virt, h.CSR.Satp, h.CSR.Vsatp, h.CSR.Hgatp) {
 		return va, nil
 	}
 	h.Perf.PageWalks++
-	res := mmu.Translate(h.mmuEnv(priv, virt), va, acc)
+	res := mmu.Translate(h.mmuEnv(priv, virt, false), va, acc)
 	if !res.OK {
 		ei := h.exc(res.Cause, va)
 		ei.Gpa = res.GPA

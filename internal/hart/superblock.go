@@ -310,7 +310,7 @@ func (h *Hart) sbTranslate(dp *decPage, slot int) *sblock {
 // headroom, budget) must still hold. Either way the base charges, the
 // retirements and the PC are committed once per block (sbRetire).
 func (h *Hart) runBlock(dp *decPage, sb *sblock) uint64 {
-	priv := h.effectivePriv()
+	priv, _ := h.effectivePrivV()
 	h.sb.priv = priv
 	h.sb.ctx, h.sb.translated = h.tlbCtx(priv, false, false)
 	h.sb.endAfter = false
@@ -484,7 +484,7 @@ func (h *Hart) sbStore(va uint64, size int, value uint64) bool {
 		h.Perf.HostHits++
 		h.charge(h.Cfg.Cost.MemAccess)
 		mem.PageStore(e.Host, va&4095, size, value)
-		h.killReservations(e.Page() | va&4095)
+		h.KillReservations(e.Page() | va&4095)
 		return true
 	}
 	e, pa, ei := h.resolve(va, size, mem.Write, h.sb.priv, false, h.sb.ctx, h.sb.translated)
@@ -495,7 +495,7 @@ func (h *Hart) sbStore(va uint64, size int, value uint64) bool {
 		return false
 	}
 	h.charge(h.Cfg.Cost.MemAccess)
-	h.killReservations(pa)
+	h.KillReservations(pa)
 	return true
 }
 

@@ -68,7 +68,8 @@ func fault(acc mem.AccessType, pageFault bool) Result {
 	return Result{Cause: cause}
 }
 
-// Env carries the translation-relevant machine state.
+// Env carries the translation-relevant machine state. Set fills it for an
+// access; tests may build one by hand.
 type Env struct {
 	Bus  *mem.Bus // PTE reads and A/D updates
 	PMP  *pmp.File
@@ -78,25 +79,53 @@ type Env struct {
 	MXR  bool
 
 	// Two-stage translation state (hypervisor extension). When V is set,
-	// Satp holds vsatp (the VS-stage root), Hgatp the G-stage root, and
-	// Priv is the guest privilege (VS for ModeS, VU for ModeU). HLVX makes
-	// the VS-stage check execute permission in place of read (hlvx.hu/wu).
+	// Vsatp is the VS-stage root, Hgatp the G-stage root, and Priv is the
+	// guest privilege (VS for ModeS, VU for ModeU). HLVX makes the VS-stage
+	// check execute permission in place of read (hlvx.hu/wu).
 	V     bool
+	Vsatp uint64
 	Hgatp uint64
 	HLVX  bool
 }
 
-// Active reports whether translation applies: Sv39 (or either stage of
-// Sv39x4 two-stage translation) enabled and effective privilege below M.
-func (e *Env) Active() bool {
-	if e.Priv == rv.ModeM {
+// Regs holds the CSR values translation reads: the three roots, and the
+// status registers whose SUM and MXR bits apply (mstatus at V=0, vsstatus
+// at V=1).
+type Regs struct {
+	Satp, Vsatp, Hgatp uint64
+	Mstatus, Vsstatus  uint64
+}
+
+// Set fills e for an access at (priv, virt) over r, walking bus and
+// checking the walk's own accesses against p, and returns e. hlvx is the
+// hlvx.hu/wu variant of a V=1 load. The hart and the monitor both build
+// their envs here, so an access the monitor performs for the firmware is
+// translated exactly as the hart would translate it.
+func (e *Env) Set(bus *mem.Bus, p *pmp.File, r Regs, priv rv.Mode, virt, hlvx bool) *Env {
+	status := r.Mstatus
+	if virt {
+		status = r.Vsstatus
+	}
+	*e = Env{
+		Bus: bus, PMP: p, Satp: r.Satp, Priv: priv,
+		SUM: rv.Bit(status, rv.MstatusSUM) != 0,
+		MXR: rv.Bit(status, rv.MstatusMXR) != 0,
+		V:   virt, Vsatp: r.Vsatp, Hgatp: r.Hgatp, HLVX: hlvx,
+	}
+	return e
+}
+
+// Active reports whether an access at (priv, virt) translates: its
+// privilege is below M, and satp selects Sv39 or, at V=1, vsatp selects
+// Sv39 or hgatp Sv39x4.
+func Active(priv rv.Mode, virt bool, satp, vsatp, hgatp uint64) bool {
+	if priv == rv.ModeM {
 		return false
 	}
-	if e.V {
-		return rv.SatpMode(e.Satp) == rv.SatpModeSv39 ||
-			rv.SatpMode(e.Hgatp) == rv.HgatpModeSv39x4
+	if virt {
+		return vsatp>>60 == rv.SatpModeSv39 || hgatp>>60 == rv.HgatpModeSv39x4
 	}
-	return rv.SatpMode(e.Satp) == rv.SatpModeSv39
+	return satp>>60 == rv.SatpModeSv39
 }
 
 // gFault builds a guest-page-fault result for the original access type.
@@ -193,8 +222,12 @@ func gTranslate(e *Env, res *Result, gpa uint64, acc mem.AccessType, write bool)
 // With Env.V set this is the composed two-stage walk: VS-stage PTE
 // addresses are guest-physical and are themselves G-translated.
 func Translate(e *Env, va uint64, acc mem.AccessType) Result {
-	if !e.Active() {
+	if !Active(e.Priv, e.V, e.Satp, e.Vsatp, e.Hgatp) {
 		return Result{PA: va, OK: true}
+	}
+	root := e.Satp
+	if e.V {
+		root = e.Vsatp
 	}
 	res := Result{}
 	// HLVX checks execute permission at the VS-stage leaf in place of read,
@@ -203,7 +236,7 @@ func Translate(e *Env, va uint64, acc mem.AccessType) Result {
 	if e.HLVX {
 		vsAcc = mem.Exec
 	}
-	if e.V && rv.SatpMode(e.Satp) != rv.SatpModeSv39 {
+	if e.V && rv.SatpMode(root) != rv.SatpModeSv39 {
 		// VS-stage Bare: the virtual address IS the guest-physical address.
 		pa, g := gTranslate(e, &res, va, acc, acc == mem.Write)
 		if !g.OK {
@@ -217,7 +250,7 @@ func Translate(e *Env, va uint64, acc mem.AccessType) Result {
 	if rv.SignExtend(va, 39) != va {
 		return fault(acc, true)
 	}
-	a := rv.SatpPPN(e.Satp) * PageSize
+	a := rv.SatpPPN(root) * PageSize
 	for level := 2; level >= 0; level-- {
 		vpn := rv.Bits(va, uint(12+9*level+8), uint(12+9*level))
 		pteAddr := a + vpn*8

@@ -7,13 +7,16 @@ import (
 	"strings"
 	"testing"
 
+	"govfm/internal/asm"
 	"govfm/internal/core"
 	"govfm/internal/firmware"
 	"govfm/internal/hart"
 	"govfm/internal/kernel"
+	"govfm/internal/pmp"
 	"govfm/internal/policy/ace"
 	"govfm/internal/policy/keystone"
 	"govfm/internal/policy/sandbox"
+	"govfm/internal/rv"
 )
 
 // boot brings up gosbi + the given kernel image under the monitor with the
@@ -369,5 +372,196 @@ func TestSandboxWithIOPMP(t *testing.T) {
 	scratch := fw.Symbols["scratch"]
 	if v, _ := m.Bus.Load(scratch, 8); v == 0x5EC4E7 {
 		t.Error("OS memory leaked into the firmware via DMA")
+	}
+}
+
+// --- Emulated accesses against protected memory ---
+
+// probeAttacks are the four accesses the monitor performs on the
+// firmware's behalf, each aimed at the address in T1 at S-level: a load or
+// a store of 0x5a5a.
+var probeAttacks = []struct {
+	name  string
+	store bool
+	emit  func(a *asm.Asm)
+}{
+	{"hlv.d", false, func(a *asm.Asm) {
+		a.Li(asm.T0, 1<<rv.HstatusSPVP)
+		a.Csrrs(asm.X0, rv.CSRHstatus, asm.T0)
+		a.Hlv(asm.S1, asm.T1, 8, false)
+	}},
+	{"hsv.d", true, func(a *asm.Asm) {
+		a.Li(asm.T0, 1<<rv.HstatusSPVP)
+		a.Csrrs(asm.X0, rv.CSRHstatus, asm.T0)
+		a.Li(asm.T2, 0x5a5a)
+		a.Hsv(asm.T2, asm.T1, 8)
+	}},
+	{"mprv-ld", false, func(a *asm.Asm) {
+		a.Li(asm.T0, 1<<rv.MstatusMPRV) // MPP is S: the ecall came from S
+		a.Csrrs(asm.X0, rv.CSRMstatus, asm.T0)
+		a.Ld(asm.S1, asm.T1, 0)
+	}},
+	{"mprv-sd", true, func(a *asm.Asm) {
+		a.Li(asm.T0, 1<<rv.MstatusMPRV)
+		a.Csrrs(asm.X0, rv.CSRMstatus, asm.T0)
+		a.Li(asm.T2, 0x5a5a)
+		a.Sd(asm.T2, asm.T1, 0)
+	}},
+}
+
+// probeFirmware assembles a firmware that grants all memory, enters the
+// OS in S-mode, and answers the OS's first ecall by running attack against
+// target. It records the fault the attack took (mcause, mtval), or zero
+// and the loaded word when it took none, in the two doublewords at the
+// returned address, then returns to the OS.
+func probeFirmware(target uint64, attack func(a *asm.Asm)) ([]byte, uint64) {
+	a := asm.New(core.FirmwareBase)
+	a.La(asm.T0, "trap")
+	a.Csrw(rv.CSRMtvec, asm.T0)
+	a.Li(asm.T0, rv.Mask(54))
+	a.Csrw(rv.CSRPmpaddr0, asm.T0)
+	a.Li(asm.T0, pmp.CfgR|pmp.CfgW|pmp.CfgX|pmp.ANapot<<3)
+	a.Csrw(rv.CSRPmpcfg0, asm.T0)
+	a.Li(asm.T0, core.OSBase)
+	a.Csrw(rv.CSRMepc, asm.T0)
+	a.J("to-os")
+
+	a.Label("trap")
+	a.Csrr(asm.T0, rv.CSRMcause)
+	a.Li(asm.T1, rv.ExcEcallFromS)
+	a.Bne(asm.T0, asm.T1, "fault")
+	a.Csrr(asm.S11, rv.CSRMepc)
+	a.Li(asm.T1, target)
+	attack(a)
+	a.Li(asm.T0, 1<<rv.MstatusMPRV)
+	a.Csrrc(asm.X0, rv.CSRMstatus, asm.T0)
+	a.La(asm.T0, "record")
+	a.Sd(asm.X0, asm.T0, 0)
+	a.Sd(asm.S1, asm.T0, 8)
+	a.J("back")
+	a.Label("fault")
+	a.La(asm.T0, "record")
+	a.Csrr(asm.T1, rv.CSRMcause)
+	a.Sd(asm.T1, asm.T0, 0)
+	a.Csrr(asm.T1, rv.CSRMtval)
+	a.Sd(asm.T1, asm.T0, 8)
+	a.Label("back")
+	a.Addi(asm.T0, asm.S11, 4)
+	a.Csrw(rv.CSRMepc, asm.T0)
+	a.Label("to-os") // mret to S-mode at mepc, MPRV off
+	a.Li(asm.T0, 1<<rv.MstatusMPRV|3<<rv.MstatusMPPLo)
+	a.Csrrc(asm.X0, rv.CSRMstatus, asm.T0)
+	a.Li(asm.T0, 1<<rv.MstatusMPPLo)
+	a.Csrrs(asm.X0, rv.CSRMstatus, asm.T0)
+	a.Mret()
+	a.Align(8)
+	a.Label("record")
+	a.Raw64(0xff)
+	a.Raw64(0)
+	img := a.MustAssemble()
+	return img, a.Addr("record")
+}
+
+// probeKernel assembles an OS that makes the SBI call setup (when a7 is
+// non-zero) — creating the enclave or the confidential VM the probe aims
+// at — then traps into the firmware once and exits.
+func probeKernel(ext, fn, base, size uint64) []byte {
+	a := asm.New(core.OSBase)
+	if ext != 0 {
+		a.Li(asm.A7, ext)
+		a.Li(asm.A6, fn)
+		a.Li(asm.A0, base)
+		a.Li(asm.A1, size)
+		a.Li(asm.A2, base)
+		a.Ecall()
+	}
+	a.Li(asm.A7, firmware.EvilEID)
+	a.Li(asm.A6, 0)
+	a.Ecall()
+	a.Li(asm.T0, hart.ExitBase)
+	a.Li(asm.T1, hart.ExitPass)
+	a.Sd(asm.T1, asm.T0, 0)
+	a.Label("hang")
+	a.J("hang")
+	return a.MustAssemble()
+}
+
+// TestEmulatedAccessesRespectPolicies aims hlv.d, hsv.d, an MPRV ld and an
+// MPRV sd from the firmware at memory three policies protect, on p550: OS
+// memory once the sandbox has locked it down, a live keystone enclave, and
+// a donated ACE confidential VM. The sandbox answers a denial in its range
+// by stopping the machine; keystone and ACE leave the default answer, an
+// access fault injected into the firmware. No byte of the target may
+// change either way.
+func TestEmulatedAccessesRespectPolicies(t *testing.T) {
+	areas := []struct {
+		name          string
+		pol           func() core.Policy
+		ext, fn       uint64
+		base, size    uint64
+		target        uint64
+		wantBlockHalt bool
+	}{
+		{"sandbox-os", func() core.Policy { return sandbox.New(sandbox.Options{}) },
+			0, 0, 0, 0, core.OSBase + 0x8000, true},
+		{"keystone-enclave", func() core.Policy { return keystone.New() },
+			rv.SBIExtKeystone, keystone.FnCreate, kernel.EnclaveBase, kernel.EnclaveSize,
+			kernel.EnclaveBase + 0x100, false},
+		{"ace-cvm", func() core.Policy { return ace.New() },
+			rv.SBIExtCoveHost, ace.FnPromoteToCVM, kernel.CVMBase, kernel.CVMSize,
+			kernel.CVMBase + 0x100, false},
+	}
+	for _, ar := range areas {
+		for _, at := range probeAttacks {
+			t.Run(ar.name+"/"+at.name, func(t *testing.T) {
+				cfg := hart.PremierP550()
+				cfg.Harts = 1
+				m, err := hart.NewMachine(cfg, core.DramSize)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fw, record := probeFirmware(ar.target, at.emit)
+				if err := m.LoadImage(core.FirmwareBase, fw); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.LoadImage(core.OSBase, probeKernel(ar.ext, ar.fn, ar.base, ar.size)); err != nil {
+					t.Fatal(err)
+				}
+				const secret = 0x5ec2e7
+				m.Bus.Store(ar.target, 8, secret)
+				mon, err := core.Attach(m, core.Options{Policy: ar.pol(), FirmwareEntry: core.FirmwareBase})
+				if err != nil {
+					t.Fatal(err)
+				}
+				mon.Boot()
+				m.Run(1_000_000)
+				ok, reason := m.Halted()
+				cause, _ := m.Bus.Load(record, 8)
+				tval, _ := m.Bus.Load(record+8, 8)
+				if ar.wantBlockHalt {
+					if !ok || !strings.Contains(reason, "policy blocked") {
+						t.Errorf("halted=%v %q, want the sandbox's policy-blocked stop (record %#x %#x)",
+							ok, reason, cause, tval)
+					}
+				} else {
+					if !ok || reason != "guest-exit-pass" {
+						t.Fatalf("halted=%v %q", ok, reason)
+					}
+					want := uint64(rv.ExcLoadAccessFault)
+					if at.store {
+						want = rv.ExcStoreAccessFault
+					}
+					if cause != want || tval != ar.target {
+						t.Errorf("firmware saw mcause %#x mtval %#x, want %#x at %#x", cause, tval, want, ar.target)
+					}
+				}
+				if v, _ := m.Bus.Load(ar.target, 8); v != secret {
+					t.Errorf("target word %#x, want %#x", v, secret)
+				}
+				if tval == secret {
+					t.Error("the target's word reached the firmware")
+				}
+			})
+		}
 	}
 }

@@ -85,6 +85,18 @@ func WithMPP(mstatus uint64, m Mode) uint64 {
 	return SetBits(mstatus, MstatusMPPHi, MstatusMPPLo, uint64(m))
 }
 
+// DataPriv returns the privilege and virtualization mode that govern a
+// data access made at (mode, virt) under mstatus: with MPRV set, MPP and,
+// on a hart with the hypervisor extension, MPV unless MPP is M; otherwise
+// (mode, virt) itself.
+func DataPriv(mstatus uint64, mode Mode, virt, hasH bool) (Mode, bool) {
+	if mstatus>>MstatusMPRV&1 != 0 {
+		mpp := Mode(mstatus >> MstatusMPPLo & 3)
+		return mpp, hasH && mpp != ModeM && mstatus>>MstatusMPV&1 != 0
+	}
+	return mode, virt
+}
+
 // SPP extracts mstatus.SPP as a Mode (U or S).
 func SPP(mstatus uint64) Mode { return Mode(Bit(mstatus, MstatusSPP)) }
 

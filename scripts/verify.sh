@@ -2,9 +2,14 @@
 # Tier-2 verification gate: everything tier-1 runs (build + tests) plus
 # static analysis, the race detector, and the differential-fuzzer gates.
 #
-# The race pass uses -short because internal/bench honors testing.Short();
-# the full -race run takes several minutes (internal/bench alone can exceed
-# go test's default 10m under the race detector) and is available via
+# The race pass races every package once. The memory, machine, device,
+# monitor and PMP packages race in full: COW forks share pages between
+# concurrently running machines there (hart's and core's fork tests, mem's
+# TestConcurrentForkFamily), as does the PMP view intern table with its
+# origin (pmp's TestViewsConcurrentClones). Every other package races
+# under -short, because internal/bench honors testing.Short(); the full
+# -race run takes several minutes (internal/bench alone can exceed go
+# test's default 10m under the race detector) and is available via
 # RACE_FULL=1 (the nightly workflow sets it).
 #
 # Every gate's output is teed into OBS_ARTIFACT_DIR (default
@@ -61,7 +66,14 @@ echo "== go test -race ./..."
 if [ "${RACE_FULL:-0}" = "1" ]; then
     run_gate race go test -race -timeout 30m ./...
 else
-    run_gate race go test -race -short ./...
+    race_full=$(go list ./internal/mem/... ./internal/hart/... \
+        ./internal/dev/... ./internal/core/... ./internal/pmp/...)
+    race_short=$(go list ./... | grep -v -x -F "$race_full")
+    # shellcheck disable=SC2086 # word-splitting the package lists is the point
+    race_pass() {
+        go test -race $race_full && go test -race -short $race_short
+    }
+    run_gate race race_pass
 fi
 
 echo "== fuzzdiff smoke (lockstep; every case also on an interpreter twin)"
